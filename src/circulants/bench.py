@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import Circulant, mul_naive
 from .errors import CirculantError
+from .fixtures import DEFAULT_SEED, random_circulant
 from .oracle import dense_mul
 from .spectral import fast_mul
 
-DEFAULT_SEED = 0x5EED
 METHODS = ("naive", "spectral", "dense")
 
 
@@ -33,11 +33,6 @@ class BenchResult:
     reps: int
     median_ns: int
     checksum: float
-
-
-def _random_circulant(rng: np.random.Generator, n: int) -> Circulant:
-    parts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    return Circulant(tuple(complex(re, im) for re, im in parts))
 
 
 def _dense_method(x: Circulant, y: Circulant) -> Circulant:
@@ -60,8 +55,8 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     runners = {"naive": mul_naive, "spectral": fast_mul, "dense": _dense_method}
     results: list[BenchResult] = []
     for n in sizes:
-        x = _random_circulant(rng, n)
-        y = _random_circulant(rng, n)
+        x = random_circulant(rng, n)
+        y = random_circulant(rng, n)
         tol = 1e-9 * (1.0 + x.norm_inf() * y.norm_inf())
         products = {name: fn(x, y) for name, fn in runners.items()}
         reference = products["naive"]

@@ -3,7 +3,9 @@
 Matrix documents (JSON) come from --input or stdin, results go to
 --output or stdout.  Exit codes: 0 success, 1 domain failure (singular
 matrix, non-member target, failed verification, benchmark disagreement),
-2 malformed input or usage error.
+2 malformed input or usage error, 3 internal error (any other exception:
+a defect in this package, reported on one line of stderr rather than as
+a traceback, so that it is never mistaken for a domain verdict).
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import sys
 from fractions import Fraction
 
 from . import hopf, lattice, spectral, twisted
+from .bench import BenchDisagreementError, run_bench
+from .fixtures import DEFAULT_SEED
+from .forms import char_poly_of_forms, forms_of_spectrum
 from .forms import conjugate as conjugate_of
-from .forms import forms_of_spectrum
 from .forms import inverse as inverse_of
-from .bench import DEFAULT_SEED, BenchDisagreementError, run_bench
 from .documents import (
     DocumentError,
     MatrixDocument,
@@ -130,12 +133,7 @@ def _cmd_charpoly(args) -> int:
         monic: tuple = lattice.exact_char_poly(doc.to_rational_circulant())
         encoded = [format_rational(x) for x in monic]
     else:
-        q = forms_of_spectrum(_spectrum_of(doc)).q
-        coeffs = [1.0 + 0.0j]
-        sign = -1.0
-        for qi in q:
-            coeffs.append(sign * qi)
-            sign = -sign
+        coeffs = char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc)))
         encoded = [format_complex(x) for x in coeffs]
     payload = {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}
     _write_text(args.output, dump_json(payload))
@@ -392,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_all = add("verify-all", _cmd_verify_all, "run every module's invariant suite")
     verify_all.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (hex ok)")
     bench = add("bench", _cmd_bench, "time naive vs spectral vs dense multiplication")
-    bench.add_argument("--sizes", type=_sizes, default=[16, 64, 256], help="comma-separated orders")
+    # 100 exercises the mixed-radix transform; it comes last so that the
+    # default seed still draws the same inputs for 16, 64 and 256.
+    bench.add_argument("--sizes", type=_sizes, default=[16, 64, 256, 100], help="comma-separated orders")
     bench.add_argument("--reps", type=int, default=5, help="repetitions per method (>= 3)")
     bench.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (hex ok)")
     return parser
@@ -415,6 +415,10 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

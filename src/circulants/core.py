@@ -33,6 +33,22 @@ def _as_scalar(value) -> complex:
     raise InvalidScalarError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
+#: Order from which `x * y` takes the spectral product instead of the
+#: O(n^2) convolution.  On CPython 3.11 with numpy 2.4 (pocketfft), on a
+#: 2-vCPU x86-64 VM, random complex inputs, best of 15 runs: mul_naive
+#: takes 15 / 21 / 27 / 29 / 45 us at n = 8 / 10 / 11 / 12 / 16, and
+#: fast_mul 24 us at each of these orders; they break even at n = 11.
+SPECTRAL_MUL_MIN_ORDER = 12
+
+
+def _finite_tuple(arr: np.ndarray) -> tuple[complex, ...]:
+    """Entries of a computed complex array as Python complex numbers,
+    checked for finiteness in one vectorised pass."""
+    if not np.isfinite(arr).all():
+        raise InvalidScalarError("non-finite entry in a computed result")
+    return tuple(arr.tolist())
+
+
 @dataclass(frozen=True)
 class Circulant:
     """Immutable circulant matrix, stored as its first row."""
@@ -79,8 +95,18 @@ class Circulant:
         return Circulant(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        """Circulant product, or scaling by a number.
+
+        Below order SPECTRAL_MUL_MIN_ORDER the product is the O(n^2)
+        convolution `mul_naive` (exact on integer entries); from that
+        order on it is `spectral.fast_mul`, O(n log n) through numpy.fft.
+        """
         if isinstance(other, Circulant):
-            return mul_naive(self, other)
+            if self.n < SPECTRAL_MUL_MIN_ORDER:
+                return mul_naive(self, other)
+            from .spectral import fast_mul
+
+            return fast_mul(self, other)
         if isinstance(other, numbers.Number):
             return self.scale(other)
         return NotImplemented
@@ -96,6 +122,14 @@ class Circulant:
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
+
+
+def _circulant_from_array(arr: np.ndarray) -> Circulant:
+    """Circulant over a computed complex array, validated by one
+    vectorised finiteness check instead of per-element _as_scalar."""
+    out = object.__new__(Circulant)
+    object.__setattr__(out, "coeffs", _finite_tuple(arr))
+    return out
 
 
 def _fmt(z: complex) -> str:

@@ -90,16 +90,20 @@ def forms_of_spectrum(spectrum: Spectrum) -> FormsVector:
     return FormsVector(q=symmetric_tables(spectrum).elementary[1:])
 
 
-def char_poly(c: Circulant) -> tuple[complex, ...]:
-    """Monic characteristic polynomial, descending powers:
+def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
+    """Monic characteristic polynomial from the forms, descending powers:
     (1, -q_1, +q_2, ..., (-1)^n q_n)."""
-    q = forms(c).q
     coeffs = [1.0 + 0.0j]
     sign = -1.0
-    for qi in q:
+    for qi in f.q:
         coeffs.append(sign * qi)
         sign = -sign
     return tuple(coeffs)
+
+
+def char_poly(c: Circulant) -> tuple[complex, ...]:
+    """Monic characteristic polynomial of c, descending powers."""
+    return char_poly_of_forms(forms(c))
 
 
 def conjugate(c: Circulant) -> Circulant:

@@ -2,7 +2,9 @@
 
 Nothing here calls into the circulant modules; inputs are plain numpy
 arrays or grids of Fractions.  These run at desk scale only (n <= 64
-floating, n <= 16 exact).
+floating, n <= 16 exact; the transforms up to a few hundred).  The
+hand-rolled transforms, an iterative radix-2 FFT and the O(n^2) direct
+DFT, check the numpy.fft path of `spectral`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,42 @@ def dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
     return a @ b
+
+
+def _bit_reversed_indices(n: int) -> np.ndarray:
+    levels = n.bit_length() - 1
+    rev = np.zeros(n, dtype=np.intp)
+    idx = np.arange(n)
+    for _ in range(levels):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    return rev
+
+
+def _fft_pow2(vec: np.ndarray, sign: int) -> np.ndarray:
+    # Iterative Cooley-Tukey, decimation in time.  sign +1 evaluates at
+    # the omega powers (the eigenvalue convention), -1 at their conjugates.
+    n = vec.size
+    if n == 1:
+        return vec.astype(complex)
+    out = vec[_bit_reversed_indices(n)].astype(complex)
+    half = 1
+    while half < n:
+        twiddle = np.exp(sign * 1j * np.pi * np.arange(half) / half)
+        out = out.reshape(-1, 2 * half)
+        even = out[:, :half]
+        odd = out[:, half:] * twiddle
+        out = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
+        half *= 2
+    return out
+
+
+def _dft_direct(vec: np.ndarray, sign: int) -> np.ndarray:
+    # O(n^2) evaluation; exponents reduced mod n to keep the phases clean.
+    n = vec.size
+    k = np.arange(n)
+    table = np.exp(sign * 2j * np.pi / n * ((k[:, None] * k[None, :]) % n))
+    return table @ vec.astype(complex)
 
 
 def faddeev_leverrier(a: np.ndarray) -> tuple[complex, ...]:

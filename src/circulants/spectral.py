@@ -8,8 +8,12 @@ to diag(lambda_1, ..., lambda_n) is an algebra isomorphism onto the
 diagonal matrices, so sums and products of circulants act pointwise on
 spectra; that gives the O(n log n) multiplication path.
 
-The transform here is hand-rolled: an iterative radix-2 FFT for
-power-of-two orders and direct evaluation at the omega powers otherwise.
+The transform is numpy.fft (pocketfft), O(n log n) at every order:
+mixed-radix passes for composite n and Bluestein's chirp-z for large
+prime factors.  With norm="forward" the unscaled inverse transform
+evaluates the representer at the omega powers, so lambda = ifft(c) and
+c = fft(lambda) carry no extra scaling pass.  The hand-rolled radix-2
+FFT and direct DFT live on in `oracle` as independent references.
 Slot order is always j = 1..n; spectra are never sorted.
 """
 
@@ -20,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Circulant, _as_scalar, _check_orders
+from .core import Circulant, _as_scalar, _check_orders, _circulant_from_array, _finite_tuple
+from .errors import InvalidOrderError
 
 
 @dataclass(frozen=True)
@@ -58,53 +63,18 @@ class Spectrum:
         return np.asarray(self.values, dtype=complex)
 
 
-def _bit_reversed_indices(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    idx = np.arange(n)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(vec: np.ndarray, sign: int) -> np.ndarray:
-    # Iterative Cooley-Tukey, decimation in time.  sign +1 evaluates at
-    # the omega powers (the eigenvalue convention), -1 at their conjugates.
-    n = vec.size
-    if n == 1:
-        return vec.astype(complex)
-    out = vec[_bit_reversed_indices(n)].astype(complex)
-    half = 1
-    while half < n:
-        twiddle = np.exp(sign * 1j * np.pi * np.arange(half) / half)
-        out = out.reshape(-1, 2 * half)
-        even = out[:, :half]
-        odd = out[:, half:] * twiddle
-        out = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-        half *= 2
+def _spectrum_from_array(lam: np.ndarray) -> Spectrum:
+    """Spectrum over a computed complex array, validated by one
+    vectorised finiteness check instead of per-element _as_scalar."""
+    out = object.__new__(Spectrum)
+    object.__setattr__(out, "values", _finite_tuple(lam))
     return out
-
-
-def _dft_direct(vec: np.ndarray, sign: int) -> np.ndarray:
-    # O(n^2) evaluation; exponents reduced mod n to keep the phases clean.
-    n = vec.size
-    k = np.arange(n)
-    table = np.exp(sign * 2j * np.pi / n * ((k[:, None] * k[None, :]) % n))
-    return table @ vec.astype(complex)
-
-
-def _transform(vec: np.ndarray, sign: int) -> np.ndarray:
-    n = vec.size
-    if n & (n - 1) == 0:
-        return _fft_pow2(vec, sign)
-    return _dft_direct(vec, sign)
 
 
 def eigenvalues(c: Circulant) -> Spectrum:
     """All n eigenvalues lambda_j = p_C(omega^(j-1)), in slot order."""
-    lam = _transform(np.asarray(c.coeffs, dtype=complex), +1)
-    return Spectrum(tuple(lam.tolist()))
+    coeffs = np.asarray(c.coeffs, dtype=complex)
+    return _spectrum_from_array(np.fft.ifft(coeffs, norm="forward"))
 
 
 def eigenvector(ctx: FourierContext, j: int) -> np.ndarray:
@@ -132,20 +102,24 @@ def to_diagonal(c: Circulant) -> np.ndarray:
 
 def from_spectrum(spectrum) -> Circulant:
     """Inverse transform: c_i = (1/n) * sum_j conj(omega^((i-1)(j-1))) lambda_j."""
-    values = spectrum.values if isinstance(spectrum, Spectrum) else tuple(spectrum)
-    lam = np.asarray([_as_scalar(v) for v in values], dtype=complex)
-    coeffs = _transform(lam, -1) / lam.size
-    return Circulant(tuple(coeffs.tolist()))
+    if isinstance(spectrum, Spectrum):
+        values = spectrum.values
+    else:
+        values = [_as_scalar(v) for v in spectrum]
+    if not values:
+        raise InvalidOrderError("a spectrum needs at least one value")
+    lam = np.asarray(values, dtype=complex)
+    return _circulant_from_array(np.fft.fft(lam, norm="forward"))
 
 
 def fast_mul(x: Circulant, y: Circulant) -> Circulant:
     """Product through pointwise multiplication of spectra.
 
-    O(n log n) for power-of-two orders; agrees with the convolution
-    reference path up to roundoff.
+    O(n log n) at every order (numpy.fft); agrees with the convolution
+    reference path up to roundoff.  `x * y` switches to this path from
+    order `core.SPECTRAL_MUL_MIN_ORDER` on.
     """
     _check_orders(x, y)
-    fx = _transform(np.asarray(x.coeffs, dtype=complex), +1)
-    fy = _transform(np.asarray(y.coeffs, dtype=complex), +1)
-    coeffs = _transform(fx * fy, -1) / x.n
-    return Circulant(tuple(coeffs.tolist()))
+    fx = np.fft.fft(np.asarray(x.coeffs, dtype=complex))
+    fy = np.fft.fft(np.asarray(y.coeffs, dtype=complex))
+    return _circulant_from_array(np.fft.ifft(fx * fy))

@@ -15,11 +15,10 @@ import numpy as np
 
 from . import hopf, lattice, oracle, spectral, twisted
 from .core import Circulant, fundamental, identity, mul_naive
+from .fixtures import DEFAULT_SEED, random_circulant
 from .forms import char_poly, conjugate
 from .forms import forms as forms_of
 from .oracle import OracleReport
-
-DEFAULT_SEED = 0x5EED
 
 
 def closed_forms_n3(c: Circulant) -> tuple[complex, complex, complex]:
@@ -50,11 +49,6 @@ def closed_forms_n4(c: Circulant) -> tuple[complex, complex, complex, complex]:
         + 2 * c2**2 * c4**2
         - 4 * c2 * c3**2 * c4,
     )
-
-
-def random_circulant(rng: np.random.Generator, n: int) -> Circulant:
-    parts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    return Circulant(tuple(complex(re, im) for re, im in parts))
 
 
 def random_real_circulant(rng: np.random.Generator, n: int) -> Circulant:

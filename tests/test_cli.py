@@ -292,3 +292,16 @@ def test_seed_changes_bench_inputs(capsys):
     cs1 = json.loads(out1.strip().splitlines()[0])["checksum"]
     cs2 = json.loads(out2.strip().splitlines()[0])["checksum"]
     assert cs1 != cs2
+
+
+def test_internal_error_exits_3_without_traceback(tmp_path, capsys):
+    # circ(200, 60, 0, ..., 0) at n = 128 is well conditioned (eigenvalue
+    # moduli in [140, 260], determinant about 1e294), but its singularity
+    # threshold 1e-9 * (1 + 260)^128 overflows a float: a defect, not a verdict.
+    path = write(tmp_path, "big.json", circulant_doc(200, 60, *([0] * 126)))
+    code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

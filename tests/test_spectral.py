@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from circulants import (
+    InvalidOrderError,
+    InvalidScalarError,
     circ,
     eigenvalues,
     eigenvector,
@@ -14,6 +16,8 @@ from circulants import (
     mul_naive,
     to_diagonal,
 )
+from circulants import oracle
+from circulants.core import SPECTRAL_MUL_MIN_ORDER
 from circulants.errors import DimensionMismatchError
 from circulants.verify import random_circulant
 
@@ -47,14 +51,29 @@ def test_eigenvalues_of_shift_are_omega_powers():
         assert lam == pytest.approx(ctx.powers, abs=1e-12)
 
 
-def test_transform_matches_numpy_fft_oracle():
-    # np.fft.ifft(c) * n evaluates the representer at the omega powers.
+def _oracle_transform(vec, sign):
+    n = vec.size
+    if n & (n - 1) == 0:
+        return oracle._fft_pow2(vec, sign)
+    return oracle._dft_direct(vec, sign)
+
+
+def test_transform_matches_hand_rolled_oracle():
+    # Production numpy.fft against the radix-2 FFT and the direct DFT of
+    # `oracle`, at power-of-two, composite and prime orders.
     rng = np.random.default_rng(SEED)
-    for n in (1, 2, 3, 4, 5, 8, 12, 16, 31, 32, 64, 100, 128):
-        c = random_circulant(rng, n)
-        mine = np.asarray(eigenvalues(c).values)
-        oracle = np.fft.ifft(np.asarray(c.coeffs)) * n
-        assert np.max(np.abs(mine - oracle)) <= 1e-9 * (1.0 + c.norm_inf())
+    for n in (1, 2, 3, 4, 5, 8, 12, 16, 31, 32, 64, 97, 100, 128, 360):
+        x, y = random_circulant(rng, n), random_circulant(rng, n)
+        cx, cy = np.asarray(x.coeffs), np.asarray(y.coeffs)
+        lam = np.asarray(eigenvalues(x).values)
+        want = _oracle_transform(cx, +1)
+        assert np.max(np.abs(lam - want)) <= 1e-9 * (1.0 + x.norm_inf())
+        back = np.asarray(from_spectrum(tuple(want.tolist())).coeffs)
+        assert np.max(np.abs(back - _oracle_transform(want, -1) / n)) <= 1e-9 * (1.0 + x.norm_inf())
+        product = np.asarray(fast_mul(x, y).coeffs)
+        spectra = _oracle_transform(cx, +1) * _oracle_transform(cy, +1)
+        scale = 1.0 + x.norm_inf() * y.norm_inf()
+        assert np.max(np.abs(product - _oracle_transform(spectra, -1) / n)) <= 1e-9 * scale
 
 
 def test_eigenvector_examples():
@@ -168,3 +187,39 @@ def test_eigenvector_matrix_columns():
     v = eigenvector_matrix(n)
     for j in range(1, n + 1):
         assert np.array_equal(v[:, j - 1], eigenvector(ctx, j))
+
+
+def test_from_spectrum_rejects_overflowing_and_empty_spectra():
+    # The true coefficients are finite, but the transform's partial sums
+    # overflow: a non-finite result must raise, not leak into a value.
+    for n in (3, 4, 12):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidScalarError):
+                from_spectrum((1e308,) * n)
+    with pytest.raises(InvalidOrderError):
+        from_spectrum(())
+
+
+def test_transform_outputs_are_tuples_of_complex():
+    x = circ(1, 2, 3)
+    for values in (eigenvalues(x).values, from_spectrum((6, 0, 0)).coeffs, fast_mul(x, x).coeffs):
+        assert isinstance(values, tuple) and all(type(v) is complex for v in values)
+
+
+def test_product_operator_dispatches_at_crossover():
+    rng = np.random.default_rng(SEED)
+    for n in range(1, SPECTRAL_MUL_MIN_ORDER):
+        for _ in range(20):
+            x = circ(*(int(v) for v in rng.integers(-9, 10, size=n)))
+            y = circ(*(int(v) for v in rng.integers(-9, 10, size=n)))
+            assert (x * y).coeffs == mul_naive(x, y).coeffs
+    for n in (SPECTRAL_MUL_MIN_ORDER - 1, SPECTRAL_MUL_MIN_ORDER, SPECTRAL_MUL_MIN_ORDER + 1, 64, 100):
+        for _ in range(20):
+            x, y = random_circulant(rng, n), random_circulant(rng, n)
+            scale = 1.0 + x.norm_inf() * y.norm_inf()
+            diff = max(abs(a - b) for a, b in zip((x * y).coeffs, mul_naive(x, y).coeffs))
+            assert diff <= 1e-9 * scale
+            expected = fast_mul(x, y) if n >= SPECTRAL_MUL_MIN_ORDER else mul_naive(x, y)
+            assert (x * y).coeffs == expected.coeffs
+    with pytest.raises(DimensionMismatchError):
+        random_circulant(rng, SPECTRAL_MUL_MIN_ORDER) * random_circulant(rng, 3)
