@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("eig", _cmd_eig, "eigenvalues of a circulant, mu-, or skew circulant")
     add("forms", _cmd_forms, "characteristic forms q_1..q_n (exact for rational input)")
     add("charpoly", _cmd_charpoly, "monic characteristic polynomial")
-    add("inverse", _cmd_inverse, "inverse via the conjugate and norm form", tol=True)
+    add("inverse", _cmd_inverse, "inverse from the reciprocal spectrum 1/lambda_j", tol=True)
     add("conjugate", _cmd_conjugate, "adjugate-analogue conjugate element")
     add("hopf-counit", _cmd_hopf_counit, "counit (coefficient sum)")
     add("hopf-delta", _cmd_hopf_delta, "coproduct as block circulant with circulant blocks")

@@ -26,7 +26,10 @@ from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarErro
 
 def _as_scalar(value) -> complex:
     if isinstance(value, numbers.Number):
-        z = complex(value)
+        try:
+            z = complex(value)
+        except OverflowError:
+            raise InvalidScalarError(f"{type(value).__name__} entry beyond the float range") from None
         if not cmath.isfinite(z):
             raise InvalidScalarError(f"non-finite entry {value!r}")
         return z

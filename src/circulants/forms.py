@@ -3,17 +3,16 @@
 Every circulant satisfies its characteristic polynomial
 X^n - q_1 X^(n-1) + q_2 X^(n-2) - ... + (-1)^n q_n, where q_i is the
 i-th elementary symmetric polynomial of the eigenvalues; q_1 = n*c_1 is
-the trace form and q_n = det the norm form.  The q_i are computed from
-power sums of the spectrum through Newton's identities
-
-    k*s_k = sum_{i=1..k} (-1)^(i-1) s_{k-i} p_i,
-
-not by expanding the dense characteristic polynomial.  The conjugate
+the trace form and q_n = det the norm form.  The DFT diagonalises the
+algebra, so each result is read off the spectrum lambda: the q_i are the
+signed coefficients of prod_j (X - lambda_j), expanded one factor at a
+time (numpy.poly), which stays accurate where Newton's identities on
+power sums cancel.  The conjugate
 
     conj(x) = (-1)^(n+1) x^(n-1) + (-1)^n q_1(x) x^(n-2) + ... + q_{n-1}(x)
 
-is the adjugate analogue: x * conj(x) = q_n(x) * 1, so the inverse is
-conj(x) / q_n(x) whenever q_n(x) is nonzero.
+is the adjugate analogue, x * conj(x) = q_n(x) * 1, with spectrum
+prod_{k != j} lambda_k; the inverse has spectrum 1 / lambda_j.
 """
 
 from __future__ import annotations
@@ -22,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, identity, mul_naive
+from .core import Circulant
 from .errors import SingularMatrixError
-from .spectral import Spectrum, eigenvalues
+from .spectral import Spectrum, _spectrum_from_array, eigenvalues, from_spectrum
+
+#: x is singular when min_j |lambda_j| <= SINGULAR_RTOL * max_j |lambda_j|.
+#: The FFT's error on lambda is about eps * log2(n) * max |lambda|, at
+#: least five orders of magnitude below this up to n = 4096.
+SINGULAR_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,46 +63,41 @@ class InvertibilityVerdict:
     invertible: bool
     #: 1-based slot j with p_C(omega^(j-1)) ~ 0 when singular, else None.
     witness: int | None
+    #: q_n = prod_j lambda_j; inf or nan when it leaves the float range.
     norm_form: complex
     threshold: float
 
 
+def _alternate(coeffs) -> tuple[complex, ...]:
+    """(a_0, -a_1, a_2, -a_3, ...) as Python complex numbers: the sign
+    pattern between prod_j (X - lambda_j) and s_0..s_n = (1, q_1, ..., q_n)."""
+    signed = np.array(coeffs, dtype=complex)
+    signed[1::2] *= -1
+    return tuple(signed.tolist())
+
+
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
-    """Power sums directly, elementary values by the Newton recurrence."""
+    """Power sums directly; elementary values as the signed coefficients
+    of prod_j (X - lambda_j), expanded one factor at a time."""
     lam = spectrum.as_array()
-    n = lam.size
-    p = [complex(np.sum(lam**k)) for k in range(1, n + 1)]
-    s = [1.0 + 0.0j]
-    for k in range(1, n + 1):
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for i in range(1, k + 1):
-            acc += sign * s[k - i] * p[i - 1]
-            sign = -sign
-        s.append(acc / k)
-    return SymmetricTables(power_sums=tuple(p), elementary=tuple(s))
+    p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
+    return SymmetricTables(power_sums=tuple(p), elementary=_alternate(np.poly(lam)))
 
 
 def forms(c: Circulant) -> FormsVector:
     """q_i(x) = s_i(lambda_1, ..., lambda_n)."""
-    tables = symmetric_tables(eigenvalues(c))
-    return FormsVector(q=tables.elementary[1:])
+    return forms_of_spectrum(eigenvalues(c))
 
 
 def forms_of_spectrum(spectrum: Spectrum) -> FormsVector:
     """Forms of any element given its spectrum (shared with the twisted case)."""
-    return FormsVector(q=symmetric_tables(spectrum).elementary[1:])
+    return FormsVector(q=_alternate(np.poly(spectrum.as_array()))[1:])
 
 
 def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
     """Monic characteristic polynomial from the forms, descending powers:
     (1, -q_1, +q_2, ..., (-1)^n q_n)."""
-    coeffs = [1.0 + 0.0j]
-    sign = -1.0
-    for qi in f.q:
-        coeffs.append(sign * qi)
-        sign = -sign
-    return tuple(coeffs)
+    return _alternate((1.0,) + f.q)
 
 
 def char_poly(c: Circulant) -> tuple[complex, ...]:
@@ -107,54 +106,53 @@ def char_poly(c: Circulant) -> tuple[complex, ...]:
 
 
 def conjugate(c: Circulant) -> Circulant:
-    """Adjugate-analogue conj(x), by Horner accumulation of powers of x.
+    """Adjugate-analogue conj(x), from its spectrum mu_j = prod_{k != j} lambda_k.
 
-    conj(x) = sum_{i=0..n-1} (-1)^(n+1-i) q_i(x) x^(n-1-i) with q_0 = 1,
-    requiring n-1 multiplications.  Satisfies x*conj(x) = q_n(x)*1.
+    The prefix and suffix products of lambda give every mu_j without a
+    division, so singular x is no special case.  Equals the polynomial
+    sum_{i=0..n-1} (-1)^(n+1-i) q_i(x) x^(n-1-i) with q_0 = 1, and
+    satisfies x*conj(x) = q_n(x)*1.  Raises InvalidScalarError when a
+    mu_j leaves the float range.
     """
-    n = c.n
-    q = (1.0 + 0.0j,) + forms(c).q  # q[0] = q_0 = 1
-    one = identity(n)
-    sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^(n+1)
-    acc = sign * one
-    for i in range(1, n):
-        sign = -sign
-        acc = mul_naive(acc, c) + (sign * q[i]) * one
-    return acc
+    lam = eigenvalues(c).as_array()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
+    return from_spectrum(_spectrum_from_array(mu))
 
 
-def singularity_threshold(c: Circulant) -> float:
-    """|q_n| at or below this declares the matrix singular.
-
-    The determinant scales like the n-th power of the norm, hence
-    1e-9 * (1 + norm)^n.
-    """
-    return 1e-9 * (1.0 + c.norm_inf()) ** c.n
+def _verdict(c: Circulant, threshold: float | None) -> tuple[InvertibilityVerdict, np.ndarray]:
+    """The verdict on c together with the spectrum it was read from."""
+    lam = eigenvalues(c).as_array()
+    mag = np.abs(lam)
+    slot = int(mag.argmin())
+    tol = SINGULAR_RTOL * float(mag.max()) if threshold is None else threshold
+    with np.errstate(over="ignore", invalid="ignore"):
+        qn = complex(lam.prod())
+    invertible = bool(mag[slot] > tol)
+    return InvertibilityVerdict(invertible, None if invertible else slot + 1, qn, tol), lam
 
 
 def is_invertible(c: Circulant, threshold: float | None = None) -> InvertibilityVerdict:
-    """Invertibility via the norm form q_n (the determinant).
+    """Invertibility decided per eigenvalue slot.
 
-    When singular, the witness is a slot j whose eigenvalue
-    p_C(omega^(j-1)) is (numerically) zero: the root-of-unity obstruction.
+    c is singular when min_j |lambda_j| <= threshold, by default
+    SINGULAR_RTOL * max_j |lambda_j|.  The witness is then the argmin
+    slot j, whose eigenvalue p_C(omega^(j-1)) is (numerically) zero: the
+    root-of-unity obstruction.  norm_form is q_n = prod_j lambda_j.
     """
-    lam = eigenvalues(c).as_array()
-    qn = complex(np.prod(lam))
-    tol = singularity_threshold(c) if threshold is None else threshold
-    if abs(qn) > tol:
-        return InvertibilityVerdict(True, None, qn, tol)
-    witness = int(np.argmin(np.abs(lam))) + 1
-    return InvertibilityVerdict(False, witness, qn, tol)
+    return _verdict(c, threshold)[0]
 
 
 def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
-    """x^(-1) = conj(x) / q_n(x); raises SingularMatrixError with the
-    root-of-unity witness when q_n is below the singularity threshold."""
-    verdict = is_invertible(c, threshold)
+    """x^(-1) = conj(x) / q_n(x), computed as the element with spectrum
+    1 / lambda_j; raises SingularMatrixError with the root-of-unity
+    witness when is_invertible(c, threshold) finds c singular."""
+    verdict, lam = _verdict(c, threshold)
     if not verdict.invertible:
         raise SingularMatrixError(
             "singular circulant: representer vanishes at root-of-unity slot "
-            f"j={verdict.witness} (|q_n|={abs(verdict.norm_form):.3e} <= {verdict.threshold:.3e})",
+            f"j={verdict.witness} (|lambda_j|={abs(lam[verdict.witness - 1]):.3e}"
+            f" <= {verdict.threshold:.3e})",
             witness=verdict.witness,
         )
-    return conjugate(c).scale(1.0 / verdict.norm_form)
+    return from_spectrum(_spectrum_from_array(1.0 / lam))

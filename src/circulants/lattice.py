@@ -71,7 +71,7 @@ class RationalCirculant:
         )
 
     def to_float(self) -> Circulant:
-        return Circulant(tuple(complex(c) for c in self.coeffs))
+        return Circulant(self.coeffs)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)

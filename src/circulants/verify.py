@@ -4,7 +4,8 @@ Each suite draws reproducible random inputs and measures the worst
 deviation of a handful of identities; the pytest suite runs the same
 checks at full strength.  Also home to the order-3 and order-4
 closed-form expressions for the forms, kept solely as independent
-oracles against the Newton-identity production path.
+oracles against the production path (the product recurrence on the
+spectrum).
 """
 
 from __future__ import annotations

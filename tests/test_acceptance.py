@@ -113,7 +113,7 @@ def _random_invertible(rng, n):
     if is_invertible(c).invertible:
         return c
     # Push the spectrum away from zero; keeps the draw random but certain
-    # to clear the norm-scaled singularity threshold.
+    # to clear the relative singularity threshold on min |lambda_j|.
     shift = 2.0 * c.norm_inf() + 2.0
     boosted = c + shift * identity(n)
     assert is_invertible(boosted).invertible

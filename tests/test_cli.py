@@ -294,14 +294,35 @@ def test_seed_changes_bench_inputs(capsys):
     assert cs1 != cs2
 
 
-def test_internal_error_exits_3_without_traceback(tmp_path, capsys):
-    # circ(200, 60, 0, ..., 0) at n = 128 is well conditioned (eigenvalue
-    # moduli in [140, 260], determinant about 1e294), but its singularity
-    # threshold 1e-9 * (1 + 260)^128 overflows a float: a defect, not a verdict.
-    path = write(tmp_path, "big.json", circulant_doc(200, 60, *([0] * 126)))
+def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def defect(c, threshold=None):
+        raise RuntimeError("a\nb")
+
+    monkeypatch.setattr("circulants.cli.inverse_of", defect)
+    path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
     code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: OverflowError")
+    assert err.startswith("internal error: RuntimeError")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_inverse_of_large_well_conditioned_document(tmp_path, capsys):
+    # circ(200, 60, 0, ..., 0) at n = 128: eigenvalue moduli in [140, 260],
+    # determinant about 1e294.
+    row = (200, 60, *([0] * 126))
+    path = write(tmp_path, "big.json", circulant_doc(*row))
+    code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
+    assert code == 0 and err == ""
+    inv = [complex(float(re), float(im)) for re, im in json.loads(out)["first_row"]]
+    product = np.fft.ifft(np.fft.fft(row) * np.fft.fft(inv))
+    assert np.max(np.abs(product - np.eye(128)[0])) <= 1e-12
+
+
+def test_rational_entry_beyond_float_range_exits_2(tmp_path, capsys):
+    doc = {"kind": "rational_circulant", "n": 2, "first_row": ["1e400", "1"]}
+    path = write(tmp_path, "huge.json", doc)
+    code, out, err = run_cli(["eig", "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err

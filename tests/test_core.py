@@ -46,6 +46,11 @@ def test_non_numeric_entry_rejected():
         circ("one", 2)
 
 
+def test_entry_beyond_float_range_rejected():
+    with pytest.raises(InvalidScalarError, match="beyond the float range"):
+        Circulant((10**400,))
+
+
 def test_to_dense_order3_pattern():
     c1, c2, c3 = 1 + 1j, 2.0, -3.5
     expected = np.array([[c1, c2, c3], [c3, c1, c2], [c2, c3, c1]])

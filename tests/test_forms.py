@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from circulants import (
     conjugate,
     eigenvalues,
     forms,
+    from_spectrum,
     identity,
     inverse,
     is_invertible,
@@ -56,7 +58,7 @@ def test_symmetric_tables_quartic_example():
     assert tables.elementary == pytest.approx(brute_elementary(lams), abs=1e-12)
 
 
-def test_newton_recurrence_against_brute_force():
+def test_elementary_values_against_brute_force():
     rng = np.random.default_rng(SEED)
     for n in range(1, 9):
         lams = tuple(complex(a, b) for a, b in rng.uniform(-1, 1, size=(n, 2)))
@@ -208,3 +210,73 @@ def test_real_input_gives_real_forms():
     for n in (2, 3, 4, 7):
         c = circ(*(float(v) for v in rng.uniform(-1, 1, size=n)))
         assert all(abs(q.imag) <= 1e-9 for q in forms(c).q)
+
+
+LARGE_ORDERS = (128, 1024, 4093)
+
+
+def spectral_circulant(rng, n, zero_slot=None):
+    """Circulant whose eigenvalue moduli lie in [1, 8] (cond <= 8), or
+    with lambda at the 1-based zero_slot set to 0."""
+    lam = rng.uniform(1.0, 8.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if zero_slot is not None:
+        lam[zero_slot - 1] = 0.0
+    return from_spectrum(tuple(lam.tolist()))
+
+
+@pytest.mark.parametrize("n", (32, 64, 128, 256))
+def test_char_poly_at_large_order_matches_exact_polynomial(n):
+    # circ(2, 1, 0, ..., 0) = 2I + P has eigenvalues 2 + omega^k, so its
+    # characteristic polynomial is (X - 2)^n - 1.
+    got = np.asarray(char_poly(circ(2, 1, *([0] * (n - 2)))))
+    exact = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
+    exact[-1] -= 1
+    abs_lam = np.abs(2.0 + np.exp(2j * np.pi * np.arange(n) / n))
+    scale = np.abs(np.poly(abs_lam))  # e_i(|lambda|)
+    assert np.all(np.abs(got - np.array(exact, dtype=float)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", LARGE_ORDERS)
+def test_inverse_at_large_order(n):
+    x = spectral_circulant(np.random.default_rng(SEED + n), n)
+    assert (x * inverse(x) - identity(n)).norm_inf() <= 1e-12
+
+
+@pytest.mark.parametrize("n", LARGE_ORDERS)
+def test_single_zero_eigenvalue_is_witnessed_at_large_order(n):
+    rng = np.random.default_rng(SEED + n)
+    slot = int(rng.integers(1, n + 1))
+    x = spectral_circulant(rng, n, zero_slot=slot)
+    verdict = is_invertible(x)
+    assert not verdict.invertible and verdict.witness == slot
+    with pytest.raises(SingularMatrixError) as err:
+        inverse(x)
+    assert err.value.witness == slot and f"j={slot}" in str(err.value)
+
+
+def test_verdict_beyond_float_range_determinant_warns_nothing():
+    # Eigenvalues 427 and 299 (127 times): well conditioned, but the
+    # determinant 427 * 299^127 is beyond the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = is_invertible(circ(300, *([1] * 127)))
+    assert verdict.invertible and verdict.witness is None
+    assert not np.isfinite(verdict.norm_form)
+
+
+def test_conjugate_of_singular_input_is_the_forms_polynomial():
+    # conj(x) = sum_{i=0..n-1} (-1)^(n+1-i) q_i(x) x^(n-1-i), q_0 = 1.
+    rng = np.random.default_rng(SEED)
+    inputs = [circ(1, 1, 0, 0), circ(1, 1, 1), circ(1, -1, 1, -1)]
+    for n in range(1, 11):
+        for _ in range(10):
+            lam = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            lam[rng.integers(n)] = 0.0
+            inputs.append(from_spectrum(tuple(lam.tolist())))
+    for x in inputs:
+        n = x.n
+        q = (1.0,) + forms(x).q
+        poly = 0 * identity(n)
+        for i in range(n):
+            poly = mul_naive(poly, x) + ((-1) ** (n + 1 - i) * q[i]) * identity(n)
+        assert conjugate(x).coeffs == pytest.approx(poly.coeffs, abs=1e-10)

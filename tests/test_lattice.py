@@ -47,6 +47,12 @@ def test_floats_are_rejected_in_exact_arithmetic():
         rational_circ(0.5, 0, 0)
 
 
+def test_to_float_rejects_entries_beyond_float_range():
+    assert rational_circ(F(1, 4), 2).to_float().coeffs == (0.25 + 0j, 2 + 0j)
+    with pytest.raises(InvalidScalarError, match="beyond the float range"):
+        rational_circ(F(10**400), 1).to_float()
+
+
 def test_integer_spectrum_examples():
     assert integer_spectrum(rational_circ(2, 1, 1)).values == (4, 1, 1)
     assert integer_spectrum(rational_circ(1, 1, 1)).values == (3, 0, 0)
