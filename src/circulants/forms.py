@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Circulant
-from .errors import SingularMatrixError
+from .errors import InvalidScalarError, SingularMatrixError
 from .spectral import Spectrum, _spectrum_from_array, eigenvalues, from_spectrum
 
 #: x is singular when min_j |lambda_j| <= SINGULAR_RTOL * max_j |lambda_j|.
@@ -76,22 +76,33 @@ def _alternate(coeffs) -> tuple[complex, ...]:
     return tuple(signed.tolist())
 
 
+def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
+    """s_0..s_n = (1, q_1, ..., q_n) of lam: the signed coefficients of
+    prod_j (X - lambda_j), expanded one factor at a time.  Raises
+    InvalidScalarError when one leaves the float range."""
+    coeffs = np.poly(lam)
+    if not np.isfinite(coeffs).all():
+        raise InvalidScalarError("a characteristic form leaves the float range")
+    return _alternate(coeffs)
+
+
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
-    """Power sums directly; elementary values as the signed coefficients
-    of prod_j (X - lambda_j), expanded one factor at a time."""
+    """Power sums directly; elementary values by `_elementary`."""
     lam = spectrum.as_array()
     p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
-    return SymmetricTables(power_sums=tuple(p), elementary=_alternate(np.poly(lam)))
+    return SymmetricTables(power_sums=tuple(p), elementary=_elementary(lam))
 
 
 def forms(c: Circulant) -> FormsVector:
-    """q_i(x) = s_i(lambda_1, ..., lambda_n)."""
+    """q_i(x) = s_i(lambda_1, ..., lambda_n); InvalidScalarError when a
+    form leaves the float range."""
     return forms_of_spectrum(eigenvalues(c))
 
 
 def forms_of_spectrum(spectrum: Spectrum) -> FormsVector:
-    """Forms of any element given its spectrum (shared with the twisted case)."""
-    return FormsVector(q=_alternate(np.poly(spectrum.as_array()))[1:])
+    """Forms of any element given its spectrum (shared with the twisted
+    case); InvalidScalarError when a form leaves the float range."""
+    return FormsVector(q=_elementary(spectrum.as_array())[1:])
 
 
 def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
@@ -122,6 +133,8 @@ def conjugate(c: Circulant) -> Circulant:
 
 def _verdict(c: Circulant, threshold: float | None) -> tuple[InvertibilityVerdict, np.ndarray]:
     """The verdict on c together with the spectrum it was read from."""
+    if threshold is not None and not threshold >= 0:
+        raise InvalidScalarError(f"threshold must be a non-negative number, got {threshold!r}")
     lam = eigenvalues(c).as_array()
     mag = np.abs(lam)
     slot = int(mag.argmin())
@@ -136,9 +149,11 @@ def is_invertible(c: Circulant, threshold: float | None = None) -> Invertibility
     """Invertibility decided per eigenvalue slot.
 
     c is singular when min_j |lambda_j| <= threshold, by default
-    SINGULAR_RTOL * max_j |lambda_j|.  The witness is then the argmin
-    slot j, whose eigenvalue p_C(omega^(j-1)) is (numerically) zero: the
-    root-of-unity obstruction.  norm_form is q_n = prod_j lambda_j.
+    SINGULAR_RTOL * max_j |lambda_j|; a negative or NaN threshold raises
+    InvalidScalarError (at 0 an exact zero eigenvalue is still singular).
+    The witness is then the argmin slot j, whose eigenvalue
+    p_C(omega^(j-1)) is (numerically) zero: the root-of-unity
+    obstruction.  norm_form is q_n = prod_j lambda_j.
     """
     return _verdict(c, threshold)[0]
 

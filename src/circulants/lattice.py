@@ -3,9 +3,18 @@
 Everything here runs over arbitrary-precision rationals: characteristic
 polynomials, Brandt-style integrality predicates on the forms q_i,
 lattice bases of circulants and exact membership decompositions.
+
+Circulants of order n are the group algebra of the cyclic group C_n, so
+tr(C^k) is n times the identity coefficient of the k-th convolution
+power of the first row.  The exact characteristic polynomial is built
+from these traces alone: clear the row's denominators once (d = L*c),
+take the powers d^{*k}, k = 1..n, by exact cyclic convolution over
+Python ints, and run Newton's identities in integers.  That is O(n^3)
+integer operations on the first row, never the dense n x n matrix.
+
 Floating point appears in exactly two places, both forced by the
-irrationality of omega: matching exact roots to eigenvalue slots, and
-rebuilding coefficients from a prescribed integer/rational spectrum.
+irrationality of omega: seeding exact roots and matching them to
+eigenvalue slots, and rebuilding coefficients from a prescribed integer/rational spectrum.
 
 A lattice here is Z v_1 + ... + Z v_n for independent circulants
 v_i = c_i1 I + c_i2 P + ... + c_in P^(n-1); when the coefficient matrix
@@ -29,7 +38,6 @@ from .errors import (
     NotIntegralBasisError,
     RootAssignmentError,
 )
-from .oracle import faddeev_leverrier_exact
 from .spectral import eigenvalues, from_spectrum
 
 Rational = Fraction
@@ -106,10 +114,44 @@ def rational_circ(*coeffs) -> RationalCirculant:
     return RationalCirculant(tuple(coeffs))
 
 
+def _cleared(c: RationalCirculant) -> tuple[int, list[int]]:
+    """(L, d): L is the lcm of the row's denominators and d = L*c, an
+    integer row."""
+    scale = math.lcm(*(x.denominator for x in c.coeffs))
+    return scale, [x.numerator * (scale // x.denominator) for x in c.coeffs]
+
+
 def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial with exact coefficients, descending
-    powers, via the exact trace recurrence on the dense expansion."""
-    return faddeev_leverrier_exact(c.to_exact_dense())
+    powers, from the traces of the convolution powers.
+
+    With d = L*c integral, p_k = tr(D^k) = n * (d^{*k})_0, each power one
+    exact cyclic convolution over Python ints (zero entries of d are
+    skipped).  Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    then run in integers: D is an integer matrix, so its characteristic
+    polynomial is integral and every division by k is exact.  The
+    coefficient of X^(n-i) is (-1)^i e_i / L^i.  O(n^3) integer operations.
+    """
+    n = c.n
+    scale, d = _cleared(c)
+    support = [(i, v) for i, v in enumerate(d) if v]
+    power = [1] + [0] * (n - 1)
+    traces = []
+    for _ in range(n):
+        nxt = [0] * n
+        for i, v in support:
+            # Adds v * P^i * power: entry k gains v * power[k - i].
+            nxt = [acc + v * w for acc, w in zip(nxt, power[n - i:] + power[: n - i])]
+        power = nxt
+        traces.append(n * power[0])
+    e = [1]
+    for k in range(1, n + 1):
+        total = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * traces[i - 1]
+            total += term if i % 2 else -term
+        e.append(total // k)
+    return tuple(Fraction(-e[i] if i % 2 else e[i], scale**i) for i in range(n + 1))
 
 
 def forms_exact(c: RationalCirculant) -> tuple[Fraction, ...]:
@@ -143,37 +185,24 @@ def _deflate(monic: list[Fraction], root: Fraction) -> list[Fraction] | None:
     return out[:-1]
 
 
-def _divisors(value: int) -> list[int]:
-    value = abs(value)
-    out = []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            out.append(d)
-            if d != value // d:
-                out.append(value // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_roots(monic: tuple[Fraction, ...], float_eigs: np.ndarray) -> list[Fraction] | None:
+def _rational_roots(
+    monic: tuple[Fraction, ...], float_eigs: np.ndarray, scale: int
+) -> list[Fraction] | None:
     """All roots when the polynomial splits into rational linear factors.
 
-    Candidates come from the rational root theorem (denominators divide
-    the cleared leading coefficient) seeded by the floating eigenvalues;
-    every candidate is verified by exact evaluation and consumed by
-    repeated deflation, so multiplicities are exact.
+    The polynomial is that of D/scale with D an integer circulant, whose
+    eigenvalues are algebraic integers; so every rational root is k/scale
+    for an integer k, and each real floating eigenvalue seeds the one
+    candidate round(lambda * scale) / scale.  Every candidate is verified
+    by exact evaluation and consumed by repeated deflation, so
+    multiplicities are exact.
     """
     n = len(monic) - 1
-    lead_clear = 1
-    for coeff in monic:
-        lead_clear = math.lcm(lead_clear, coeff.denominator)
-    candidates: set[Fraction] = set()
-    for lam in float_eigs:
-        if abs(lam.imag) > _SLOT_MATCH_TOL:
-            continue
-        for q in _divisors(lead_clear):
-            candidates.add(Fraction(round(lam.real * q), q))
+    candidates = {
+        Fraction(round(lam.real * scale), scale)
+        for lam in float_eigs
+        if abs(lam.imag) <= _SLOT_MATCH_TOL
+    }
     roots: list[Fraction] = []
     remaining = list(monic)
     for cand in sorted(candidates):
@@ -192,8 +221,9 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     """Exact spectrum when it exists, assigned to slots j = 1..n.
 
     Splits the exact characteristic polynomial into rational linear
-    factors (rational root theorem plus deflation); returns None when it
-    does not split, or when mode='integral' and some root is fractional.
+    factors (candidates k/L, L the lcm of the row's denominators, checked
+    by exact deflation); returns None when it does not split, or when
+    mode='integral' and some root is fractional.
     Slot assignment matches exact roots against the floating eigenvalues
     p_C(omega^(j-1)); an ambiguous assignment raises RootAssignmentError
     rather than returning a wrong order.
@@ -202,7 +232,7 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
     monic = exact_char_poly(c)
     float_eigs = eigenvalues(c.to_float()).as_array()
-    roots = _rational_roots(monic, float_eigs)
+    roots = _rational_roots(monic, float_eigs, _cleared(c)[0])
     if roots is None:
         return None
     if mode == "integral" and any(r.denominator != 1 for r in roots):
@@ -241,8 +271,10 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
 
     For every ordered pair (a, b), including a = b, all forms
     q_i(a), q_i(b), q_i(a+b), q_i(ab) must lie in Z (resp. Q).  Returns
-    the first violation found.  Rational inputs always satisfy the
-    rational variant; the integral one is the interesting predicate.
+    the first violation found, in that ordered traversal; the forms of
+    a+b and ab are computed once per unordered pair.  Rational inputs
+    always satisfy the rational variant; the integral one is the
+    interesting predicate.
     """
     if mode not in ("integral", "rational"):
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
@@ -254,15 +286,16 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
         raise DimensionMismatchError("all elements must share one order")
     if mode == "rational":
         return BrandtVerdict(True)
-    forms_cache = {i: forms_exact(e) for i, e in enumerate(elements)}
+    single = [forms_exact(e) for e in elements]
+    # a + b and ab commute, so (a, b) and (b, a) share their forms.
+    combined: dict[tuple[int, int], tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
     for ia, a in enumerate(elements):
         for ib, b in enumerate(elements):
-            probes = (
-                ("a", forms_cache[ia]),
-                ("b", forms_cache[ib]),
-                ("a+b", forms_exact(a + b)),
-                ("ab", forms_exact(a * b)),
-            )
+            key = (min(ia, ib), max(ia, ib))
+            if key not in combined:
+                combined[key] = (forms_exact(a + b), forms_exact(a * b))
+            plus, times = combined[key]
+            probes = (("a", single[ia]), ("b", single[ib]), ("a+b", plus), ("ab", times))
             for label, q in probes:
                 for i, qi in enumerate(q, start=1):
                     if qi.denominator != 1:

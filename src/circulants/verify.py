@@ -299,11 +299,12 @@ def lattice_suite(rng: np.random.Generator) -> list[OracleReport]:
 
 def oracle_suite(rng: np.random.Generator) -> list[OracleReport]:
     worst_fl = 0.0
-    inverse_ok = True
+    inverse_ok = production_ok = True
     for n in range(1, 11):
         ints = rng.integers(-5, 6, size=n)
         exact = lattice.rational_circ(*(int(v) for v in ints))
         exact_poly = oracle.faddeev_leverrier_exact(exact.to_exact_dense())
+        production_ok = production_ok and lattice.exact_char_poly(exact) == exact_poly
         float_poly = oracle.faddeev_leverrier(exact.to_float().to_dense())
         scale = 1.0 + max(abs(float(v)) for v in exact_poly)
         worst_fl = max(
@@ -324,6 +325,7 @@ def oracle_suite(rng: np.random.Generator) -> list[OracleReport]:
     return [
         _report("oracle.exact-and-float-char-polys-agree", worst_fl, 1e-8),
         _report("oracle.exact-inverse-times-matrix-is-identity", 0.0 if inverse_ok else 1.0, 0.0),
+        _report("lattice.exact-char-poly-matches-oracle", 0.0 if production_ok else 1.0, 0.0),
     ]
 
 

@@ -326,3 +326,22 @@ def test_rational_entry_beyond_float_range_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["eig", "--input", path], capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "float range" in err
+
+
+@pytest.mark.parametrize("command", ("forms", "charpoly"))
+def test_forms_beyond_float_range_exit_2(tmp_path, capsys, command):
+    # circ(300, 1, ..., 1) at n = 128: q_127 and q_128 are about 1e316.
+    path = write(tmp_path, "big.json", circulant_doc(300, *([1] * 127)))
+    code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ("-1", "nan"))
+def test_inverse_rejects_negative_or_nan_tol(tmp_path, capsys, tol):
+    path = write(tmp_path, "c.json", circulant_doc(1, 1, 0, 0))
+    code, out, err = run_cli(["inverse", "--tol", tol, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "threshold" in err
+    assert len(err.strip().splitlines()) == 1

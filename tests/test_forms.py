@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from circulants import (
+    InvalidScalarError,
     SingularMatrixError,
     char_poly,
     circ,
@@ -280,3 +281,31 @@ def test_conjugate_of_singular_input_is_the_forms_polynomial():
         for i in range(n):
             poly = mul_naive(poly, x) + ((-1) ** (n + 1 - i) * q[i]) * identity(n)
         assert conjugate(x).coeffs == pytest.approx(poly.coeffs, abs=1e-10)
+
+
+def test_forms_beyond_float_range_raise():
+    # Eigenvalues 427 and 299 (127 times): q_127 and q_128 are about 1e316.
+    x = circ(300, *([1] * 127))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (forms, char_poly):
+            with pytest.raises(InvalidScalarError, match="float range"):
+                call(x)
+
+
+@pytest.mark.parametrize("threshold", (-1.0, float("nan")))
+def test_negative_or_nan_threshold_rejected(threshold):
+    x = circ(1, 1, 0, 0)
+    for call in (is_invertible, inverse):
+        with pytest.raises(InvalidScalarError, match="threshold"):
+            call(x, threshold)
+
+
+def test_zero_threshold_still_finds_exact_zero_eigenvalue():
+    x = circ(1, 1, 0, 0)  # eigenvalues 2, 1 + i, 0, 1 - i
+    assert eigenvalues(x).values[2] == 0
+    verdict = is_invertible(x, 0.0)
+    assert not verdict.invertible and verdict.witness == 3
+    with pytest.raises(SingularMatrixError):
+        inverse(x, 0.0)
+    assert is_invertible(circ(2, 1, 0, 0), 0.0).invertible

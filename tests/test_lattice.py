@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +20,7 @@ from circulants import (
     reconstruct_from_spectrum,
 )
 from circulants.errors import DimensionMismatchError, InvalidScalarError
+from circulants.oracle import faddeev_leverrier_exact
 
 SEED = 0x5EED
 
@@ -265,3 +267,148 @@ def test_delta_lattice_decompose():
     assert delta_lattice_decompose(basis, (0, 0, 0)) == (0, 0, 0)
     with pytest.raises(NotIntegralBasisError):
         delta_lattice_decompose(lattice_new([[2, 0], [0, 1]]), (1, 0))
+
+
+def mobius(m):
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def ramanujan_sum(q, k):
+    g = math.gcd(q, k)
+    return sum(mobius(q // e) * e for e in range(1, g + 1) if g % e == 0)
+
+
+def galois_stable_row(n, values):
+    """Exact first row whose eigenvalue at slot j + 1 is values[gcd(j, n)]:
+    c_k = (1/n) sum_{d | n} v_d c_{n/d}(k), with c_q the Ramanujan sum."""
+    row = [
+        sum(F(v) * ramanujan_sum(n // d, k) for d, v in values.items()) / n
+        for k in range(n)
+    ]
+    spectrum = tuple(F(values[math.gcd(j, n)]) for j in range(n))
+    return rational_circ(row), spectrum
+
+
+def mixed_row(rng, n, bound, denominators):
+    """n entries k/q with |k| <= bound and q drawn from denominators."""
+    nums = rng.integers(-bound, bound + 1, size=n)
+    return [F(int(k), int(q)) for k, q in zip(nums, rng.choice(denominators, size=n))]
+
+
+def divisor_values(rng, n, denominators=(1,)):
+    return {
+        d: F(int(rng.integers(-6, 7)), int(rng.choice(denominators)))
+        for d in range(1, n + 1)
+        if n % d == 0
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_exact_char_poly_matches_faddeev_leverrier(n):
+    rng = np.random.default_rng(SEED + n)
+    ints = [int(v) for v in rng.integers(-5, 6, size=n)]
+    mixed = mixed_row(rng, n, 9, (1, 2, 3, 7, 10))
+    singular = ints[:-1] + [-sum(ints[:-1])]  # the slot-1 eigenvalue is 0
+    split, _ = galois_stable_row(n, divisor_values(rng, n, (1, 2, 3)))
+    for row in (ints, mixed, [0] * n, singular, split.coeffs):
+        c = rational_circ(row)
+        got = exact_char_poly(c)
+        assert got == faddeev_leverrier_exact(c.to_exact_dense())
+        assert all(type(x) is F for x in got)
+
+
+@pytest.mark.parametrize("n", (32, 64, 128))
+def test_exact_char_poly_closed_form_at_large_order(n):
+    # circ(2, 1, 0, ..., 0) = 2I + P: (X - 2)^n - 1.
+    want = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
+    want[-1] -= 1
+    assert exact_char_poly(rational_circ(2, 1, *([0] * (n - 2)))) == tuple(want)
+
+
+def test_exact_cayley_hamilton_at_order_32():
+    rng = np.random.default_rng(SEED)
+    n = 32
+    c = rational_circ(mixed_row(rng, n, 3, (1, 2, 3)))
+
+    def scalar(value):
+        return rational_circ(value, *([0] * (n - 1)))
+
+    acc = scalar(0)
+    for coeff in exact_char_poly(c):
+        acc = acc * c + scalar(coeff)
+    assert acc.coeffs == (0,) * n
+
+
+def test_rational_spectrum_with_mixed_denominators_at_order_24():
+    rng = np.random.default_rng(SEED)
+    c, spectrum = galois_stable_row(24, divisor_values(rng, 24, (2, 3, 7)))
+    assert math.lcm(*(x.denominator for x in c.coeffs)) > 42
+    assert any(v.denominator != 1 for v in spectrum)
+    assert integer_spectrum(c, mode="rational").values == spectrum
+    assert integer_spectrum(c, mode="integral") is None
+
+    c, spectrum = galois_stable_row(20, divisor_values(rng, 20))
+    assert not c.is_integral()
+    assert integer_spectrum(c).values == spectrum
+
+
+def test_rational_spectrum_that_does_not_split_at_order_20():
+    rng = np.random.default_rng(SEED)
+    row = mixed_row(rng, 20, 9, (2, 3, 7))
+    row[1] += 1  # c_2 != c_20, so some eigenvalue is not real
+    c = rational_circ(row)
+    assert integer_spectrum(c, mode="rational") is None
+    assert integer_spectrum(c, mode="integral") is None
+
+
+def brandt_by_ordered_traversal(elements):
+    """Brute force: every probe of every ordered pair, forms recomputed."""
+    for ia, a in enumerate(elements):
+        for ib, b in enumerate(elements):
+            for label, x in (("a", a), ("b", b), ("a+b", a + b), ("ab", a * b)):
+                for i, qi in enumerate(forms_exact(x), start=1):
+                    if qi.denominator != 1:
+                        return (ia, ib), label, i, qi
+    return None
+
+
+def test_brandt_check_matches_ordered_traversal():
+    rng = np.random.default_rng(SEED)
+    outcomes = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        elements = []
+        for _ in range(int(rng.integers(1, 5))):
+            row = [F(int(v)) for v in rng.integers(-2, 3, size=n)]
+            if rng.uniform() < 0.3:
+                row[int(rng.integers(n))] += F(1, 2)
+            elements.append(rational_circ(row))
+        want = brandt_by_ordered_traversal(elements)
+        verdict = brandt_check(elements)
+        if want is None:
+            assert verdict.holds and verdict.counterexample is None
+        else:
+            ce = verdict.counterexample
+            assert not verdict.holds
+            assert (ce.pair, ce.combination, ce.form_index, ce.value) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_brandt_check_computes_pair_forms_once(monkeypatch):
+    import circulants.lattice as lattice
+
+    calls = []
+    monkeypatch.setattr(lattice, "forms_exact", lambda c: calls.append(c) or forms_exact(c))
+    elements = [rational_circ(2, 1, 1), rational_circ(1, 1, 1), rational_circ(0, 1, 1)]
+    assert lattice.brandt_check(elements).holds
+    # Three singles plus a + b and ab for each of the six unordered pairs.
+    assert len(calls) == 3 + 2 * 6
