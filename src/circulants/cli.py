@@ -29,6 +29,7 @@ from .documents import (
     dump_json,
     format_complex,
     format_rational,
+    load_json,
     parse_complex,
     parse_documents,
     spectrum_from_obj,
@@ -81,13 +82,6 @@ def _write_text(path: str, text: str):
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _load_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("document", f"invalid JSON ({exc.msg} at line {exc.lineno})") from None
 
 
 def _input_documents(args) -> list[MatrixDocument]:
@@ -219,7 +213,7 @@ def _cmd_mu_eig(args) -> int:
 
 
 def _cmd_cocycle_verify(args) -> int:
-    raw = _load_json(_read_text(args.input))
+    raw = load_json(_read_text(args.input))
     tol = args.tol if args.tol is not None else 1e-10
     if isinstance(raw, dict) and raw.get("kind") == "cocycle":
         n = raw.get("n")
@@ -266,7 +260,7 @@ def _cmd_brandt_check(args) -> int:
 
 
 def _cmd_spectrum_reconstruct(args) -> int:
-    obj = _load_json(_read_text(args.input))
+    obj = load_json(_read_text(args.input))
     values = spectrum_from_obj(obj)
     if not all(isinstance(v, Fraction) for v in values):
         raise DocumentError("values", "reconstruction needs exact integer or 'p/q' values")

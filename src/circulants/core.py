@@ -10,12 +10,15 @@ c_1 e_1 + ... + c_n e_n of the cyclic group algebra with basis products
 e_i e_j = e_{i+j-1}.
 
 Formulas in docstrings are 1-based like the literature; storage is
-0-based.
+0-based.  Every value of the package (circulant, spectrum, twist
+weights, twisted coefficients, cocycle rows) stores its row as a tuple
+of Python complex numbers, validated by one vectorised rule,
+`_entries`, in its constructor; computed results go through the same
+constructors.
 """
 
 from __future__ import annotations
 
-import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -24,16 +27,51 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 
 
-def _as_scalar(value) -> complex:
-    if isinstance(value, numbers.Number):
-        try:
-            z = complex(value)
-        except OverflowError:
-            raise InvalidScalarError(f"{type(value).__name__} entry beyond the float range") from None
-        if not cmath.isfinite(z):
-            raise InvalidScalarError(f"non-finite entry {value!r}")
-        return z
-    raise InvalidScalarError(f"cannot use {type(value).__name__} as a matrix entry")
+def _entries(values) -> tuple[complex, ...]:
+    """A row of matrix entries as Python complex numbers: the one rule for
+    a valid entry, shared by every value type of the package.
+
+    Accepts any flat sequence or 1-D array of numbers: numpy numeric
+    dtypes, or an object row (Fractions, Decimals, ints beyond int64,
+    mixed types) whose every element is a numbers.Number, so that a
+    string is never parsed as a number.  Each entry equals complex(v).
+    Raises InvalidOrderError on an empty row and InvalidScalarError on a
+    nested, ragged or non-numeric row, on an entry beyond the float range
+    and on a non-finite entry (one vectorised check).
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        raise InvalidScalarError("entries must form a flat sequence of numbers") from None
+    if arr.ndim != 1:
+        raise InvalidScalarError("entries must form a flat sequence of numbers")
+    if arr.size == 0:
+        raise InvalidOrderError("need at least one entry")
+    if arr.dtype.kind == "O":
+        # One issubclass per distinct type, not one isinstance per entry.
+        for kind in set(map(type, arr.tolist())):
+            if not issubclass(kind, numbers.Number):
+                raise InvalidScalarError(f"cannot use {kind.__name__} as a matrix entry")
+    elif arr.dtype.kind not in "biufc":
+        raise InvalidScalarError(f"cannot use {arr.dtype.type.__name__} as a matrix entry")
+    try:
+        if arr.dtype.char in "gG":
+            # A long double beyond the float range casts to inf, which the
+            # finiteness check below reports; numpy would also warn.
+            with np.errstate(over="ignore"):
+                arr = arr.astype(complex)
+        arr = arr.astype(complex, copy=False)
+    except OverflowError:
+        raise InvalidScalarError("entry beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidScalarError(f"entry has no complex value ({exc})") from None
+    finite = np.isfinite(arr)
+    # count_nonzero does the job of .all() at half its fixed cost, which
+    # dominates on short rows.
+    if np.count_nonzero(finite) != arr.size:
+        slot = int(np.argmin(finite))
+        raise InvalidScalarError(f"non-finite entry {arr[slot]} at index {slot}")
+    return tuple(arr.tolist())
 
 
 #: Order from which `x * y` takes the spectral product instead of the
@@ -44,14 +82,6 @@ def _as_scalar(value) -> complex:
 SPECTRAL_MUL_MIN_ORDER = 12
 
 
-def _finite_tuple(arr: np.ndarray) -> tuple[complex, ...]:
-    """Entries of a computed complex array as Python complex numbers,
-    checked for finiteness in one vectorised pass."""
-    if not np.isfinite(arr).all():
-        raise InvalidScalarError("non-finite entry in a computed result")
-    return tuple(arr.tolist())
-
-
 @dataclass(frozen=True)
 class Circulant:
     """Immutable circulant matrix, stored as its first row."""
@@ -59,9 +89,7 @@ class Circulant:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
-            raise InvalidOrderError("a circulant needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_scalar(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _entries(self.coeffs))
 
     @property
     def n(self) -> int:
@@ -120,19 +148,11 @@ class Circulant:
         return NotImplemented
 
     def scale(self, a) -> "Circulant":
-        a = _as_scalar(a)
+        (a,) = _entries((a,))
         return Circulant(tuple(a * c for c in self.coeffs))
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
-
-
-def _circulant_from_array(arr: np.ndarray) -> Circulant:
-    """Circulant over a computed complex array, validated by one
-    vectorised finiteness check instead of per-element _as_scalar."""
-    out = object.__new__(Circulant)
-    object.__setattr__(out, "coeffs", _finite_tuple(arr))
-    return out
 
 
 def _fmt(z: complex) -> str:
@@ -177,7 +197,7 @@ def fundamental(n: int) -> Circulant:
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:
     """Coefficientwise a*x + b*y."""
     _check_orders(x, y)
-    a, b = _as_scalar(a), _as_scalar(b)
+    a, b = _entries((a, b))
     return Circulant(tuple(a * xc + b * yc for xc, yc in zip(x.coeffs, y.coeffs)))
 
 
@@ -199,8 +219,3 @@ def mul_naive(x: Circulant, y: Circulant) -> Circulant:
                 k -= n
             out[k] += xi * yj
     return Circulant(tuple(out))
-
-
-def transpose(c: Circulant) -> Circulant:
-    """Module-level alias for :meth:`Circulant.transpose`."""
-    return c.transpose()

@@ -226,12 +226,17 @@ def document_to_obj(doc: MatrixDocument) -> dict:
     return out
 
 
-def parse_documents(text: str) -> list[MatrixDocument]:
-    """Parse one document or a JSON array of documents."""
+def load_json(text: str):
+    """Decode JSON text; DocumentError when it is malformed."""
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("document", f"invalid JSON ({exc.msg} at line {exc.lineno})") from None
+
+
+def parse_documents(text: str) -> list[MatrixDocument]:
+    """Parse one document or a JSON array of documents."""
+    payload = load_json(text)
     items = payload if isinstance(payload, list) else [payload]
     return [document_from_obj(item) for item in items]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Circulant
 from .errors import InvalidScalarError, SingularMatrixError
-from .spectral import Spectrum, _spectrum_from_array, eigenvalues, from_spectrum
+from .spectral import Spectrum, eigenvalues, from_spectrum
 
 #: x is singular when min_j |lambda_j| <= SINGULAR_RTOL * max_j |lambda_j|.
 #: The FFT's error on lambda is about eps * log2(n) * max |lambda|, at
@@ -128,7 +128,7 @@ def conjugate(c: Circulant) -> Circulant:
     lam = eigenvalues(c).as_array()
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
-    return from_spectrum(_spectrum_from_array(mu))
+    return from_spectrum(mu)
 
 
 def _verdict(c: Circulant, threshold: float | None) -> tuple[InvertibilityVerdict, np.ndarray]:
@@ -170,4 +170,4 @@ def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
             f" <= {verdict.threshold:.3e})",
             witness=verdict.witness,
         )
-    return from_spectrum(_spectrum_from_array(1.0 / lam))
+    return from_spectrum(1.0 / lam)

@@ -14,7 +14,9 @@ prime factors.  With norm="forward" the unscaled inverse transform
 evaluates the representer at the omega powers, so lambda = ifft(c) and
 c = fft(lambda) carry no extra scaling pass.  The hand-rolled radix-2
 FFT and direct DFT live on in `oracle` as independent references.
-Slot order is always j = 1..n; spectra are never sorted.
+Transform outputs are built by the public constructors, Spectrum(array)
+and Circulant(array), so they pass the same vectorised entry check as
+user input.  Slot order is always j = 1..n; spectra are never sorted.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Circulant, _as_scalar, _check_orders, _circulant_from_array, _finite_tuple
-from .errors import InvalidOrderError
+from .core import Circulant, _check_orders, _entries
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class Spectrum:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_as_scalar(v) for v in self.values))
+        object.__setattr__(self, "values", _entries(self.values))
 
     @property
     def n(self) -> int:
@@ -63,18 +64,10 @@ class Spectrum:
         return np.asarray(self.values, dtype=complex)
 
 
-def _spectrum_from_array(lam: np.ndarray) -> Spectrum:
-    """Spectrum over a computed complex array, validated by one
-    vectorised finiteness check instead of per-element _as_scalar."""
-    out = object.__new__(Spectrum)
-    object.__setattr__(out, "values", _finite_tuple(lam))
-    return out
-
-
 def eigenvalues(c: Circulant) -> Spectrum:
     """All n eigenvalues lambda_j = p_C(omega^(j-1)), in slot order."""
     coeffs = np.asarray(c.coeffs, dtype=complex)
-    return _spectrum_from_array(np.fft.ifft(coeffs, norm="forward"))
+    return Spectrum(np.fft.ifft(coeffs, norm="forward"))
 
 
 def eigenvector(ctx: FourierContext, j: int) -> np.ndarray:
@@ -101,15 +94,12 @@ def to_diagonal(c: Circulant) -> np.ndarray:
 
 
 def from_spectrum(spectrum) -> Circulant:
-    """Inverse transform: c_i = (1/n) * sum_j conj(omega^((i-1)(j-1))) lambda_j."""
-    if isinstance(spectrum, Spectrum):
-        values = spectrum.values
-    else:
-        values = [_as_scalar(v) for v in spectrum]
-    if not values:
-        raise InvalidOrderError("a spectrum needs at least one value")
-    lam = np.asarray(values, dtype=complex)
-    return _circulant_from_array(np.fft.fft(lam, norm="forward"))
+    """Inverse transform: c_i = (1/n) * sum_j conj(omega^((i-1)(j-1))) lambda_j.
+
+    Takes a Spectrum or any row of values that Spectrum accepts."""
+    if not isinstance(spectrum, Spectrum):
+        spectrum = Spectrum(spectrum)
+    return Circulant(np.fft.fft(spectrum.as_array(), norm="forward"))
 
 
 def fast_mul(x: Circulant, y: Circulant) -> Circulant:
@@ -122,4 +112,4 @@ def fast_mul(x: Circulant, y: Circulant) -> Circulant:
     _check_orders(x, y)
     fx = np.fft.fft(np.asarray(x.coeffs, dtype=complex))
     fy = np.fft.fft(np.asarray(y.coeffs, dtype=complex))
-    return _circulant_from_array(np.fft.ifft(fx * fy))
+    return Circulant(np.fft.ifft(fx * fy))

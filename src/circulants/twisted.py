@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _as_scalar, mul_naive
+from .core import Circulant, _entries
 from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
@@ -50,9 +50,7 @@ class MuWeights:
     mu: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.mu) == 0:
-            raise InvalidOrderError("need at least one weight")
-        mu = tuple(_as_scalar(m) for m in self.mu)
+        mu = _entries(self.mu)
         if mu[0] != 1:
             raise InvalidWeightsError(f"mu_1 must be exactly 1, got {mu[0]!r}")
         if any(m == 0 for m in mu):
@@ -88,7 +86,7 @@ class TwoCocycle:
         for row in self.table:
             if len(row) != n:
                 raise InvalidCocycleError("cocycle table must be square")
-            entries = tuple(_as_scalar(x) for x in row)
+            entries = _entries(row)
             if any(x == 0 for x in entries):
                 raise InvalidCocycleError("cocycle values must be nonzero")
             rows.append(entries)
@@ -107,7 +105,7 @@ class MuCirculant:
     weights: MuWeights
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_scalar(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _entries(self.coeffs))
         if len(self.coeffs) != self.weights.n:
             raise DimensionMismatchError(
                 f"{len(self.coeffs)} coefficients but {self.weights.n} weights"
@@ -200,10 +198,11 @@ def psi_inv(c: Circulant, weights: MuWeights) -> MuCirculant:
 
 
 def mu_mul(x: MuCirculant, y: MuCirculant) -> MuCirculant:
-    """Product inside one twisted algebra, transported through psi."""
+    """Product inside one twisted algebra, transported through psi: the
+    circulant product psi(x) * psi(y), with its dispatch by order."""
     if not x.weights.matches(y.weights):
         raise IncompatibleAlgebrasError("operands have different twist weights")
-    return psi_inv(mul_naive(psi(x), psi(y)), x.weights)
+    return psi_inv(psi(x) * psi(y), x.weights)
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,6 @@ def skew_circ(coeffs) -> MuCirculant:
     """scirc(c_1, ..., c_n): a circulant with every entry below the main
     diagonal negated, realized as circ(c; sigma, sigma^2, ..., sigma^(n-1))."""
     coeffs = tuple(coeffs)
-    if len(coeffs) == 0:
-        raise InvalidOrderError("a skew circulant needs at least one coefficient")
     n = len(coeffs)
     mu = np.exp(1j * np.pi * np.arange(n) / n)
     return MuCirculant(coeffs, MuWeights(tuple(mu.tolist())))

@@ -269,6 +269,14 @@ def test_delta_lattice_decompose():
         delta_lattice_decompose(lattice_new([[2, 0], [0, 1]]), (1, 0))
 
 
+@pytest.mark.parametrize("n", (3, 6))
+def test_delta_lattice_decompose_rejects_fractional_block_coefficients(n):
+    identity_basis = lattice_new([[int(i == j) for j in range(n)] for i in range(n)])
+    assert delta_lattice_decompose(identity_basis, (1,) * n) == (1,) * n
+    with pytest.raises(InvalidScalarError, match="1/2 is not an integer"):
+        delta_lattice_decompose(identity_basis, (F(1, 2),) + (1,) * (n - 1))
+
+
 def mobius(m):
     out, p = 1, 2
     while p * p <= m:

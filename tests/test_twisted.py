@@ -15,12 +15,14 @@ from circulants import (
     mu_forms,
     mu_mul,
     mu_to_dense,
+    mul_naive,
     psi,
     psi_inv,
     skew_circ,
     skew_root,
     verify_cocycle,
 )
+from circulants.core import SPECTRAL_MUL_MIN_ORDER
 from circulants.twisted import TwoCocycle
 from circulants.verify import random_circulant, random_real_circulant
 
@@ -163,12 +165,15 @@ def test_mu_mul_rejects_different_weights():
 
 def test_mu_mul_matches_dense_product():
     rng = np.random.default_rng(SEED)
-    for n in (1, 2, 3, 4, 8, 16):
+    for n in (1, 2, 3, 4, 8, 16, 64):
         mags = rng.uniform(0.5, 2.0, size=n - 1)
         phases = rng.uniform(0, 2 * np.pi, size=n - 1)
         tail = tuple(mags * np.exp(1j * phases))
         x = mu_circ(random_circulant(rng, n).coeffs, tail)
         y = mu_circ(random_circulant(rng, n).coeffs, tail)
+        if n < SPECTRAL_MUL_MIN_ORDER:
+            naive = psi_inv(mul_naive(psi(x), psi(y)), x.weights)
+            assert mu_mul(x, y).coeffs == naive.coeffs
         structural = mu_to_dense(mu_mul(x, y))
         dense = mu_to_dense(x) @ mu_to_dense(y)
         scale = 1.0 + float(np.max(np.abs(dense)))
