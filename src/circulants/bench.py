@@ -1,25 +1,32 @@
-"""Multiplication benchmark: convolution vs spectral vs dense product.
+"""Multiplication benchmark: convolution vs spectral vs dense product,
+plus one whole ``circulants eig`` invocation run in process.
 
-All three methods are cross-checked on the same fixed-seed inputs before
-any timing happens; disagreement aborts the run, so timings are never
+Every row is cross-checked on the same fixed-seed inputs before any
+timing happens; disagreement aborts the run, so timings are never
 published for wrong answers.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Circulant, mul_naive
+from .documents import MatrixDocument, document_to_obj, load_json, spectrum_from_obj
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
 from .oracle import dense_mul
-from .spectral import fast_mul
+from .spectral import eigenvalues, fast_mul
 
 METHODS = ("naive", "spectral", "dense")
+#: The row that times ``cli.main(["eig"])`` on the first input of each size.
+CLI_EIG = "cli-eig"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -44,8 +51,42 @@ def _checksum(c: Circulant) -> float:
     return float(sum(abs(z) for z in c.coeffs))
 
 
+def _cli_eig(x: Circulant):
+    """A call that runs ``circulants eig`` in process on x's document, and
+    the checksum sum |lambda_j|; raises BenchDisagreementError unless the
+    decoded output equals ``eigenvalues(x).values``."""
+    from . import cli  # cli imports this module
+
+    text = json.dumps(document_to_obj(MatrixDocument.from_circulant(x)))
+
+    def run() -> tuple[int, str]:
+        saved = sys.stdin, sys.stdout
+        sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+        try:
+            code = cli.main(["eig"])
+            return code, sys.stdout.getvalue()
+        finally:
+            sys.stdin, sys.stdout = saved
+
+    code, out = run()
+    want = eigenvalues(x).values
+    if code != 0 or spectrum_from_obj(load_json(out)) != want:
+        raise BenchDisagreementError(f"n={x.n}: cli eig (exit {code}) disagrees with eigenvalues")
+    return run, float(sum(abs(z) for z in want))
+
+
+def _median_ns(fn, reps: int) -> int:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter_ns()
+        fn()
+        times.append(time.perf_counter_ns() - start)
+    return int(statistics.median(times))
+
+
 def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
-    """Median wall time per size and method over fixed-seed random inputs."""
+    """Median wall time per size and method over fixed-seed random inputs:
+    the three products of x and y, then ``circulants eig`` on x."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError("every bench size must be >= 2")
@@ -68,20 +109,10 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
                 raise BenchDisagreementError(
                     f"n={n}: {name} deviates from naive by {deviation:.3e} (tol {tol:.3e})"
                 )
+        cli_run, cli_checksum = _cli_eig(x)
         for name in METHODS:
             fn = runners[name]
-            times = []
-            for _ in range(reps):
-                start = time.perf_counter_ns()
-                out = fn(x, y)
-                times.append(time.perf_counter_ns() - start)
-            results.append(
-                BenchResult(
-                    n=n,
-                    method=name,
-                    reps=reps,
-                    median_ns=int(statistics.median(times)),
-                    checksum=_checksum(out),
-                )
-            )
+            median = _median_ns(lambda: fn(x, y), reps)
+            results.append(BenchResult(n, name, reps, median, _checksum(products[name])))
+        results.append(BenchResult(n, CLI_EIG, reps, _median_ns(cli_run, reps), cli_checksum))
     return results

@@ -11,6 +11,7 @@ a traceback, so that it is never mistaken for a domain verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -28,6 +29,7 @@ from .documents import (
     document_to_obj,
     dump_json,
     format_complex,
+    format_complex_row,
     format_rational,
     load_json,
     parse_complex,
@@ -116,7 +118,7 @@ def _cmd_forms(args) -> int:
         encoded = [format_rational(x) for x in q]
     else:
         q = forms_of_spectrum(_spectrum_of(doc)).q
-        encoded = [format_complex(x) for x in q]
+        encoded = format_complex_row(q)
     _write_text(args.output, dump_json({"kind": "forms", "n": doc.n, "q": encoded}))
     return 0
 
@@ -128,7 +130,7 @@ def _cmd_charpoly(args) -> int:
         encoded = [format_rational(x) for x in monic]
     else:
         coeffs = char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc)))
-        encoded = [format_complex(x) for x in coeffs]
+        encoded = format_complex_row(coeffs)
     payload = {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}
     _write_text(args.output, dump_json(payload))
     return 0
@@ -161,7 +163,7 @@ def _cmd_hopf_delta(args) -> int:
     payload = {
         "kind": "block_circulant",
         "n": delta.n,
-        "blocks": [[format_complex(x) for x in block.coeffs] for block in delta.blocks],
+        "blocks": [format_complex_row(block.coeffs) for block in delta.blocks],
     }
     _write_text(args.output, dump_json(payload))
     return 0
@@ -203,10 +205,8 @@ def _cmd_mu_eig(args) -> int:
     payload = {
         "kind": "eigen",
         "n": doc.n,
-        "values": [format_complex(v) for v in eig.spectrum.values],
-        "vectors": [
-            [format_complex(x) for x in eig.vectors[:, j]] for j in range(doc.n)
-        ],
+        "values": format_complex_row(eig.spectrum.values),
+        "vectors": [format_complex_row(column) for column in eig.vectors.T],
     }
     _write_text(args.output, dump_json(payload))
     return 0
@@ -218,7 +218,13 @@ def _cmd_cocycle_verify(args) -> int:
     if isinstance(raw, dict) and raw.get("kind") == "cocycle":
         n = raw.get("n")
         table = raw.get("table")
-        if not isinstance(table, list) or not isinstance(n, int) or len(table) != n:
+        if (
+            not isinstance(n, int)
+            or isinstance(n, bool)
+            or not isinstance(table, list)
+            or len(table) != n
+            or not all(isinstance(row, list) and len(row) == n for row in table)
+        ):
             raise DocumentError("table", "expected an n x n grid of complex pairs")
         cocycle = twisted.TwoCocycle(
             tuple(tuple(parse_complex(x, "table") for x in row) for row in table)
@@ -299,7 +305,7 @@ def _cmd_factorize(args) -> int:
     payload = {
         "kind": "factorization",
         "n": doc.n,
-        "grid": [[format_complex(x) for x in row] for row in grid],
+        "grid": [format_complex_row(row) for row in grid],
     }
     _write_text(args.output, dump_json(payload))
     return 0
@@ -349,7 +355,10 @@ def _sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: the parser keeps no state between calls,
+    # and building it costs a hundred times more than a parse.
     parser = argparse.ArgumentParser(
         prog="circulants", description="Circulant-matrix algebra toolkit"
     )
@@ -383,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("factorize", _cmd_factorize, "diagonal-times-circulant coefficients of a dense matrix")
     verify_all = add("verify-all", _cmd_verify_all, "run every module's invariant suite")
     verify_all.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (hex ok)")
-    bench = add("bench", _cmd_bench, "time naive vs spectral vs dense multiplication")
+    bench = add("bench", _cmd_bench, "time naive vs spectral vs dense multiplication and an in-process eig")
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.
     bench.add_argument("--sizes", type=_sizes, default=[16, 64, 256, 100], help="comma-separated orders")
@@ -393,9 +402,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code: 0 success, 1 domain failure, 2 usage error or malformed
+    input, 3 internal error.  Errors go to stderr as one line.  The
+    argument parser is built on the first call and reused by every later
+    call in the same process."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -37,13 +38,17 @@ class DocumentError(CirculantError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def format_complex_row(values) -> list[list[str]]:
+    """The ``[re, im]`` pairs of a row of complex numbers (or anything
+    numpy reads as complex), each part the shortest round-trip repr of a
+    float.  One array conversion, then C-level loops: no Python frame
+    runs per entry."""
+    z = np.asarray(values, dtype=complex)
+    return list(map(list, zip(map(repr, z.real.tolist()), map(repr, z.imag.tolist()))))
 
 
 def format_complex(z: complex) -> list[str]:
-    z = complex(z)
-    return [_format_float(z.real), _format_float(z.imag)]
+    return format_complex_row((z,))[0]
 
 
 def parse_complex(value, field: str) -> complex:
@@ -55,7 +60,7 @@ def parse_complex(value, field: str) -> complex:
                     parts.append(float(part))
                 except ValueError:
                     raise DocumentError(field, f"bad decimal string {part!r}") from None
-            elif isinstance(part, (int, float)):
+            elif isinstance(part, (int, float)) and not isinstance(part, bool):
                 parts.append(float(part))
             else:
                 raise DocumentError(field, f"bad component {part!r} in complex pair")
@@ -91,6 +96,14 @@ def _format_entry(value) -> object:
     if isinstance(value, Fraction):
         return format_rational(value)
     return format_complex(value)
+
+
+def _format_row(values) -> list:
+    """A row of complex pairs, or entry by entry when it holds rationals.
+    (Fraction is an ABC, so the test runs per type, not per entry.)"""
+    if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
+        return [_format_entry(x) for x in values]
+    return format_complex_row(values)
 
 
 @dataclass(frozen=True)
@@ -215,14 +228,14 @@ def document_from_obj(obj) -> MatrixDocument:
 def document_to_obj(doc: MatrixDocument) -> dict:
     out: dict = {"kind": doc.kind, "n": doc.n}
     if doc.kind == "dense":
-        out["entries"] = [[_format_entry(x) for x in row] for row in doc.entries]
+        out["entries"] = [_format_row(row) for row in doc.entries]
         return out
     if doc.kind == "rational_circulant":
         out["first_row"] = [format_rational(x) for x in doc.first_row]
     else:
-        out["first_row"] = [format_complex(x) for x in doc.first_row]
+        out["first_row"] = format_complex_row(doc.first_row)
     if doc.kind == "mu_circulant":
-        out["mu"] = [format_complex(x) for x in doc.mu]
+        out["mu"] = format_complex_row(doc.mu)
     return out
 
 
@@ -241,8 +254,58 @@ def parse_documents(text: str) -> list[MatrixDocument]:
     return [document_from_obj(item) for item in items]
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` laid out as ``json.dumps(..., indent=2)`` lays it out
+    when it sits on a line that starts with ``newline`` (a line break and
+    the indentation of that line)."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            # json converts non-string keys; let it, and shift its layout.
+            return json.dumps(value, indent=2).replace("\n", newline)
+        inner = newline + "  "
+        items = [f"{_encode_string(key)}: {_encode(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            return "[" + inner + ("," + inner).join(map(_encode_string, value)) + newline + "]"
+        if kinds <= {list, tuple}:
+            widths = set(map(len, value))
+            width = widths.pop() if len(widths) == 1 else 0
+            if width:
+                # Equal-length rows (the [re, im] pairs): one whitespace-only
+                # template per row, filled by C-level loops.  The encoder
+                # takes only strings; a TypeError sends any other cell to
+                # the general path below.
+                cell = inner + "  "
+                template = "[" + cell + ("," + cell).join(["{}"] * width) + inner + "]"
+                cells = map(_encode_string, chain.from_iterable(value))
+                rows = starmap(template.format, zip(*[cells] * width))
+                try:
+                    return "[" + inner + ("," + inner).join(rows) + newline + "]"
+                except TypeError:
+                    pass
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    r"""``json.dumps(obj, indent=2) + "\n"``, byte for byte, without the
+    pure-Python encoder that ``indent`` forces on the standard library.
+
+    Dicts and mixed lists recurse; a list of strings, or a list of
+    equal-length lists of strings, is written in one ``str.join`` with no
+    Python frame per entry; scalars go through ``json.dumps``."""
+    return _encode(obj, "\n") + "\n"
 
 
 # -- spectrum documents ------------------------------------------------------
@@ -252,7 +315,7 @@ def spectrum_to_obj(values) -> dict:
     return {
         "kind": "spectrum",
         "n": len(values),
-        "values": [_format_entry(v) for v in values],
+        "values": _format_row(values),
     }
 
 
@@ -261,6 +324,6 @@ def spectrum_from_obj(obj) -> tuple:
         raise DocumentError("kind", "expected a spectrum document")
     n = obj.get("n")
     raw = obj.get("values")
-    if not isinstance(raw, list) or not isinstance(n, int) or len(raw) != n:
+    if not isinstance(raw, list) or not isinstance(n, int) or isinstance(n, bool) or len(raw) != n:
         raise DocumentError("values", "expected a list of n scalars")
     return tuple(_parse_entry(v, "values") for v in raw)

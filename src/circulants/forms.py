@@ -17,6 +17,8 @@ prod_{k != j} lambda_k; the inverse has spectrum 1 / lambda_j.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ from .spectral import Spectrum, eigenvalues, from_spectrum
 #: The FFT's error on lambda is about eps * log2(n) * max |lambda|, at
 #: least five orders of magnitude below this up to n = 4096.
 SINGULAR_RTOL = 1e-10
+
+#: sum_j log|lambda_j| beyond this means |q_n| = prod_j |lambda_j| is past
+#: the float range by at least a factor e, a margin far wider than the
+#: rounding of the log sum or of numpy.poly's running product.
+_LOG_NORM_LIMIT = math.log(sys.float_info.max) + 1.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,12 @@ def _alternate(coeffs) -> tuple[complex, ...]:
 def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
     """s_0..s_n = (1, q_1, ..., q_n) of lam: the signed coefficients of
     prod_j (X - lambda_j), expanded one factor at a time.  Raises
-    InvalidScalarError when one leaves the float range."""
+    InvalidScalarError when one leaves the float range: in O(n), before
+    the expansion, when q_n alone does."""
+    with np.errstate(divide="ignore"):  # a zero eigenvalue gives -inf
+        log_norm = float(np.log(np.abs(lam)).sum())
+    if log_norm > _LOG_NORM_LIMIT:
+        raise InvalidScalarError("a characteristic form leaves the float range")
     coeffs = np.poly(lam)
     if not np.isfinite(coeffs).all():
         raise InvalidScalarError("a characteristic form leaves the float range")
@@ -87,9 +99,13 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
 
 
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
-    """Power sums directly; elementary values by `_elementary`."""
+    """Power sums directly; elementary values by `_elementary`.  Raises
+    InvalidScalarError when a power sum or a form leaves the float range."""
     lam = spectrum.as_array()
-    p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
+    if not np.isfinite(p).all():
+        raise InvalidScalarError("a power sum leaves the float range")
     return SymmetricTables(power_sums=tuple(p), elementary=_elementary(lam))
 
 

@@ -263,9 +263,10 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 9
+    assert len(lines) == 12
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
+    assert (2, "cli-eig") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -345,3 +346,81 @@ def test_inverse_rejects_negative_or_nan_tol(tmp_path, capsys, tol):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "threshold" in err
     assert len(err.strip().splitlines()) == 1
+
+
+_ONE = ["1", "0"]
+_LAYOUT_CASES = {
+    "eig": circulant_doc(1, 2, 3, 4),
+    "forms": circulant_doc(1, 2, 3, 4),
+    "charpoly": {"kind": "rational_circulant", "n": 3, "first_row": ["2", "1/2", "-1"]},
+    "inverse": circulant_doc(1, 2, 3),
+    "conjugate": circulant_doc(1, 2, 3),
+    "hopf-counit": circulant_doc(1, 2, 3),
+    "hopf-delta": circulant_doc(1, 2, 3),
+    "hopf-antipode": circulant_doc(1, 2, 3),
+    "hopf-verify": circulant_doc(1, 2, 3),
+    "mu-eig": {"kind": "mu_circulant", "n": 3, "first_row": [_ONE, ["2", "-1"], _ONE],
+               "mu": [["0.5", "1"], ["-2", "0"]]},
+    "cocycle-verify": {"kind": "cocycle", "n": 2, "table": [[_ONE, _ONE], [_ONE, ["5", "0"]]]},
+    "skew": {"kind": "skew_circulant", "n": 3, "first_row": [_ONE, ["2", "0"], ["0", "-3"]]},
+    "brandt-check": [{"kind": "rational_circulant", "n": 3, "first_row": ["1/2", "0", "0"]}],
+    "spectrum-reconstruct": {"kind": "spectrum", "n": 3, "values": ["4", "1", "1"]},
+    "lattice-solve": [
+        {"kind": "dense", "n": 2, "entries": [["1", "0"], ["0", "1"]]},
+        {"kind": "rational_circulant", "n": 2, "first_row": ["1/2", "3"]},
+    ],
+    "factorize": {"kind": "dense", "n": 2, "entries": [[_ONE, ["2", "0"]], [["3", "0"], ["4", "-1"]]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAYOUT_CASES))
+def test_result_documents_are_indent_2_json(tmp_path, capsys, command):
+    path = write(tmp_path, "in.json", _LAYOUT_CASES[command])
+    code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert code in (0, 1) and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_one_process_runs_help_errors_and_repeated_commands(capsys, monkeypatch):
+    text = json.dumps(circulant_doc(1, 2, 3, 4, 5))
+    assert main(["--help"]) == 0
+    assert "eig" in capsys.readouterr().out
+    assert main(["eig", "--no-such-option"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    first = run_cli(["eig"], text, capsys, monkeypatch)
+    second = run_cli(["eig"], text, capsys, monkeypatch)
+    assert first == second and first[0] == 0 and first[1]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("cocycle-verify", {"kind": "cocycle", "n": 2, "table": [5, 6]}),
+        ("cocycle-verify", {"kind": "cocycle", "n": 2, "table": [[_ONE], [_ONE, _ONE]]}),
+        ("cocycle-verify", {"kind": "cocycle", "n": True, "table": [[_ONE]]}),
+        ("eig", {"kind": "circulant", "n": 1, "first_row": [[True, False]]}),
+        ("eig", {"kind": "circulant", "n": 1, "first_row": [["1", False]]}),
+        ("mu-eig", {"kind": "mu_circulant", "n": 2, "first_row": [_ONE, _ONE], "mu": [[True, "0"]]}),
+        ("spectrum-reconstruct", {"kind": "spectrum", "n": True, "values": ["4"]}),
+    ],
+)
+def test_malformed_documents_past_the_decoder_exit_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_bench_cli_eig_row_checks_before_timing(monkeypatch):
+    from circulants import bench, eigenvalues
+
+    rows = [r for r in bench.run_bench([8, 12], reps=3) if r.method == bench.CLI_EIG]
+    assert [r.n for r in rows] == [8, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    def doubled(doc):
+        return eigenvalues(doc.to_circulant().scale(2))
+
+    monkeypatch.setattr("circulants.cli._spectrum_of", doubled)
+    with pytest.raises(bench.BenchDisagreementError, match="cli eig"):
+        bench.run_bench([8], reps=3)

@@ -10,6 +10,10 @@ from circulants.documents import (
     MatrixDocument,
     document_from_obj,
     document_to_obj,
+    dump_json,
+    format_complex,
+    format_complex_row,
+    parse_complex,
     parse_documents,
     spectrum_from_obj,
     spectrum_to_obj,
@@ -126,3 +130,58 @@ def test_exact_grid_refuses_floating_entries():
     doc = MatrixDocument.from_dense(np.eye(2))
     with pytest.raises(DocumentError, match="entries"):
         doc.to_exact_grid()
+
+
+_PAIRS = [["1.0", "-0.0"], ["2.5e-17", "nan"]]
+_EDGE_PAYLOADS = [
+    [],
+    {},
+    [[]],
+    [{}],
+    {"a": [], "b": {}, "c": [[], {}], "d": {"e": {"f": []}}},
+    [[], [], []],
+    ("x", ("y", "z"), ()),
+    (("1", "2"), ["3", "4"]),
+    ["quote \" backslash \\ newline \n tab \t", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f600"],
+    {"caf\u00e9": "\u2603", "tab\tkey": ["\n"]},
+    [float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e308, 5e-324],
+    [True, False, None, 0, -7, 10**30],
+    {"t": True, "f": False, "none": None, "x": 1.5},
+    [["a", "b"], ["c"], ["d", "e"]],
+    [["a", 1], ["b", 2]],
+    [["a", ["b"]], ["c", ["d"]]],
+    [["a", "b"], "c"],
+    ["a", 1, None, ["b"], {"k": "v"}],
+    {"kind": "spectrum", "n": 2, "values": _PAIRS, "nested": [_PAIRS, _PAIRS]},
+    {7: "int key", 2.5: [["a", "b"]], None: {}, True: [], "s": "str key"},
+    "bare",
+    3.25,
+    None,
+]
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS)
+def test_dump_json_matches_the_standard_indent_2_layout(payload):
+    assert dump_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_format_complex_row_matches_per_entry_pairs():
+    rng = np.random.default_rng(1)
+    values = [1, -0.0, 2.5, complex(0.1, -0.0), float("inf"), complex(3e-310, float("nan"))]
+    values += list(rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    want = [[repr(float(complex(z).real)), repr(float(complex(z).imag))] for z in values]
+    assert format_complex_row(values) == want
+    assert format_complex_row(np.asarray(values)) == want
+    assert [format_complex(z) for z in values] == want
+    assert format_complex_row(()) == []
+
+
+@pytest.mark.parametrize("part", (True, False))
+def test_booleans_are_not_numbers(part):
+    with pytest.raises(DocumentError, match="first_row"):
+        parse_complex([part, "0"], "first_row")
+    with pytest.raises(DocumentError, match="first_row"):
+        document_from_obj({"kind": "circulant", "n": 1, "first_row": [["0", part]]})
+    with pytest.raises(DocumentError, match="values"):
+        spectrum_from_obj({"kind": "spectrum", "n": part, "values": ["1"] * int(part)})
+    assert parse_complex([1, 2.5], "x") == complex(1, 2.5)

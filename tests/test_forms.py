@@ -309,3 +309,29 @@ def test_zero_threshold_still_finds_exact_zero_eigenvalue():
     with pytest.raises(SingularMatrixError):
         inverse(x, 0.0)
     assert is_invertible(circ(2, 1, 0, 0), 0.0).invertible
+
+
+def test_symmetric_tables_raise_instead_of_returning_non_finite_sums():
+    # The default fixture at n = 256: 49 power sums leave the float range.
+    x = random_circulant(np.random.default_rng(SEED), 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidScalarError, match="float range"):
+            symmetric_tables(eigenvalues(x))
+
+
+def test_forms_beyond_float_range_raise_before_the_expansion(monkeypatch):
+    # Random rows at n = 4096: q_n = prod lambda_j is far past the float range.
+    def expansion(_):
+        raise AssertionError("numpy.poly reached")
+
+    monkeypatch.setattr(np, "poly", expansion)
+    x = random_circulant(np.random.default_rng(1), 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (forms, char_poly):
+            with pytest.raises(InvalidScalarError, match="float range"):
+                call(x)
+    # A zero eigenvalue sends the log-sum to -inf, which is no reason to raise.
+    with pytest.raises(AssertionError, match="numpy.poly"):
+        forms(circ(1, 1, 0, 0))
