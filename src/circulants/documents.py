@@ -92,17 +92,11 @@ def _parse_entry(value, field: str):
     return parse_rational(value, field)
 
 
-def _format_entry(value) -> object:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return format_complex(value)
-
-
 def _format_row(values) -> list:
     """A row of complex pairs, or entry by entry when it holds rationals.
     (Fraction is an ABC, so the test runs per type, not per entry.)"""
     if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
-        return [_format_entry(x) for x in values]
+        return [format_rational(x) if isinstance(x, Fraction) else format_complex(x) for x in values]
     return format_complex_row(values)
 
 
