@@ -274,7 +274,7 @@ def _encode(value, newline: str) -> str:
         if kinds <= {list, tuple}:
             widths = set(map(len, value))
             width = widths.pop() if len(widths) == 1 else 0
-            if width:
+            if width and isinstance(value[0][0], str):
                 # Equal-length rows (the [re, im] pairs): one whitespace-only
                 # template per row, filled by C-level loops.  The encoder
                 # takes only strings; a TypeError sends any other cell to
