@@ -1,5 +1,6 @@
 """Multiplication benchmark: convolution vs spectral vs dense product,
-plus one whole ``circulants eig`` invocation run in process.
+plus one whole ``circulants eig`` invocation run in process and the
+exact integer spectrum of an orbit-constant row.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -21,12 +23,15 @@ from .core import Circulant, mul_naive
 from .documents import MatrixDocument, document_to_obj, load_json, spectrum_from_obj
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
+from .lattice import integer_spectrum, rational_circ
 from .oracle import dense_mul
 from .spectral import eigenvalues, fast_mul
 
 METHODS = ("naive", "spectral", "dense")
 #: The row that times ``cli.main(["eig"])`` on the first input of each size.
 CLI_EIG = "cli-eig"
+#: The row that times ``integer_spectrum`` of circ(n / gcd(k, n)), k = 0..n-1.
+INTEGER_SPECTRUM = "integer-spectrum"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -75,6 +80,23 @@ def _cli_eig(x: Circulant):
     return run, float(sum(abs(z) for z in want))
 
 
+def _integer_spectrum(n: int):
+    """A call that takes the exact spectrum of the orbit-constant row
+    c_k = n / gcd(k, n), the order of k in Z/n, whose spectrum is
+    integral, and the checksum sum |lambda_j|; raises
+    BenchDisagreementError unless every slot equals the rounded float
+    eigenvalue of that slot, within 1e-9 * (1 + ||c||)."""
+    row = rational_circ([n // math.gcd(k, n) for k in range(n)])
+    spectrum = integer_spectrum(row)
+    floats = eigenvalues(row.to_float()).values
+    tol = 1e-9 * (1.0 + sum(row.coeffs))
+    if spectrum is None or any(
+        v != round(z.real) or abs(z - float(v)) > tol for v, z in zip(spectrum.values, floats)
+    ):
+        raise BenchDisagreementError(f"n={n}: integer_spectrum disagrees with eigenvalues")
+    return lambda: integer_spectrum(row), float(sum(abs(v) for v in spectrum.values))
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -86,7 +108,8 @@ def _median_ns(fn, reps: int) -> int:
 
 def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
-    the three products of x and y, then ``circulants eig`` on x."""
+    the three products of x and y, then ``circulants eig`` on x, then the
+    exact spectrum of the orbit-constant row of that order."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError("every bench size must be >= 2")
@@ -110,9 +133,12 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
                     f"n={n}: {name} deviates from naive by {deviation:.3e} (tol {tol:.3e})"
                 )
         cli_run, cli_checksum = _cli_eig(x)
+        spectrum_run, spectrum_checksum = _integer_spectrum(n)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
             results.append(BenchResult(n, name, reps, median, _checksum(products[name])))
         results.append(BenchResult(n, CLI_EIG, reps, _median_ns(cli_run, reps), cli_checksum))
+        spectrum_ns = _median_ns(spectrum_run, reps)
+        results.append(BenchResult(n, INTEGER_SPECTRUM, reps, spectrum_ns, spectrum_checksum))
     return results

@@ -392,7 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("factorize", _cmd_factorize, "diagonal-times-circulant coefficients of a dense matrix")
     verify_all = add("verify-all", _cmd_verify_all, "run every module's invariant suite")
     verify_all.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (hex ok)")
-    bench = add("bench", _cmd_bench, "time naive vs spectral vs dense multiplication and an in-process eig")
+    bench = add(
+        "bench",
+        _cmd_bench,
+        "time naive vs spectral vs dense multiplication, an in-process eig"
+        " and an exact integer spectrum",
+    )
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.
     bench.add_argument("--sizes", type=_sizes, default=[16, 64, 256, 100], help="comma-separated orders")

@@ -1,20 +1,29 @@
 """Exact integer/rational analysis of circulants.
 
 Everything here runs over arbitrary-precision rationals: characteristic
-polynomials, Brandt-style integrality predicates on the forms q_i,
-lattice bases of circulants and exact membership decompositions.
+polynomials, exact spectra, Brandt-style integrality predicates on the
+forms q_i, lattice bases of circulants and exact membership
+decompositions.  Each exact path clears denominators once (an integer
+row or grid times 1/L, L the lcm of the denominators), works in Python
+ints and builds the returned Fractions at the end.
 
 Circulants of order n are the group algebra of the cyclic group C_n, so
 tr(C^k) is n times the identity coefficient of the k-th convolution
 power of the first row.  The exact characteristic polynomial is built
-from these traces alone: clear the row's denominators once (d = L*c),
-take the powers d^{*k}, k = 1..n, by exact cyclic convolution over
-Python ints, and run Newton's identities in integers.  That is O(n^3)
-integer operations on the first row, never the dense n x n matrix.
+from these traces alone: take the powers d^{*k}, k = 1..n, of the
+cleared row d = L*c by exact cyclic convolution and run Newton's
+identities in integers.  That is O(n^3) integer operations on the first
+row, never the dense n x n matrix.
 
-Floating point appears in exactly two places, both forced by the
-irrationality of omega: seeding exact roots and matching them to
-eigenvalue slots, and rebuilding coefficients from a prescribed integer/rational spectrum.
+Over Q the group algebra splits as Q[C_n] = prod_{d | n} Q(zeta_d)
+(Perlis and Walker), so the exact spectrum is decided factor by factor:
+the row reduced mod the cyclotomic polynomial Phi_d is a constant
+exactly when the eigenvalues at the primitive d-th roots of unity are
+rational, and then that constant is their common value.
+
+Floating point appears in one place only, forced by the irrationality
+of omega: rebuilding coefficients from a prescribed integer/rational
+spectrum.
 
 A lattice here is Z v_1 + ... + Z v_n for independent circulants
 v_i = c_i1 I + c_i2 P + ... + c_in P^(n-1); when the coefficient matrix
@@ -24,10 +33,9 @@ has an integral exact inverse, every integral circulant is a member.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import Circulant
 from .errors import (
@@ -38,12 +46,9 @@ from .errors import (
     NotIntegralBasisError,
     RootAssignmentError,
 )
-from .spectral import eigenvalues, from_spectrum
+from .spectral import from_spectrum
 
 Rational = Fraction
-
-#: Exact roots are matched to floating eigenvalue slots within this.
-_SLOT_MATCH_TOL = 1e-6
 
 
 def _as_rational(value) -> Fraction:
@@ -88,19 +93,19 @@ class RationalCirculant:
         if not isinstance(other, RationalCirculant):
             return NotImplemented
         _check_orders(self, other)
-        return RationalCirculant(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        lx, x = _cleared(self.coeffs)
+        ly, y = _cleared(other.coeffs)
+        scale = lx * ly
+        return RationalCirculant(tuple(Fraction(a * ly + b * lx, scale) for a, b in zip(x, y)))
 
     def __mul__(self, other: "RationalCirculant") -> "RationalCirculant":
         if not isinstance(other, RationalCirculant):
             return NotImplemented
         _check_orders(self, other)
-        n = self.n
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(self.coeffs):
-            if xi:
-                for j, yj in enumerate(other.coeffs):
-                    out[(i + j) % n] += xi * yj
-        return RationalCirculant(tuple(out))
+        lx, x = _cleared(self.coeffs)
+        ly, y = _cleared(other.coeffs)
+        scale = lx * ly
+        return RationalCirculant(tuple(Fraction(v, scale) for v in _convolve(_support(x), y)))
 
 
 def _check_orders(x: RationalCirculant, y: RationalCirculant):
@@ -114,11 +119,26 @@ def rational_circ(*coeffs) -> RationalCirculant:
     return RationalCirculant(tuple(coeffs))
 
 
-def _cleared(c: RationalCirculant) -> tuple[int, list[int]]:
-    """(L, d): L is the lcm of the row's denominators and d = L*c, an
-    integer row."""
-    scale = math.lcm(*(x.denominator for x in c.coeffs))
-    return scale, [x.numerator * (scale // x.denominator) for x in c.coeffs]
+def _cleared(values) -> tuple[int, list[int]]:
+    """(L, d): L is the lcm of the Fractions' denominators and d = L*values,
+    a list of integers."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _support(d: list[int]) -> list[tuple[int, int]]:
+    """The nonzero entries (i, d_i) of an integer row."""
+    return [(i, v) for i, v in enumerate(d) if v]
+
+
+def _convolve(support: list[tuple[int, int]], y: list[int]) -> list[int]:
+    """Cyclic convolution of the integer row with this support and y: the
+    sum of v * P^i y over the support, P^i y being y rotated right by i."""
+    n = len(y)
+    out = [0] * n
+    for i, v in support:
+        out = [acc + v * w for acc, w in zip(out, y[n - i:] + y[: n - i])]
+    return out
 
 
 def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
@@ -133,16 +153,12 @@ def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
     coefficient of X^(n-i) is (-1)^i e_i / L^i.  O(n^3) integer operations.
     """
     n = c.n
-    scale, d = _cleared(c)
-    support = [(i, v) for i, v in enumerate(d) if v]
+    scale, d = _cleared(c.coeffs)
+    support = _support(d)
     power = [1] + [0] * (n - 1)
     traces = []
     for _ in range(n):
-        nxt = [0] * n
-        for i, v in support:
-            # Adds v * P^i * power: entry k gains v * power[k - i].
-            nxt = [acc + v * w for acc, w in zip(nxt, power[n - i:] + power[: n - i])]
-        power = nxt
+        power = _convolve(support, power)
         traces.append(n * power[0])
     e = [1]
     for k in range(1, n + 1):
@@ -175,81 +191,58 @@ class IntegerSpectrum:
         return all(v.denominator == 1 for v in self.values)
 
 
-def _deflate(monic: list[Fraction], root: Fraction) -> list[Fraction] | None:
-    # Synthetic division; returns the quotient if root is exact, else None.
-    out = [monic[0]]
-    for coeff in monic[1:]:
-        out.append(coeff + root * out[-1])
-    if out[-1] != 0:
-        return None
-    return out[:-1]
-
-
-def _rational_roots(
-    monic: tuple[Fraction, ...], float_eigs: np.ndarray, scale: int
-) -> list[Fraction] | None:
-    """All roots when the polynomial splits into rational linear factors.
-
-    The polynomial is that of D/scale with D an integer circulant, whose
-    eigenvalues are algebraic integers; so every rational root is k/scale
-    for an integer k, and each real floating eigenvalue seeds the one
-    candidate round(lambda * scale) / scale.  Every candidate is verified
-    by exact evaluation and consumed by repeated deflation, so
-    multiplicities are exact.
-    """
-    n = len(monic) - 1
-    candidates = {
-        Fraction(round(lam.real * scale), scale)
-        for lam in float_eigs
-        if abs(lam.imag) <= _SLOT_MATCH_TOL
-    }
-    roots: list[Fraction] = []
-    remaining = list(monic)
-    for cand in sorted(candidates):
-        while len(remaining) > 1:
-            quotient = _deflate(remaining, cand)
-            if quotient is None:
-                break
-            roots.append(cand)
-            remaining = quotient
-    if len(roots) != n:
-        return None
-    return roots
+def _divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by the monic integer polynomial g, all
+    as ascending coefficient lists; only g's nonzero terms are visited."""
+    m = len(g) - 1
+    rem = list(f)
+    terms = _support(g[:m])
+    quot = [0] * max(len(f) - m, 0)
+    for top in range(len(f) - 1, m - 1, -1):
+        q = rem[top]
+        if q:
+            base = top - m
+            quot[base] = q
+            for i, a in terms:
+                rem[base + i] -= q * a
+    return quot, rem[:m]
 
 
 def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpectrum | None:
     """Exact spectrum when it exists, assigned to slots j = 1..n.
 
-    Splits the exact characteristic polynomial into rational linear
-    factors (candidates k/L, L the lcm of the row's denominators, checked
-    by exact deflation); returns None when it does not split, or when
-    mode='integral' and some root is fractional.
-    Slot assignment matches exact roots against the floating eigenvalues
-    p_C(omega^(j-1)); an ambiguous assignment raises RootAssignmentError
-    rather than returning a wrong order.
+    Slot j evaluates the row polynomial p(x) = sum c_k x^k at a primitive
+    d-th root of unity, d = n / gcd(j-1, n), and all slots of one d share
+    the value when it is rational.  For each divisor d the cleared row
+    L*c is folded mod x^d - 1 and reduced mod the integer cyclotomic
+    polynomial Phi_d (built by exact division of x^d - 1 by Phi_e for
+    the divisors e < d).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
+    of Q(zeta_d), those eigenvalues are rational exactly when the
+    remainder is a constant r_d, and then each equals r_d / L.  Returns
+    None when some remainder is not constant, or when mode='integral'
+    and some r_d / L is fractional.  Integer operations only, no floats,
+    so the answer does not depend on the size of the entries.
     """
     if mode not in ("integral", "rational"):
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
-    monic = exact_char_poly(c)
-    float_eigs = eigenvalues(c.to_float()).as_array()
-    roots = _rational_roots(monic, float_eigs, _cleared(c)[0])
-    if roots is None:
-        return None
-    if mode == "integral" and any(r.denominator != 1 for r in roots):
-        return None
-    pool = list(roots)
-    assigned: list[Fraction] = []
-    for lam in float_eigs:
-        near = sorted({r for r in pool if abs(complex(r) - lam) <= 2 * _SLOT_MATCH_TOL})
-        if len(near) > 1:
-            raise RootAssignmentError(
-                f"two distinct roots {near[0]} and {near[1]} both match eigenvalue {lam}"
-            )
-        if not near or abs(complex(near[0]) - lam) > _SLOT_MATCH_TOL:
-            raise RootAssignmentError(f"no exact root matches eigenvalue {lam}")
-        assigned.append(near[0])
-        pool.remove(near[0])
-    return IntegerSpectrum(tuple(assigned))
+    n = c.n
+    scale, row = _cleared(c.coeffs)
+    cyclotomic: dict[int, list[int]] = {}
+    value: dict[int, Fraction] = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e, phi_e in cyclotomic.items():
+            if d % e == 0:
+                phi, _ = _divmod_monic(phi, phi_e)
+        cyclotomic[d] = phi
+        _, rem = _divmod_monic([sum(row[k::d]) for k in range(d)], phi)
+        if any(rem[1:]):
+            return None
+        lam = Fraction(rem[0], scale)
+        if mode == "integral" and lam.denominator != 1:
+            return None
+        value[d] = lam
+    return IntegerSpectrum(tuple(value[n // math.gcd(k, n)] for k in range(n)))
 
 
 @dataclass(frozen=True)
@@ -337,25 +330,38 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
 
 
 def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]] | None]:
-    # Returns (det, inverse); inverse is None when det = 0.
+    """(det, inverse) of a square rational grid; inverse is None when
+    det = 0.
+
+    Fraction-free Gauss-Jordan (Bareiss): the grid is cleared to A = L*grid
+    and [A | I] is eliminated in integers, each update
+    (p * a_ij - a_ik * a_kj) // p_prev dividing exactly by the previous
+    pivot.  At the end the left block is p*I with p = sign * det(A) (sign
+    from the row swaps) and the right block is p * A^-1, so
+    det = sign * p / L^n and the inverse is L * right / p.
+    """
     n = len(rows)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(rows)]
-    det = Fraction(1)
+    scale, flat = _cleared([x for row in rows for x in row])
+    aug = [flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+    sign, prev = 1, 1
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
         if pivot_row is None:
             return Fraction(0), None
         if pivot_row != k:
             aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-            det = -det
-        det *= aug[k][k]
-        inv_pivot = 1 / aug[k][k]
-        aug[k] = [x * inv_pivot for x in aug[k]]
+            sign = -sign
+        pivot_line = aug[k]
+        pivot = pivot_line[k]
         for i in range(n):
-            if i != k and aug[i][k]:
+            if i != k:
                 factor = aug[i][k]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
-    return det, [row[n:] for row in aug]
+                aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], pivot_line)]
+        prev = pivot
+    return (
+        Fraction(sign * prev, scale**n),
+        [[Fraction(scale * x, prev) for x in row[n:]] for row in aug],
+    )
 
 
 @dataclass(frozen=True)
@@ -412,19 +418,23 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
     n = basis.n
     if target.n != n:
         raise DimensionMismatchError(f"target order {target.n} vs basis order {n}")
-    coeffs = tuple(
-        sum(target.coeffs[i] * basis.inverse[i][j] for i in range(n)) for j in range(n)
-    )
-    # Exact recombination must reproduce the target; zero tolerance.
+    # With t = T/Lt, inverse = V/Lv and rows = R/Lr in integers, the
+    # coefficients are a = (T V)/(Lt Lv).
+    lt, t = _cleared(target.coeffs)
+    lv, v = _cleared([x for row in basis.inverse for x in row])
+    lr, r = _cleared([x for row in basis.rows for x in row])
+    nums = [sum(map(operator.mul, t, v[j::n])) for j in range(n)]
+    # Exact recombination a R/Lr = t must hold; zero tolerance.
     for j in range(n):
-        recombined = sum(coeffs[i] * basis.rows[i][j] for i in range(n))
-        if recombined != target.coeffs[j]:
+        if sum(map(operator.mul, nums, r[j::n])) != t[j] * lv * lr:
             raise ArithmeticError("exact decomposition failed to recombine")
-    member = all(a.denominator == 1 for a in coeffs)
-    integral_inverse, _ = basis_inverse_integral(basis)
-    if integral_inverse and target.is_integral() and not member:
+    denominator = lt * lv
+    member = all(a % denominator == 0 for a in nums)
+    if lv == 1 and lt == 1 and not member:
         raise ArithmeticError("integral inverse must decompose integral targets")
-    return LatticeSolution(coefficients=coeffs, member=member)
+    return LatticeSolution(
+        coefficients=tuple(Fraction(a, denominator) for a in nums), member=member
+    )
 
 
 def delta_lattice_decompose(basis: LatticeBasis, block_coeffs) -> tuple[int, ...]:

@@ -9,6 +9,8 @@ DFT, check the numpy.fft path of `spectral`.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,24 +94,29 @@ def faddeev_leverrier(a: np.ndarray) -> tuple[complex, ...]:
 
 
 def faddeev_leverrier_exact(grid) -> tuple[Fraction, ...]:
-    """Exact-rational variant of the trace recurrence."""
+    """Exact-rational variant of the trace recurrence, run in integers.
+
+    With A = B/L (B integral, L the lcm of the denominators), M_k = N_k / L^k
+    and c_k = e_k / L^k, where N_k = B (N_{k-1} + e_{k-1} I) is integral and
+    e_k = -tr(N_k) / k is the integer coefficient of B's characteristic
+    polynomial, so the division is exact.
+    """
     rows = [[Fraction(x) for x in row] for row in grid]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("square grid required")
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
     coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
+    m = [[0] * n for _ in range(n)]
+    e = 1
     for k in range(1, n + 1):
-        shifted = [
-            [m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        m = [
-            [sum(rows[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += e
+        columns = list(zip(*m))
+        m = [[sum(map(operator.mul, row, col)) for col in columns] for row in b]
+        e = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(e, scale**k))
     return tuple(coeffs)
 
 

@@ -263,10 +263,10 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 12
+    assert len(lines) == 15
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
-    assert (2, "cli-eig") in methods
+    assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -424,3 +424,23 @@ def test_bench_cli_eig_row_checks_before_timing(monkeypatch):
     monkeypatch.setattr("circulants.cli._spectrum_of", doubled)
     with pytest.raises(bench.BenchDisagreementError, match="cli eig"):
         bench.run_bench([8], reps=3)
+
+
+def test_bench_integer_spectrum_row_checks_before_timing(monkeypatch):
+    from circulants import bench, integer_spectrum
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.INTEGER_SPECTRUM]
+    assert [r.n for r in rows] == [4, 12]
+    # circ(1, 4, 2, 4) has the spectrum (11, -1, -5, -1).
+    assert rows[0].checksum == 18.0 and all(r.median_ns > 0 for r in rows)
+
+    def shifted(c, mode="integral"):
+        spectrum = integer_spectrum(c, mode)
+        return type(spectrum)(spectrum.values[1:] + spectrum.values[:1])
+
+    monkeypatch.setattr(bench, "integer_spectrum", shifted)
+    with pytest.raises(bench.BenchDisagreementError, match="integer_spectrum"):
+        bench.run_bench([4], reps=3)
+    monkeypatch.setattr(bench, "integer_spectrum", lambda c, mode="integral": None)
+    with pytest.raises(bench.BenchDisagreementError, match="integer_spectrum"):
+        bench.run_bench([4], reps=3)

@@ -20,7 +20,7 @@ from circulants import (
     reconstruct_from_spectrum,
 )
 from circulants.errors import DimensionMismatchError, InvalidScalarError
-from circulants.oracle import faddeev_leverrier_exact
+from circulants.oracle import exact_det, exact_inverse, faddeev_leverrier_exact
 
 SEED = 0x5EED
 
@@ -173,14 +173,20 @@ def test_spectrum_then_reconstruct_is_identity():
         assert brandt_check([c]).holds
 
 
-def test_ambiguous_slot_assignment_raises():
-    from circulants import RootAssignmentError
-
-    # Two distinct rational eigenvalues closer than the 2e-6 ambiguity
-    # window: (1 +/- 1/20000000).  A silent wrong order is not allowed.
+def test_close_rational_eigenvalues_take_exact_slots():
+    # Two distinct rational eigenvalues 1 +/- 1/20000000, far closer than
+    # any float slot match could separate; the cyclotomic rule puts the
+    # coefficient sum in slot 1 and p(-1) in slot 2.
     c = rational_circ(1, F(1, 20_000_000))
-    with pytest.raises(RootAssignmentError):
-        integer_spectrum(c, mode="rational")
+    assert integer_spectrum(c, mode="rational").values == (
+        1 + F(1, 20_000_000),
+        1 - F(1, 20_000_000),
+    )
+
+
+def test_integer_spectrum_beyond_the_float_range():
+    big = F(10**400)
+    assert integer_spectrum(rational_circ(big, 1)).values == (big + 1, big - 1)
 
 
 def test_lattice_new_rejects_non_square():
@@ -420,3 +426,143 @@ def test_brandt_check_computes_pair_forms_once(monkeypatch):
     assert lattice.brandt_check(elements).holds
     # Three singles plus a + b and ab for each of the six unordered pairs.
     assert len(calls) == 3 + 2 * 6
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def orbit_constant_row(rng, n, magnitude):
+    """Integer row with c_k = v[gcd(k, n)] for random v of about this
+    magnitude, and its spectrum from the construction: slot j + 1 takes
+    sum_g v_g c_{n/g}(j), which depends only on gcd(j, n)."""
+    v = {g: int(rng.integers(-magnitude, magnitude + 1)) for g in divisors(n)}
+    row = [v[math.gcd(k, n)] for k in range(n)]
+    by_gcd = {h: sum(v_g * ramanujan_sum(n // g, h) for g, v_g in v.items()) for h in v}
+    return rational_circ(row), tuple(F(by_gcd[math.gcd(j, n)]) for j in range(n))
+
+
+@pytest.mark.parametrize("n, magnitude", ((12, 10**12), (12, 10**15), (30, 10**9)))
+def test_integer_spectrum_of_large_orbit_constant_rows(n, magnitude):
+    # These inputs defeated a float-seeded spectrum: it raised
+    # RootAssignmentError (1e12, n = 30) or called the row non-split (1e15).
+    rng = np.random.default_rng(SEED + n + magnitude % 997)
+    for _ in range(20):
+        c, spectrum = orbit_constant_row(rng, n, magnitude)
+        assert integer_spectrum(c).values == spectrum
+        assert integer_spectrum(c, mode="rational").values == spectrum
+
+
+@pytest.mark.parametrize("n", (256, 1024))
+def test_integer_spectrum_of_orbit_constant_rows_at_large_order(n):
+    rng = np.random.default_rng(SEED + n)
+    c, spectrum = orbit_constant_row(rng, n, 10**15)
+    assert integer_spectrum(c).values == spectrum
+    # Breaking the orbit symmetry once makes p(omega) non-real.
+    row = list(c.coeffs)
+    row[1] += 1
+    assert integer_spectrum(rational_circ(row), mode="rational") is None
+
+
+def split_by_deflation(monic, float_eigs, scale):
+    """The rational roots of the exact polynomial, with multiplicity, when
+    it splits over Q, else None.  Candidates k/scale come from the float
+    eigenvalues; each is confirmed by exact synthetic division."""
+    remaining = list(monic)
+    roots = []
+    for cand in sorted({F(round(lam.real * scale), scale) for lam in float_eigs}):
+        while len(remaining) > 1:
+            quotient = [remaining[0]]
+            for coeff in remaining[1:]:
+                quotient.append(coeff + cand * quotient[-1])
+            if quotient[-1] != 0:
+                break
+            roots.append(cand)
+            remaining = quotient[:-1]
+    return sorted(roots) if len(remaining) == 1 else None
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_integer_spectrum_matches_faddeev_leverrier_roots(n):
+    from circulants import eigenvalues
+
+    rng = np.random.default_rng(SEED + 100 + n)
+    rows = [
+        [int(v) for v in rng.integers(-3, 4, size=n)],
+        mixed_row(rng, n, 9, (1, 2, 3, 7, 10)),
+        galois_stable_row(n, divisor_values(rng, n))[0].coeffs,
+        galois_stable_row(n, divisor_values(rng, n, (1, 2, 3)))[0].coeffs,
+        [F(int(v), 2) for v in rng.integers(-3, 4, size=n)],
+    ]
+    for row in rows:
+        c = rational_circ(row)
+        float_eigs = eigenvalues(c.to_float()).as_array()
+        scale = math.lcm(*(x.denominator for x in c.coeffs))
+        roots = split_by_deflation(faddeev_leverrier_exact(c.to_exact_dense()), float_eigs, scale)
+        for mode in ("rational", "integral"):
+            got = integer_spectrum(c, mode=mode)
+            want = roots
+            if mode == "integral" and roots and any(r.denominator != 1 for r in roots):
+                want = None
+            if want is None:
+                assert got is None
+                continue
+            assert sorted(got.values) == want
+            assert all(abs(complex(v) - lam) <= 1e-9 for v, lam in zip(got.values, float_eigs))
+
+
+def random_grid(rng, n, denominators):
+    return [
+        [F(int(rng.integers(-4, 5)), int(rng.choice(denominators))) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_new_matches_fraction_elimination(n):
+    rng = np.random.default_rng(SEED + 200 + n)
+    for denominators in ((1,), (1, 2, 3, 5), (7, 10)):
+        for _ in range(10):
+            grid = random_grid(rng, n, denominators)
+            if exact_det(grid) == 0:
+                with pytest.raises(DependentBasisError):
+                    lattice_new(grid)
+                continue
+            basis = lattice_new(grid)
+            assert basis.det == exact_det(grid)
+            assert basis.inverse == exact_inverse(grid)
+        if n > 1:
+            singular = random_grid(rng, n, denominators)
+            singular[-1] = [2 * a for a in singular[0]]
+            assert exact_det(singular) == 0
+            with pytest.raises(DependentBasisError):
+                lattice_new(singular)
+
+
+def dense_first_row_product(x, y):
+    dx, dy = x.to_exact_dense(), y.to_exact_dense()
+    return tuple(sum(dx[0][t] * dy[t][j] for t in range(x.n)) for j in range(x.n))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sum_product_and_decomposition_match_dense_fractions(n):
+    rng = np.random.default_rng(SEED + 300 + n)
+    for _ in range(5):
+        x = rational_circ(mixed_row(rng, n, 9, (1, 2, 3, 7, 10)))
+        y = rational_circ(mixed_row(rng, n, 9, (1, 4, 5)))
+        assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+        assert (x * y).coeffs == dense_first_row_product(x, y)
+        assert all(type(v) is F for v in (x * y).coeffs + (x + y).coeffs)
+
+        grid = random_grid(rng, n, (1, 2, 3))
+        if exact_det(grid) == 0:
+            continue
+        inverse = exact_inverse(grid)
+        basis = lattice_new(grid)
+        for target in (x, rational_circ([int(v) for v in rng.integers(-5, 6, size=n)])):
+            want = tuple(
+                sum(target.coeffs[i] * inverse[i][j] for i in range(n)) for j in range(n)
+            )
+            solution = lattice_decompose(basis, target)
+            assert solution.coefficients == want
+            assert solution.member == all(a.denominator == 1 for a in want)
