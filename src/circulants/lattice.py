@@ -93,10 +93,7 @@ class RationalCirculant:
         if not isinstance(other, RationalCirculant):
             return NotImplemented
         _check_orders(self, other)
-        lx, x = _cleared(self.coeffs)
-        ly, y = _cleared(other.coeffs)
-        scale = lx * ly
-        return RationalCirculant(tuple(Fraction(a * ly + b * lx, scale) for a, b in zip(x, y)))
+        return RationalCirculant(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "RationalCirculant") -> "RationalCirculant":
         if not isinstance(other, RationalCirculant):
@@ -418,13 +415,14 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
     n = basis.n
     if target.n != n:
         raise DimensionMismatchError(f"target order {target.n} vs basis order {n}")
-    # With t = T/Lt, inverse = V/Lv and rows = R/Lr in integers, the
-    # coefficients are a = (T V)/(Lt Lv).
+    # target = t/lt, inverse = v/lv and rows = r/lr with t, v, r integral
+    # (v and r flattened row by row), so the coefficients are t v / (lt lv).
     lt, t = _cleared(target.coeffs)
     lv, v = _cleared([x for row in basis.inverse for x in row])
     lr, r = _cleared([x for row in basis.rows for x in row])
     nums = [sum(map(operator.mul, t, v[j::n])) for j in range(n)]
-    # Exact recombination a R/Lr = t must hold; zero tolerance.
+    # Exact recombination (coefficients times rows = target) must hold;
+    # zero tolerance.
     for j in range(n):
         if sum(map(operator.mul, nums, r[j::n])) != t[j] * lv * lr:
             raise ArithmeticError("exact decomposition failed to recombine")
