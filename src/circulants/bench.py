@@ -1,6 +1,6 @@
 """Multiplication benchmark: convolution vs spectral vs dense product,
-plus one whole ``circulants eig`` invocation run in process and the
-exact integer spectrum of an orbit-constant row.
+plus one whole ``circulants eig`` invocation run in process, the exact
+integer spectrum of an orbit-constant row and the sum ``x + y``.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -32,6 +32,8 @@ METHODS = ("naive", "spectral", "dense")
 CLI_EIG = "cli-eig"
 #: The row that times ``integer_spectrum`` of circ(n / gcd(k, n)), k = 0..n-1.
 INTEGER_SPECTRUM = "integer-spectrum"
+#: The row that times ``x + y`` on the two product inputs of each size.
+ADD = "add"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -97,6 +99,15 @@ def _integer_spectrum(n: int):
     return lambda: integer_spectrum(row), float(sum(abs(v) for v in spectrum.values))
 
 
+def _add(x: Circulant, y: Circulant) -> Circulant:
+    """x + y; raises BenchDisagreementError unless it equals the sum of
+    the two coefficient tuples, entry by entry in Python complex."""
+    total = x + y
+    if total != Circulant(tuple(a + b for a, b in zip(x.coeffs, y.coeffs))):
+        raise BenchDisagreementError(f"n={x.n}: x + y disagrees with the tuple sum")
+    return total
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -109,7 +120,7 @@ def _median_ns(fn, reps: int) -> int:
 def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
     the three products of x and y, then ``circulants eig`` on x, then the
-    exact spectrum of the orbit-constant row of that order."""
+    exact spectrum of the orbit-constant row of that order, then x + y."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError("every bench size must be >= 2")
@@ -134,6 +145,7 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
                 )
         cli_run, cli_checksum = _cli_eig(x)
         spectrum_run, spectrum_checksum = _integer_spectrum(n)
+        total = _add(x, y)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -141,4 +153,5 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         results.append(BenchResult(n, CLI_EIG, reps, _median_ns(cli_run, reps), cli_checksum))
         spectrum_ns = _median_ns(spectrum_run, reps)
         results.append(BenchResult(n, INTEGER_SPECTRUM, reps, spectrum_ns, spectrum_checksum))
+        results.append(BenchResult(n, ADD, reps, _median_ns(lambda: x + y, reps), _checksum(total)))
     return results

@@ -163,7 +163,7 @@ def _cmd_hopf_delta(args) -> int:
     payload = {
         "kind": "block_circulant",
         "n": delta.n,
-        "blocks": [format_complex_row(block.coeffs) for block in delta.blocks],
+        "blocks": [format_complex_row(block.array) for block in delta.blocks],
     }
     _write_text(args.output, dump_json(payload))
     return 0
@@ -205,7 +205,7 @@ def _cmd_mu_eig(args) -> int:
     payload = {
         "kind": "eigen",
         "n": doc.n,
-        "values": format_complex_row(eig.spectrum.values),
+        "values": format_complex_row(eig.spectrum.array),
         "vectors": [format_complex_row(column) for column in eig.vectors.T],
     }
     _write_text(args.output, dump_json(payload))

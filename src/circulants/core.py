@@ -14,30 +14,36 @@ Formulas in docstrings are 1-based like the literature; storage is
 weights, twisted coefficients, cocycle rows) stores its row as a tuple
 of Python complex numbers, validated by one vectorised rule,
 `_entries`, in its constructor; computed results go through the same
-constructors.
+constructors.  Circulants, spectra and the twisted values also keep the
+validated row as a read-only complex ndarray in their `array` field,
+which `==`, `hash` and `repr` ignore, so numpy work on a value starts
+from that array instead of rebuilding one from the tuple.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 
 
-def _entries(values) -> tuple[complex, ...]:
-    """A row of matrix entries as Python complex numbers: the one rule for
-    a valid entry, shared by every value type of the package.
+def _entries(values) -> tuple[tuple[complex, ...], np.ndarray]:
+    """A row of matrix entries as Python complex numbers and as a read-only
+    complex ndarray: the one rule for a valid entry, shared by every value
+    type of the package.
 
     Accepts any flat sequence or 1-D array of numbers: numpy numeric
     dtypes, or an object row (Fractions, Decimals, ints beyond int64,
     mixed types) whose every element is a numbers.Number, so that a
     string is never parsed as a number.  Each entry equals complex(v).
-    Raises InvalidOrderError on an empty row and InvalidScalarError on a
-    nested, ragged or non-numeric row, on an entry beyond the float range
-    and on a non-finite entry (one vectorised check).
+    The array never shares memory with the caller's, so mutating the
+    caller's array later leaves the value unchanged.  Raises
+    InvalidOrderError on an empty row and InvalidScalarError on a nested,
+    ragged or non-numeric row, on an entry beyond the float range and on a
+    non-finite entry (one vectorised check).
     """
     try:
         arr = np.asarray(values)
@@ -71,7 +77,14 @@ def _entries(values) -> tuple[complex, ...]:
     if np.count_nonzero(finite) != arr.size:
         slot = int(np.argmin(finite))
         raise InvalidScalarError(f"non-finite entry {arr[slot]} at index {slot}")
-    return tuple(arr.tolist())
+    # astype(copy=False) hands back the caller's own complex array.  A list
+    # or tuple never shares memory, and testing one would convert it again.
+    if arr is values or (
+        not isinstance(values, (list, tuple)) and np.may_share_memory(arr, values)
+    ):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return tuple(arr.tolist()), arr
 
 
 #: Order from which `x * y` takes the spectral product instead of the
@@ -84,12 +97,17 @@ SPECTRAL_MUL_MIN_ORDER = 12
 
 @dataclass(frozen=True)
 class Circulant:
-    """Immutable circulant matrix, stored as its first row."""
+    """Immutable circulant matrix, stored as its first row: `coeffs`, and
+    the same row as the read-only array `array`."""
 
     coeffs: tuple[complex, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _entries(self.coeffs))
+        _store(self, "coeffs", _entries(self.coeffs))
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @property
     def n(self) -> int:
@@ -99,7 +117,7 @@ class Circulant:
         """Expand to the full n x n array with entry (i, j) = c_{j-i+1 mod n}."""
         n = self.n
         shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return np.asarray(self.coeffs, dtype=complex)[shift]
+        return self.array[shift]
 
     def transpose(self) -> "Circulant":
         """circ(c_1, c_n, c_{n-1}, ..., c_2); matches the dense transpose."""
@@ -114,16 +132,16 @@ class Circulant:
         if not isinstance(other, Circulant):
             return NotImplemented
         _check_orders(self, other)
-        return Circulant(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Circulant(self.array + other.array)
 
     def __sub__(self, other: "Circulant") -> "Circulant":
         if not isinstance(other, Circulant):
             return NotImplemented
         _check_orders(self, other)
-        return Circulant(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Circulant(self.array - other.array)
 
     def __neg__(self) -> "Circulant":
-        return Circulant(tuple(-c for c in self.coeffs))
+        return Circulant(-self.array)
 
     def __mul__(self, other):
         """Circulant product, or scaling by a number.
@@ -148,11 +166,21 @@ class Circulant:
         return NotImplemented
 
     def scale(self, a) -> "Circulant":
-        (a,) = _entries((a,))
+        # Python complex products, not numpy's: numpy's complex multiply
+        # may fuse a multiply-add (FMA) and round the last bit differently,
+        # while +, - and unary - on the arrays equal the Python results.
+        (a,), _ = _entries((a,))
         return Circulant(tuple(a * c for c in self.coeffs))
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
+
+
+def _store(value, name: str, entries: tuple[tuple[complex, ...], np.ndarray]):
+    """Set a frozen value's row `name` and its `array` from `_entries`."""
+    row, arr = entries
+    object.__setattr__(value, name, row)
+    object.__setattr__(value, "array", arr)
 
 
 def _fmt(z: complex) -> str:
@@ -195,9 +223,10 @@ def fundamental(n: int) -> Circulant:
 
 
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:
-    """Coefficientwise a*x + b*y."""
+    """Coefficientwise a*x + b*y, in Python complex arithmetic (see
+    `Circulant.scale`)."""
     _check_orders(x, y)
-    a, b = _entries((a, b))
+    (a, b), _ = _entries((a, b))
     return Circulant(tuple(a * xc + b * yc for xc, yc in zip(x.coeffs, y.coeffs)))
 
 

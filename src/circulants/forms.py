@@ -105,7 +105,7 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
     """Power sums directly; elementary values by `_elementary`.  Raises
     InvalidScalarError when a power sum or a form leaves the float range."""
-    lam = spectrum.as_array()
+    lam = spectrum.array
     with np.errstate(over="ignore", invalid="ignore"):
         p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
     if not np.isfinite(p).all():
@@ -122,7 +122,7 @@ def forms(c: Circulant) -> FormsVector:
 def forms_of_spectrum(spectrum: Spectrum) -> FormsVector:
     """Forms of any element given its spectrum (shared with the twisted
     case); InvalidScalarError when a form leaves the float range."""
-    return FormsVector(q=_elementary(spectrum.as_array())[1:])
+    return FormsVector(q=_elementary(spectrum.array)[1:])
 
 
 def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
@@ -145,7 +145,7 @@ def conjugate(c: Circulant) -> Circulant:
     satisfies x*conj(x) = q_n(x)*1.  Raises InvalidScalarError when a
     mu_j leaves the float range.
     """
-    lam = eigenvalues(c).as_array()
+    lam = eigenvalues(c).array
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
     return from_spectrum(mu)
@@ -155,7 +155,7 @@ def _verdict(c: Circulant, threshold: float | None) -> tuple[InvertibilityVerdic
     """The verdict on c together with the spectrum it was read from."""
     if threshold is not None and not threshold >= 0:
         raise InvalidScalarError(f"threshold must be a non-negative number, got {threshold!r}")
-    lam = eigenvalues(c).as_array()
+    lam = eigenvalues(c).array
     mag = np.abs(lam)
     slot = int(mag.argmin())
     tol = SINGULAR_RTOL * float(mag.max()) if threshold is None else threshold

@@ -62,7 +62,7 @@ class BlockCirculant:
     def coefficient_tensor(self) -> np.ndarray:
         """T[a, b] = coefficient of P^b inside block a, so that the matrix
         is sum_{a,b} T[a, b] P^a (x) P^b (0-based powers)."""
-        return np.array([b.coeffs for b in self.blocks], dtype=complex)
+        return np.array([b.array for b in self.blocks])
 
 
 @dataclass(frozen=True)

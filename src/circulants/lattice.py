@@ -71,7 +71,11 @@ class RationalCirculant:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise InvalidOrderError("a circulant needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(_as_rational(c) for c in self.coeffs))
+        coeffs = tuple(self.coeffs)
+        # A row of exact Fractions, as `+` and `*` build, is kept as it is.
+        if set(map(type, coeffs)) != {Fraction}:
+            coeffs = tuple(map(_as_rational, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def n(self) -> int:
@@ -188,6 +192,41 @@ class IntegerSpectrum:
         return all(v.denominator == 1 for v in self.values)
 
 
+def _mobius(m: int) -> int:
+    """The Moebius function: (-1)^k when m is a product of k distinct
+    primes, else 0."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def _cyclotomic(d: int) -> list[int]:
+    """Phi_d as an ascending integer coefficient list: the product of
+    (x^e - 1)^mu(d/e) over the divisors e of d.  The binomials with
+    mu = +1 are multiplied in first, so every division by one with
+    mu = -1 is exact; each step is O(degree)."""
+    exponents = [(e, _mobius(d // e)) for e in range(1, d + 1) if d % e == 0]
+    phi = [1]
+    for e, mu in exponents:
+        if mu == 1:  # phi * (x^e - 1)
+            shifted = [-a for a in phi] + [0] * e
+            shifted[e:] = [a + b for a, b in zip(shifted[e:], phi)]
+            phi = shifted
+    for e, mu in exponents:
+        if mu == -1:  # phi / (x^e - 1): phi_k = q_{k-e} - q_k
+            q = [0] * (len(phi) - e)
+            for k in range(len(q)):
+                q[k] = (q[k - e] if k >= e else 0) - phi[k]
+            phi = q
+    return phi
+
+
 def _divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of f by the monic integer polynomial g, all
     as ascending coefficient lists; only g's nonzero terms are visited."""
@@ -212,8 +251,8 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     d-th root of unity, d = n / gcd(j-1, n), and all slots of one d share
     the value when it is rational.  For each divisor d the cleared row
     L*c is folded mod x^d - 1 and reduced mod the integer cyclotomic
-    polynomial Phi_d (built by exact division of x^d - 1 by Phi_e for
-    the divisors e < d).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
+    polynomial Phi_d (the product of binomials (x^e - 1)^mu(d/e), see
+    `_cyclotomic`).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
     of Q(zeta_d), those eigenvalues are rational exactly when the
     remainder is a constant r_d, and then each equals r_d / L.  Returns
     None when some remainder is not constant, or when mode='integral'
@@ -224,15 +263,9 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
         raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
     n = c.n
     scale, row = _cleared(c.coeffs)
-    cyclotomic: dict[int, list[int]] = {}
     value: dict[int, Fraction] = {}
     for d in (d for d in range(1, n + 1) if n % d == 0):
-        phi = [-1] + [0] * (d - 1) + [1]
-        for e, phi_e in cyclotomic.items():
-            if d % e == 0:
-                phi, _ = _divmod_monic(phi, phi_e)
-        cyclotomic[d] = phi
-        _, rem = _divmod_monic([sum(row[k::d]) for k in range(d)], phi)
+        _, rem = _divmod_monic([sum(row[k::d]) for k in range(d)], _cyclotomic(d))
         if any(rem[1:]):
             return None
         lam = Fraction(rem[0], scale)

@@ -14,19 +14,22 @@ prime factors.  With norm="forward" the unscaled inverse transform
 evaluates the representer at the omega powers, so lambda = ifft(c) and
 c = fft(lambda) carry no extra scaling pass.  The hand-rolled radix-2
 FFT and direct DFT live on in `oracle` as independent references.
-Transform outputs are built by the public constructors, Spectrum(array)
-and Circulant(array), so they pass the same vectorised entry check as
-user input.  Slot order is always j = 1..n; spectra are never sorted.
+Like every value, a Spectrum stores its row twice: as the tuple `values`
+of Python complex numbers and as the read-only ndarray `array`.  Each
+transform reads its operands' `array` and runs one FFT on it, and its
+output is built by the public constructors, Spectrum(array) and
+Circulant(array), so it passes the same vectorised entry check as user
+input.  Slot order is always j = 1..n; spectra are never sorted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _entries
+from .core import Circulant, _check_orders, _entries, _store
 
 
 @dataclass(frozen=True)
@@ -49,25 +52,30 @@ def fourier_context(n: int) -> FourierContext:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in slot order: values[j-1] = p_C(omega^(j-1))."""
+    """Eigenvalues in slot order: values[j-1] = p_C(omega^(j-1)), also
+    held as the read-only array `array`."""
 
     values: tuple[complex, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _entries(self.values))
+        _store(self, "values", _entries(self.values))
+
+    def __reduce__(self):
+        return type(self), (self.values,)
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        """A fresh, writable copy of `array`."""
+        return self.array.copy()
 
 
 def eigenvalues(c: Circulant) -> Spectrum:
     """All n eigenvalues lambda_j = p_C(omega^(j-1)), in slot order."""
-    coeffs = np.asarray(c.coeffs, dtype=complex)
-    return Spectrum(np.fft.ifft(coeffs, norm="forward"))
+    return Spectrum(np.fft.ifft(c.array, norm="forward"))
 
 
 def eigenvector(ctx: FourierContext, j: int) -> np.ndarray:
@@ -90,7 +98,7 @@ def eigenvector_matrix(n: int) -> np.ndarray:
 def to_diagonal(c: Circulant) -> np.ndarray:
     """The diagonal image diag(lambda_1, ..., lambda_n) of the isomorphism
     onto diagonal matrices; multiplicative and additive on circulants."""
-    return np.diag(eigenvalues(c).as_array())
+    return np.diag(eigenvalues(c).array)
 
 
 def from_spectrum(spectrum) -> Circulant:
@@ -99,7 +107,7 @@ def from_spectrum(spectrum) -> Circulant:
     Takes a Spectrum or any row of values that Spectrum accepts."""
     if not isinstance(spectrum, Spectrum):
         spectrum = Spectrum(spectrum)
-    return Circulant(np.fft.fft(spectrum.as_array(), norm="forward"))
+    return Circulant(np.fft.fft(spectrum.array, norm="forward"))
 
 
 def fast_mul(x: Circulant, y: Circulant) -> Circulant:
@@ -110,6 +118,4 @@ def fast_mul(x: Circulant, y: Circulant) -> Circulant:
     order `core.SPECTRAL_MUL_MIN_ORDER` on.
     """
     _check_orders(x, y)
-    fx = np.fft.fft(np.asarray(x.coeffs, dtype=complex))
-    fy = np.fft.fft(np.asarray(y.coeffs, dtype=complex))
-    return Circulant(np.fft.ifft(fx * fy))
+    return Circulant(np.fft.ifft(np.fft.fft(x.array) * np.fft.fft(y.array)))

@@ -24,11 +24,11 @@ mu_i = sigma^(i-1) for sigma = cos(pi/n) + i sin(pi/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _entries
+from .core import Circulant, _entries, _store
 from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
@@ -45,17 +45,22 @@ _WEIGHT_MATCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MuWeights:
-    """Full weight vector (mu_1, ..., mu_n) with mu_1 = 1, all nonzero."""
+    """Full weight vector (mu_1, ..., mu_n) with mu_1 = 1, all nonzero,
+    also held as the read-only array `array`."""
 
     mu: tuple[complex, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = _entries(self.mu)
+        mu, arr = _entries(self.mu)
         if mu[0] != 1:
             raise InvalidWeightsError(f"mu_1 must be exactly 1, got {mu[0]!r}")
         if any(m == 0 for m in mu):
             raise InvalidWeightsError("weights must be nonzero")
-        object.__setattr__(self, "mu", mu)
+        _store(self, "mu", (mu, arr))
+
+    def __reduce__(self):
+        return type(self), (self.mu,)
 
     @classmethod
     def from_tail(cls, tail) -> "MuWeights":
@@ -86,7 +91,7 @@ class TwoCocycle:
         for row in self.table:
             if len(row) != n:
                 raise InvalidCocycleError("cocycle table must be square")
-            entries = _entries(row)
+            entries, _ = _entries(row)
             if any(x == 0 for x in entries):
                 raise InvalidCocycleError("cocycle values must be nonzero")
             rows.append(entries)
@@ -99,17 +104,22 @@ class TwoCocycle:
 
 @dataclass(frozen=True)
 class MuCirculant:
-    """circ(c_1, ..., c_n; mu_2, ..., mu_n)."""
+    """circ(c_1, ..., c_n; mu_2, ..., mu_n); the coefficients are also
+    held as the read-only array `array`."""
 
     coeffs: tuple[complex, ...]
     weights: MuWeights
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _entries(self.coeffs))
+        _store(self, "coeffs", _entries(self.coeffs))
         if len(self.coeffs) != self.weights.n:
             raise DimensionMismatchError(
                 f"{len(self.coeffs)} coefficients but {self.weights.n} weights"
             )
+
+    def __reduce__(self):
+        return type(self), (self.coeffs, self.weights)
 
     @property
     def n(self) -> int:
@@ -174,8 +184,8 @@ def mu_to_dense(m: MuCirculant) -> np.ndarray:
     than going through floating division.
     """
     n = m.n
-    c = np.asarray(m.coeffs, dtype=complex)
-    mu = np.asarray(m.weights.mu, dtype=complex)
+    c = m.array
+    mu = m.weights.array
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     shift = (j - i) % n
@@ -217,8 +227,7 @@ class MuEigenDecomposition:
 def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
     """Closed-form eigen decomposition read off the entries."""
     spectrum = eigenvalues(psi(m))
-    mu = np.asarray(m.weights.mu, dtype=complex)
-    vectors = mu[:, None] * eigenvector_matrix(m.n)
+    vectors = m.weights.array[:, None] * eigenvector_matrix(m.n)
     return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
 
 

@@ -79,7 +79,7 @@ def core_suite(rng: np.random.Generator) -> list[OracleReport]:
                 worst_tr,
                 float(np.max(np.abs(x.transpose().to_dense() - x.to_dense().T))),
             )
-            worst_row = max(worst_row, float(np.max(np.abs(x.to_dense()[0] - np.asarray(x.coeffs)))))
+            worst_row = max(worst_row, float(np.max(np.abs(x.to_dense()[0] - x.array))))
             p = fundamental(n)
             acc = x.coeffs[0] * identity(n)
             power = identity(n)

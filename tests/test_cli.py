@@ -263,10 +263,10 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 15
+    assert len(lines) == 18
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
-    assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods
+    assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -443,4 +443,16 @@ def test_bench_integer_spectrum_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
     monkeypatch.setattr(bench, "integer_spectrum", lambda c, mode="integral": None)
     with pytest.raises(bench.BenchDisagreementError, match="integer_spectrum"):
+        bench.run_bench([4], reps=3)
+
+
+def test_bench_add_row_checks_before_timing(monkeypatch):
+    from circulants import Circulant, bench
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.ADD]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    monkeypatch.setattr(Circulant, "__add__", lambda x, y: Circulant(x.array - y.array))
+    with pytest.raises(bench.BenchDisagreementError, match="tuple sum"):
         bench.run_bench([4], reps=3)

@@ -43,3 +43,33 @@ def test_only_verify_and_bench_import_the_oracle():
 def test_oracle_imports_no_circulant_module():
     # The shared exception types are the one thing it may take.
     assert package_imports("oracle") <= {"errors"}
+
+
+
+def array_rebuilds(source: str) -> list[int]:
+    """Lines where this source calls np.asarray or np.array (or the
+    numpy. spelling) with a `.coeffs`, `.values` or `.mu` attribute as the row."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("asarray", "array")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr in ("coeffs", "values", "mu")
+    ]
+
+
+def test_values_are_not_rebuilt_from_their_tuples():
+    # Every value carries its validated row as the read-only `.array`;
+    # only the oracles, which stay independent of it, may rebuild one.
+    sample = "a = np.asarray(c.coeffs, dtype=complex)\nb = numpy.array(s.values)\nd = np.asarray(c.array)\n"
+    assert array_rebuilds(sample) == [1, 2]
+    found = {
+        name: array_rebuilds((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in sorted(MODULES - {"oracle"})
+    }
+    assert found == {name: [] for name in found}

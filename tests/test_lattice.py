@@ -49,6 +49,25 @@ def test_floats_are_rejected_in_exact_arithmetic():
         rational_circ(0.5, 0, 0)
 
 
+def test_rational_circulant_keeps_a_fraction_row_and_converts_any_other():
+    from circulants.lattice import RationalCirculant
+
+    row = (F(1, 2), F(-3))
+    assert all(a is b for a, b in zip(RationalCirculant(row).coeffs, row))
+    assert RationalCirculant([F(1, 2), F(-3)]).coeffs == row
+
+    class Half(F):
+        pass
+
+    for mixed in ((F(1, 2), -3), (Half(1, 2), F(-3)), ("1/2", np.int64(-3)), (True, F(2))):
+        c = RationalCirculant(mixed)
+        assert type(c.coeffs) is tuple and all(type(x) is F for x in c.coeffs)
+    assert RationalCirculant((Half(1, 2), F(-3))).coeffs == row
+    for bad in ((F(1, 2), 0.5), (F(1, 2), "x"), (F(1, 2), None)):
+        with pytest.raises(InvalidScalarError):
+            RationalCirculant(bad)
+
+
 def test_to_float_rejects_entries_beyond_float_range():
     assert rational_circ(F(1, 4), 2).to_float().coeffs == (0.25 + 0j, 2 + 0j)
     with pytest.raises(InvalidScalarError, match="beyond the float range"):
@@ -462,6 +481,43 @@ def test_integer_spectrum_of_orbit_constant_rows_at_large_order(n):
     row = list(c.coeffs)
     row[1] += 1
     assert integer_spectrum(rational_circ(row), mode="rational") is None
+
+
+@pytest.mark.parametrize("n", (2520, 5040))
+def test_integer_spectrum_of_the_order_row_at_highly_composite_order(n):
+    # c_k = n / gcd(k, n), the order of k in Z/n: slot j + 1 takes
+    # sum_g (n/g) c_{n/g}(j).  Many divisors, so many Phi_d to build.
+    by_gcd = {h: sum(n // g * ramanujan_sum(n // g, h) for g in divisors(n)) for h in divisors(n)}
+    c = rational_circ([n // math.gcd(k, n) for k in range(n)])
+    assert integer_spectrum(c).values == tuple(F(by_gcd[math.gcd(j, n)]) for j in range(n))
+
+
+def cyclotomic_by_division(limit):
+    """Phi_d for d <= limit, each from x^d - 1 divided exactly by every
+    Phi_e with e | d, e < d (ascending integer coefficient lists)."""
+    out = {}
+    for d in range(1, limit + 1):
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e in divisors(d)[:-1]:
+            g = out[e]
+            quotient = [0] * (len(phi) - len(g) + 1)
+            for top in range(len(quotient) - 1, -1, -1):
+                q = quotient[top] = phi[top + len(g) - 1]
+                for i, a in enumerate(g):
+                    phi[top + i] -= q * a
+            assert not any(phi)
+            phi = quotient
+        out[d] = phi
+    return out
+
+
+def test_cyclotomic_polynomials_from_binomials_match_division():
+    from circulants.lattice import _cyclotomic
+
+    reference = cyclotomic_by_division(400)
+    assert all(_cyclotomic(d) == phi for d, phi in reference.items())
+    # Phi_105, the first with a coefficient outside {-1, 0, 1}.
+    assert min(_cyclotomic(105)) == -2 and reference[105].count(-2) == 2
 
 
 def split_by_deflation(monic, float_eigs, scale):
