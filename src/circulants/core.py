@@ -83,7 +83,9 @@ def _entries(values) -> tuple[tuple[complex, ...], np.ndarray]:
         not isinstance(values, (list, tuple)) and np.may_share_memory(arr, values)
     ):
         arr = arr.copy()
-    arr.flags.writeable = False
+    # write=False, passed positionally: a third of the fixed cost of the
+    # keyword or `.flags.writeable` forms, which shows on short rows.
+    arr.setflags(False)
     return tuple(arr.tolist()), arr
 
 
@@ -104,7 +106,9 @@ class Circulant:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store(self, "coeffs", _entries(self.coeffs))
+        # Set through __dict__, which the frozen __setattr__ does not
+        # guard: a third of the cost of two object.__setattr__ calls.
+        self.__dict__["coeffs"], self.__dict__["array"] = _entries(self.coeffs)
 
     def __reduce__(self):
         return type(self), (self.coeffs,)
@@ -174,13 +178,6 @@ class Circulant:
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
-
-
-def _store(value, name: str, entries: tuple[tuple[complex, ...], np.ndarray]):
-    """Set a frozen value's row `name` and its `array` from `_entries`."""
-    row, arr = entries
-    object.__setattr__(value, name, row)
-    object.__setattr__(value, "array", arr)
 
 
 def _fmt(z: complex) -> str:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _entries, _store
+from .core import Circulant, _check_orders, _entries
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Spectrum:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store(self, "values", _entries(self.values))
+        self.__dict__["values"], self.__dict__["array"] = _entries(self.values)
 
     def __reduce__(self):
         return type(self), (self.values,)

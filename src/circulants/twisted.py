@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _entries, _store
+from .core import Circulant, _entries
 from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
@@ -57,7 +57,7 @@ class MuWeights:
             raise InvalidWeightsError(f"mu_1 must be exactly 1, got {mu[0]!r}")
         if any(m == 0 for m in mu):
             raise InvalidWeightsError("weights must be nonzero")
-        _store(self, "mu", (mu, arr))
+        self.__dict__["mu"], self.__dict__["array"] = mu, arr
 
     def __reduce__(self):
         return type(self), (self.mu,)
@@ -112,7 +112,7 @@ class MuCirculant:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _store(self, "coeffs", _entries(self.coeffs))
+        self.__dict__["coeffs"], self.__dict__["array"] = _entries(self.coeffs)
         if len(self.coeffs) != self.weights.n:
             raise DimensionMismatchError(
                 f"{len(self.coeffs)} coefficients but {self.weights.n} weights"
