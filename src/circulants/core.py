@@ -111,6 +111,7 @@ class Circulant:
         self.__dict__["coeffs"], self.__dict__["array"] = _entries(self.coeffs)
 
     def __reduce__(self):
+        # Rebuilt through the constructor: an unpickled array is writable.
         return type(self), (self.coeffs,)
 
     @property
