@@ -1,6 +1,7 @@
 """Multiplication benchmark: convolution vs spectral vs dense product,
 plus one whole ``circulants eig`` invocation run in process, the exact
-integer spectrum of an orbit-constant row and the sum ``x + y``.
+integer spectrum of an orbit-constant row, the sum ``x + y`` and the
+coproduct product ``block_mul(Delta x, Delta y)``.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -23,6 +24,7 @@ from .core import Circulant, mul_naive
 from .documents import MatrixDocument, document_to_obj, load_json, spectrum_from_obj
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
+from .hopf import block_mul, comultiplication
 from .lattice import integer_spectrum, rational_circ
 from .oracle import dense_mul
 from .spectral import eigenvalues, fast_mul
@@ -34,6 +36,8 @@ CLI_EIG = "cli-eig"
 INTEGER_SPECTRUM = "integer-spectrum"
 #: The row that times ``x + y`` on the two product inputs of each size.
 ADD = "add"
+#: The row that times ``block_mul(Delta x, Delta y)`` on the two product inputs.
+BLOCK_MUL = "block-mul"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -108,6 +112,21 @@ def _add(x: Circulant, y: Circulant) -> Circulant:
     return total
 
 
+def _block_mul(x: Circulant, y: Circulant):
+    """A call that multiplies Delta x by Delta y, and the checksum
+    sum |T[a, b]| over the product's coefficient tensor; raises
+    BenchDisagreementError unless the product is Delta(x * y) within
+    1e-9 * (1 + ||x|| ||y||)."""
+    dx, dy = comultiplication(x), comultiplication(y)
+    product = block_mul(dx, dy).coefficient_tensor()
+    deviation = float(np.max(np.abs(product - comultiplication(x * y).coefficient_tensor())))
+    if not deviation <= 1e-9 * (1.0 + x.norm_inf() * y.norm_inf()):
+        raise BenchDisagreementError(
+            f"n={x.n}: block_mul deviates from Delta(x * y) by {deviation:.3e}"
+        )
+    return lambda: block_mul(dx, dy), float(np.abs(product).sum())
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -120,7 +139,8 @@ def _median_ns(fn, reps: int) -> int:
 def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
     the three products of x and y, then ``circulants eig`` on x, then the
-    exact spectrum of the orbit-constant row of that order, then x + y."""
+    exact spectrum of the orbit-constant row of that order, then x + y,
+    then block_mul(Delta x, Delta y)."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError("every bench size must be >= 2")
@@ -146,6 +166,7 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         cli_run, cli_checksum = _cli_eig(x)
         spectrum_run, spectrum_checksum = _integer_spectrum(n)
         total = _add(x, y)
+        block_run, block_checksum = _block_mul(x, y)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -154,4 +175,6 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         spectrum_ns = _median_ns(spectrum_run, reps)
         results.append(BenchResult(n, INTEGER_SPECTRUM, reps, spectrum_ns, spectrum_checksum))
         results.append(BenchResult(n, ADD, reps, _median_ns(lambda: x + y, reps), _checksum(total)))
+        block_ns = _median_ns(block_run, reps)
+        results.append(BenchResult(n, BLOCK_MUL, reps, block_ns, block_checksum))
     return results

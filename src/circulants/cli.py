@@ -395,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = add(
         "bench",
         _cmd_bench,
-        "time naive vs spectral vs dense multiplication, an in-process eig"
-        " and an exact integer spectrum",
+        "time naive vs spectral vs dense multiplication, an in-process eig,"
+        " an exact integer spectrum, x + y and a coproduct product",
     )
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.

@@ -1,17 +1,27 @@
 """Hopf structure carried by the circulant algebra.
 
-The cyclic group algebra is a Hopf algebra on the basis e_1, ..., e_n
-with grouplike comultiplication; pushed onto circulants this gives
+The cyclic group algebra C[C_n] is a Hopf algebra on the basis
+e_1, ..., e_n with grouplike comultiplication Delta(e_g) = e_g (x) e_g.
+Pushed onto circulants (e_k = P^(k-1)) this gives
 
     counit      eps(C) = c_1 + ... + c_n,
     coproduct   Delta(C) = sum_k c_k P^(k-1) (x) P^(k-1),
     antipode    S(C) = C^T = circ(c_1, c_n, ..., c_2).
 
-Viewed as an n^2 x n^2 matrix, Delta(C) is the block circulant with
-circulant blocks circ(c_1 I, c_2 P, ..., c_n P^(n-1)), and its spectrum
-is the spectrum of C with every eigenvalue repeated n times.  Delta(C)
-is stored structurally as its n blocks; dense n^2 x n^2 expansion is for
-small-order verification only.
+Delta(C) lives in C[C_n x C_n] = C[C_n] (x) C[C_n], and this module
+computes with one form of its elements: the coefficient tensor T, where
+T[a, b] is the coefficient of P^a (x) P^b (0-based powers), so that
+Delta(C) has T = diag(c_1, ..., c_n).  The product of C[C_n x C_n] is
+the 2-D cyclic convolution of coefficient tensors, which the 2-D DFT
+diagonalises, and each axiom is a sum over T: (eps (x) id) Delta(C)
+sums T over its first index, and m(S (x) id) Delta(C) sums T along its
+wrapped diagonals.
+
+Viewed as an n^2 x n^2 matrix, the element with tensor T is the block
+circulant with circulant blocks B_k = circ(T[k]); for Delta(C) that is
+circ(c_1 I, c_2 P, ..., c_n P^(n-1)), whose spectrum is the spectrum of
+C with every eigenvalue repeated n times.  It is stored as its n
+blocks; dense n^2 x n^2 expansion is for small-order verification only.
 
 The factorization helpers decompose an arbitrary dense matrix uniquely
 as sum a[i][k] * E_ii * P^(k-1) (diagonal times circulant).
@@ -19,12 +29,13 @@ as sum a[i][k] * E_ii * P^(k-1) (diagonal times circulant).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, fundamental, identity, mul_naive
-from .errors import DimensionMismatchError, InvalidOrderError
+from .core import Circulant
+from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 
 
@@ -50,14 +61,13 @@ class BlockCirculant:
         return len(self.blocks)
 
     def expand(self) -> np.ndarray:
-        """Dense n^2 x n^2 form; O(n^4) memory, verification use only."""
+        """Dense n^2 x n^2 form; O(n^4) memory, verification use only.
+
+        Entry (i n + r, j n + s) is T[j - i mod n, s - r mod n]."""
         n = self.n
-        dense_blocks = [b.to_dense() for b in self.blocks]
-        out = np.zeros((n * n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i * n : (i + 1) * n, j * n : (j + 1) * n] = dense_blocks[(j - i) % n]
-        return out
+        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        dense = self.coefficient_tensor()[shift[:, None, :, None], shift[None, :, None, :]]
+        return dense.reshape(n * n, n * n)
 
     def coefficient_tensor(self) -> np.ndarray:
         """T[a, b] = coefficient of P^b inside block a, so that the matrix
@@ -72,20 +82,26 @@ class HopfReport:
     residual: float
 
 
+def _check_tol(tol: float):
+    """Raise InvalidScalarError unless tol is a non-negative number; a
+    negative or NaN tolerance would fail every check."""
+    if not tol >= 0:
+        raise InvalidScalarError(f"tolerance must be a non-negative number, got {tol!r}")
+
+
 def counit(c: Circulant) -> complex:
-    """eps(C) = c_1 + ... + c_n; multiplicative on circulants."""
-    return complex(sum(c.coeffs))
+    """eps(C) = c_1 + ... + c_n; multiplicative on circulants.  Raises
+    InvalidScalarError when the sum leaves the float range."""
+    eps = complex(sum(c.coeffs))
+    if not cmath.isfinite(eps):
+        raise InvalidScalarError("the counit leaves the float range")
+    return eps
 
 
 def comultiplication(c: Circulant) -> BlockCirculant:
-    """Delta(C) with blocks B_k = c_k * P^(k-1)."""
-    n = c.n
-    blocks = []
-    for k, ck in enumerate(c.coeffs):
-        row = [0.0 + 0.0j] * n
-        row[k] = ck
-        blocks.append(Circulant(tuple(row)))
-    return BlockCirculant(tuple(blocks))
+    """Delta(C), the element with coefficient tensor diag(c_1, ..., c_n):
+    blocks B_k = c_k * P^(k-1)."""
+    return BlockCirculant(tuple(map(Circulant, np.diag(c.array))))
 
 
 def antipode(c: Circulant) -> Circulant:
@@ -94,65 +110,52 @@ def antipode(c: Circulant) -> Circulant:
 
 
 def block_mul(a: BlockCirculant, b: BlockCirculant) -> BlockCirculant:
-    """Product of block circulants: cyclic convolution at the block level."""
+    """Product in C[C_n x C_n]: the 2-D cyclic convolution of the two
+    coefficient tensors, through the 2-D DFT."""
     if a.n != b.n:
         raise DimensionMismatchError(f"block orders differ: {a.n} vs {b.n}")
-    n = a.n
-    zero = Circulant((0.0 + 0.0j,) * n)
-    out = [zero] * n
-    for i, ai in enumerate(a.blocks):
-        for j, bj in enumerate(b.blocks):
-            k = (i + j) % n
-            out[k] = out[k] + mul_naive(ai, bj)
-    return BlockCirculant(tuple(out))
+    spectra = np.fft.fft2(a.coefficient_tensor()) * np.fft.fft2(b.coefficient_tensor())
+    return BlockCirculant(tuple(map(Circulant, np.fft.ifft2(spectra))))
 
 
 def delta_spectrum(c: Circulant) -> tuple[complex, ...]:
     """Spectrum of Delta(C): every eigenvalue of C with multiplicity n."""
-    values: list[complex] = []
-    for lam in eigenvalues(c).values:
-        values.extend([lam] * c.n)
-    return tuple(values)
+    return tuple(np.repeat(eigenvalues(c).array, c.n).tolist())
 
 
 def verify_counit_axiom(c: Circulant, tol: float = 1e-10) -> HopfReport:
-    """(eps (x) id) Delta(C) = C, i.e. sum_k c_k P^(k-1) reproduces C."""
-    n = c.n
-    p = fundamental(n)
-    power = identity(n)
-    acc = c.coeffs[0] * power
-    for k in range(1, n):
-        power = mul_naive(power, p)
-        acc = acc + c.coeffs[k] * power
-    residual = max(abs(a - b) for a, b in zip(acc.coeffs, c.coeffs))
+    """(eps (x) id) Delta(C) = C.  eps sends every P^a to 1, so the left
+    side is the coefficient tensor of Delta(C) summed over its first index.
+    Raises InvalidScalarError on a negative or NaN tol."""
+    _check_tol(tol)
+    t = comultiplication(c).coefficient_tensor()
+    residual = float(np.max(np.abs(t.sum(axis=0) - c.array)))
     return HopfReport("counit", residual <= tol, residual)
 
 
 def verify_antipode_axiom(c: Circulant, tol: float = 1e-10) -> HopfReport:
-    """S(C_(1)) C_(2) = eps(C) I, evaluated as sum_k c_k Q^(k-1) P^(k-1)
-    with Q = P^T the inverse shift."""
-    n = c.n
-    p = fundamental(n)
-    q = p.transpose()
-    p_power = identity(n)
-    q_power = identity(n)
-    acc = c.coeffs[0] * mul_naive(q_power, p_power)
-    for k in range(1, n):
-        p_power = mul_naive(p_power, p)
-        q_power = mul_naive(q_power, q)
-        acc = acc + c.coeffs[k] * mul_naive(q_power, p_power)
-    target = counit(c) * identity(n)
-    residual = max(abs(a - b) for a, b in zip(acc.coeffs, target.coeffs))
+    """S(C_(1)) C_(2) = eps(C) I.  S (x) id then m send P^a (x) P^b to
+    P^(b-a), so coefficient k of the left side is the sum of T[a, a+k mod n]
+    over a.  Raises InvalidScalarError on a negative or NaN tol and when
+    eps(C) leaves the float range."""
+    _check_tol(tol)
+    target = np.zeros(c.n, dtype=complex)
+    target[0] = counit(c)
+    # factorize_dense gathers T[a, a+k mod n] into row a, column k; the
+    # sum down the columns adds c_1, ..., c_n in the order counit does.
+    acc = factorize_dense(comultiplication(c).coefficient_tensor()).sum(axis=0)
+    residual = float(np.max(np.abs(acc - target)))
     return HopfReport("antipode", residual <= tol, residual)
 
 
 def integral_check(h: Circulant, tol: float = 1e-10) -> HopfReport:
     """The all-ones circulant absorbs multiplication: h * J = eps(h) * J,
-    equivalently eps(h) is an eigenvalue with eigenvector (1, ..., 1)."""
-    n = h.n
-    ones = Circulant((1.0 + 0.0j,) * n)
-    product = mul_naive(h, ones)
+    equivalently eps(h) is an eigenvalue with eigenvector (1, ..., 1).
+    Raises InvalidScalarError on a negative or NaN tol and when eps(h)
+    leaves the float range."""
+    _check_tol(tol)
     eps = counit(h)
+    product = h * Circulant((1.0 + 0.0j,) * h.n)
     residual = max(abs(a - eps) for a in product.coeffs) / (1.0 + h.norm_inf())
     return HopfReport("integral", residual <= tol, residual)
 
@@ -184,22 +187,17 @@ def reconstruct_factorization(grid: np.ndarray) -> np.ndarray:
     return grid[i, (j - i) % n]
 
 
-def _basis_delta_tensors(n: int) -> np.ndarray:
-    # D[a] is the coefficient tensor of Delta applied to the basis
-    # circulant with a single 1 in slot a.
-    out = np.zeros((n, n, n), dtype=complex)
-    for a in range(n):
-        row = [0.0 + 0.0j] * n
-        row[a] = 1.0 + 0.0j
-        out[a] = comultiplication(Circulant(tuple(row))).coefficient_tensor()
-    return out
-
-
 def coassociativity_tensors(c: Circulant) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tensors of (Delta (x) id) Delta(C) and (id (x) Delta) Delta(C)
-    in the P^a (x) P^b (x) P^c basis; coassociativity makes them equal."""
+    in the P^a (x) P^b (x) P^c basis; coassociativity makes them equal.
+
+    Delta(P^a) = P^a (x) P^a, so Delta (x) id moves T[a, b] to slot
+    (a, a, b) and id (x) Delta moves it to slot (a, b, b)."""
     t = comultiplication(c).coefficient_tensor()
-    basis = _basis_delta_tensors(c.n)
-    left = np.einsum("axy,ab->xyb", basis, t)
-    right = np.einsum("ab,bxy->axy", t, basis)
+    n = c.n
+    k = np.arange(n)
+    left = np.zeros((n, n, n), dtype=complex)
+    right = np.zeros((n, n, n), dtype=complex)
+    left[k, k, :] = t
+    right[:, k, k] = t
     return left, right

@@ -34,13 +34,18 @@ from .errors import (
     IncompatibleAlgebrasError,
     InvalidCocycleError,
     InvalidOrderError,
+    InvalidScalarError,
     InvalidWeightsError,
 )
 from .forms import FormsVector, forms_of_spectrum
-from .hopf import HopfReport
+from .hopf import HopfReport, _check_tol
 from .spectral import Spectrum, eigenvalues, eigenvector_matrix
 
 _WEIGHT_MATCH_TOL = 1e-12
+#: verify_cocycle takes tables whose entries have max(|re|, |im|) in this
+#: range: then each product of two entries, and the difference of two
+#: such products, is a finite normal float with full relative precision.
+_COCYCLE_ENTRY_RANGE = (2.0**-500, 2.0**500)
 
 
 @dataclass(frozen=True)
@@ -159,9 +164,21 @@ def cocycle_from_mu(weights: MuWeights) -> TwoCocycle:
 def verify_cocycle(f: TwoCocycle, tol: float = 1e-10) -> HopfReport:
     """Check normalization and the cocycle identity
     F(x,y) F(xy,z) = F(y,z) F(x,yz) over all n^3 triples; the reported
-    residual is the worst relative deviation."""
+    residual is the worst relative deviation.
+
+    Raises InvalidScalarError on a negative or NaN tol, and on a table with
+    an entry outside 2^-500 .. 2^500 in magnitude, whose products could
+    overflow or underflow and so give no verdict."""
+    _check_tol(tol)
     n = f.n
     t = f.table
+    lo, hi = _COCYCLE_ENTRY_RANGE
+    mags = [max(abs(z.real), abs(z.imag)) for row in t for z in row]
+    if min(mags) < lo or max(mags) > hi:
+        raise InvalidScalarError(
+            "cocycle entries must lie within 2^-500 .. 2^500 in magnitude,"
+            " so that their products stay in the float range"
+        )
     worst = 0.0
     for i in range(n):
         worst = max(worst, abs(t[0][i] - 1.0), abs(t[i][0] - 1.0))

@@ -263,10 +263,11 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 18
+    assert len(lines) == 21
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
+    assert (8, "block-mul") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -345,6 +346,41 @@ def test_inverse_rejects_negative_or_nan_tol(tmp_path, capsys, tol):
     code, out, err = run_cli(["inverse", "--tol", tol, "--input", path], capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "threshold" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _cocycle_doc(b):
+    one, big = ["1", "0"], [repr(b), "0"]
+    return {"kind": "cocycle", "n": 3, "table": [[one, one, one], [one, big, big], [one, big, big]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    (
+        ("hopf-counit", circulant_doc(1e308, 1e308)),
+        ("hopf-verify", circulant_doc(1e308, 1e308)),
+        ("cocycle-verify", _cocycle_doc(1e200)),
+        ("cocycle-verify", _cocycle_doc(1e-200)),
+    ),
+)
+def test_hopf_and_cocycle_beyond_float_range_exit_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ("-1", "nan"))
+@pytest.mark.parametrize(
+    "command, doc",
+    (("hopf-verify", circulant_doc(1, 2, 3)), ("cocycle-verify", _cocycle_doc(1.0))),
+)
+def test_verifiers_reject_negative_or_nan_tol(tmp_path, capsys, command, doc, tol):
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = run_cli([command, "--tol", tol, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tolerance" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -443,6 +479,18 @@ def test_bench_integer_spectrum_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
     monkeypatch.setattr(bench, "integer_spectrum", lambda c, mode="integral": None)
     with pytest.raises(bench.BenchDisagreementError, match="integer_spectrum"):
+        bench.run_bench([4], reps=3)
+
+
+def test_bench_block_mul_row_checks_before_timing(monkeypatch):
+    from circulants import bench
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.BLOCK_MUL]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    monkeypatch.setattr(bench, "block_mul", lambda a, b: a)
+    with pytest.raises(bench.BenchDisagreementError, match="block_mul"):
         bench.run_bench([4], reps=3)
 
 

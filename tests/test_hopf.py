@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ from circulants import (
     verify_antipode_axiom,
     verify_counit_axiom,
 )
-from circulants.errors import DimensionMismatchError
+from circulants.errors import DimensionMismatchError, InvalidScalarError
 from circulants.hopf import coassociativity_tensors
-from circulants.oracle import greedy_multiset_match
+from circulants.oracle import dense_mul, greedy_multiset_match
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -178,6 +180,21 @@ def test_antipode_axiom():
         assert report.holds and report.residual <= 1e-10
 
 
+def test_counit_beyond_float_range_raises():
+    big = circ(1e308, 1e308)
+    for check in (counit, verify_antipode_axiom, integral_check):
+        with pytest.raises(InvalidScalarError, match="float range"):
+            check(big)
+
+
+@pytest.mark.parametrize("tol", (-1.0, float("nan")))
+@pytest.mark.parametrize("check", (verify_counit_axiom, verify_antipode_axiom, integral_check))
+def test_verifiers_reject_negative_or_nan_tol(check, tol):
+    with pytest.raises(InvalidScalarError, match="tolerance"):
+        check(circ(1, 2, 3), tol)
+    assert check(circ(1, 2, 3), 0.0).holds
+
+
 def test_integral_element_examples():
     assert mul_naive(circ(2, 5), circ(1, 1)).coeffs == (7, 7)
     assert integral_check(circ(2, 5)).holds
@@ -195,9 +212,33 @@ def test_delta_is_algebra_map():
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + x.norm_inf() * y.norm_inf())
 
 
+def test_block_mul_matches_dense_product_of_general_block_circulants():
+    # Blocks with full rows, so the coefficient tensors are not diagonal.
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 9):
+        a = BlockCirculant(tuple(random_circulant(rng, n) for _ in range(n)))
+        b = BlockCirculant(tuple(random_circulant(rng, n) for _ in range(n)))
+        dense = dense_mul(a.expand(), b.expand())
+        scale = 1.0 + np.abs(a.expand()).sum(axis=1).max() * np.abs(b.expand()).sum(axis=1).max()
+        assert np.max(np.abs(block_mul(a, b).expand() - dense)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", (256, 1024))
+def test_delta_is_algebra_map_at_scale(n):
+    # The 2-D FFT's roundoff grows like eps * log n, not with n.
+    rng = np.random.default_rng(SEED)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    product = block_mul(comultiplication(x), comultiplication(y)).coefficient_tensor()
+    expected = comultiplication(x * y).coefficient_tensor()
+    bound = np.finfo(float).eps * math.log2(n) * (1.0 + x.norm_inf() * y.norm_inf())
+    assert np.max(np.abs(product - expected)) <= bound
+    assert verify_counit_axiom(x).residual == 0.0
+    assert verify_antipode_axiom(x).residual == 0.0
+
+
 def test_coassociativity_exact():
     rng = np.random.default_rng(SEED)
-    for n in (1, 2, 3, 5, 8):
+    for n in (1, 2, 3, 5, 8, 64):
         c = random_circulant(rng, n)
         left, right = coassociativity_tensors(c)
         assert np.array_equal(left, right)

@@ -23,6 +23,7 @@ from circulants import (
     verify_cocycle,
 )
 from circulants.core import SPECTRAL_MUL_MIN_ORDER
+from circulants.errors import InvalidScalarError
 from circulants.twisted import TwoCocycle
 from circulants.verify import random_circulant, random_real_circulant
 
@@ -99,6 +100,23 @@ def test_perturbed_table_fails_cocycle_identity():
     report = verify_cocycle(TwoCocycle(tuple(tuple(row) for row in table)))
     assert not report.holds
     assert 0.05 <= report.residual <= 0.15
+
+
+@pytest.mark.parametrize("b", (1e200, 1e-200))
+def test_cocycle_products_beyond_float_range_raise(b):
+    # Not a cocycle: F(e_2, e_2) F(e_3, e_3) = b^2 but F(e_2, e_3) F(e_2, e_1) = b.
+    # Its products overflow (inf - inf is nan) or underflow to 0.
+    table = TwoCocycle(((1, 1, 1), (1, b, b), (1, b, b)))
+    with pytest.raises(InvalidScalarError, match="float range"):
+        verify_cocycle(table)
+
+
+@pytest.mark.parametrize("tol", (-1.0, float("nan")))
+def test_verify_cocycle_rejects_negative_or_nan_tol(tol):
+    table = cocycle_from_mu(_weights(1j, -1.0))
+    with pytest.raises(InvalidScalarError, match="tolerance"):
+        verify_cocycle(table, tol)
+    assert verify_cocycle(table, 0.0).residual >= 0.0
 
 
 def test_mu_to_dense_order3_pattern():
