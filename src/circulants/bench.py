@@ -26,7 +26,6 @@ from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
 from .hopf import block_mul, comultiplication
 from .lattice import integer_spectrum, rational_circ
-from .oracle import dense_mul
 from .spectral import eigenvalues, fast_mul
 
 METHODS = ("naive", "spectral", "dense")
@@ -43,6 +42,8 @@ BLOCK_MUL = "block-mul"
 class BenchDisagreementError(CirculantError, ArithmeticError):
     """The multiplication paths disagreed; no timings were produced."""
 
+    exit_code = 1
+
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -54,8 +55,7 @@ class BenchResult:
 
 
 def _dense_method(x: Circulant, y: Circulant) -> Circulant:
-    product = dense_mul(x.to_dense(), y.to_dense())
-    return Circulant(tuple(product[0].tolist()))
+    return Circulant((x.to_dense() @ y.to_dense())[0])
 
 
 def _checksum(c: Circulant) -> float:

@@ -1,23 +1,31 @@
 """Command-line front end.
 
 Matrix documents (JSON) come from --input or stdin, results go to
---output or stdout.  Exit codes: 0 success, 1 domain failure (singular
-matrix, non-member target, failed verification, benchmark disagreement),
-2 malformed input or usage error, 3 internal error (any other exception:
-a defect in this package, reported on one line of stderr rather than as
-a traceback, so that it is never mistaken for a domain verdict).
+--output or stdout.  Every handler returns its result and exit code, and
+`main` writes the result in one place: nothing is written when the
+handler raises.  Exit codes: 0 success, 1 domain failure (failed
+verification, non-member target, or an error type that declares exit
+status 1: singular matrix, dependent or non-integral basis, unassignable
+roots, benchmark disagreement), 2 malformed input or usage error (every
+other `CirculantError`, as each type declares through its ``exit_code``,
+and any OSError), 3 internal error (any other exception: a defect in
+this package, reported on one line of stderr rather than as a
+traceback, so that it is never mistaken for a domain verdict).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import hopf, lattice, spectral, twisted
-from .bench import BenchDisagreementError, run_bench
+from .bench import run_bench
 from .fixtures import DEFAULT_SEED
 from .forms import char_poly_of_forms, forms_of_spectrum
 from .forms import conjugate as conjugate_of
@@ -37,38 +45,8 @@ from .documents import (
     spectrum_from_obj,
     spectrum_to_obj,
 )
-from .errors import (
-    DependentBasisError,
-    DimensionMismatchError,
-    IncompatibleAlgebrasError,
-    InvalidCocycleError,
-    InvalidOrderError,
-    InvalidScalarError,
-    InvalidVectorError,
-    InvalidWeightsError,
-    NotIntegralBasisError,
-    RootAssignmentError,
-    SingularMatrixError,
-)
+from .errors import CirculantError
 from .verify import run_all
-
-_USAGE_ERRORS = (
-    DocumentError,
-    DimensionMismatchError,
-    InvalidOrderError,
-    InvalidScalarError,
-    InvalidVectorError,
-    InvalidWeightsError,
-    InvalidCocycleError,
-    IncompatibleAlgebrasError,
-)
-_DOMAIN_ERRORS = (
-    SingularMatrixError,
-    DependentBasisError,
-    NotIntegralBasisError,
-    RootAssignmentError,
-    BenchDisagreementError,
-)
 
 
 def _read_text(path: str) -> str:
@@ -101,17 +79,16 @@ def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
     if doc.kind in ("circulant", "rational_circulant"):
         return spectral.eigenvalues(doc.to_circulant())
     if doc.kind in ("mu_circulant", "skew_circulant"):
-        return twisted.mu_eigen(doc.to_mu_circulant()).spectrum
+        return spectral.eigenvalues(twisted.psi(doc.to_mu_circulant()))
     raise DocumentError("kind", f"no spectrum for kind {doc.kind}")
 
 
-def _cmd_eig(args) -> int:
+def _cmd_eig(args) -> tuple[dict | list | str, int]:
     values = _spectrum_of(_single_document(args)).values
-    _write_text(args.output, dump_json(spectrum_to_obj(values)))
-    return 0
+    return spectrum_to_obj(values), 0
 
 
-def _cmd_forms(args) -> int:
+def _cmd_forms(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
         q: tuple = lattice.forms_exact(doc.to_rational_circulant())
@@ -119,11 +96,10 @@ def _cmd_forms(args) -> int:
     else:
         q = forms_of_spectrum(_spectrum_of(doc)).q
         encoded = format_complex_row(q)
-    _write_text(args.output, dump_json({"kind": "forms", "n": doc.n, "q": encoded}))
-    return 0
+    return {"kind": "forms", "n": doc.n, "q": encoded}, 0
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
         monic: tuple = lattice.exact_char_poly(doc.to_rational_circulant())
@@ -131,33 +107,29 @@ def _cmd_charpoly(args) -> int:
     else:
         coeffs = char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc)))
         encoded = format_complex_row(coeffs)
-    payload = {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}, 0
 
 
-def _cmd_inverse(args) -> int:
+def _circulant_result(c) -> tuple[dict | list | str, int]:
+    return document_to_obj(MatrixDocument.from_circulant(c)), 0
+
+
+def _cmd_inverse(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    inv = inverse_of(c, threshold=args.tol)
-    _write_text(args.output, dump_json(document_to_obj(MatrixDocument.from_circulant(inv))))
-    return 0
+    return _circulant_result(inverse_of(c, threshold=args.tol))
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    conj = conjugate_of(c)
-    _write_text(args.output, dump_json(document_to_obj(MatrixDocument.from_circulant(conj))))
-    return 0
+    return _circulant_result(conjugate_of(c))
 
 
-def _cmd_hopf_counit(args) -> int:
+def _cmd_hopf_counit(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    payload = {"kind": "scalar", "value": format_complex(hopf.counit(c))}
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return {"kind": "scalar", "value": format_complex(hopf.counit(c))}, 0
 
 
-def _cmd_hopf_delta(args) -> int:
+def _cmd_hopf_delta(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
     delta = hopf.comultiplication(c)
     payload = {
@@ -165,27 +137,25 @@ def _cmd_hopf_delta(args) -> int:
         "n": delta.n,
         "blocks": [format_complex_row(block.array) for block in delta.blocks],
     }
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_hopf_antipode(args) -> int:
+def _cmd_hopf_antipode(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    out = hopf.antipode(c)
-    _write_text(args.output, dump_json(document_to_obj(MatrixDocument.from_circulant(out))))
-    return 0
+    return _circulant_result(hopf.antipode(c))
 
 
-def _report_payload(reports) -> dict:
-    return {
+def _report_result(reports) -> tuple[dict | list | str, int]:
+    payload = {
         "kind": "report",
         "checks": [
             {"name": r.axiom, "holds": r.holds, "residual": r.residual} for r in reports
         ],
     }
+    return payload, 0 if all(r.holds for r in reports) else 1
 
 
-def _cmd_hopf_verify(args) -> int:
+def _cmd_hopf_verify(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
     tol = args.tol if args.tol is not None else 1e-10
     reports = [
@@ -193,11 +163,10 @@ def _cmd_hopf_verify(args) -> int:
         hopf.verify_antipode_axiom(c, tol),
         hopf.integral_check(c, tol),
     ]
-    _write_text(args.output, dump_json(_report_payload(reports)))
-    return 0 if all(r.holds for r in reports) else 1
+    return _report_result(reports)
 
 
-def _cmd_mu_eig(args) -> int:
+def _cmd_mu_eig(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind not in ("mu_circulant", "skew_circulant"):
         raise DocumentError("kind", f"mu-eig expects mu_circulant or skew_circulant, got {doc.kind}")
@@ -208,11 +177,10 @@ def _cmd_mu_eig(args) -> int:
         "values": format_complex_row(eig.spectrum.array),
         "vectors": [format_complex_row(column) for column in eig.vectors.T],
     }
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_cocycle_verify(args) -> int:
+def _cmd_cocycle_verify(args) -> tuple[dict | list | str, int]:
     raw = load_json(_read_text(args.input))
     tol = args.tol if args.tol is not None else 1e-10
     if isinstance(raw, dict) and raw.get("kind") == "cocycle":
@@ -235,20 +203,18 @@ def _cmd_cocycle_verify(args) -> int:
             raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
         cocycle = twisted.cocycle_from_mu(doc.to_mu_circulant().weights)
     report = twisted.verify_cocycle(cocycle, tol)
-    _write_text(args.output, dump_json(_report_payload([report])))
-    return 0 if report.holds else 1
+    return _report_result([report])
 
 
-def _cmd_skew(args) -> int:
+def _cmd_skew(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind != "skew_circulant":
         raise DocumentError("kind", f"skew expects a skew_circulant document, got {doc.kind}")
     m = doc.to_mu_circulant()
-    _write_text(args.output, dump_json(document_to_obj(MatrixDocument.from_mu_circulant(m))))
-    return 0
+    return document_to_obj(MatrixDocument.from_mu_circulant(m)), 0
 
 
-def _cmd_brandt_check(args) -> int:
+def _cmd_brandt_check(args) -> tuple[dict | list | str, int]:
     docs = _input_documents(args)
     elements = [d.to_rational_circulant() for d in docs]
     verdict = lattice.brandt_check(elements, mode=args.mode)
@@ -261,11 +227,10 @@ def _cmd_brandt_check(args) -> int:
             "form_index": ce.form_index,
             "value": format_rational(ce.value),
         }
-    _write_text(args.output, dump_json(payload))
-    return 0 if verdict.holds else 1
+    return payload, 0 if verdict.holds else 1
 
 
-def _cmd_spectrum_reconstruct(args) -> int:
+def _cmd_spectrum_reconstruct(args) -> tuple[dict | list | str, int]:
     obj = load_json(_read_text(args.input))
     values = spectrum_from_obj(obj)
     if not all(isinstance(v, Fraction) for v in values):
@@ -276,11 +241,10 @@ def _cmd_spectrum_reconstruct(args) -> int:
         "real": result.real,
         "circulant": document_to_obj(MatrixDocument.from_circulant(result.circulant)),
     }
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_lattice_solve(args) -> int:
+def _cmd_lattice_solve(args) -> tuple[dict | list | str, int]:
     docs = _input_documents(args)
     if len(docs) != 2:
         raise DocumentError(
@@ -295,11 +259,10 @@ def _cmd_lattice_solve(args) -> int:
         "coefficients": [format_rational(a) for a in solution.coefficients],
         "member": solution.member,
     }
-    _write_text(args.output, dump_json(payload))
-    return 0 if solution.member else 1
+    return payload, 0 if solution.member else 1
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     grid = hopf.factorize_dense(doc.to_complex_grid())
     payload = {
@@ -307,11 +270,10 @@ def _cmd_factorize(args) -> int:
         "n": doc.n,
         "grid": [format_complex_row(row) for row in grid],
     }
-    _write_text(args.output, dump_json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> tuple[dict | list | str, int]:
     reports = run_all(seed=args.seed)
     lines = []
     for r in reports:
@@ -319,29 +281,15 @@ def _cmd_verify_all(args) -> int:
         lines.append(f"{status} {r.name} max_dev={r.max_deviation:.3e}")
     passed = sum(1 for r in reports if r.passed)
     lines.append(f"{passed}/{len(reports)} invariant checks passed (seed {args.seed:#x})")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0 if passed == len(reports) else 1
+    return "\n".join(lines) + "\n", 0 if passed == len(reports) else 1
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[dict | list | str, int]:
     try:
         results = run_bench(args.sizes, args.reps, seed=args.seed)
     except ValueError as exc:
         raise DocumentError("bench", str(exc)) from None
-    lines = [
-        json.dumps(
-            {
-                "n": r.n,
-                "method": r.method,
-                "reps": r.reps,
-                "median_ns": r.median_ns,
-                "checksum": r.checksum,
-            }
-        )
-        for r in results
-    ]
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    return "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results), 0
 
 
 def _seed(text: str) -> int:
@@ -407,26 +355,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return
-    its exit code: 0 success, 1 domain failure, 2 usage error or malformed
-    input, 3 internal error.  Errors go to stderr as one line.  The
-    argument parser is built on the first call and reused by every later
-    call in the same process."""
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``), write its
+    result to --output and return its exit code: 0 success, 1 domain
+    failure, 2 usage error or malformed input (a `CirculantError` exits
+    with the status its type declares), 3 internal error.  Errors go to
+    stderr as one line.  The argument parser is built on the first call
+    and reused by every later call in the same process."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
-    except _USAGE_ERRORS as exc:
+        # Once per invocation, not in the spectral hot path: a result that
+        # leaves the float range raises one typed error, without numpy's
+        # RuntimeWarning lines on stderr before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result, code = args.handler(args)
+        _write_text(args.output, result if isinstance(result, str) else dump_json(result))
+        return code
+    except CirculantError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)

@@ -185,7 +185,8 @@ def _fmt(z: complex) -> str:
     return repr(z.real) if z.imag == 0 else repr(z)
 
 
-def _check_orders(x: Circulant, y: Circulant):
+def _check_orders(x, y):
+    """Raise unless the two values (of any kind with an order n) agree."""
     if x.n != y.n:
         raise DimensionMismatchError(f"orders differ: {x.n} vs {y.n}")
 

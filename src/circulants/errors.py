@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type declares the exit status that `circulants` returns when it
+escapes a command, as the class attribute ``exit_code``: 2 (malformed
+input or usage error) unless the type overrides it with 1 (a domain
+failure: the input is well formed but has no answer, such as a singular
+matrix or a dependent basis).
+"""
 
 
 class CirculantError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidOrderError(CirculantError, ValueError):
@@ -28,6 +37,8 @@ class SingularMatrixError(CirculantError, ArithmeticError):
     polynomial vanishes at the n-th root of unity omega^(j-1), when known.
     """
 
+    exit_code = 1
+
     def __init__(self, message: str, witness: int | None = None):
         super().__init__(message)
         self.witness = witness
@@ -48,10 +59,16 @@ class IncompatibleAlgebrasError(CirculantError, ValueError):
 class DependentBasisError(CirculantError, ValueError):
     """Proposed lattice basis rows are linearly dependent."""
 
+    exit_code = 1
+
 
 class NotIntegralBasisError(CirculantError, ValueError):
     """Operation requires a basis whose exact inverse is integral."""
 
+    exit_code = 1
+
 
 class RootAssignmentError(CirculantError, ArithmeticError):
     """Exact roots could not be unambiguously matched to eigenvalue slots."""
+
+    exit_code = 1

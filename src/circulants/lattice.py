@@ -37,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Circulant
+from .core import Circulant, _check_orders
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
@@ -107,11 +107,6 @@ class RationalCirculant:
         ly, y = _cleared(other.coeffs)
         scale = lx * ly
         return RationalCirculant(tuple(Fraction(v, scale) for v in _convolve(_support(x), y)))
-
-
-def _check_orders(x: RationalCirculant, y: RationalCirculant):
-    if x.n != y.n:
-        raise DimensionMismatchError(f"orders differ: {x.n} vs {y.n}")
 
 
 def rational_circ(*coeffs) -> RationalCirculant:

@@ -25,7 +25,6 @@ input.  Slot order is always j = 1..n; spectra are never sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class FourierContext:
         return np.asarray(self.powers, dtype=complex)
 
 
-@lru_cache(maxsize=None)
 def fourier_context(n: int) -> FourierContext:
     powers = np.exp(2j * np.pi * np.arange(n) / n)
     return FourierContext(n=n, omega=complex(powers[min(1, n - 1)]), powers=tuple(powers.tolist()))

@@ -260,4 +260,4 @@ def skew_circ(coeffs) -> MuCirculant:
 def mu_forms(m: MuCirculant) -> FormsVector:
     """Forms q_i = s_i(lambda_1, ..., lambda_n) of a twisted element;
     q_1 = n c_1 is still the trace and q_n the determinant."""
-    return forms_of_spectrum(mu_eigen(m).spectrum)
+    return forms_of_spectrum(eigenvalues(psi(m)))

@@ -1,10 +1,14 @@
 import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from circulants import bench, documents
 from circulants.cli import main
+from circulants.errors import CirculantError
 
 
 def run_cli(args, stdin_text="", capsys=None, monkeypatch=None):
@@ -504,3 +508,91 @@ def test_bench_add_row_checks_before_timing(monkeypatch):
     monkeypatch.setattr(Circulant, "__add__", lambda x, y: Circulant(x.array - y.array))
     with pytest.raises(bench.BenchDisagreementError, match="tuple sum"):
         bench.run_bench([4], reps=3)
+
+
+_DOMAIN_ERROR_TYPES = {
+    "SingularMatrixError",
+    "DependentBasisError",
+    "NotIntegralBasisError",
+    "RootAssignmentError",
+    "BenchDisagreementError",
+}
+
+
+def _error_types(cls=CirculantError) -> list[type]:
+    return [cls] + [t for sub in cls.__subclasses__() for t in _error_types(sub)]
+
+
+def test_every_error_type_declares_its_exit_status():
+    # documents and bench define DocumentError and BenchDisagreementError.
+    assert documents.DocumentError in _error_types() and bench.BenchDisagreementError in _error_types()
+    found = {t.__name__: t.exit_code for t in _error_types()}
+    assert found == {name: 1 if name in _DOMAIN_ERROR_TYPES else 2 for name in found}
+
+
+@pytest.mark.parametrize("error_type", _error_types(), ids=lambda t: t.__name__)
+def test_main_exits_with_the_status_the_error_type_declares(tmp_path, capsys, monkeypatch, error_type):
+    def failing(c, threshold=None):
+        raise error_type("field", "boom") if error_type is documents.DocumentError else error_type("boom")
+
+    monkeypatch.setattr("circulants.cli.inverse_of", failing)
+    path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
+    code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
+    assert code == error_type.exit_code and out == ""
+    assert err.startswith("error:") and "boom" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, expected", ((circulant_doc(1, 1, 0, 0), 1), ({"kind": "circulant", "n": 2}, 2))
+)
+def test_failing_command_creates_no_output_file(tmp_path, capsys, doc, expected):
+    path = write(tmp_path, "in.json", doc)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(["inverse", "--input", path, "--output", str(target)], capsys=capsys)
+    assert code == expected and out == "" and err.startswith("error:")
+    assert not target.exists()
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(["eig", "--input", path, "--output", str(target)], capsys=capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    (
+        # The spectrum (2e308, 0) leaves the float range in the transform.
+        ("eig", circulant_doc(1e308, 1e308)),
+        # The counit is 0, but the integral check's product overflows in fft.
+        ("hopf-verify", circulant_doc(1e308, -1e308, *([0] * 10))),
+    ),
+)
+def test_overflow_exits_2_with_one_stderr_line_and_no_warning(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert np.geterr() == before
+
+
+def test_twisted_eig_builds_no_n_by_n_matrix(capsys, monkeypatch):
+    # The eigenvector matrix of a skew circulant takes 64 MB at n = 2048;
+    # its spectrum needs only the untwisted row.
+    n = 2048
+    row = np.random.default_rng(7).standard_normal(n)
+    doc = {"kind": "skew_circulant", "n": n, "first_row": [[repr(float(x)), "0.0"] for x in row]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    tracemalloc.start()
+    try:
+        code = main(["eig"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(capsys.readouterr().out)["values"]) == n
+    assert peak < 4e6

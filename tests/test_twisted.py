@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,18 @@ def test_mu_forms_trace_and_determinant():
         assert q.q[0] == pytest.approx(n * m.coeffs[0], abs=1e-10 * (1 + abs(m.coeffs[0]) * n))
         det = np.linalg.det(mu_to_dense(m))
         assert abs(q.q[-1] - det) <= 1e-8 * (1.0 + abs(det))
+
+
+def test_mu_forms_builds_no_n_by_n_matrix():
+    # scirc(1, 0, ..., 0) is the identity: every eigenvalue is 1 and
+    # q_k = binomial(n, k).  The eigenvector matrix alone would take 4 MB.
+    n = 512
+    m = skew_circ([1.0] + [0.0] * (n - 1))
+    tracemalloc.start()
+    try:
+        q = mu_forms(m).q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert q[:3] == (512, 130816, 22238720) and q[-1] == 1
