@@ -186,7 +186,8 @@ def _fmt(z: complex) -> str:
 
 
 def _check_orders(x, y):
-    """Raise unless the two values (of any kind with an order n) agree."""
+    """Raise DimensionMismatchError unless x and y, circulants of any
+    kind, have the same order n."""
     if x.n != y.n:
         raise DimensionMismatchError(f"orders differ: {x.n} vs {y.n}")
 
