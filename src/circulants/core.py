@@ -10,30 +10,30 @@ c_1 e_1 + ... + c_n e_n of the cyclic group algebra with basis products
 e_i e_j = e_{i+j-1}.
 
 Formulas in docstrings are 1-based like the literature; storage is
-0-based.  Every value of the package (circulant, spectrum, twist
-weights, twisted coefficients, cocycle rows) stores its row as a tuple
-of Python complex numbers, validated by one vectorised rule,
-`_entries`, in its constructor; computed results go through the same
-constructors.  Circulants, spectra and the twisted values also keep the
-validated row as a read-only complex ndarray in their `array` field,
-which `==`, `hash` and `repr` ignore, so numpy work on a value starts
-from that array instead of rebuilding one from the tuple.
+0-based.  Every row value of the package (circulant, spectrum, twist
+weights, twisted coefficients) stores one thing: its row as a read-only
+complex ndarray `array`, validated by one vectorised rule, `_entries`,
+in its constructor; computed results go through the same constructors.
+numpy work on a value starts from that array.  The public tuple of
+Python complex numbers (`coeffs`, `values`, `mu`) is built from the
+array on first read and cached, so a value that is only transformed
+never builds it.  `==` compares the arrays and `hash` is the hash of
+the tuple.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 
 
-def _entries(values) -> tuple[tuple[complex, ...], np.ndarray]:
-    """A row of matrix entries as Python complex numbers and as a read-only
-    complex ndarray: the one rule for a valid entry, shared by every value
-    type of the package.
+def _entries(values) -> np.ndarray:
+    """A row of matrix entries as a read-only complex ndarray: the one rule
+    for a valid entry, shared by every value type of the package.
 
     Accepts any flat sequence or 1-D array of numbers: numpy numeric
     dtypes, or an object row (Fractions, Decimals, ints beyond int64,
@@ -86,7 +86,7 @@ def _entries(values) -> tuple[tuple[complex, ...], np.ndarray]:
     # write=False, passed positionally: a third of the fixed cost of the
     # keyword or `.flags.writeable` forms, which shows on short rows.
     arr.setflags(False)
-    return tuple(arr.tolist()), arr
+    return arr
 
 
 #: Order from which `x * y` takes the spectral product instead of the
@@ -97,26 +97,65 @@ def _entries(values) -> tuple[tuple[complex, ...], np.ndarray]:
 SPECTRAL_MUL_MIN_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Circulant:
-    """Immutable circulant matrix, stored as its first row: `coeffs`, and
-    the same row as the read-only array `array`."""
+class _RowValue:
+    """Base of the row values: each stores its validated row once, as the
+    read-only complex ndarray `array`.
 
-    coeffs: tuple[complex, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    `_row` caches the row as a tuple of Python complex numbers, built from
+    `array` on the first read of the subclass's public tuple attribute and
+    returned as the same object afterwards.  A value is immutable, equals
+    a value of the same class whose array holds equal entries (so -0.0
+    equals 0.0, as in tuples), hashes like its tuple, and pickles through
+    its constructor, so an unpickled array is read-only again.
+    """
 
-    def __post_init__(self):
-        # Set through __dict__, which the frozen __setattr__ does not
-        # guard: a third of the cost of two object.__setattr__ calls.
-        self.__dict__["coeffs"], self.__dict__["array"] = _entries(self.coeffs)
+    __slots__ = ("array", "_row")
 
-    def __reduce__(self):
-        # Rebuilt through the constructor: an unpickled array is writable.
-        return type(self), (self.coeffs,)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _tuple(self) -> tuple[complex, ...]:
+        row = getattr(self, "_row", None)
+        if row is None:
+            row = tuple(self.array.tolist())
+            _set_row(self, row)
+        return row
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return self.array.shape[0]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __reduce__(self):
+        return type(self), (self.array,)
+
+
+# The slots' own setters, which the frozen __setattr__ does not guard: a
+# quarter cheaper than object.__setattr__ on every construction.
+_set_array = _RowValue.array.__set__
+_set_row = _RowValue._row.__set__
+
+
+class Circulant(_RowValue):
+    """Immutable circulant matrix, stored as its first row: the read-only
+    array `array`, also readable as the tuple `coeffs`."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        _set_array(self, _entries(coeffs))
+
+    coeffs = property(_RowValue._tuple, doc="The first row as Python complex numbers.")
 
     def to_dense(self) -> np.ndarray:
         """Expand to the full n x n array with entry (i, j) = c_{j-i+1 mod n}."""
@@ -126,12 +165,19 @@ class Circulant:
 
     def transpose(self) -> "Circulant":
         """circ(c_1, c_n, c_{n-1}, ..., c_2); matches the dense transpose."""
-        c = self.coeffs
-        return Circulant(c[:1] + c[1:][::-1])
+        c = self.array
+        return Circulant(np.concatenate((c[:1], c[:0:-1])))
 
     def norm_inf(self) -> float:
-        """Induced infinity norm of the dense form: every row sums to sum |c_i|."""
-        return float(sum(abs(c) for c in self.coeffs))
+        """Induced infinity norm of the dense form: every row sums to sum |c_i|;
+        inf when that sum, or one |c_i|, leaves the float range."""
+        # np.hypot, not np.abs: it rounds |c_i| like Python's abs(complex)
+        # (libm hypot), where numpy's vectorised complex abs may differ in
+        # the last bit.  With Python's left-to-right sum the result equals
+        # sum(abs(c) for c in coeffs) in every bit, where that is finite.
+        c = self.array
+        with np.errstate(over="ignore"):
+            return float(sum(np.hypot(c.real, c.imag).tolist()))
 
     def __add__(self, other: "Circulant") -> "Circulant":
         if not isinstance(other, Circulant):
@@ -174,7 +220,7 @@ class Circulant:
         # Python complex products, not numpy's: numpy's complex multiply
         # may fuse a multiply-add (FMA) and round the last bit differently,
         # while +, - and unary - on the arrays equal the Python results.
-        (a,), _ = _entries((a,))
+        (a,) = _entries((a,)).tolist()
         return Circulant(tuple(a * c for c in self.coeffs))
 
     def __repr__(self) -> str:
@@ -226,7 +272,7 @@ def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:
     """Coefficientwise a*x + b*y, in Python complex arithmetic (see
     `Circulant.scale`)."""
     _check_orders(x, y)
-    (a, b), _ = _entries((a, b))
+    a, b = _entries((a, b)).tolist()
     return Circulant(tuple(a * xc + b * yc for xc, yc in zip(x.coeffs, y.coeffs)))
 
 
@@ -239,10 +285,11 @@ def mul_naive(x: Circulant, y: Circulant) -> Circulant:
     _check_orders(x, y)
     n = x.n
     out = [0.0 + 0.0j] * n
+    ys = y.coeffs
     for i, xi in enumerate(x.coeffs):
         if xi == 0:
             continue
-        for j, yj in enumerate(y.coeffs):
+        for j, yj in enumerate(ys):
             k = i + j
             if k >= n:
                 k -= n

@@ -90,8 +90,11 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
     the expansion, when q_n alone does."""
     # sum_j log|lambda_j| in C-level builtins: at small n this costs a
     # third of numpy's calls under errstate, on every call that succeeds.
+    # numpy's complex abs is inf for a modulus beyond the float range
+    # (where Python's raises OverflowError), so q_n is then reported as
+    # leaving it; the rounding of |lambda_j| cannot move that verdict.
     try:
-        log_norm = sum(map(math.log, map(abs, lam.tolist())))
+        log_norm = sum(map(math.log, np.abs(lam).tolist()))
     except ValueError:  # a zero eigenvalue: q_n = 0 cannot overflow
         log_norm = -math.inf
     if log_norm > _LOG_NORM_LIMIT:
@@ -151,18 +154,23 @@ def conjugate(c: Circulant) -> Circulant:
     return from_spectrum(mu)
 
 
-def _verdict(c: Circulant, threshold: float | None) -> tuple[InvertibilityVerdict, np.ndarray]:
-    """The verdict on c together with the spectrum it was read from."""
+def _verdict(
+    c: Circulant, threshold: float | None
+) -> tuple[InvertibilityVerdict, np.ndarray, float, float]:
+    """The verdict on c together with the spectrum it was read from and
+    the least and greatest modulus in it."""
     if threshold is not None and not threshold >= 0:
         raise InvalidScalarError(f"threshold must be a non-negative number, got {threshold!r}")
     lam = eigenvalues(c).array
     mag = np.abs(lam)
     slot = int(mag.argmin())
-    tol = SINGULAR_RTOL * float(mag.max()) if threshold is None else threshold
+    lo, hi = float(mag[slot]), float(mag.max())
+    tol = SINGULAR_RTOL * hi if threshold is None else threshold
     with np.errstate(over="ignore", invalid="ignore"):
         qn = complex(lam.prod())
-    invertible = bool(mag[slot] > tol)
-    return InvertibilityVerdict(invertible, None if invertible else slot + 1, qn, tol), lam
+    invertible = lo > tol
+    verdict = InvertibilityVerdict(invertible, None if invertible else slot + 1, qn, tol)
+    return verdict, lam, lo, hi
 
 
 def is_invertible(c: Circulant, threshold: float | None = None) -> InvertibilityVerdict:
@@ -178,16 +186,36 @@ def is_invertible(c: Circulant, threshold: float | None = None) -> Invertibility
     return _verdict(c, threshold)[0]
 
 
+def _reciprocal(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """1 / lambda_j for moduli in [lo, hi].
+
+    numpy's complex reciprocal (Smith's method) divides by a denominator
+    of up to 2 max(|Re|, |Im|), so beyond about 9e307 it overflows and
+    returns 0.  Outside 2^-1021 .. 2^1021 each lambda_j = s 2^e is
+    therefore scaled first, with max(|Re s|, |Im s|) in [1/2, 1), and
+    1 / lambda_j = (1 / s) 2^-e (Smith 1962; Baudin and Smith 2012).
+    Scaling by 2^-e is exact, so wherever the plain reciprocal neither
+    overflows nor underflows the two agree in every bit."""
+    if 2.0**-1021 < lo and hi < 2.0**1021:
+        return 1.0 / lam
+    _, e = np.frexp(np.maximum(np.abs(lam.real), np.abs(lam.imag)))
+    shift = -np.repeat(e, 2)
+    with np.errstate(over="ignore"):
+        scaled = 1.0 / np.ldexp(lam.view(float), shift).view(complex)
+        return np.ldexp(scaled.view(float), shift).view(complex)
+
+
 def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
     """x^(-1) = conj(x) / q_n(x), computed as the element with spectrum
     1 / lambda_j; raises SingularMatrixError with the root-of-unity
-    witness when is_invertible(c, threshold) finds c singular."""
-    verdict, lam = _verdict(c, threshold)
+    witness when is_invertible(c, threshold) finds c singular, and
+    InvalidScalarError when an entry of the inverse leaves the float
+    range."""
+    verdict, lam, lo, hi = _verdict(c, threshold)
     if not verdict.invertible:
         raise SingularMatrixError(
             "singular circulant: representer vanishes at root-of-unity slot "
-            f"j={verdict.witness} (|lambda_j|={abs(lam[verdict.witness - 1]):.3e}"
-            f" <= {verdict.threshold:.3e})",
+            f"j={verdict.witness} (|lambda_j|={lo:.3e} <= {verdict.threshold:.3e})",
             witness=verdict.witness,
         )
-    return from_spectrum(1.0 / lam)
+    return from_spectrum(_reciprocal(lam, lo, hi))

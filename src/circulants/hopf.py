@@ -30,6 +30,7 @@ as sum a[i][k] * E_ii * P^(k-1) (diagonal times circulant).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,12 +152,19 @@ def verify_antipode_axiom(c: Circulant, tol: float = 1e-10) -> HopfReport:
 def integral_check(h: Circulant, tol: float = 1e-10) -> HopfReport:
     """The all-ones circulant absorbs multiplication: h * J = eps(h) * J,
     equivalently eps(h) is an eigenvalue with eigenvector (1, ..., 1).
-    Raises InvalidScalarError on a negative or NaN tol and when eps(h)
-    leaves the float range."""
+    The residual is max_k |(h * J)_k - eps(h)| / (1 + ||h||_inf).  Raises
+    InvalidScalarError on a negative or NaN tol and when eps(h) or the
+    norm of h leaves the float range."""
     _check_tol(tol)
     eps = counit(h)
-    product = h * Circulant((1.0 + 0.0j,) * h.n)
-    residual = max(abs(a - eps) for a in product.coeffs) / (1.0 + h.norm_inf())
+    norm = h.norm_inf()
+    if norm == math.inf:
+        raise InvalidScalarError("the norm of h leaves the float range")
+    product = h * Circulant(np.ones(h.n))
+    # np.hypot rounds each modulus like Python's abs(complex).
+    d = product.array - eps
+    with np.errstate(over="ignore"):
+        residual = float(np.max(np.hypot(d.real, d.imag))) / (1.0 + norm)
     return HopfReport("integral", residual <= tol, residual)
 
 

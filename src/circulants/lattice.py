@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Circulant, _check_orders
@@ -391,11 +391,23 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fract
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Rows hold the P-power coefficients of the generators v_1, ..., v_n."""
+    """Rows hold the P-power coefficients of the generators v_1, ..., v_n.
+
+    The constructor also clears the inverse and the rows once, for every
+    `lattice_decompose` against this basis: inverse = v / lv and
+    rows = r / lr with v and r integer tuples, flattened row by row, kept
+    outside `==`, `hash` and `repr`."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     det: Fraction
     inverse: tuple[tuple[Fraction, ...], ...]
+    cleared_inverse: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    cleared_rows: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, grid in (("cleared_inverse", self.inverse), ("cleared_rows", self.rows)):
+            scale, flat = _cleared([x for row in grid for x in row])
+            object.__setattr__(self, name, (scale, tuple(flat)))
 
     @property
     def n(self) -> int:
@@ -446,8 +458,8 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
     # target = t/lt, inverse = v/lv and rows = r/lr with t, v, r integral
     # (v and r flattened row by row), so the coefficients are t v / (lt lv).
     lt, t = _cleared(target.coeffs)
-    lv, v = _cleared([x for row in basis.inverse for x in row])
-    lr, r = _cleared([x for row in basis.rows for x in row])
+    lv, v = basis.cleared_inverse
+    lr, r = basis.cleared_rows
     nums = [sum(map(operator.mul, t, v[j::n])) for j in range(n)]
     # Exact recombination (coefficients times rows = target) must hold;
     # zero tolerance.

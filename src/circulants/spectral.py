@@ -14,12 +14,13 @@ prime factors.  With norm="forward" the unscaled inverse transform
 evaluates the representer at the omega powers, so lambda = ifft(c) and
 c = fft(lambda) carry no extra scaling pass.  The hand-rolled radix-2
 FFT and direct DFT live on in `oracle` as independent references.
-Like every value, a Spectrum stores its row twice: as the tuple `values`
-of Python complex numbers and as the read-only ndarray `array`.  Each
-transform reads its operands' `array` and runs one FFT on it, and its
-output is built by the public constructors, Spectrum(array) and
+Like every value, a Spectrum stores only its read-only ndarray `array`;
+the tuple `values` of Python complex numbers is built on first read.
+Each transform reads its operands' `array` and runs one FFT on it, and
+its output is built by the public constructors, Spectrum(array) and
 Circulant(array), so it passes the same vectorised entry check as user
-input.  Slot order is always j = 1..n; spectra are never sorted.
+input but builds no Python object per entry.  Slot order is always
+j = 1..n; spectra are never sorted.
 """
 
 from __future__ import annotations
@@ -28,43 +29,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _entries
+from .core import Circulant, _check_orders, _entries, _RowValue, _set_array
 
 
 @dataclass(frozen=True)
 class FourierContext:
-    """Primitive n-th root of unity omega and its power table."""
+    """Primitive n-th root of unity omega and its power table
+    array[k] = omega^k, a read-only array."""
 
     n: int
     omega: complex
-    powers: tuple[complex, ...]
+    array: np.ndarray = field(repr=False, compare=False)
 
-    def power_array(self) -> np.ndarray:
-        return np.asarray(self.powers, dtype=complex)
+    @property
+    def powers(self) -> tuple[complex, ...]:
+        """The power table as Python complex numbers."""
+        return tuple(self.array.tolist())
 
 
 def fourier_context(n: int) -> FourierContext:
     powers = np.exp(2j * np.pi * np.arange(n) / n)
-    return FourierContext(n=n, omega=complex(powers[min(1, n - 1)]), powers=tuple(powers.tolist()))
+    powers.setflags(False)
+    return FourierContext(n=n, omega=complex(powers[min(1, n - 1)]), array=powers)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in slot order: values[j-1] = p_C(omega^(j-1)), also
-    held as the read-only array `array`."""
+class Spectrum(_RowValue):
+    """Eigenvalues in slot order: values[j-1] = p_C(omega^(j-1)), stored
+    as the read-only array `array`."""
 
-    values: tuple[complex, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.__dict__["values"], self.__dict__["array"] = _entries(self.values)
+    def __init__(self, values):
+        _set_array(self, _entries(values))
 
-    def __reduce__(self):
-        return type(self), (self.values,)
+    values = property(_RowValue._tuple, doc="The eigenvalues as Python complex numbers.")
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
+    def __repr__(self) -> str:
+        return f"Spectrum(values={self._tuple()!r})"
 
     def as_array(self) -> np.ndarray:
         """A fresh, writable copy of `array`."""
@@ -83,14 +84,14 @@ def eigenvector(ctx: FourierContext, j: int) -> np.ndarray:
     """
     if not 1 <= j <= ctx.n:
         raise IndexError(f"eigenvalue slot {j} out of range 1..{ctx.n}")
-    return ctx.power_array()[((j - 1) * np.arange(ctx.n)) % ctx.n]
+    return ctx.array[((j - 1) * np.arange(ctx.n)) % ctx.n]
 
 
 def eigenvector_matrix(n: int) -> np.ndarray:
     """Matrix whose j-th column is the eigenvector x_j (a DFT Vandermonde)."""
     ctx = fourier_context(n)
     k = np.arange(n)
-    return ctx.power_array()[(k[:, None] * k[None, :]) % n]
+    return ctx.array[(k[:, None] * k[None, :]) % n]
 
 
 def to_diagonal(c: Circulant) -> np.ndarray:

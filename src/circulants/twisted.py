@@ -24,11 +24,11 @@ mu_i = sigma^(i-1) for sigma = cos(pi/n) + i sin(pi/n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _entries
+from .core import Circulant, _entries, _RowValue, _set_array
 from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
@@ -48,38 +48,39 @@ _WEIGHT_MATCH_TOL = 1e-12
 _COCYCLE_ENTRY_RANGE = (2.0**-500, 2.0**500)
 
 
-@dataclass(frozen=True)
-class MuWeights:
+class MuWeights(_RowValue):
     """Full weight vector (mu_1, ..., mu_n) with mu_1 = 1, all nonzero,
-    also held as the read-only array `array`."""
+    stored as the read-only array `array`."""
 
-    mu: tuple[complex, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        mu, arr = _entries(self.mu)
-        if mu[0] != 1:
-            raise InvalidWeightsError(f"mu_1 must be exactly 1, got {mu[0]!r}")
-        if any(m == 0 for m in mu):
+    def __init__(self, mu):
+        arr = _entries(mu)
+        if arr[0] != 1:
+            raise InvalidWeightsError(f"mu_1 must be exactly 1, got {complex(arr[0])!r}")
+        if np.count_nonzero(arr) != arr.size:
             raise InvalidWeightsError("weights must be nonzero")
-        self.__dict__["mu"], self.__dict__["array"] = mu, arr
+        _set_array(self, arr)
 
-    def __reduce__(self):
-        return type(self), (self.mu,)
+    mu = property(_RowValue._tuple, doc="The weights as Python complex numbers.")
+
+    def __repr__(self) -> str:
+        return f"MuWeights(mu={self.mu!r})"
 
     @classmethod
     def from_tail(cls, tail) -> "MuWeights":
         """Build from (mu_2, ..., mu_n); the leading 1 is implied."""
         return cls((1.0 + 0.0j,) + tuple(tail))
 
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
     def matches(self, other: "MuWeights") -> bool:
-        return self.n == other.n and all(
-            abs(a - b) <= _WEIGHT_MATCH_TOL for a, b in zip(self.mu, other.mu)
-        )
+        """Same order, and every |mu_k - other mu_k| <= 1e-12 (the moduli
+        rounded like Python's abs; one that leaves the float range is no
+        match)."""
+        if self.n != other.n:
+            return False
+        d = self.array - other.array
+        with np.errstate(over="ignore"):
+            return bool((np.hypot(d.real, d.imag) <= _WEIGHT_MATCH_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class TwoCocycle:
         for row in self.table:
             if len(row) != n:
                 raise InvalidCocycleError("cocycle table must be square")
-            entries, _ = _entries(row)
+            entries = tuple(_entries(row).tolist())
             if any(x == 0 for x in entries):
                 raise InvalidCocycleError("cocycle values must be nonzero")
             rows.append(entries)
@@ -107,28 +108,37 @@ class TwoCocycle:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class MuCirculant:
-    """circ(c_1, ..., c_n; mu_2, ..., mu_n); the coefficients are also
-    held as the read-only array `array`."""
+class MuCirculant(_RowValue):
+    """circ(c_1, ..., c_n; mu_2, ..., mu_n); the coefficients are stored
+    as the read-only array `array`, beside the weights."""
 
-    coeffs: tuple[complex, ...]
-    weights: MuWeights
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        self.__dict__["coeffs"], self.__dict__["array"] = _entries(self.coeffs)
-        if len(self.coeffs) != self.weights.n:
-            raise DimensionMismatchError(
-                f"{len(self.coeffs)} coefficients but {self.weights.n} weights"
-            )
+    def __init__(self, coeffs, weights: MuWeights):
+        arr = _entries(coeffs)
+        if arr.size != weights.n:
+            raise DimensionMismatchError(f"{arr.size} coefficients but {weights.n} weights")
+        _set_array(self, arr)
+        _set_weights(self, weights)
+
+    coeffs = property(_RowValue._tuple, doc="The coefficients as Python complex numbers.")
+
+    def __repr__(self) -> str:
+        return f"MuCirculant(coeffs={self.coeffs!r}, weights={self.weights!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.weights))
 
     def __reduce__(self):
-        return type(self), (self.coeffs, self.weights)
+        return type(self), (self.array, self.weights)
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
+
+_set_weights = MuCirculant.weights.__set__
 
 
 def mu_circ(coeffs, mu_tail) -> MuCirculant:

@@ -1,11 +1,16 @@
-"""Circulants, spectra and twisted values keep their validated row twice:
-as the tuple of Python complex numbers and as a read-only ndarray
-`array`.  The array is private to the value, invisible to `==`, `hash`
-and `repr`, and the spectral layer computes from it with results equal
-to those built from the tuple."""
+"""Circulants, spectra and twisted values store one thing: their
+validated row as a read-only ndarray `array`.  The tuple of Python
+complex numbers (`coeffs`, `values`, `mu`) is built from it on first read
+and cached.  The array is private to the value and invisible to `repr`;
+`==` compares arrays entrywise and `hash` follows the tuple, so both
+agree on signed zeros; values are immutable and pickle through their
+constructors.  The spectral layer computes from the array with results
+equal to those built from the tuple, and builds no Python object per
+entry."""
 
-import dataclasses
+import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,24 +80,116 @@ def test_mutating_the_callers_array_leaves_the_value_unchanged(builder, view):
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_array_is_outside_equality_hash_and_repr(builder):
+    # The array object is no part of a value's identity: a twin built
+    # from the same row holds its own array, yet it is ==, hashes alike
+    # and has the same repr, which shows the row and not the array.
     build, row = BUILDERS[builder]
     value = build(_row(8))
-    field = next(f for f in dataclasses.fields(value) if f.name == "array")
-    assert not (field.init or field.repr or field.compare)
     assert "array" not in repr(value)
     twin = build(_row(8))
-    object.__setattr__(twin, "array", np.zeros(1))
+    assert twin.array is not value.array
     assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_pickle_and_replace_round_trip(builder):
+    # copy.copy and copy.deepcopy rebuild the value through its
+    # constructor, as pickle does.
     build, row = BUILDERS[builder]
     value = build(_row(12))
-    for copy in (pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
-        assert copy == value and hash(copy) == hash(value)
-        assert tuple(copy.array.tolist()) == getattr(value, row)
-        assert not copy.array.flags.writeable
+    for dup in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert dup == value and hash(dup) == hash(value)
+        assert tuple(dup.array.tolist()) == getattr(value, row)
+        assert dup.array.tobytes() == value.array.tobytes()
+        assert not dup.array.flags.writeable
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_row_tuple_is_built_once_from_the_array(builder):
+    build, row = BUILDERS[builder]
+    value = build(_row(16))
+    first = getattr(value, row)
+    assert getattr(value, row) is first
+    assert all(type(z) is complex for z in first)
+    assert np.array(first).tobytes() == value.array.tobytes()
+    assert value.n == len(first) == 16
+
+
+def test_repr_shows_the_row_tuple():
+    a = np.array([1.5, 2j])
+    weights = MuWeights((1, 1j))
+    assert repr(Circulant(a)) == "circ(1.5, 2j)"
+    assert repr(Spectrum(a)) == "Spectrum(values=((1.5+0j), 2j))"
+    assert repr(weights) == "MuWeights(mu=((1+0j), 1j))"
+    assert repr(MuCirculant(a, weights)) == (
+        "MuCirculant(coeffs=((1.5+0j), 2j), weights=MuWeights(mu=((1+0j), 1j)))"
+    )
+
+
+@pytest.mark.parametrize("builder", ("Circulant", "Spectrum", "MuWeights", "MuCirculant"))
+def test_equality_and_hash_agree_on_signed_zeros(builder):
+    build, row = BUILDERS[builder]
+    # Weights must be nonzero, so the zeros sit in one part of an entry.
+    plus = build(np.array([1.0, complex(0.0, 3.0), complex(2.0, 0.0), complex(0.0, -5.0)]))
+    minus = build(np.array([complex(1.0, -0.0), complex(-0.0, 3.0), complex(2.0, -0.0), -5j]))
+    assert plus.array.tobytes() != minus.array.tobytes()
+    assert getattr(plus, row) == getattr(minus, row)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert build(np.array([1.0, 3j, 2.5, -5j])) != plus
+    assert build(np.array([1.0, 3j, 2.0])) != plus
+
+
+def test_equality_needs_the_same_class_and_weights():
+    row = np.array([1.0, 2.0, 3.0])
+    assert Circulant(row) != Spectrum(row) and Spectrum(row) != Circulant(row)
+    same = MuCirculant(row, MuWeights((1, 1, 1)))
+    assert same == MuCirculant(row.copy(), MuWeights([1.0, 1.0, 1.0]))
+    assert hash(same) == hash(MuCirculant(row.copy(), MuWeights([1.0, 1.0, 1.0])))
+    assert same != MuCirculant(row, MuWeights((1, 1, -1)))
+
+
+@pytest.mark.parametrize("builder", ("Circulant", "Spectrum", "MuWeights", "MuCirculant"))
+def test_values_are_immutable(builder):
+    build, row = BUILDERS[builder]
+    value = build(_row(4))
+    before = value.array.tobytes()
+    for name in ("array", row, "_row", "n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, np.zeros(4))
+    for name in ("array", row, "_row"):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    assert value.array.tobytes() == before
+
+
+#: Order at which a tuple of Python complex (40 bytes and one traced
+#: block per entry) stands far above the result's own 1 MB array.
+LARGE = 65536
+
+
+@pytest.mark.parametrize("call", ("eigenvalues", "fast_mul", "from_spectrum"))
+def test_transforms_build_no_python_object_per_entry(call):
+    x, y = Circulant(_row(LARGE)), Circulant(_row(LARGE, SEED + 1))
+    lam = _row(LARGE, SEED + 2)
+    run = {
+        "eigenvalues": lambda: eigenvalues(x),
+        "fast_mul": lambda: fast_mul(x, y),
+        "from_spectrum": lambda: from_spectrum(lam),
+    }[call]
+    run()  # numpy's FFT plan cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        retained = tracemalloc.get_traced_memory()[0] - base
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    blocks = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+    assert blocks < LARGE // 64
+    assert retained < result.array.nbytes + LARGE
 
 
 def test_as_array_and_to_dense_return_fresh_writable_arrays():

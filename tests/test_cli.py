@@ -596,3 +596,45 @@ def test_twisted_eig_builds_no_n_by_n_matrix(capsys, monkeypatch):
         tracemalloc.stop()
     assert code == 0 and len(json.loads(capsys.readouterr().out)["values"]) == n
     assert peak < 4e6
+
+
+def complex_doc(kind, *row):
+    return {
+        "kind": kind,
+        "n": len(row),
+        "first_row": [[repr(complex(z).real), repr(complex(z).imag)] for z in row],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    (
+        # Skew eigenvalues with finite parts but a modulus near 2.7e308.
+        ("forms", complex_doc("skew_circulant", 1e308, 1e308, 1e308)),
+        ("charpoly", complex_doc("skew_circulant", 1e308, 1e308, 1e308)),
+        # |h_1| is about 1.97e308, so the norm of h leaves the float range.
+        # (1.8e308 itself is beyond the float maximum and parses as inf.)
+        ("hopf-verify", complex_doc("circulant", 1e308 + 1.7e308j, 1, 2, 0)),
+    ),
+)
+def test_modulus_beyond_float_range_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert caught == []
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
+    # Eigenvalues 1e308 (1 + i) and 1e308 (1 - i): a plain complex
+    # reciprocal overflows its denominator and returns 0.
+    row = (1e308, 1e308j)
+    path = write(tmp_path, "doc.json", complex_doc("circulant", *row))
+    code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
+    assert code == 0 and err == ""
+    inv = [complex(float(re), float(im)) for re, im in json.loads(out)["first_row"]]
+    assert inv == pytest.approx([5e-309, -5e-309j], rel=1e-12)
+

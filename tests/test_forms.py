@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from circulants import (
+    Circulant,
     InvalidScalarError,
     SingularMatrixError,
     char_poly,
@@ -293,6 +294,16 @@ def test_forms_beyond_float_range_raise():
                 call(x)
 
 
+def test_forms_of_eigenvalues_whose_modulus_leaves_the_float_range_raise():
+    # Both eigenvalues are 1e308 + 1.7e308 i: finite parts, but a modulus
+    # of about 1.97e308, on which Python's abs raises OverflowError.
+    x = circ(1e308 + 1.7e308j, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (forms, char_poly):
+            with pytest.raises(InvalidScalarError, match="float range"):
+                call(x)
+
 @pytest.mark.parametrize("threshold", (-1.0, float("nan")))
 def test_negative_or_nan_threshold_rejected(threshold):
     x = circ(1, 1, 0, 0)
@@ -335,3 +346,67 @@ def test_forms_beyond_float_range_raise_before_the_expansion(monkeypatch):
     # A zero eigenvalue sends the log-sum to -inf, which is no reason to raise.
     with pytest.raises(AssertionError, match="numpy.poly"):
         forms(circ(1, 1, 0, 0))
+
+
+def scaled_identity_residual(x, inv) -> float:
+    """max_k |(x 2^-e) * (x^-1 2^e) - I| in coefficients, with 2^e the
+    scale of x's largest part: power-of-two scaling is exact and keeps
+    both transforms inside the float range."""
+    e = np.frexp(np.max(np.abs(x.array.view(float))))[1]
+    xs = np.ldexp(x.array.view(float), -e).view(complex)
+    ys = np.ldexp(inv.array.view(float), e).view(complex)
+    product = np.fft.ifft(np.fft.fft(xs) * np.fft.fft(ys))
+    return float(np.max(np.abs(product - np.eye(x.n)[0])))
+
+
+def test_inverse_of_eigenvalues_beyond_the_reciprocal_range():
+    # Eigenvalues 1e308 (1 + i) and 1e308 (1 - i): a plain complex
+    # reciprocal overflows its denominator and returns 0.
+    x = circ(1e308, 1e308j)
+    inv = inverse(x)
+    assert inv.coeffs == pytest.approx((5e-309, -5e-309j), rel=1e-12)
+    assert scaled_identity_residual(x, inv) <= 1e-15
+
+
+@pytest.mark.parametrize("exponent", (-1000, 0, 1000))
+@pytest.mark.parametrize("n", (8, 16, 64, 128))
+def test_inverse_on_a_power_of_two_scale(n, exponent):
+    # The invertible input classes of the forms-inverse benchmark:
+    # eigenvalue moduli in [1, 8], and small integers, scaled by
+    # 2^exponent; then a row whose eigenvalues' real and imaginary parts
+    # reach 1.35e308, where a plain reciprocal returns 0.
+    rng = np.random.default_rng(SEED + n)
+    integers = rng.integers(-3, 4, n)
+    integers[0] = 4 * n  # diagonally dominant, so invertible
+    rows = [
+        np.ldexp(row.view(float), exponent).view(complex)
+        for row in (spectral_circulant(rng, n).array, integers.astype(complex))
+    ]
+    rows.append(1e308 * (1 + 1j) * np.eye(n)[0] + 0.25e308 * (1 + 1j) * np.eye(n)[1])
+    for row in rows:
+        x = Circulant(row)
+        lam = eigenvalues(x).array
+        mag = np.abs(lam)
+        inv = inverse(x)
+        assert scaled_identity_residual(x, inv) <= 1e-14 * n * mag.max() / mag.min()
+        if exponent == 0 and row is not rows[-1]:
+            # In the normal range the scaled reciprocal is the plain one, bit for bit.
+            assert inv.array.tobytes() == from_spectrum(1.0 / lam).array.tobytes()
+
+
+@pytest.mark.parametrize(
+    "row",
+    (
+        # Moduli just below 2^-1021 and above 2^1021 take the power-of-two
+        # scale, yet on these rows the plain reciprocal neither overflows
+        # nor underflows, not even in an intermediate.
+        [2.0**-1022 * (1.5 + 1.25j)],
+        [2.0**-1022 * (-1.25 - 1.5j)],
+        [2.0**1021 * 1.5, 2.0**1021 * 0.25],
+        [2.0**1021 * -1.75, 2.0**1021 * 0.5],
+    ),
+)
+def test_scaled_reciprocal_is_the_plain_one_where_both_are_exact(row):
+    x = Circulant(row)
+    lam = eigenvalues(x).array
+    assert inverse(x).array.tobytes() == from_spectrum(1.0 / lam).array.tobytes()

@@ -72,3 +72,28 @@ def test_values_are_not_rebuilt_from_their_tuples():
         for name in sorted(MODULES - {"oracle"})
     }
     assert found == {name: [] for name in found}
+
+
+def tuple_reads(source: str) -> list[int]:
+    """Lines where this source reads a `.coeffs`, `.values` or `.mu`
+    attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in ("coeffs", "values", "mu")
+    )
+
+
+def test_spectral_and_forms_read_no_row_tuple():
+    # The transforms and the forms compute from `.array` alone, so a
+    # value that only passes through them never builds its tuple (a
+    # Spectrum's repr still does, through the private `_tuple`).
+    sample = "a = c.coeffs\nb = s.values[0]\nd = w.mu\nc.array\nx.coeffs = 1\n"
+    assert tuple_reads(sample) == [1, 2, 3]
+    found = {
+        name: tuple_reads((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("spectral", "forms")
+    }
+    assert found == {"spectral": [], "forms": []}

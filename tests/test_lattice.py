@@ -286,6 +286,33 @@ def test_all_integral_targets_are_members():
         assert recombined == list(target.coeffs)
 
 
+
+def test_repeated_decompositions_match_a_fresh_basis():
+    # The basis clears its inverse and rows once; every later call must
+    # give what a newly built basis gives, for members and non-members.
+    rng = np.random.default_rng(SEED)
+
+    def fractions(n, top, denominators):
+        return [F(int(a), int(b)) for a, b in zip(rng.integers(-top, top + 1, n), denominators)]
+
+    rows = [fractions(8, 9, rng.integers(1, 5, 8)) for _ in range(8)]
+    basis = lattice_new(rows)
+    assert basis.cleared_inverse[0] > 1  # a fractional inverse
+    assert "cleared" not in repr(basis) and basis == lattice_new(rows)
+    for k in range(20):
+        if k % 2:  # a member: an integer combination of the rows
+            m = [int(a) for a in rng.integers(-3, 4, 8)]
+            target = rational_circ(*(sum(a * row[j] for a, row in zip(m, rows)) for j in range(8)))
+        else:
+            target = rational_circ(*fractions(8, 20, rng.integers(1, 3, 8)))
+        first = lattice_decompose(basis, target)
+        assert first.member == bool(k % 2)
+        assert lattice_decompose(basis, target) == first
+        assert lattice_decompose(lattice_new(rows), target) == first
+        recombined = [sum(first.coefficients[i] * rows[i][j] for i in range(8)) for j in range(8)]
+        assert recombined == list(target.coeffs)
+
+
 def test_delta_lattice_decompose():
     basis = lattice_new(REFERENCE_ROWS)
     assert delta_lattice_decompose(basis, (1, 0, 0)) == (1, -1, 2)
