@@ -1,7 +1,8 @@
 """Multiplication benchmark: convolution vs spectral vs dense product,
 plus one whole ``circulants eig`` invocation run in process, the exact
-integer spectrum of an orbit-constant row, the sum ``x + y`` and the
-coproduct product ``block_mul(Delta x, Delta y)``.
+integer spectrum of an orbit-constant row, the sum ``x + y``, the
+coproduct product ``block_mul(Delta x, Delta y)`` and the three Hopf
+checks of ``circulants hopf-verify``.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -24,7 +25,13 @@ from .core import Circulant, mul_naive
 from .documents import MatrixDocument, document_to_obj, load_json, spectrum_from_obj
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
-from .hopf import block_mul, comultiplication
+from .hopf import (
+    block_mul,
+    comultiplication,
+    integral_check,
+    verify_antipode_axiom,
+    verify_counit_axiom,
+)
 from .lattice import integer_spectrum, rational_circ
 from .spectral import eigenvalues, fast_mul
 
@@ -37,6 +44,8 @@ INTEGER_SPECTRUM = "integer-spectrum"
 ADD = "add"
 #: The row that times ``block_mul(Delta x, Delta y)`` on the two product inputs.
 BLOCK_MUL = "block-mul"
+#: The row that times the counit, antipode and integral checks of x.
+HOPF_VERIFY = "hopf-verify"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -115,16 +124,34 @@ def _add(x: Circulant, y: Circulant) -> Circulant:
 def _block_mul(x: Circulant, y: Circulant):
     """A call that multiplies Delta x by Delta y, and the checksum
     sum |T[a, b]| over the product's coefficient tensor; raises
-    BenchDisagreementError unless the product is Delta(x * y) within
-    1e-9 * (1 + ||x|| ||y||)."""
+    BenchDisagreementError unless the product is within
+    1e-9 * (1 + ||x|| ||y||) of the 2-D cyclic convolution of the two
+    coefficient tensors, taken through the 2-D DFT."""
     dx, dy = comultiplication(x), comultiplication(y)
     product = block_mul(dx, dy).coefficient_tensor()
-    deviation = float(np.max(np.abs(product - comultiplication(x * y).coefficient_tensor())))
+    spectra = np.fft.fft2(dx.coefficient_tensor()) * np.fft.fft2(dy.coefficient_tensor())
+    deviation = float(np.max(np.abs(product - np.fft.ifft2(spectra))))
     if not deviation <= 1e-9 * (1.0 + x.norm_inf() * y.norm_inf()):
         raise BenchDisagreementError(
-            f"n={x.n}: block_mul deviates from Delta(x * y) by {deviation:.3e}"
+            f"n={x.n}: block_mul deviates from the 2-D convolution by {deviation:.3e}"
         )
     return lambda: block_mul(dx, dy), float(np.abs(product).sum())
+
+
+def _hopf_verify(x: Circulant):
+    """A call that runs the counit, antipode and integral checks of x, and
+    the checksum, the sum of their residuals; raises
+    BenchDisagreementError unless all three hold and the counit and
+    antipode residuals are exactly 0.0, as summing the coefficients in
+    the counit's order makes them."""
+
+    def run():
+        return verify_counit_axiom(x), verify_antipode_axiom(x), integral_check(x)
+
+    reports = run()
+    if not all(r.holds for r in reports) or reports[0].residual != 0.0 or reports[1].residual != 0.0:
+        raise BenchDisagreementError(f"n={x.n}: hopf-verify reports {reports}")
+    return run, float(sum(r.residual for r in reports))
 
 
 def _median_ns(fn, reps: int) -> int:
@@ -140,7 +167,7 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
     the three products of x and y, then ``circulants eig`` on x, then the
     exact spectrum of the orbit-constant row of that order, then x + y,
-    then block_mul(Delta x, Delta y)."""
+    then block_mul(Delta x, Delta y), then the Hopf checks of x."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise ValueError("every bench size must be >= 2")
@@ -167,6 +194,7 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         spectrum_run, spectrum_checksum = _integer_spectrum(n)
         total = _add(x, y)
         block_run, block_checksum = _block_mul(x, y)
+        hopf_run, hopf_checksum = _hopf_verify(x)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -177,4 +205,5 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         results.append(BenchResult(n, ADD, reps, _median_ns(lambda: x + y, reps), _checksum(total)))
         block_ns = _median_ns(block_run, reps)
         results.append(BenchResult(n, BLOCK_MUL, reps, block_ns, block_checksum))
+        results.append(BenchResult(n, HOPF_VERIFY, reps, _median_ns(hopf_run, reps), hopf_checksum))
     return results

@@ -33,13 +33,15 @@ from .forms import inverse as inverse_of
 from .documents import (
     DocumentError,
     MatrixDocument,
+    circulant_to_obj,
     document_from_obj,
-    document_to_obj,
+    dump_block_circulant,
     dump_json,
     format_complex,
     format_complex_row,
     format_rational,
     load_json,
+    mu_circulant_to_obj,
     parse_complex,
     parse_documents,
     spectrum_from_obj,
@@ -84,8 +86,7 @@ def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
 
 
 def _cmd_eig(args) -> tuple[dict | list | str, int]:
-    values = _spectrum_of(_single_document(args)).values
-    return spectrum_to_obj(values), 0
+    return spectrum_to_obj(_spectrum_of(_single_document(args)).array), 0
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
@@ -111,7 +112,7 @@ def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
 
 
 def _circulant_result(c) -> tuple[dict | list | str, int]:
-    return document_to_obj(MatrixDocument.from_circulant(c)), 0
+    return circulant_to_obj(c), 0
 
 
 def _cmd_inverse(args) -> tuple[dict | list | str, int]:
@@ -131,13 +132,7 @@ def _cmd_hopf_counit(args) -> tuple[dict | list | str, int]:
 
 def _cmd_hopf_delta(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    delta = hopf.comultiplication(c)
-    payload = {
-        "kind": "block_circulant",
-        "n": delta.n,
-        "blocks": [format_complex_row(block.array) for block in delta.blocks],
-    }
-    return payload, 0
+    return dump_block_circulant(hopf.comultiplication(c)), 0
 
 
 def _cmd_hopf_antipode(args) -> tuple[dict | list | str, int]:
@@ -211,7 +206,7 @@ def _cmd_skew(args) -> tuple[dict | list | str, int]:
     if doc.kind != "skew_circulant":
         raise DocumentError("kind", f"skew expects a skew_circulant document, got {doc.kind}")
     m = doc.to_mu_circulant()
-    return document_to_obj(MatrixDocument.from_mu_circulant(m)), 0
+    return mu_circulant_to_obj(m), 0
 
 
 def _cmd_brandt_check(args) -> tuple[dict | list | str, int]:
@@ -239,7 +234,7 @@ def _cmd_spectrum_reconstruct(args) -> tuple[dict | list | str, int]:
     payload = {
         "kind": "reconstruction",
         "real": result.real,
-        "circulant": document_to_obj(MatrixDocument.from_circulant(result.circulant)),
+        "circulant": circulant_to_obj(result.circulant),
     }
     return payload, 0
 
@@ -344,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         _cmd_bench,
         "time naive vs spectral vs dense multiplication, an in-process eig,"
-        " an exact integer spectrum, x + y and a coproduct product",
+        " an exact integer spectrum, x + y, a coproduct product and the Hopf checks",
     )
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import Circulant
 from .errors import CirculantError
+from .hopf import BlockCirculant
 from .lattice import RationalCirculant
 from .twisted import MuCirculant, MuWeights, skew_circ
 
@@ -61,7 +62,10 @@ def parse_complex(value, field: str) -> complex:
                 except ValueError:
                     raise DocumentError(field, f"bad decimal string {part!r}") from None
             elif isinstance(part, (int, float)) and not isinstance(part, bool):
-                parts.append(float(part))
+                try:
+                    parts.append(float(part))
+                except OverflowError:  # a JSON integer past the float maximum
+                    raise DocumentError(field, "component beyond the float range") from None
             else:
                 raise DocumentError(field, f"bad component {part!r} in complex pair")
         return complex(parts[0], parts[1])
@@ -95,6 +99,8 @@ def _parse_entry(value, field: str):
 def _format_row(values) -> list:
     """A row of complex pairs, or entry by entry when it holds rationals.
     (Fraction is an ABC, so the test runs per type, not per entry.)"""
+    if isinstance(values, np.ndarray):
+        return format_complex_row(values)
     if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
         return [format_rational(x) if isinstance(x, Fraction) else format_complex(x) for x in values]
     return format_complex_row(values)
@@ -219,6 +225,23 @@ def document_from_obj(obj) -> MatrixDocument:
     return MatrixDocument(kind=kind, n=n, first_row=first_row, mu=mu, entries=entries)
 
 
+def circulant_to_obj(c: Circulant) -> dict:
+    """``document_to_obj(MatrixDocument.from_circulant(c))``, formatted
+    from ``c.array`` without building the coefficient tuple."""
+    return {"kind": "circulant", "n": c.n, "first_row": format_complex_row(c.array)}
+
+
+def mu_circulant_to_obj(m: MuCirculant) -> dict:
+    """``document_to_obj(MatrixDocument.from_mu_circulant(m))``, formatted
+    from the arrays without building the coefficient or weight tuples."""
+    return {
+        "kind": "mu_circulant",
+        "n": m.n,
+        "first_row": format_complex_row(m.array),
+        "mu": format_complex_row(m.weights.array[1:]),
+    }
+
+
 def document_to_obj(doc: MatrixDocument) -> dict:
     out: dict = {"kind": doc.kind, "n": doc.n}
     if doc.kind == "dense":
@@ -279,8 +302,7 @@ def _encode(value, newline: str) -> str:
                 # template per row, filled by C-level loops.  The encoder
                 # takes only strings; a TypeError sends any other cell to
                 # the general path below.
-                cell = inner + "  "
-                template = "[" + cell + ("," + cell).join(["{}"] * width) + inner + "]"
+                template = _row_template(width, inner)
                 cells = map(_encode_string, chain.from_iterable(value))
                 rows = starmap(template.format, zip(*[cells] * width))
                 try:
@@ -290,6 +312,13 @@ def _encode(value, newline: str) -> str:
         items = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value)
+
+
+def _row_template(width: int, newline: str) -> str:
+    """A ``str.format`` template for a list of ``width`` encoded strings
+    laid out as ``_encode`` lays it out on a line starting with ``newline``."""
+    cell = newline + "  "
+    return "[" + cell + ("," + cell).join(["{}"] * width) + newline + "]"
 
 
 def dump_json(obj) -> str:
@@ -302,10 +331,37 @@ def dump_json(obj) -> str:
     return _encode(obj, "\n") + "\n"
 
 
+def dump_block_circulant(x: BlockCirculant) -> str:
+    r"""The ``hopf-delta`` document of x, written from its support: byte for
+    byte ``dump_json({"kind": "block_circulant", "n": n, "blocks": rows})``,
+    where rows[a][b] is the ``[re, im]`` pair of the coefficient T[a, b].
+
+    The wire format stays dense, but only the support's cells are
+    formatted: the zero cell is encoded once and repeated by list
+    repetition, so no Python work runs per zero cell.  Each cell carries
+    the text before it, so that one join writes the whole document."""
+    n = x.n
+    head = f'{{\n  "kind": "block_circulant",\n  "n": {n},\n  "blocks": [\n    [\n      '
+    within, between = ",\n      ", "\n    ],\n    [\n      "
+    cell = _row_template(2, "\n      ")
+    zero = cell.format('"0.0"', '"0.0"')
+    parts = [within + zero] * (n * n)
+    parts[::n] = [between + zero] * n
+    parts[0] = head + zero
+    for k, (re, im) in zip((x.a * n + x.b).tolist(), format_complex_row(x.values)):
+        before = within if k % n else between if k else head
+        parts[k] = before + cell.format(_encode_string(re), _encode_string(im))
+    parts.append("\n    ]\n  ]\n}\n")
+    return "".join(parts)
+
+
 # -- spectrum documents ------------------------------------------------------
 
 def spectrum_to_obj(values) -> dict:
-    values = list(values)
+    """A spectrum document of a complex array, or of a sequence of complex
+    numbers or Fractions."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
     return {
         "kind": "spectrum",
         "n": len(values),

@@ -83,6 +83,15 @@ def _alternate(coeffs) -> tuple[complex, ...]:
     return tuple(signed.tolist())
 
 
+def _log_modulus(z: complex) -> float:
+    """log|z| counted from the parts, finite where |z| passes the float
+    maximum: with m >= s the magnitudes of the parts,
+    log|z| = log m + log1p((s / m)^2) / 2.  ValueError at z = 0."""
+    re, im = abs(z.real), abs(z.imag)
+    m, s = max(re, im), min(re, im)
+    return math.log(m) + 0.5 * math.log1p((s / m) ** 2)
+
+
 def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
     """s_0..s_n = (1, q_1, ..., q_n) of lam: the signed coefficients of
     prod_j (X - lambda_j), expanded one factor at a time.  Raises
@@ -90,11 +99,13 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
     the expansion, when q_n alone does."""
     # sum_j log|lambda_j| in C-level builtins: at small n this costs a
     # third of numpy's calls under errstate, on every call that succeeds.
-    # numpy's complex abs is inf for a modulus beyond the float range
-    # (where Python's raises OverflowError), so q_n is then reported as
-    # leaving it; the rounding of |lambda_j| cannot move that verdict.
+    # numpy's complex abs is inf for a modulus beyond the float range,
+    # whose log is then counted from the parts; the rounding of
+    # |lambda_j| cannot move the verdict.
     try:
         log_norm = sum(map(math.log, np.abs(lam).tolist()))
+        if log_norm == math.inf:
+            log_norm = sum(map(_log_modulus, lam.tolist()))
     except ValueError:  # a zero eigenvalue: q_n = 0 cannot overflow
         log_norm = -math.inf
     if log_norm > _LOG_NORM_LIMIT:
@@ -166,6 +177,13 @@ def _verdict(
     slot = int(mag.argmin())
     lo, hi = float(mag[slot]), float(mag.max())
     tol = SINGULAR_RTOL * hi if threshold is None else threshold
+    if tol == math.inf and threshold is None:
+        # A modulus past the float maximum, with finite parts: take the
+        # largest modulus of the spectrum scaled by 2^-e, where the parts
+        # are below 1, and scale the threshold back (exact in powers of 2).
+        _, e = np.frexp(np.abs(lam.view(float)).max())
+        scaled = np.ldexp(lam.view(float), -e).view(complex)
+        tol = math.ldexp(SINGULAR_RTOL * float(np.abs(scaled).max()), int(e))
     with np.errstate(over="ignore", invalid="ignore"):
         qn = complex(lam.prod())
     invertible = lo > tol

@@ -9,19 +9,22 @@ Pushed onto circulants (e_k = P^(k-1)) this gives
     antipode    S(C) = C^T = circ(c_1, c_n, ..., c_2).
 
 Delta(C) lives in C[C_n x C_n] = C[C_n] (x) C[C_n], and this module
-computes with one form of its elements: the coefficient tensor T, where
-T[a, b] is the coefficient of P^a (x) P^b (0-based powers), so that
-Delta(C) has T = diag(c_1, ..., c_n).  The product of C[C_n x C_n] is
-the 2-D cyclic convolution of coefficient tensors, which the 2-D DFT
-diagonalises, and each axiom is a sum over T: (eps (x) id) Delta(C)
-sums T over its first index, and m(S (x) id) Delta(C) sums T along its
-wrapped diagonals.
+stores an element of it as its support: index arrays a, b and values v,
+the element sum_i v_i P^(a_i) (x) P^(b_i) (0-based powers).  Delta(C) is
+the diagonal support (k, k, c_k): n coefficients, not n^2.  Each axiom
+is a push-forward of the support: (eps (x) id) sends P^a (x) P^b to P^b,
+and m(S (x) id) sends it to P^(b-a), so both are one `np.bincount` over
+the real and one over the imaginary parts.  The product of two diagonal
+supports is the product of C[C_n] on their diagonals (Delta is an
+algebra map); any other product is the 2-D cyclic convolution of the
+coefficient tensors, which the 2-D DFT diagonalises.
 
-Viewed as an n^2 x n^2 matrix, the element with tensor T is the block
-circulant with circulant blocks B_k = circ(T[k]); for Delta(C) that is
+Viewed as an n^2 x n^2 matrix, the element with coefficient tensor T
+(T[a, b] the coefficient of P^a (x) P^b) is the block circulant with
+circulant blocks B_k = circ(T[k]); for Delta(C) that is
 circ(c_1 I, c_2 P, ..., c_n P^(n-1)), whose spectrum is the spectrum of
-C with every eigenvalue repeated n times.  It is stored as its n
-blocks; dense n^2 x n^2 expansion is for small-order verification only.
+C with every eigenvalue repeated n times.  The tensor, the blocks and
+the dense n^2 x n^2 expansion are derived from the support on demand.
 
 The factorization helpers decompose an arbitrary dense matrix uniquely
 as sum a[i][k] * E_ii * P^(k-1) (diagonal times circulant).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -40,26 +43,48 @@ from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarErro
 from .spectral import eigenvalues
 
 
-@dataclass(frozen=True)
 class BlockCirculant:
-    """n^2 x n^2 block circulant with circulant blocks B_1, ..., B_n.
+    """An element of C[C_n x C_n], stored as its support: read-only index
+    arrays `a`, `b` and the complex `values`, for the element
+    sum_i values[i] P^(a[i]) (x) P^(b[i]).  The pairs (a[i], b[i]) are
+    distinct and in increasing order.
 
-    Block position (i, j) holds B_{j-i+1 mod n}; equivalently the matrix
-    is sum_k P^(k-1) (x) B_k.
+    As a matrix it is the n^2 x n^2 block circulant with circulant blocks
+    B_1, ..., B_n: block position (i, j) holds B_{j-i+1 mod n}, and the
+    matrix is sum_k P^(k-1) (x) B_k.  `BlockCirculant(blocks)` builds it
+    from those blocks (every pair (a, b) in the support); `blocks`,
+    `coefficient_tensor()` and `expand()` are derived from the support.
     """
 
-    blocks: tuple[Circulant, ...]
+    __slots__ = ("n", "a", "b", "values")
 
-    def __post_init__(self):
-        n = len(self.blocks)
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
+        n = len(blocks)
         if n == 0:
             raise InvalidOrderError("need at least one block")
-        if any(b.n != n for b in self.blocks):
+        if any(block.n != n for block in blocks):
             raise DimensionMismatchError("block order must equal the number of blocks")
+        a, b = np.divmod(np.arange(n * n), n)
+        _set_support(self, n, a, b, np.array([block.array for block in blocks]).ravel())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
-    def n(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[Circulant, ...]:
+        """The n blocks B_k = circ(T[k - 1]); O(n^2)."""
+        return tuple(map(Circulant, self.coefficient_tensor()))
+
+    def coefficient_tensor(self) -> np.ndarray:
+        """T[a, b] = coefficient of P^b inside block a, so that the matrix
+        is sum_{a,b} T[a, b] P^a (x) P^b (0-based powers); O(n^2)."""
+        t = np.zeros((self.n, self.n), dtype=complex)
+        t[self.a, self.b] = self.values
+        return t
 
     def expand(self) -> np.ndarray:
         """Dense n^2 x n^2 form; O(n^4) memory, verification use only.
@@ -70,10 +95,45 @@ class BlockCirculant:
         dense = self.coefficient_tensor()[shift[:, None, :, None], shift[None, :, None, :]]
         return dense.reshape(n * n, n * n)
 
-    def coefficient_tensor(self) -> np.ndarray:
-        """T[a, b] = coefficient of P^b inside block a, so that the matrix
-        is sum_{a,b} T[a, b] P^a (x) P^b (0-based powers)."""
-        return np.array([b.array for b in self.blocks])
+    def _diagonal_row(self) -> np.ndarray | None:
+        """(T[0, 0], ..., T[n-1, n-1]) when the support lies on the
+        diagonal, else None."""
+        if not np.array_equal(self.a, self.b):
+            return None
+        row = np.zeros(self.n, dtype=complex)
+        row[self.a] = self.values
+        return row
+
+    def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        keep = self.values != 0
+        return self.a[keep] * self.n + self.b[keep], self.values[keep]
+
+    def __eq__(self, other):
+        """Equal elements: the same order and the same nonzero coefficients
+        (-0.0 equals 0.0, as in the tensors)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.n != other.n:
+            return False
+        (i, v), (j, w) = self._nonzero(), other._nonzero()
+        return np.array_equal(i, j) and np.array_equal(v, w)
+
+    def __hash__(self):
+        index, values = self._nonzero()
+        return hash((self.n, tuple(index.tolist()), tuple(values.tolist())))
+
+    def __reduce__(self):
+        return BlockCirculant, (self.blocks,)
+
+    def __repr__(self) -> str:
+        return f"BlockCirculant(blocks={self.blocks!r})"
+
+
+def _set_support(x: BlockCirculant, n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray):
+    for name, value in (("a", a), ("b", b), ("values", values)):
+        value.setflags(write=False)
+        object.__setattr__(x, name, value)
+    object.__setattr__(x, "n", n)
 
 
 @dataclass(frozen=True)
@@ -100,9 +160,12 @@ def counit(c: Circulant) -> complex:
 
 
 def comultiplication(c: Circulant) -> BlockCirculant:
-    """Delta(C), the element with coefficient tensor diag(c_1, ..., c_n):
-    blocks B_k = c_k * P^(k-1)."""
-    return BlockCirculant(tuple(map(Circulant, np.diag(c.array))))
+    """Delta(C), the diagonal support (k, k, c_(k+1)), k = 0..n-1: the
+    element with coefficient tensor diag(c_1, ..., c_n)."""
+    x = object.__new__(BlockCirculant)
+    k = np.arange(c.n)
+    _set_support(x, c.n, k, k, c.array)
+    return x
 
 
 def antipode(c: Circulant) -> Circulant:
@@ -110,13 +173,18 @@ def antipode(c: Circulant) -> Circulant:
     return c.transpose()
 
 
-def block_mul(a: BlockCirculant, b: BlockCirculant) -> BlockCirculant:
-    """Product in C[C_n x C_n]: the 2-D cyclic convolution of the two
+def block_mul(x: BlockCirculant, y: BlockCirculant) -> BlockCirculant:
+    """Product in C[C_n x C_n].  Two diagonal supports multiply as
+    Delta(u) Delta(v) = Delta(u v): one product of circulants on the
+    diagonals.  Any other pair is the 2-D cyclic convolution of the two
     coefficient tensors, through the 2-D DFT."""
-    if a.n != b.n:
-        raise DimensionMismatchError(f"block orders differ: {a.n} vs {b.n}")
-    spectra = np.fft.fft2(a.coefficient_tensor()) * np.fft.fft2(b.coefficient_tensor())
-    return BlockCirculant(tuple(map(Circulant, np.fft.ifft2(spectra))))
+    if x.n != y.n:
+        raise DimensionMismatchError(f"block orders differ: {x.n} vs {y.n}")
+    u, v = x._diagonal_row(), y._diagonal_row()
+    if u is not None and v is not None:
+        return comultiplication(Circulant(u) * Circulant(v))
+    spectra = np.fft.fft2(x.coefficient_tensor()) * np.fft.fft2(y.coefficient_tensor())
+    return BlockCirculant(map(Circulant, np.fft.ifft2(spectra)))
 
 
 def delta_spectrum(c: Circulant) -> tuple[complex, ...]:
@@ -124,28 +192,44 @@ def delta_spectrum(c: Circulant) -> tuple[complex, ...]:
     return tuple(np.repeat(eigenvalues(c).array, c.n).tolist())
 
 
+def _push_forward(x: BlockCirculant, power: np.ndarray) -> np.ndarray:
+    """Coefficients of the image of x under the linear map that sends the
+    support's i-th basis element P^(a_i) (x) P^(b_i) to P^(power[i]).
+    np.bincount adds the real and the imaginary parts in support order."""
+    out = np.empty(x.n, dtype=complex)
+    out.real = np.bincount(power, weights=x.values.real, minlength=x.n)
+    out.imag = np.bincount(power, weights=x.values.imag, minlength=x.n)
+    return out
+
+
+def counit_image(x: BlockCirculant) -> np.ndarray:
+    """(eps (x) id)(x): eps sends every P^a to 1, so coefficient b is the
+    sum of x's coefficients at (a, b) over a."""
+    return _push_forward(x, x.b)
+
+
+def antipode_image(x: BlockCirculant) -> np.ndarray:
+    """m(S (x) id)(x): S (x) id then m send P^a (x) P^b to P^(b-a), so
+    coefficient k is the sum of x's coefficients at (a, a+k mod n) over a."""
+    return _push_forward(x, (x.b - x.a) % x.n)
+
+
 def verify_counit_axiom(c: Circulant, tol: float = 1e-10) -> HopfReport:
-    """(eps (x) id) Delta(C) = C.  eps sends every P^a to 1, so the left
-    side is the coefficient tensor of Delta(C) summed over its first index.
-    Raises InvalidScalarError on a negative or NaN tol."""
+    """(eps (x) id) Delta(C) = C, in O(n).  Raises InvalidScalarError on a
+    negative or NaN tol."""
     _check_tol(tol)
-    t = comultiplication(c).coefficient_tensor()
-    residual = float(np.max(np.abs(t.sum(axis=0) - c.array)))
+    residual = float(np.max(np.abs(counit_image(comultiplication(c)) - c.array)))
     return HopfReport("counit", residual <= tol, residual)
 
 
 def verify_antipode_axiom(c: Circulant, tol: float = 1e-10) -> HopfReport:
-    """S(C_(1)) C_(2) = eps(C) I.  S (x) id then m send P^a (x) P^b to
-    P^(b-a), so coefficient k of the left side is the sum of T[a, a+k mod n]
-    over a.  Raises InvalidScalarError on a negative or NaN tol and when
-    eps(C) leaves the float range."""
+    """S(C_(1)) C_(2) = eps(C) I, in O(n).  Raises InvalidScalarError on a
+    negative or NaN tol and when eps(C) leaves the float range."""
     _check_tol(tol)
     target = np.zeros(c.n, dtype=complex)
     target[0] = counit(c)
-    # factorize_dense gathers T[a, a+k mod n] into row a, column k; the
-    # sum down the columns adds c_1, ..., c_n in the order counit does.
-    acc = factorize_dense(comultiplication(c).coefficient_tensor()).sum(axis=0)
-    residual = float(np.max(np.abs(acc - target)))
+    # Coefficient 0 of the image adds c_1, ..., c_n in the order counit does.
+    residual = float(np.max(np.abs(antipode_image(comultiplication(c)) - target)))
     return HopfReport("antipode", residual <= tol, residual)
 
 
@@ -195,17 +279,16 @@ def reconstruct_factorization(grid: np.ndarray) -> np.ndarray:
     return grid[i, (j - i) % n]
 
 
-def coassociativity_tensors(c: Circulant) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient tensors of (Delta (x) id) Delta(C) and (id (x) Delta) Delta(C)
-    in the P^a (x) P^b (x) P^c basis; coassociativity makes them equal.
+def coassociativity_tensors(
+    c: Circulant,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Supports of (Delta (x) id) Delta(C) and (id (x) Delta) Delta(C) in
+    the P^a (x) P^b (x) P^c basis, each as index arrays and values
+    (a, b, c, v); coassociativity makes them equal, entry for entry.
 
-    Delta(P^a) = P^a (x) P^a, so Delta (x) id moves T[a, b] to slot
-    (a, a, b) and id (x) Delta moves it to slot (a, b, b)."""
-    t = comultiplication(c).coefficient_tensor()
-    n = c.n
-    k = np.arange(n)
-    left = np.zeros((n, n, n), dtype=complex)
-    right = np.zeros((n, n, n), dtype=complex)
-    left[k, k, :] = t
-    right[:, k, k] = t
-    return left, right
+    Delta(P^a) = P^a (x) P^a, so Delta (x) id moves the coefficient at
+    (a, b) to (a, a, b) and id (x) Delta moves it to (a, b, b): O(n) for
+    the diagonal support of Delta(C).  `oracle.coassociativity_tensors`
+    builds the dense n^3 tensors."""
+    x = comultiplication(c)
+    return (x.a, x.a, x.b, x.values), (x.a, x.b, x.b, x.values)

@@ -2,9 +2,11 @@
 
 Nothing here calls into the circulant modules; inputs are plain numpy
 arrays or grids of Fractions.  These run at desk scale only (n <= 64
-floating, n <= 16 exact; the transforms up to a few hundred).  The
-hand-rolled transforms, an iterative radix-2 FFT and the O(n^2) direct
-DFT, check the numpy.fft path of `spectral`.
+floating, n <= 16 exact, n <= 32 for the dense Hopf tensors; the
+transforms up to a few hundred).  The hand-rolled transforms, an
+iterative radix-2 FFT and the O(n^2) direct DFT, check the numpy.fft
+path of `spectral`; the dense coefficient tensors of C[C_n x C_n] check
+the support form of `hopf`.
 """
 
 from __future__ import annotations
@@ -175,6 +177,57 @@ def exact_inverse(grid) -> tuple[tuple[Fraction, ...], ...]:
     for k in range(n):
         result[col_perm[k]] = tuple(aug[k][n:])
     return tuple(result)  # type: ignore[arg-type]
+
+
+def coproduct_tensor(row) -> np.ndarray:
+    """The coefficient tensor T of Delta(c) for the first row c, where
+    T[a, b] multiplies P^a (x) P^b: Delta(P^k) = P^k (x) P^k, so
+    T = diag(c).  n^2 entries."""
+    return np.diag(np.asarray(row, dtype=complex))
+
+
+def group_tensor_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Product in C[C_n x C_n] from its definition: P^c (x) P^d times
+    P^a (x) P^b is P^(a+c) (x) P^(b+d), so the product tensor is the 2-D
+    cyclic convolution sum_{c,d} s[c, d] t[a - c, b - d]; O(n^4) time
+    and memory."""
+    s = np.asarray(s, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != t.shape:
+        raise DimensionMismatchError(f"shapes {s.shape} and {t.shape} are not one square shape")
+    n = s.shape[0]
+    k = np.arange(n)
+    shift = (k[:, None] - k[None, :]) % n  # shift[a, c] = a - c mod n
+    return np.einsum("cd,acbd->ab", s, t[shift[:, :, None, None], shift[None, None, :, :]])
+
+
+def tensor_counit_image(t: np.ndarray) -> np.ndarray:
+    """(eps (x) id) of the element with tensor t: the sum over a of t[a, b]."""
+    return np.asarray(t, dtype=complex).sum(axis=0)
+
+
+def tensor_antipode_image(t: np.ndarray) -> np.ndarray:
+    """m(S (x) id) of the element with tensor t: P^a (x) P^b goes to
+    P^(b-a), so coefficient k is the sum over a of t[a, a + k mod n]."""
+    t = np.asarray(t, dtype=complex)
+    n = t.shape[0]
+    a = np.arange(n)[:, None]
+    return t[a, (a + np.arange(n)[None, :]) % n].sum(axis=0)
+
+
+def coassociativity_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense tensors of (Delta (x) id) and (id (x) Delta) applied to the
+    element with tensor t, in the P^a (x) P^b (x) P^c basis:
+    Delta(P^a) = P^a (x) P^a moves t[a, b] to slot (a, a, b), and to slot
+    (a, b, b).  n^3 entries."""
+    t = np.asarray(t, dtype=complex)
+    n = t.shape[0]
+    k = np.arange(n)
+    left = np.zeros((n, n, n), dtype=complex)
+    right = np.zeros((n, n, n), dtype=complex)
+    left[k, k, :] = t
+    right[:, k, k] = t
+    return left, right
 
 
 def eigen_residual(a: np.ndarray, lam: complex, x: np.ndarray) -> float:

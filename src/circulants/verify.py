@@ -168,8 +168,16 @@ def forms_suite(rng: np.random.Generator) -> list[OracleReport]:
     ]
 
 
+def _scattered(support, n: int) -> np.ndarray:
+    """The dense n x n x n tensor of a support (a, b, c, values)."""
+    *index, values = support
+    t = np.zeros((n, n, n), dtype=complex)
+    t[tuple(index)] = values
+    return t
+
+
 def hopf_suite(rng: np.random.Generator) -> list[OracleReport]:
-    worst_axiom = worst_map = worst_spec = worst_fact = worst_invol = worst_coassoc = 0.0
+    worst_axiom = worst_map = worst_conv = worst_spec = worst_fact = worst_invol = worst_coassoc = 0.0
     for n in (1, 2, 3, 4, 8, 16):
         for _ in range(5):
             x = random_circulant(rng, n)
@@ -188,12 +196,32 @@ def hopf_suite(rng: np.random.Generator) -> list[OracleReport]:
     for n in (1, 2, 3, 4, 5, 6):
         for _ in range(3):
             x, y = random_circulant(rng, n), random_circulant(rng, n)
-            left = hopf.block_mul(hopf.comultiplication(x), hopf.comultiplication(y)).expand()
-            right = hopf.comultiplication(mul_naive(x, y)).expand()
-            worst_map = max(worst_map, float(np.max(np.abs(left - right))))
+            dx, dy = hopf.comultiplication(x), hopf.comultiplication(y)
+            tx, ty = oracle.coproduct_tensor(x.array), oracle.coproduct_tensor(y.array)
+            reference = oracle.group_tensor_product(tx, ty)
+            worst_map = max(
+                worst_map,
+                float(np.max(np.abs(hopf.block_mul(dx, dy).coefficient_tensor() - reference))),
+                float(np.max(np.abs(hopf.comultiplication(mul_naive(x, y)).coefficient_tensor() - reference))),
+            )
+            # Every block x: a full support, which takes the 2-D transform.
+            full = hopf.BlockCirculant((x,) * n)
+            worst_conv = max(
+                worst_conv,
+                float(np.max(np.abs(
+                    hopf.block_mul(full, dy).coefficient_tensor()
+                    - oracle.group_tensor_product(np.tile(x.array, (n, 1)), ty)
+                ))),
+            )
             lt, rt = hopf.coassociativity_tensors(x)
-            worst_coassoc = max(worst_coassoc, float(np.max(np.abs(lt - rt))))
-            expanded = np.linalg.eigvals(hopf.comultiplication(x).expand())
+            ol, orr = oracle.coassociativity_tensors(tx)
+            worst_coassoc = max(
+                worst_coassoc,
+                float(np.max(np.abs(_scattered(lt, n) - ol))),
+                float(np.max(np.abs(_scattered(rt, n) - orr))),
+                float(np.max(np.abs(ol - orr))),
+            )
+            expanded = np.linalg.eigvals(dx.expand())
             matched = oracle.greedy_multiset_match(
                 hopf.delta_spectrum(x), expanded, 1e-9 * (1.0 + x.norm_inf())
             )
@@ -201,6 +229,7 @@ def hopf_suite(rng: np.random.Generator) -> list[OracleReport]:
     return [
         _report("hopf.axiom-residuals", worst_axiom, 1e-10),
         _report("hopf.coproduct-is-algebra-map", worst_map, 1e-9),
+        _report("hopf.product-matches-convolution", worst_conv, 1e-9),
         _report("hopf.coassociativity-exact", worst_coassoc, 0.0),
         _report("hopf.delta-spectrum-multiplicity-n", worst_spec, 1e-7),
         _report("hopf.factorization-roundtrip", worst_fact, 0.0),

@@ -267,11 +267,11 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 21
+    assert len(lines) == 24
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
-    assert (8, "block-mul") in methods
+    assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -498,6 +498,23 @@ def test_bench_block_mul_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_hopf_verify_row_checks_before_timing(monkeypatch):
+    from circulants import bench
+    from circulants.hopf import HopfReport
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.HOPF_VERIFY]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum >= 0 for r in rows)
+
+    # A residual that holds within tol but is not the exact 0.0 is refused.
+    monkeypatch.setattr(bench, "verify_antipode_axiom", lambda c: HopfReport("antipode", True, 1e-17))
+    with pytest.raises(bench.BenchDisagreementError, match="hopf-verify"):
+        bench.run_bench([4], reps=3)
+    monkeypatch.setattr(bench, "verify_antipode_axiom", lambda c: HopfReport("antipode", False, 0.0))
+    with pytest.raises(bench.BenchDisagreementError, match="hopf-verify"):
+        bench.run_bench([4], reps=3)
+
+
 def test_bench_add_row_checks_before_timing(monkeypatch):
     from circulants import Circulant, bench
 
@@ -638,3 +655,22 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
     inv = [complex(float(re), float(im)) for re, im in json.loads(out)["first_row"]]
     assert inv == pytest.approx([5e-309, -5e-309j], rel=1e-12)
 
+
+
+_HUGE = 10**400  # a JSON integer of 401 digits, past the float maximum
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    (
+        ("eig", {"kind": "circulant", "n": 2, "first_row": [[_HUGE, 0], [0, 0]]}),
+        ("spectrum-reconstruct", {"kind": "spectrum", "n": 2, "values": [[_HUGE, 0], [0, 0]]}),
+        ("cocycle-verify", {"kind": "cocycle", "n": 2, "table": [[[1, 0], [1, 0]], [[1, 0], [0, -_HUGE]]]}),
+    ),
+)
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert len(err.strip().splitlines()) == 1

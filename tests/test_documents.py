@@ -4,15 +4,18 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from circulants import circ, mu_circ, rational_circ, skew_circ
+from circulants import BlockCirculant, Circulant, circ, comultiplication, mu_circ, rational_circ, skew_circ
 from circulants.documents import (
     DocumentError,
     MatrixDocument,
+    circulant_to_obj,
     document_from_obj,
     document_to_obj,
+    dump_block_circulant,
     dump_json,
     format_complex,
     format_complex_row,
+    mu_circulant_to_obj,
     parse_complex,
     parse_documents,
     spectrum_from_obj,
@@ -185,3 +188,46 @@ def test_booleans_are_not_numbers(part):
     with pytest.raises(DocumentError, match="values"):
         spectrum_from_obj({"kind": "spectrum", "n": part, "values": ["1"] * int(part)})
     assert parse_complex([1, 2.5], "x") == complex(1, 2.5)
+
+
+def dense_block_circulant_text(x) -> str:
+    """The hopf-delta document from the dense coefficient tensor, through
+    the standard library's encoder."""
+    payload = {
+        "kind": "block_circulant",
+        "n": x.n,
+        "blocks": [format_complex_row(row) for row in x.coefficient_tensor()],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", (1, 2, 8, 128, 256))
+def test_block_circulant_text_is_the_dense_indent_2_document(n):
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # Signed zeros and zero entries, which must not read as the zero cell.
+    row[0] = complex(-0.0, -0.0)
+    row[n // 2] = 0
+    row[-1] = complex(0.0, -0.0) if n > 2 else row[-1]
+    for x in (comultiplication(Circulant(row)), comultiplication(circ(*([0] * n)))):
+        assert dump_block_circulant(x) == dense_block_circulant_text(x)
+    if n <= 8:
+        full = BlockCirculant(tuple(Circulant(np.roll(row, k)) for k in range(n)))
+        assert dump_block_circulant(full) == dense_block_circulant_text(full)
+
+
+def test_result_objects_from_the_arrays():
+    c = circ(1.25, -0.0, complex(3e-17, -0.0))
+    assert circulant_to_obj(c) == document_to_obj(MatrixDocument.from_circulant(c))
+    m = mu_circ((1, 2.5, -3j), (0.5 + 1j, 4))
+    assert mu_circulant_to_obj(m) == document_to_obj(MatrixDocument.from_mu_circulant(m))
+    values = np.array([1, -0.0, complex(0.5, -2)])
+    assert spectrum_to_obj(values) == spectrum_to_obj(tuple(values.tolist()))
+
+
+@pytest.mark.parametrize("part", (10**400, -(10**309)), ids=("10^400", "-10^309"))
+def test_integer_component_beyond_the_float_range_is_a_document_error(part):
+    with pytest.raises(DocumentError, match="float range"):
+        parse_complex([part, 0], "first_row")
+    with pytest.raises(DocumentError, match="first_row"):
+        document_from_obj({"kind": "circulant", "n": 1, "first_row": [[0, part]]})

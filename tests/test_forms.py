@@ -304,6 +304,16 @@ def test_forms_of_eigenvalues_whose_modulus_leaves_the_float_range_raise():
             with pytest.raises(InvalidScalarError, match="float range"):
                 call(x)
 
+
+def test_forms_at_order_1_count_the_parts_of_the_modulus():
+    # q_1 = 1e308 + 1.7e308 i is representable, although its modulus is not.
+    z = 1e308 + 1.7e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert forms(circ(z)).q == (z,)
+        assert char_poly(circ(z)) == (1, -z)
+
+
 @pytest.mark.parametrize("threshold", (-1.0, float("nan")))
 def test_negative_or_nan_threshold_rejected(threshold):
     x = circ(1, 1, 0, 0)
@@ -366,6 +376,26 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range():
     inv = inverse(x)
     assert inv.coeffs == pytest.approx((5e-309, -5e-309j), rel=1e-12)
     assert scaled_identity_residual(x, inv) <= 1e-15
+
+
+def test_verdict_on_moduli_past_the_float_maximum():
+    # Both eigenvalues are 1.5e308 (1 + i): finite parts, but a modulus of
+    # about 2.1e308, so the default threshold 1e-10 max |lambda| is taken
+    # on a power-of-two scale instead of being inf.
+    x = circ(1.5e308 + 1.5e308j, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = is_invertible(x)
+        inv = inverse(x)
+    assert verdict.invertible and verdict.witness is None
+    assert verdict.threshold == pytest.approx(1.5e298 * math.sqrt(2), rel=1e-15)
+    assert scaled_identity_residual(x, inv) <= 1e-15
+    # Eigenvalues 1.5e308 (1 + i) and 0 on the same scale: still singular.
+    half = 0.75e308 + 0.75e308j
+    verdict = is_invertible(circ(half, half))
+    assert not verdict.invertible and verdict.witness == 2
+    with pytest.raises(SingularMatrixError, match="j=2"):
+        inverse(circ(half, half))
 
 
 @pytest.mark.parametrize("exponent", (-1000, 0, 1000))

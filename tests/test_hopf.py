@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -22,8 +26,9 @@ from circulants import (
     verify_antipode_axiom,
     verify_counit_axiom,
 )
-from circulants.errors import DimensionMismatchError, InvalidScalarError
-from circulants.hopf import coassociativity_tensors
+from circulants import oracle
+from circulants.errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
+from circulants.hopf import antipode_image, coassociativity_tensors, counit_image
 from circulants.oracle import dense_mul, greedy_multiset_match
 from circulants.verify import random_circulant
 
@@ -238,10 +243,94 @@ def test_delta_is_algebra_map_at_scale(n):
 
 def test_coassociativity_exact():
     rng = np.random.default_rng(SEED)
-    for n in (1, 2, 3, 5, 8, 64):
+    for n in (1, 2, 3, 5, 8, 64, 4096):
         c = random_circulant(rng, n)
         left, right = coassociativity_tensors(c)
-        assert np.array_equal(left, right)
+        assert all(np.array_equal(u, v) for u, v in zip(left, right))
+        assert len(left[-1]) == n
+
+
+def scattered(support, n):
+    *index, values = support
+    t = np.zeros((n,) * len(index), dtype=complex)
+    t[tuple(index)] = values
+    return t
+
+
+def random_blocks(rng, n):
+    return BlockCirculant(tuple(random_circulant(rng, n) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 13, 32))
+def test_support_path_matches_the_dense_oracle_tensors(n):
+    rng = np.random.default_rng(SEED + n)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    dx, dy = comultiplication(x), comultiplication(y)
+    tx, ty = oracle.coproduct_tensor(x.array), oracle.coproduct_tensor(y.array)
+    assert dx.values.size == n
+    assert np.array_equal(dx.coefficient_tensor(), tx)
+    # The push-forwards add in the order the dense sums do: equal bits.
+    for element, tensor in ((dx, tx), (random_blocks(rng, n), None)):
+        t = element.coefficient_tensor() if tensor is None else tensor
+        assert counit_image(element).tobytes() == oracle.tensor_counit_image(t).tobytes()
+        assert antipode_image(element).tobytes() == oracle.tensor_antipode_image(t).tobytes()
+    # Coassociativity: both supports scatter to the oracle's n^3 tensors.
+    left, right = coassociativity_tensors(x)
+    oleft, oright = oracle.coassociativity_tensors(tx)
+    assert np.array_equal(scattered(left, n), oleft) and np.array_equal(scattered(right, n), oright)
+    # Products: the diagonal path and the 2-D transform against the definition.
+    scale = 1.0 + x.norm_inf() * y.norm_inf()
+    reference = oracle.group_tensor_product(tx, ty)
+    product = block_mul(dx, dy)
+    assert np.array_equal(product.a, product.b) and product.values.size == n
+    assert np.max(np.abs(product.coefficient_tensor() - reference)) <= 1e-13 * scale
+    general = block_mul(BlockCirculant(dx.blocks), dy)
+    assert general.values.size == n * n
+    assert np.max(np.abs(general.coefficient_tensor() - reference)) <= 1e-13 * scale
+    if n <= 8:
+        a, b = random_blocks(rng, n), random_blocks(rng, n)
+        ta, tb = a.coefficient_tensor(), b.coefficient_tensor()
+        bound = 1e-13 * (1.0 + np.abs(ta).sum() * np.abs(tb).sum())
+        assert np.max(np.abs(block_mul(a, b).coefficient_tensor() - oracle.group_tensor_product(ta, tb))) <= bound
+
+
+def test_block_circulant_is_its_support():
+    c = circ(1, -2j, 0, 3.5)
+    delta = comultiplication(c)
+    assert delta.n == 4
+    assert delta.a.tolist() == delta.b.tolist() == [0, 1, 2, 3]
+    assert delta.values.tolist() == list(c.coeffs)
+    # The blocks are derived, and the blocks constructor gives an equal element.
+    assert delta.blocks == (circ(1, 0, 0, 0), circ(0, -2j, 0, 0), circ(0, 0, 0, 0), circ(0, 0, 0, 3.5))
+    full = BlockCirculant(delta.blocks)
+    assert full.values.size == 16 and np.array_equal(full.coefficient_tensor(), delta.coefficient_tensor())
+    assert full == delta and hash(full) == hash(delta)
+    assert comultiplication(circ(-0.0, 1)) == comultiplication(circ(0.0, 1))
+    assert delta != comultiplication(circ(1, -2j, 0, 3)) and delta != comultiplication(circ(1, 2))
+    for arr in (delta.a, delta.b, delta.values):
+        assert not arr.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        delta.values = np.zeros(4)
+    for twin in (pickle.loads(pickle.dumps(delta)), copy.deepcopy(delta)):
+        assert twin == delta and not twin.values.flags.writeable
+    assert repr(comultiplication(circ(1, 2))) == "BlockCirculant(blocks=(circ(1.0, 0.0), circ(0.0, 2.0)))"
+    with pytest.raises(InvalidOrderError):
+        BlockCirculant(())
+
+
+def test_hopf_verify_axioms_in_linear_memory():
+    # The dense coefficient tensor alone would take 256 MiB at n = 4096.
+    n = 4096
+    c = random_circulant(np.random.default_rng(SEED), n)
+    tracemalloc.start()
+    try:
+        reports = (verify_counit_axiom(c), verify_antipode_axiom(c), integral_check(c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.holds for r in reports)
+    assert reports[0].residual == 0.0 and reports[1].residual == 0.0
+    assert peak < 2e6
 
 
 def test_factorize_order2():

@@ -10,6 +10,8 @@ from circulants.errors import (
     SingularMatrixError,
 )
 from circulants.oracle import (
+    coassociativity_tensors,
+    coproduct_tensor,
     dense_mul,
     eigen_residual,
     exact_det,
@@ -17,6 +19,9 @@ from circulants.oracle import (
     faddeev_leverrier,
     faddeev_leverrier_exact,
     greedy_multiset_match,
+    group_tensor_product,
+    tensor_antipode_image,
+    tensor_counit_image,
 )
 from circulants.spectral import eigenvalues, eigenvector, fourier_context
 from circulants.verify import random_circulant
@@ -134,3 +139,45 @@ def test_float_oracle_on_random_circulants():
             for coeff in coeffs:
                 value = value * lam + coeff
             assert abs(value) <= 1e-8 * (1 + c.norm_inf()) ** n
+
+
+def shift_powers(n: int) -> list[np.ndarray]:
+    return [np.linalg.matrix_power(np.roll(np.eye(n), 1, axis=1), k) for k in range(n)]
+
+
+def kron_matrix(t: np.ndarray) -> np.ndarray:
+    """sum_{a,b} t[a, b] P^a (x) P^b as an n^2 x n^2 matrix, from the
+    permutation matrices themselves."""
+    n = t.shape[0]
+    powers = shift_powers(n)
+    return sum(t[a, b] * np.kron(powers[a], powers[b]) for a in range(n) for b in range(n))
+
+
+def test_hopf_tensor_oracles_follow_their_definitions():
+    rng = np.random.default_rng(SEED)
+    for n in (1, 2, 3, 4):
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        product = kron_matrix(s) @ kron_matrix(t)
+        assert np.max(np.abs(kron_matrix(group_tensor_product(s, t)) - product)) <= 1e-12
+        row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        delta = kron_matrix(coproduct_tensor(row))
+        powers = shift_powers(n)
+        assert np.array_equal(delta, sum(row[k] * np.kron(powers[k], powers[k]) for k in range(n)))
+        # eps(P^a) = 1 and S(P^a) = P^-a, entry by entry over the tensor.
+        counit = np.zeros(n, dtype=complex)
+        antipode = np.zeros(n, dtype=complex)
+        left = np.zeros((n, n, n), dtype=complex)
+        right = np.zeros((n, n, n), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                counit[b] += t[a, b]
+                antipode[(b - a) % n] += t[a, b]
+                left[a, a, b] += t[a, b]
+                right[a, b, b] += t[a, b]
+        assert np.max(np.abs(tensor_counit_image(t) - counit)) <= 1e-12
+        assert np.max(np.abs(tensor_antipode_image(t) - antipode)) <= 1e-12
+        oleft, oright = coassociativity_tensors(t)
+        assert np.array_equal(oleft, left) and np.array_equal(oright, right)
+    with pytest.raises(DimensionMismatchError):
+        group_tensor_product(np.eye(2), np.eye(3))
