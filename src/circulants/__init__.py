@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
     InvalidCocycleError,
+    InvalidModeError,
     InvalidOrderError,
     InvalidScalarError,
     InvalidVectorError,

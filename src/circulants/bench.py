@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Circulant, mul_naive
-from .documents import MatrixDocument, document_to_obj, load_json, spectrum_from_obj
+from .documents import DocumentError, circulant_to_obj, load_json, spectrum_from_obj
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
 from .hopf import (
@@ -77,7 +77,7 @@ def _cli_eig(x: Circulant):
     decoded output equals ``eigenvalues(x).values``."""
     from . import cli  # cli imports this module
 
-    text = json.dumps(document_to_obj(MatrixDocument.from_circulant(x)))
+    text = json.dumps(circulant_to_obj(x))
 
     def run() -> tuple[int, str]:
         saved = sys.stdin, sys.stdout
@@ -167,12 +167,14 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
     the three products of x and y, then ``circulants eig`` on x, then the
     exact spectrum of the orbit-constant row of that order, then x + y,
-    then block_mul(Delta x, Delta y), then the Hopf checks of x."""
+    then block_mul(Delta x, Delta y), then the Hopf checks of x.  Raises
+    DocumentError on the field "bench" when a size is below 2 or reps
+    below 3."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
-        raise ValueError("every bench size must be >= 2")
+        raise DocumentError("bench", "every bench size must be >= 2")
     if reps < 3:
-        raise ValueError(f"need at least 3 repetitions, got {reps}")
+        raise DocumentError("bench", f"need at least 3 repetitions, got {reps}")
     rng = np.random.default_rng(seed)
     runners = {"naive": mul_naive, "spectral": fast_mul, "dense": _dense_method}
     results: list[BenchResult] = []

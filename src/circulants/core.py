@@ -89,6 +89,21 @@ def _entries(values) -> np.ndarray:
     return arr
 
 
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z_k| for a complex array, inf (without a warning) beyond the float
+    range.  np.hypot rounds like Python's abs(complex); numpy's vectorised
+    complex abs differs in the last bit on about a third of entries."""
+    with np.errstate(over="ignore"):
+        return np.hypot(z.real, z.imag)
+
+
+def _check_tol(tol: float, name: str = "tolerance"):
+    """Raise InvalidScalarError unless tol is a non-negative number; a
+    negative or NaN tolerance would fail every check."""
+    if not tol >= 0:
+        raise InvalidScalarError(f"{name} must be a non-negative number, got {tol!r}")
+
+
 #: Order from which `x * y` takes the spectral product instead of the
 #: O(n^2) convolution.  On CPython 3.11 with numpy 2.4 (pocketfft), on a
 #: 2-vCPU x86-64 VM, random complex inputs, best of 15 runs: mul_naive
@@ -99,7 +114,7 @@ SPECTRAL_MUL_MIN_ORDER = 12
 
 class _RowValue:
     """Base of the row values: each stores its validated row once, as the
-    read-only complex ndarray `array`.
+    read-only complex ndarray `array` (`twisted.TwoCocycle` its n x n table).
 
     `_row` caches the row as a tuple of Python complex numbers, built from
     `array` on the first read of the subclass's public tuple attribute and
@@ -171,13 +186,9 @@ class Circulant(_RowValue):
     def norm_inf(self) -> float:
         """Induced infinity norm of the dense form: every row sums to sum |c_i|;
         inf when that sum, or one |c_i|, leaves the float range."""
-        # np.hypot, not np.abs: it rounds |c_i| like Python's abs(complex)
-        # (libm hypot), where numpy's vectorised complex abs may differ in
-        # the last bit.  With Python's left-to-right sum the result equals
+        # With Python's left-to-right sum of `_moduli` the result equals
         # sum(abs(c) for c in coeffs) in every bit, where that is finite.
-        c = self.array
-        with np.errstate(over="ignore"):
-            return float(sum(np.hypot(c.real, c.imag).tolist()))
+        return float(sum(_moduli(self.array).tolist()))
 
     def __add__(self, other: "Circulant") -> "Circulant":
         if not isinstance(other, Circulant):

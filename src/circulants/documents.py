@@ -10,7 +10,8 @@ round-trip bit-exactly:
 
 Kinds: circulant, mu_circulant, skew_circulant, dense, rational_circulant;
 spectrum documents carry eigenvalue lists (complex on output, exact
-rationals when used as reconstruction input).
+rationals when used as reconstruction input), and cocycle documents an
+n x n table of complex pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import Circulant
 from .errors import CirculantError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
-from .twisted import MuCirculant, MuWeights, skew_circ
+from .twisted import MuCirculant, MuWeights, TwoCocycle, cocycle_from_mu, skew_circ
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
 
@@ -96,16 +97,6 @@ def _parse_entry(value, field: str):
     return parse_rational(value, field)
 
 
-def _format_row(values) -> list:
-    """A row of complex pairs, or entry by entry when it holds rationals.
-    (Fraction is an ABC, so the test runs per type, not per entry.)"""
-    if isinstance(values, np.ndarray):
-        return format_complex_row(values)
-    if any(issubclass(kind, Fraction) for kind in set(map(type, values))):
-        return [format_rational(x) if isinstance(x, Fraction) else format_complex(x) for x in values]
-    return format_complex_row(values)
-
-
 @dataclass(frozen=True)
 class MatrixDocument:
     kind: str
@@ -113,36 +104,6 @@ class MatrixDocument:
     first_row: tuple | None = None
     mu: tuple | None = None
     entries: tuple | None = None
-
-    # -- constructors from library objects ---------------------------------
-    @classmethod
-    def from_circulant(cls, c: Circulant) -> "MatrixDocument":
-        return cls(kind="circulant", n=c.n, first_row=c.coeffs)
-
-    @classmethod
-    def from_mu_circulant(cls, m: MuCirculant) -> "MatrixDocument":
-        return cls(kind="mu_circulant", n=m.n, first_row=m.coeffs, mu=m.weights.mu[1:])
-
-    @classmethod
-    def from_rational_circulant(cls, c: RationalCirculant) -> "MatrixDocument":
-        return cls(kind="rational_circulant", n=c.n, first_row=c.coeffs)
-
-    @classmethod
-    def from_dense(cls, a) -> "MatrixDocument":
-        a = np.asarray(a, dtype=complex)
-        return cls(
-            kind="dense",
-            n=a.shape[0],
-            entries=tuple(tuple(complex(x) for x in row) for row in a),
-        )
-
-    @classmethod
-    def from_exact_grid(cls, grid) -> "MatrixDocument":
-        return cls(
-            kind="dense",
-            n=len(grid),
-            entries=tuple(tuple(Fraction(x) for x in row) for row in grid),
-        )
 
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
@@ -226,14 +187,14 @@ def document_from_obj(obj) -> MatrixDocument:
 
 
 def circulant_to_obj(c: Circulant) -> dict:
-    """``document_to_obj(MatrixDocument.from_circulant(c))``, formatted
-    from ``c.array`` without building the coefficient tuple."""
+    """The circulant document of c, formatted from ``c.array`` without
+    building the coefficient tuple."""
     return {"kind": "circulant", "n": c.n, "first_row": format_complex_row(c.array)}
 
 
 def mu_circulant_to_obj(m: MuCirculant) -> dict:
-    """``document_to_obj(MatrixDocument.from_mu_circulant(m))``, formatted
-    from the arrays without building the coefficient or weight tuples."""
+    """The mu_circulant document of m, formatted from the arrays without
+    building the coefficient or weight tuples."""
     return {
         "kind": "mu_circulant",
         "n": m.n,
@@ -242,18 +203,26 @@ def mu_circulant_to_obj(m: MuCirculant) -> dict:
     }
 
 
-def document_to_obj(doc: MatrixDocument) -> dict:
-    out: dict = {"kind": doc.kind, "n": doc.n}
-    if doc.kind == "dense":
-        out["entries"] = [_format_row(row) for row in doc.entries]
-        return out
-    if doc.kind == "rational_circulant":
-        out["first_row"] = [format_rational(x) for x in doc.first_row]
-    else:
-        out["first_row"] = format_complex_row(doc.first_row)
-    if doc.kind == "mu_circulant":
-        out["mu"] = format_complex_row(doc.mu)
-    return out
+def cocycle_from_obj(obj) -> TwoCocycle:
+    """The cocycle of a ``cocycle-verify`` input: the n x n table of ``[re,
+    im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
+    coboundary of the weights of a mu_circulant or skew_circulant document."""
+    if isinstance(obj, dict) and obj.get("kind") == "cocycle":
+        n = obj.get("n")
+        table = obj.get("table")
+        if (
+            not isinstance(n, int)
+            or isinstance(n, bool)
+            or not isinstance(table, list)
+            or len(table) != n
+            or not all(isinstance(row, list) and len(row) == n for row in table)
+        ):
+            raise DocumentError("table", "expected an n x n grid of complex pairs")
+        return TwoCocycle([[parse_complex(x, "table") for x in row] for row in table])
+    doc = document_from_obj(obj)
+    if doc.kind not in ("mu_circulant", "skew_circulant"):
+        raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
+    return cocycle_from_mu(doc.to_mu_circulant().weights)
 
 
 def load_json(text: str):
@@ -359,14 +328,9 @@ def dump_block_circulant(x: BlockCirculant) -> str:
 
 def spectrum_to_obj(values) -> dict:
     """A spectrum document of a complex array, or of a sequence of complex
-    numbers or Fractions."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    return {
-        "kind": "spectrum",
-        "n": len(values),
-        "values": _format_row(values),
-    }
+    numbers.  (Exact spectra are only read, by ``spectrum_from_obj``.)"""
+    pairs = format_complex_row(values)
+    return {"kind": "spectrum", "n": len(pairs), "values": pairs}
 
 
 def spectrum_from_obj(obj) -> tuple:

@@ -22,6 +22,10 @@ class InvalidScalarError(CirculantError, ValueError):
     """A scalar entry is NaN, infinite, or of an unsupported type."""
 
 
+class InvalidModeError(CirculantError, ValueError):
+    """A mode argument names no supported mode."""
+
+
 class DimensionMismatchError(CirculantError, ValueError):
     """Operands have incompatible orders."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant
+from .core import Circulant, _check_tol
 from .errors import InvalidScalarError, SingularMatrixError
 from .spectral import Spectrum, eigenvalues, from_spectrum
 
@@ -170,8 +170,8 @@ def _verdict(
 ) -> tuple[InvertibilityVerdict, np.ndarray, float, float]:
     """The verdict on c together with the spectrum it was read from and
     the least and greatest modulus in it."""
-    if threshold is not None and not threshold >= 0:
-        raise InvalidScalarError(f"threshold must be a non-negative number, got {threshold!r}")
+    if threshold is not None:
+        _check_tol(threshold, "threshold")
     lam = eigenvalues(c).array
     mag = np.abs(lam)
     slot = int(mag.argmin())

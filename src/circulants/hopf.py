@@ -38,7 +38,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from .core import Circulant
+from .core import Circulant, _check_tol, _entries, _moduli
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 
@@ -53,12 +53,13 @@ class BlockCirculant:
     B_1, ..., B_n: block position (i, j) holds B_{j-i+1 mod n}, and the
     matrix is sum_k P^(k-1) (x) B_k.  `BlockCirculant(blocks)` builds it
     from those blocks (every pair (a, b) in the support); `blocks`,
-    `coefficient_tensor()` and `expand()` are derived from the support.
+    `coefficient_tensor()` and `expand()` are derived from the support,
+    and an element pickles as its support.
     """
 
     __slots__ = ("n", "a", "b", "values")
 
-    def __init__(self, blocks):
+    def __new__(cls, blocks):
         blocks = tuple(blocks)
         n = len(blocks)
         if n == 0:
@@ -66,7 +67,20 @@ class BlockCirculant:
         if any(block.n != n for block in blocks):
             raise DimensionMismatchError("block order must equal the number of blocks")
         a, b = np.divmod(np.arange(n * n), n)
-        _set_support(self, n, a, b, np.array([block.array for block in blocks]).ravel())
+        return cls._from_support(n, a, b, np.array([block.array for block in blocks]).ravel())
+
+    @classmethod
+    def _from_support(
+        cls, n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray
+    ) -> "BlockCirculant":
+        """The element sum_i values[i] P^(a[i]) (x) P^(b[i]) of order n, from
+        validated arrays, which it makes read-only and keeps."""
+        x = object.__new__(cls)
+        for name, value in (("a", a), ("b", b), ("values", values)):
+            value.setflags(write=False)
+            object.__setattr__(x, name, value)
+        object.__setattr__(x, "n", n)
+        return x
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -123,17 +137,10 @@ class BlockCirculant:
         return hash((self.n, tuple(index.tolist()), tuple(values.tolist())))
 
     def __reduce__(self):
-        return BlockCirculant, (self.blocks,)
+        return BlockCirculant._from_support, (self.n, self.a, self.b, self.values)
 
     def __repr__(self) -> str:
         return f"BlockCirculant(blocks={self.blocks!r})"
-
-
-def _set_support(x: BlockCirculant, n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray):
-    for name, value in (("a", a), ("b", b), ("values", values)):
-        value.setflags(write=False)
-        object.__setattr__(x, name, value)
-    object.__setattr__(x, "n", n)
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,6 @@ class HopfReport:
     axiom: str
     holds: bool
     residual: float
-
-
-def _check_tol(tol: float):
-    """Raise InvalidScalarError unless tol is a non-negative number; a
-    negative or NaN tolerance would fail every check."""
-    if not tol >= 0:
-        raise InvalidScalarError(f"tolerance must be a non-negative number, got {tol!r}")
 
 
 def counit(c: Circulant) -> complex:
@@ -162,10 +162,8 @@ def counit(c: Circulant) -> complex:
 def comultiplication(c: Circulant) -> BlockCirculant:
     """Delta(C), the diagonal support (k, k, c_(k+1)), k = 0..n-1: the
     element with coefficient tensor diag(c_1, ..., c_n)."""
-    x = object.__new__(BlockCirculant)
     k = np.arange(c.n)
-    _set_support(x, c.n, k, k, c.array)
-    return x
+    return BlockCirculant._from_support(c.n, k, k, c.array)
 
 
 def antipode(c: Circulant) -> Circulant:
@@ -184,7 +182,8 @@ def block_mul(x: BlockCirculant, y: BlockCirculant) -> BlockCirculant:
     if u is not None and v is not None:
         return comultiplication(Circulant(u) * Circulant(v))
     spectra = np.fft.fft2(x.coefficient_tensor()) * np.fft.fft2(y.coefficient_tensor())
-    return BlockCirculant(map(Circulant, np.fft.ifft2(spectra)))
+    a, b = np.divmod(np.arange(x.n * x.n), x.n)
+    return BlockCirculant._from_support(x.n, a, b, _entries(np.fft.ifft2(spectra).ravel()))
 
 
 def delta_spectrum(c: Circulant) -> tuple[complex, ...]:
@@ -245,10 +244,7 @@ def integral_check(h: Circulant, tol: float = 1e-10) -> HopfReport:
     if norm == math.inf:
         raise InvalidScalarError("the norm of h leaves the float range")
     product = h * Circulant(np.ones(h.n))
-    # np.hypot rounds each modulus like Python's abs(complex).
-    d = product.array - eps
-    with np.errstate(over="ignore"):
-        residual = float(np.max(np.hypot(d.real, d.imag))) / (1.0 + norm)
+    residual = float(np.max(_moduli(product.array - eps))) / (1.0 + norm)
     return HopfReport("integral", residual <= tol, residual)
 
 

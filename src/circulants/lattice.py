@@ -41,6 +41,7 @@ from .core import Circulant, _check_orders
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
+    InvalidModeError,
     InvalidOrderError,
     InvalidScalarError,
     NotIntegralBasisError,
@@ -239,6 +240,12 @@ def _divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return quot, rem[:m]
 
 
+def _check_mode(mode: str):
+    """Raise InvalidModeError unless mode is 'integral' or 'rational'."""
+    if mode not in ("integral", "rational"):
+        raise InvalidModeError(f"mode must be 'integral' or 'rational', got {mode!r}")
+
+
 def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpectrum | None:
     """Exact spectrum when it exists, assigned to slots j = 1..n.
 
@@ -251,11 +258,11 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     of Q(zeta_d), those eigenvalues are rational exactly when the
     remainder is a constant r_d, and then each equals r_d / L.  Returns
     None when some remainder is not constant, or when mode='integral'
-    and some r_d / L is fractional.  Integer operations only, no floats,
-    so the answer does not depend on the size of the entries.
+    and some r_d / L is fractional, and raises InvalidModeError on any
+    other mode.  Integer operations only, no floats, so the answer does
+    not depend on the size of the entries.
     """
-    if mode not in ("integral", "rational"):
-        raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
+    _check_mode(mode)
     n = c.n
     scale, row = _cleared(c.coeffs)
     value: dict[int, Fraction] = {}
@@ -292,10 +299,9 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     the first violation found, in that ordered traversal; the forms of
     a+b and ab are computed once per unordered pair.  Rational inputs
     always satisfy the rational variant; the integral one is the
-    interesting predicate.
+    interesting predicate.  Raises InvalidModeError on any other mode.
     """
-    if mode not in ("integral", "rational"):
-        raise ValueError(f"mode must be 'integral' or 'rational', got {mode!r}")
+    _check_mode(mode)
     elements = list(elements)
     if not elements:
         return BrandtVerdict(True)

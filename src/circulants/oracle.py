@@ -6,7 +6,8 @@ floating, n <= 16 exact, n <= 32 for the dense Hopf tensors; the
 transforms up to a few hundred).  The hand-rolled transforms, an
 iterative radix-2 FFT and the O(n^2) direct DFT, check the numpy.fft
 path of `spectral`; the dense coefficient tensors of C[C_n x C_n] check
-the support form of `hopf`.
+the support form of `hopf`; a loop over the cocycle triples checks
+`twisted.verify_cocycle`.
 """
 
 from __future__ import annotations
@@ -228,6 +229,26 @@ def coassociativity_tensors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     left[k, k, :] = t
     right[:, k, k] = t
     return left, right
+
+
+def cocycle_residual(t) -> float:
+    """Worst deviation of the n x n rows t of Python complex numbers from a
+    normalized two-cocycle, in Python arithmetic: max |t - 1| on the first
+    row and column, and max |lhs - rhs| / max(|lhs|, |rhs|) over all
+    triples, lhs = t[x][y] t[x+y][z] and rhs = t[y][z] t[x][y+z] (mod n)."""
+    n = len(t)
+    worst = 0.0
+    for i in range(n):
+        worst = max(worst, abs(t[0][i] - 1.0), abs(t[i][0] - 1.0))
+    for x in range(n):
+        for y in range(n):
+            xy = (x + y) % n
+            f_xy = t[x][y]
+            for z in range(n):
+                lhs = f_xy * t[xy][z]
+                rhs = t[y][z] * t[x][(y + z) % n]
+                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    return worst
 
 
 def eigen_residual(a: np.ndarray, lam: complex, x: np.ndarray) -> float:

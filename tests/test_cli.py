@@ -277,9 +277,20 @@ def test_bench_cli_and_preconditions(capsys):
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
 
     code, _, err = run_cli(["bench", "--reps", "1"], capsys=capsys)
-    assert code == 2
+    assert code == 2 and err == "error: bench: need at least 3 repetitions, got 1\n"
     code, _, err = run_cli(["bench", "--sizes", "1,8", "--reps", "3"], capsys=capsys)
-    assert code == 2
+    assert code == 2 and err == "error: bench: every bench size must be >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "sizes, reps, message",
+    (([], 3, "every bench size must be >= 2"), ([4], 2, "need at least 3 repetitions, got 2")),
+    ids=("no-sizes", "reps-2"),
+)
+def test_bench_preconditions_are_document_errors(sizes, reps, message):
+    with pytest.raises(documents.DocumentError) as info:
+        bench.run_bench(sizes, reps)
+    assert str(info.value) == f"bench: {message}" and info.value.field == "bench"
 
 
 def test_verify_all_cli(capsys):

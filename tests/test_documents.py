@@ -4,17 +4,28 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from circulants import BlockCirculant, Circulant, circ, comultiplication, mu_circ, rational_circ, skew_circ
+from circulants import (
+    BlockCirculant,
+    Circulant,
+    TwoCocycle,
+    circ,
+    cocycle_from_mu,
+    comultiplication,
+    mu_circ,
+    rational_circ,
+    skew_circ,
+)
 from circulants.documents import (
     DocumentError,
     MatrixDocument,
     circulant_to_obj,
+    cocycle_from_obj,
     document_from_obj,
-    document_to_obj,
     dump_block_circulant,
     dump_json,
     format_complex,
     format_complex_row,
+    format_rational,
     mu_circulant_to_obj,
     parse_complex,
     parse_documents,
@@ -22,45 +33,66 @@ from circulants.documents import (
     spectrum_to_obj,
 )
 
+# Documents of the kinds that no encoder writes, as literals.
+SKEW_OBJ = {"kind": "skew_circulant", "n": 3, "first_row": [["1.0", "0.0"], ["2.0", "0.0"], ["3.0", "0.0"]]}
+RATIONAL_OBJ = {
+    "kind": "rational_circulant",
+    "n": 3,
+    "first_row": ["-7/3", "2", "10000000000000000000000000000000000000000/9"],
+}
+COMPLEX_DENSE_OBJ = {
+    "kind": "dense",
+    "n": 2,
+    "entries": [[["1.0", "2.0"], ["0.25", "0.0"]], [["-1.0", "0.0"], ["0.0", "3e-09"]]],
+}
+EXACT_DENSE_OBJ = {"kind": "dense", "n": 2, "entries": [["1/3", "2"], ["0", "-5/7"]]}
 
-def roundtrip(doc: MatrixDocument) -> MatrixDocument:
-    return document_from_obj(json.loads(json.dumps(document_to_obj(doc))))
+
+def roundtrip(obj: dict) -> MatrixDocument:
+    return document_from_obj(json.loads(json.dumps(obj)))
 
 
 def test_circulant_roundtrip_is_exact():
-    doc = MatrixDocument.from_circulant(circ(1.25, -2 + 0.1j, 3e-17))
-    assert roundtrip(doc) == doc
+    c = circ(1.25, -2 + 0.1j, 3e-17)
+    doc = roundtrip(circulant_to_obj(c))
+    assert doc == MatrixDocument(kind="circulant", n=3, first_row=c.coeffs)
+    assert doc.to_circulant() == c
 
 
 def test_mu_circulant_roundtrip_is_exact():
-    doc = MatrixDocument.from_mu_circulant(mu_circ((1, 2.5, -3j), (0.5 + 1j, 4)))
-    assert roundtrip(doc) == doc
+    m = mu_circ((1, 2.5, -3j), (0.5 + 1j, 4))
+    doc = roundtrip(mu_circulant_to_obj(m))
+    assert doc == MatrixDocument(kind="mu_circulant", n=3, first_row=m.coeffs, mu=m.weights.mu[1:])
+    assert doc.to_mu_circulant() == m
 
 
 def test_skew_circulant_roundtrip():
-    doc = MatrixDocument(kind="skew_circulant", n=3, first_row=(1 + 0j, 2 + 0j, 3 + 0j))
-    assert roundtrip(doc) == doc
+    doc = roundtrip(SKEW_OBJ)
+    assert doc == MatrixDocument(kind="skew_circulant", n=3, first_row=(1 + 0j, 2 + 0j, 3 + 0j))
     assert doc.to_mu_circulant().coeffs == skew_circ((1, 2, 3)).coeffs
+    assert format_complex_row(doc.first_row) == SKEW_OBJ["first_row"]
 
 
 def test_rational_circulant_roundtrip_is_exact():
-    doc = MatrixDocument.from_rational_circulant(rational_circ(F(-7, 3), 2, F(10**40, 9)))
-    back = roundtrip(doc)
-    assert back == doc
-    assert back.to_rational_circulant().coeffs == (F(-7, 3), F(2), F(10**40, 9))
+    doc = roundtrip(RATIONAL_OBJ)
+    assert doc.to_rational_circulant() == rational_circ(F(-7, 3), 2, F(10**40, 9))
+    assert doc.to_rational_circulant().coeffs == (F(-7, 3), F(2), F(10**40, 9))
+    assert [format_rational(x) for x in doc.first_row] == RATIONAL_OBJ["first_row"]
 
 
 def test_dense_roundtrips_both_flavors():
-    complex_doc = MatrixDocument.from_dense(np.array([[1 + 2j, 0.25], [-1.0, 3e-9j]]))
-    assert roundtrip(complex_doc) == complex_doc
-    exact_doc = MatrixDocument.from_exact_grid([[F(1, 3), 2], [0, F(-5, 7)]])
-    assert roundtrip(exact_doc) == exact_doc
+    complex_doc = roundtrip(COMPLEX_DENSE_OBJ)
+    grid = complex_doc.to_complex_grid()
+    assert np.array_equal(grid, np.array([[1 + 2j, 0.25], [-1.0, 3e-9j]]))
+    assert [format_complex_row(row) for row in grid] == COMPLEX_DENSE_OBJ["entries"]
+    exact_doc = roundtrip(EXACT_DENSE_OBJ)
     assert exact_doc.to_exact_grid() == ((F(1, 3), F(2)), (F(0), F(-5, 7)))
+    assert [[format_rational(x) for x in row] for row in exact_doc.entries] == EXACT_DENSE_OBJ["entries"]
 
 
 def test_spectrum_roundtrip():
-    values = (F(4), F(1), F(1))
-    assert spectrum_from_obj(json.loads(json.dumps(spectrum_to_obj(values)))) == values
+    exact = {"kind": "spectrum", "n": 3, "values": ["4", "1", "1/2"]}
+    assert spectrum_from_obj(json.loads(json.dumps(exact))) == (F(4), F(1), F(1, 2))
     cvalues = (1 + 2j, -0.5 + 0j)
     assert spectrum_from_obj(json.loads(json.dumps(spectrum_to_obj(cvalues)))) == cvalues
 
@@ -116,8 +148,8 @@ def test_decimal_strings_parse_exactly():
 def test_parse_documents_array_form():
     payload = json.dumps(
         [
-            document_to_obj(MatrixDocument.from_circulant(circ(1, 2))),
-            document_to_obj(MatrixDocument.from_rational_circulant(rational_circ(1, 0))),
+            circulant_to_obj(circ(1, 2)),
+            {"kind": "rational_circulant", "n": 2, "first_row": ["1", "0"]},
         ]
     )
     docs = parse_documents(payload)
@@ -130,7 +162,7 @@ def test_parse_documents_bad_json():
 
 
 def test_exact_grid_refuses_floating_entries():
-    doc = MatrixDocument.from_dense(np.eye(2))
+    doc = roundtrip(COMPLEX_DENSE_OBJ)
     with pytest.raises(DocumentError, match="entries"):
         doc.to_exact_grid()
 
@@ -218,9 +250,18 @@ def test_block_circulant_text_is_the_dense_indent_2_document(n):
 
 def test_result_objects_from_the_arrays():
     c = circ(1.25, -0.0, complex(3e-17, -0.0))
-    assert circulant_to_obj(c) == document_to_obj(MatrixDocument.from_circulant(c))
+    assert circulant_to_obj(c) == {
+        "kind": "circulant",
+        "n": 3,
+        "first_row": [["1.25", "0.0"], ["-0.0", "0.0"], ["3e-17", "-0.0"]],
+    }
     m = mu_circ((1, 2.5, -3j), (0.5 + 1j, 4))
-    assert mu_circulant_to_obj(m) == document_to_obj(MatrixDocument.from_mu_circulant(m))
+    assert mu_circulant_to_obj(m) == {
+        "kind": "mu_circulant",
+        "n": 3,
+        "first_row": [["1.0", "0.0"], ["2.5", "0.0"], ["-0.0", "-3.0"]],
+        "mu": [["0.5", "1.0"], ["4.0", "0.0"]],
+    }
     values = np.array([1, -0.0, complex(0.5, -2)])
     assert spectrum_to_obj(values) == spectrum_to_obj(tuple(values.tolist()))
 
@@ -231,3 +272,18 @@ def test_integer_component_beyond_the_float_range_is_a_document_error(part):
         parse_complex([part, 0], "first_row")
     with pytest.raises(DocumentError, match="first_row"):
         document_from_obj({"kind": "circulant", "n": 1, "first_row": [[0, part]]})
+
+
+def test_cocycle_documents_decode_to_their_cocycle():
+    table = {"kind": "cocycle", "n": 2, "table": [[["1", "0"], [1, 0]], [["1.0", "-0.0"], ["0.5", "2"]]]}
+    assert cocycle_from_obj(table) == TwoCocycle(((1, 1), (1, 0.5 + 2j)))
+    m = mu_circ((1, 2.5, -3j), (0.5 + 1j, 4))
+    assert cocycle_from_obj(mu_circulant_to_obj(m)) == cocycle_from_mu(m.weights)
+    assert cocycle_from_obj(SKEW_OBJ) == cocycle_from_mu(skew_circ((1, 2, 3)).weights)
+    for bad in ({**table, "n": 3}, {**table, "table": [[["1", "0"]], [["1", "0"]]]}):
+        with pytest.raises(DocumentError, match="table: expected an n x n grid"):
+            cocycle_from_obj(bad)
+    with pytest.raises(DocumentError, match="table"):
+        cocycle_from_obj({**table, "table": [[["1", "0"], ["x", "0"]], [["1", "0"], ["1", "0"]]]})
+    with pytest.raises(DocumentError, match="kind: cocycle-verify expects"):
+        cocycle_from_obj(circulant_to_obj(circ(1, 2)))

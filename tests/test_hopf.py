@@ -318,6 +318,27 @@ def test_block_circulant_is_its_support():
         BlockCirculant(())
 
 
+def test_coproduct_pickles_as_its_support():
+    # The blocks would pickle as n^2 coefficients: 268 MB at n = 4096.
+    delta = comultiplication(random_circulant(np.random.default_rng(SEED), 4096))
+    data = pickle.dumps(delta)
+    assert len(data) < 256 * 1024
+    twin = pickle.loads(data)
+    assert twin == delta and np.array_equal(twin.a, delta.a) and np.array_equal(twin.b, delta.b)
+    assert not any(arr.flags.writeable for arr in (twin.a, twin.b, twin.values))
+    full = BlockCirculant(comultiplication(circ(1, 2j, 3)).blocks)
+    assert pickle.loads(pickle.dumps(full)) == full and copy.deepcopy(full) == full
+
+
+def test_general_product_checks_finiteness():
+    # A support off the diagonal takes the 2-D DFT, whose product leaves
+    # the float range here.
+    x = BlockCirculant((circ(1e300, 1e300), circ(1e300, -1e300)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidScalarError, match="non-finite"):
+            block_mul(x, x)
+
+
 def test_hopf_verify_axioms_in_linear_memory():
     # The dense coefficient tensor alone would take 256 MiB at n = 4096.
     n = 4096

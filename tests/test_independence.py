@@ -1,6 +1,8 @@
 """The oracles stay independent of what they check: only `verify`, which
 runs them against production code, imports `oracle`, and `oracle`
-computes with nothing from the package."""
+computes with nothing from the package.  Shared rules stay in one place:
+values are not rebuilt from their tuples, and only `core` takes moduli
+with np.hypot."""
 
 import ast
 from pathlib import Path
@@ -97,3 +99,29 @@ def test_spectral_and_forms_read_no_row_tuple():
         for name in ("spectral", "forms")
     }
     assert found == {"spectral": [], "forms": []}
+
+
+def hypot_calls(source: str) -> list[int]:
+    """Lines where this source calls np.hypot (or numpy.hypot)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "hypot"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+
+
+def test_only_core_takes_moduli_with_hypot():
+    # One rule for a reported modulus, `core._moduli`: np.hypot, which
+    # rounds like Python's abs(complex), without an overflow warning.
+    sample = "a = np.hypot(x, y)\nb = numpy.hypot(x, y)\nc = math.hypot(x, y)\nd = _moduli(z)\n"
+    assert hypot_calls(sample) == [1, 2]
+    found = {
+        name: hypot_calls((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in sorted(MODULES - {"core"})
+    }
+    assert found == {name: [] for name in found}
+    assert hypot_calls((PACKAGE / "core.py").read_text(encoding="utf-8"))

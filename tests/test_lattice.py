@@ -19,7 +19,7 @@ from circulants import (
     rational_circ,
     reconstruct_from_spectrum,
 )
-from circulants.errors import DimensionMismatchError, InvalidScalarError
+from circulants.errors import CirculantError, DimensionMismatchError, InvalidModeError, InvalidScalarError
 from circulants.oracle import exact_det, exact_inverse, faddeev_leverrier_exact
 
 SEED = 0x5EED
@@ -131,6 +131,18 @@ def test_brandt_order_mismatch():
 
 def test_brandt_rational_mode_is_vacuous_on_rational_input():
     assert brandt_check([rational_circ(F(1, 2), 0, 0)], mode="rational").holds
+
+
+@pytest.mark.parametrize("mode", ("exact", "", None), ids=("exact", "empty", "none"))
+def test_unknown_mode_is_a_typed_usage_error(mode):
+    for call in (
+        lambda: integer_spectrum(rational_circ(1, 0), mode=mode),
+        lambda: brandt_check([rational_circ(1, 0)], mode=mode),
+    ):
+        with pytest.raises(InvalidModeError, match="mode must be 'integral' or 'rational'") as info:
+            call()
+        assert isinstance(info.value, CirculantError) and isinstance(info.value, ValueError)
+        assert info.value.exit_code == 2
 
 
 def test_integer_spectrum_elements_form_brandt_set():

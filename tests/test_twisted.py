@@ -1,11 +1,17 @@
+import copy
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from circulants import (
     IncompatibleAlgebrasError,
+    InvalidCocycleError,
+    InvalidOrderError,
     InvalidWeightsError,
+    MuCirculant,
     MuWeights,
     circ,
     cocycle_from_mu,
@@ -26,6 +32,7 @@ from circulants import (
 )
 from circulants.core import SPECTRAL_MUL_MIN_ORDER
 from circulants.errors import InvalidScalarError
+from circulants.oracle import cocycle_residual
 from circulants.twisted import TwoCocycle
 from circulants.verify import random_circulant, random_real_circulant
 
@@ -119,6 +126,106 @@ def test_verify_cocycle_rejects_negative_or_nan_tol(tol):
     with pytest.raises(InvalidScalarError, match="tolerance"):
         verify_cocycle(table, tol)
     assert verify_cocycle(table, 0.0).residual >= 0.0
+
+
+def _random_weights(rng, n):
+    return _weights(*(rng.uniform(0.5, 2.0, size=n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n - 1))))
+
+
+def test_verify_cocycle_matches_the_triple_loop():
+    # Coboundaries hold; a table with entries scaled by 1 + 1e-3 z (some on
+    # the first row or column) does not.  The array form and the loop agree
+    # on the verdict, and on the residual up to the last bits of the
+    # complex products.  Up to n = 16 the triples take one block; 20, 23
+    # and 41 take several, the last one short at 23 and 41.
+    rng = np.random.default_rng(SEED)
+    for n in (*range(1, 17), 20, 23, 41):
+        for perturb in (False, True):
+            table = cocycle_from_mu(_random_weights(rng, n)).array.copy()
+            if perturb:
+                slots = rng.integers(0, n, size=(2, 3))
+                table[slots[0], slots[1]] *= 1 + 1e-3 * np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+            report = verify_cocycle(TwoCocycle(table), tol=1e-10)
+            residual = cocycle_residual(table.tolist())
+            assert report.holds == (residual <= 1e-10)
+            assert report.holds != perturb
+            assert abs(report.residual - residual) <= 1e-15
+
+
+def test_coboundary_at_order_256_in_quadratic_memory():
+    # The triples go one x at a time: n^2 entries per step, not n^3.
+    weights = _random_weights(np.random.default_rng(SEED), 256)
+    tracemalloc.start()
+    try:
+        report = verify_cocycle(cocycle_from_mu(weights))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.residual <= 1e-10
+    assert peak < 16e6
+
+
+def test_two_cocycle_stores_one_read_only_array():
+    rows = ((1, 1, 1), (1, 2j, -0.5), (1, 3, complex(0.25, -0.0)))
+    f = TwoCocycle(rows)
+    assert f.n == 3 and f.array.shape == (3, 3) and not f.array.flags.writeable
+    assert f.table == tuple(tuple(complex(v) for v in row) for row in rows)
+    assert all(type(v) is complex for row in f.table for v in row)
+    assert f.table is f.table
+    caller = np.array(rows, dtype=complex)
+    same = TwoCocycle(caller)
+    caller[1, 1] = 5
+    assert same == f and hash(same) == hash(f) == hash(f.table)
+    assert TwoCocycle(((1, 1, 1), (1, 2j, -0.5), (1, 3, 0.25))) == f  # -0.0 equals 0.0
+    assert f != TwoCocycle(((1, 1, 1), (1, 2j, -0.5), (1, 3, 0.5)))
+    assert f != TwoCocycle(((1,),)) and f != rows
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert twin == f and twin.table == f.table and not twin.array.flags.writeable
+    assert repr(TwoCocycle(((1,),))) == "TwoCocycle(table=(((1+0j),),))"
+    with pytest.raises(FrozenInstanceError):
+        f.array = np.ones((3, 3))
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    (
+        ((), InvalidOrderError),
+        (((1, 1, 1), (1, 1), (1, 1, 1, 1)), InvalidCocycleError),
+        (np.array([[1, 1], [1, 0j]]), InvalidCocycleError),
+        (((1, 1), (1, float("nan"))), InvalidScalarError),
+        (((1, float("inf")), (1, 1)), InvalidScalarError),
+        (np.array([[1, 1], [1, np.inf]]), InvalidScalarError),
+        (np.ones((2, 2, 2)), InvalidScalarError),
+        (((1, 1), (1, "2")), InvalidScalarError),
+    ),
+    ids=("empty", "ragged", "zero-array", "nan", "inf", "inf-array", "3-d", "string"),
+)
+def test_two_cocycle_rejects_bad_tables(table, error):
+    # With test_cocycle_table_rejects_zero_entries: ragged, zero, non-finite
+    # and empty tables raise the types the per-row check raised.
+    with pytest.raises(error):
+        TwoCocycle(table)
+
+
+def test_cocycle_from_mu_refuses_entries_beyond_the_float_range():
+    # mu_2^2 / mu_3 overflows; mu_2 mu_3 / mu_1 underflows to 0.
+    with pytest.raises(InvalidScalarError):
+        cocycle_from_mu(_weights(1e200, 1e-200))
+    with pytest.raises(InvalidCocycleError):
+        cocycle_from_mu(_weights(1e-200, 1e-200))
+
+
+def test_mu_to_dense_is_the_explicit_weight_expression():
+    rng = np.random.default_rng(SEED)
+    for n in (1, 2, 3, 5, 8, 13, 64):
+        mu = np.concatenate(([1], rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        i, j = np.indices((n, n))
+        factor = mu[i] * mu[(j - i) % n] / mu[j]
+        factor[0, :] = 1.0
+        np.fill_diagonal(factor, 1.0)
+        dense = mu_to_dense(MuCirculant(c, MuWeights(mu)))
+        assert dense.tobytes() == (c[(j - i) % n] * factor).tobytes()
 
 
 def test_mu_to_dense_order3_pattern():
