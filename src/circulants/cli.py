@@ -337,9 +337,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        # Once per invocation, not in the spectral hot path: a result that
-        # leaves the float range raises one typed error, without numpy's
-        # RuntimeWarning lines on stderr before it.
+        # Once per invocation: a result that leaves the float range raises
+        # one typed error, without numpy's RuntimeWarning lines on stderr
+        # before it.  `spectral` quiets its own transforms; this covers
+        # the numpy work of the other layers.
         with np.errstate(over="ignore", invalid="ignore"):
             result, code = args.handler(args)
         _write_text(args.output, result if isinstance(result, str) else dump_json(result))

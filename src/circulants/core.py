@@ -71,12 +71,7 @@ def _entries(values) -> np.ndarray:
         raise InvalidScalarError("entry beyond the float range") from None
     except (TypeError, ValueError) as exc:
         raise InvalidScalarError(f"entry has no complex value ({exc})") from None
-    finite = np.isfinite(arr)
-    # count_nonzero does the job of .all() at half its fixed cost, which
-    # dominates on short rows.
-    if np.count_nonzero(finite) != arr.size:
-        slot = int(np.argmin(finite))
-        raise InvalidScalarError(f"non-finite entry {arr[slot]} at index {slot}")
+    _check_finite(arr)
     # astype(copy=False) hands back the caller's own complex array.  A list
     # or tuple never shares memory, and testing one would convert it again.
     if arr is values or (
@@ -87,6 +82,17 @@ def _entries(values) -> np.ndarray:
     # keyword or `.flags.writeable` forms, which shows on short rows.
     arr.setflags(False)
     return arr
+
+
+def _check_finite(arr: np.ndarray):
+    """Raise InvalidScalarError, naming the first such slot, unless every
+    entry of the complex array is finite."""
+    finite = np.isfinite(arr)
+    # count_nonzero does the job of .all() at half its fixed cost, which
+    # dominates on short rows.
+    if np.count_nonzero(finite) != arr.size:
+        slot = int(np.argmin(finite))
+        raise InvalidScalarError(f"non-finite entry {arr[slot]} at index {slot}")
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -161,6 +167,20 @@ _set_array = _RowValue.array.__set__
 _set_row = _RowValue._row.__set__
 
 
+def _result(cls, arr: np.ndarray):
+    """A `cls` value (Circulant or Spectrum) holding `arr`, a 1-D complex
+    array just computed by numpy that nothing else references.  It passes
+    the finiteness test of `_entries` and becomes read-only; the rest of
+    `_entries`, the form checks and the defensive copy, would only repeat
+    what the computation guarantees (about 2 us per call at n = 12, a
+    tenth of `eigenvalues` there, on a 2-vCPU x86-64 VM)."""
+    _check_finite(arr)
+    arr.setflags(False)
+    value = cls.__new__(cls)
+    _set_array(value, arr)
+    return value
+
+
 class Circulant(_RowValue):
     """Immutable circulant matrix, stored as its first row: the read-only
     array `array`, also readable as the tuple `coeffs`."""
@@ -210,7 +230,10 @@ class Circulant(_RowValue):
 
         Below order SPECTRAL_MUL_MIN_ORDER the product is the O(n^2)
         convolution `mul_naive` (exact on integer entries); from that
-        order on it is `spectral.fast_mul`, O(n log n) through numpy.fft.
+        order on it is `spectral.fast_mul`, O(n log n) through numpy.fft:
+        a length-n transform, or at orders with one large prime factor a
+        zero-padded convolution folded mod n.  A product beyond the float
+        range raises InvalidScalarError, without a numpy warning.
         """
         if isinstance(other, Circulant):
             if self.n < SPECTRAL_MUL_MIN_ORDER:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Circulant, _check_tol
 from .errors import InvalidScalarError, SingularMatrixError
-from .spectral import Spectrum, eigenvalues, from_spectrum
+from .spectral import Spectrum, _quiet, eigenvalues, from_spectrum
 
 #: x is singular when min_j |lambda_j| <= SINGULAR_RTOL * max_j |lambda_j|.
 #: The FFT's error on lambda is about eps * log2(n) * max |lambda|, at
@@ -165,11 +165,13 @@ def conjugate(c: Circulant) -> Circulant:
     return from_spectrum(mu)
 
 
+@_quiet
 def _verdict(
     c: Circulant, threshold: float | None
 ) -> tuple[InvertibilityVerdict, np.ndarray, float, float]:
     """The verdict on c together with the spectrum it was read from and
-    the least and greatest modulus in it."""
+    the least and greatest modulus in it.  q_n = prod_j lambda_j may
+    leave the float range without a warning."""
     if threshold is not None:
         _check_tol(threshold, "threshold")
     lam = eigenvalues(c).array
@@ -184,8 +186,7 @@ def _verdict(
         _, e = np.frexp(np.abs(lam.view(float)).max())
         scaled = np.ldexp(lam.view(float), -e).view(complex)
         tol = math.ldexp(SINGULAR_RTOL * float(np.abs(scaled).max()), int(e))
-    with np.errstate(over="ignore", invalid="ignore"):
-        qn = complex(lam.prod())
+    qn = complex(lam.prod())
     invertible = lo > tol
     verdict = InvertibilityVerdict(invertible, None if invertible else slot + 1, qn, tol)
     return verdict, lam, lo, hi

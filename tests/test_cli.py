@@ -538,6 +538,15 @@ def test_bench_add_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_cross_checks_pass_at_a_padded_order():
+    # fast_mul convolves at a zero-padded length at n = 97; run_bench
+    # raises BenchDisagreementError before timing if any row disagrees.
+    rows = bench.run_bench([97], reps=3)
+    rows_after = [bench.CLI_EIG, bench.INTEGER_SPECTRUM, bench.ADD, bench.BLOCK_MUL, bench.HOPF_VERIFY]
+    assert [r.method for r in rows] == [*bench.METHODS, *rows_after]
+    assert all(r.n == 97 and r.median_ns > 0 for r in rows)
+
+
 _DOMAIN_ERROR_TYPES = {
     "SingularMatrixError",
     "DependentBasisError",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circulants import (
+    Circulant,
     InvalidOrderError,
     InvalidScalarError,
     circ,
@@ -19,6 +20,9 @@ from circulants import (
 from circulants import oracle
 from circulants.core import SPECTRAL_MUL_MIN_ORDER
 from circulants.errors import DimensionMismatchError
+from circulants.hopf import block_mul, comultiplication
+from circulants.spectral import _FAST_LENGTHS, _product_length
+from circulants.twisted import mu_circ, mu_mul, mu_to_dense
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -223,3 +227,88 @@ def test_product_operator_dispatches_at_crossover():
             assert (x * y).coeffs == expected.coeffs
     with pytest.raises(DimensionMismatchError):
         random_circulant(rng, SPECTRAL_MUL_MIN_ORDER) * random_circulant(rng, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: eigenvalues(circ(1e308, 1e308)),
+        lambda: from_spectrum((1e308, 1e308)),
+        lambda: fast_mul(circ(1e308, 1e308), circ(1e308, 1)),
+        lambda: circ(*[1e308] * 13) * circ(*[1e308] * 13),
+        lambda: Circulant([1e300] * 97) * Circulant([1e300] * 97),
+    ),
+    ids=("eigenvalues", "from_spectrum", "fast_mul", "mul-13", "mul-97-padded"),
+)
+def test_transform_overflow_raises_the_typed_error_without_a_warning(call):
+    # pytest turns RuntimeWarning into an error here (pyproject.toml), so
+    # a numpy overflow warning would fail the test before the typed error.
+    with pytest.raises(InvalidScalarError, match="non-finite"):
+        call()
+
+
+def test_product_length_pads_orders_with_one_large_prime_factor():
+    padded = (89, 97, 127, 257, 509, 712, 997, 1994, 1999, 10007)
+    kept = (1, 12, 64, 67, 74, 83, 96, 209, 536, 1068, 999, 1000, 2032, 2048, 4995, 8128, 9409)
+    for n in padded:
+        m = _product_length(n)
+        assert m >= 2 * n - 1 and m in _FAST_LENGTHS
+        assert m == min(length for length in _FAST_LENGTHS if length >= 2 * n - 1)
+    assert all(_product_length(n) == n for n in kept)
+    # Each fast length is 2^a 3^b 5^c, a power of two or at most 7/8 of the next.
+    for m in _FAST_LENGTHS[:200]:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        pow2 = 1 << (m - 1).bit_length()
+        assert rest == 1 and (m == pow2 or 8 * m <= 7 * pow2)
+
+
+def _cyclic_convolution(a, b):
+    """The exact cyclic convolution of two int64 rows."""
+    n = a.size
+    linear = np.convolve(a, b)
+    return linear[:n] + np.r_[linear[n:], 0]
+
+
+@pytest.mark.parametrize("n", (97, 127, 257, 509, 997, 1994, 1999))
+def test_padded_product_is_exact_on_small_integers(n):
+    rng = np.random.default_rng(SEED + n)
+    a, b = rng.integers(-3, 4, size=(2, n))
+    assert _product_length(n) > n
+    product = fast_mul(Circulant(a), Circulant(b)).array
+    assert np.array_equal(np.rint(product.real), _cyclic_convolution(a, b))
+    assert np.array_equal(np.rint(product.imag), np.zeros(n))
+
+
+@pytest.mark.parametrize("n", (97, 257))
+def test_padded_product_agrees_with_naive(n):
+    rng = np.random.default_rng(SEED + n)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    scale = 1.0 + x.norm_inf() * y.norm_inf()
+    assert np.max(np.abs(fast_mul(x, y).array - mul_naive(x, y).array)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", (64, 96, 209, 1000, 2048))
+def test_unpadded_product_is_the_length_n_transform_bit_for_bit(n):
+    rng = np.random.default_rng(SEED + n)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    assert _product_length(n) == n
+    want = np.fft.ifft(np.fft.fft(x.array) * np.fft.fft(y.array))
+    assert fast_mul(x, y).array.tobytes() == want.tobytes()
+
+
+def test_products_at_a_padded_order():
+    n = 97
+    rng = np.random.default_rng(SEED + n)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    scale = 1.0 + x.norm_inf() * y.norm_inf()
+    naive = mul_naive(x, y)
+    assert np.max(np.abs((x * y).array - naive.array)) <= 1e-9 * scale
+    coproduct = block_mul(comultiplication(x), comultiplication(y)).coefficient_tensor()
+    assert np.max(np.abs(coproduct - comultiplication(naive).coefficient_tensor())) <= 1e-9 * scale
+    tail = rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1))
+    u, v = mu_circ(x.coeffs, tuple(tail)), mu_circ(y.coeffs, tuple(tail))
+    dense = mu_to_dense(u) @ mu_to_dense(v)
+    assert np.max(np.abs(mu_to_dense(mu_mul(u, v)) - dense)) <= 1e-9 * (1.0 + np.max(np.abs(dense)))
