@@ -1,8 +1,9 @@
 """Multiplication benchmark: convolution vs spectral vs dense product,
 plus one whole ``circulants eig`` invocation run in process, the exact
 integer spectrum of an orbit-constant row, the sum ``x + y``, the
-coproduct product ``block_mul(Delta x, Delta y)`` and the three Hopf
-checks of ``circulants hopf-verify``.
+coproduct product ``block_mul(Delta x, Delta y)``, the three Hopf
+checks of ``circulants hopf-verify``, and the document layer: decoding
+a circulant document and encoding a spectrum document.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -22,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Circulant, mul_naive
-from .documents import DocumentError, circulant_to_obj, load_json, spectrum_from_obj
+from .documents import (
+    DocumentError,
+    circulant_to_obj,
+    dump_json,
+    load_json,
+    parse_documents,
+    spectrum_from_obj,
+    spectrum_to_obj,
+)
 from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant
 from .hopf import (
@@ -46,6 +55,10 @@ ADD = "add"
 BLOCK_MUL = "block-mul"
 #: The row that times the counit, antipode and integral checks of x.
 HOPF_VERIFY = "hopf-verify"
+#: The row that times ``parse_documents`` on the circulant document of x.
+PARSE = "parse"
+#: The row that times ``dump_json`` of the spectrum document of x.
+ENCODE = "encode"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -154,6 +167,28 @@ def _hopf_verify(x: Circulant):
     return run, float(sum(r.residual for r in reports))
 
 
+def _parse(x: Circulant):
+    """A call that decodes the circulant document of x, and the checksum
+    sum |c_i| of the decoded row; raises BenchDisagreementError unless
+    that row equals the row of x bit for bit."""
+    text = json.dumps(circulant_to_obj(x))
+    decoded = parse_documents(text)[0].to_circulant()
+    if decoded.array.tobytes() != x.array.tobytes():
+        raise BenchDisagreementError(f"n={x.n}: the decoded row differs from the encoded one")
+    return lambda: parse_documents(text), _checksum(decoded)
+
+
+def _encode(x: Circulant):
+    """A call that writes the spectrum document of x, and the checksum,
+    the length of the text; raises BenchDisagreementError unless the
+    text equals ``json.dumps(obj, indent=2)`` and a newline."""
+    obj = spectrum_to_obj(eigenvalues(x).array)
+    text = dump_json(obj)
+    if text != json.dumps(obj, indent=2) + "\n":
+        raise BenchDisagreementError(f"n={x.n}: dump_json differs from json.dumps(indent=2)")
+    return lambda: dump_json(obj), float(len(text))
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -167,9 +202,10 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time per size and method over fixed-seed random inputs:
     the three products of x and y, then ``circulants eig`` on x, then the
     exact spectrum of the orbit-constant row of that order, then x + y,
-    then block_mul(Delta x, Delta y), then the Hopf checks of x.  Raises
-    DocumentError on the field "bench" when a size is below 2 or reps
-    below 3."""
+    then block_mul(Delta x, Delta y), then the Hopf checks of x, then
+    decoding the circulant document of x and encoding its spectrum
+    document.  Raises DocumentError on the field "bench" when a size is
+    below 2 or reps below 3."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise DocumentError("bench", "every bench size must be >= 2")
@@ -197,6 +233,8 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         total = _add(x, y)
         block_run, block_checksum = _block_mul(x, y)
         hopf_run, hopf_checksum = _hopf_verify(x)
+        parse_run, parse_checksum = _parse(x)
+        encode_run, encode_checksum = _encode(x)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -208,4 +246,6 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         block_ns = _median_ns(block_run, reps)
         results.append(BenchResult(n, BLOCK_MUL, reps, block_ns, block_checksum))
         results.append(BenchResult(n, HOPF_VERIFY, reps, _median_ns(hopf_run, reps), hopf_checksum))
+        results.append(BenchResult(n, PARSE, reps, _median_ns(parse_run, reps), parse_checksum))
+        results.append(BenchResult(n, ENCODE, reps, _median_ns(encode_run, reps), encode_checksum))
     return results

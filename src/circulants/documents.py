@@ -17,13 +17,13 @@ n x n table of complex pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain, starmap
 
 import numpy as np
 
-from .core import Circulant
+from .core import Circulant, _result
 from .errors import CirculantError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
@@ -97,27 +97,136 @@ def _parse_entry(value, field: str):
     return parse_rational(value, field)
 
 
-@dataclass(frozen=True)
+def _pairs_array(items: list) -> np.ndarray | None:
+    """The read-only complex array of a list of ``[re, im]`` pairs of
+    decimal strings, or None when some item is not a two-element list of
+    strings or some string is not a decimal.
+
+    Each string goes through ``float``, as in `parse_complex`, so the
+    bits are the same; but the checks are one set of types or lengths per
+    pass and the strings are parsed by ``map``, so no Python frame runs
+    per entry."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {str}:
+        return None
+    try:
+        parts = np.array(list(map(float, flat)))
+    except ValueError:
+        return None
+    parts.setflags(False)
+    return parts.view(complex)
+
+
+def _complex_array(items: list, field: str) -> np.ndarray:
+    """The read-only complex array of a list of complex pairs: the array of
+    `_pairs_array`, or else, for any other pair or part, the values of
+    `parse_complex` entry by entry, which raises its DocumentError."""
+    z = _pairs_array(items)
+    if z is None:
+        z = np.array([parse_complex(x, field) for x in items], dtype=complex)
+        z.setflags(False)
+    return z
+
+
+def _as_tuple(z: np.ndarray) -> tuple:
+    """A row array as a tuple of Python complex numbers, a grid as a tuple
+    of such row tuples."""
+    return tuple(z.tolist()) if z.ndim == 1 else tuple(map(tuple, z.tolist()))
+
+
 class MatrixDocument:
-    kind: str
-    n: int
-    first_row: tuple | None = None
-    mu: tuple | None = None
-    entries: tuple | None = None
+    """One decoded matrix document.
+
+    ``first_row`` and ``mu`` are tuples (of Python complex numbers, of
+    Fractions on a rational_circulant) and ``entries`` a tuple of row
+    tuples, or None where the kind has no such field.  A complex field
+    decoded from JSON is stored as one read-only array, from which the
+    converters build their values; its tuple is built on first read and
+    cached, as on the row values of `core`.  A document is immutable and
+    equals (and hashes like) a document with the same kind, order and
+    fields.
+    """
+
+    __slots__ = ("kind", "n", "_arrays", "_tuples")
+
+    def __init__(self, kind: str, n: int, first_row=None, mu=None, entries=None):
+        _init_document(self, kind, n, {}, {"first_row": first_row, "mu": mu, "entries": entries})
+
+    @classmethod
+    def _decoded(cls, kind: str, n: int, **arrays) -> "MatrixDocument":
+        """A document whose complex fields are the given read-only arrays,
+        which nothing else holds; every other field is None."""
+        doc = cls.__new__(cls)
+        arrays = {name: z for name, z in arrays.items() if z is not None}
+        tuples = {name: None for name in ("first_row", "mu", "entries") if name not in arrays}
+        _init_document(doc, kind, n, arrays, tuples)
+        return doc
+
+    def _field(self, name: str):
+        tuples = self._tuples
+        if name not in tuples:
+            tuples[name] = _as_tuple(self._arrays[name])
+        return tuples[name]
+
+    first_row = property(lambda self: self._field("first_row"))
+    mu = property(lambda self: self._field("mu"))
+    entries = property(lambda self: self._field("entries"))
+
+    def _key(self) -> tuple:
+        return self.kind, self.n, self.first_row, self.mu, self.entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        kind, n, first_row, mu, entries = self._key()
+        return (
+            f"MatrixDocument(kind={kind!r}, n={n!r}, first_row={first_row!r},"
+            f" mu={mu!r}, entries={entries!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _row(self, name: str):
+        """The decoded array of a field, or else its tuple."""
+        z = self._arrays.get(name)
+        return self._tuples[name] if z is None else z
 
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
         if self.kind == "circulant":
-            return Circulant(self.first_row)
+            row = self._arrays.get("first_row")
+            # The decoded array is read-only and nothing writes it: the
+            # value shares it after the finiteness test of the entry rule.
+            return Circulant(self.first_row) if row is None else _result(Circulant, row)
         if self.kind == "rational_circulant":
             return self.to_rational_circulant().to_float()
         raise DocumentError("kind", f"cannot view a {self.kind} document as a circulant")
 
     def to_mu_circulant(self) -> MuCirculant:
         if self.kind == "mu_circulant":
-            return MuCirculant(self.first_row, MuWeights.from_tail(self.mu or ()))
+            mu = self._arrays.get("mu")
+            if mu is None:
+                weights = MuWeights.from_tail(self.mu or ())
+            else:
+                weights = MuWeights(np.concatenate(((1.0,), mu)))
+            return MuCirculant(self._row("first_row"), weights)
         if self.kind == "skew_circulant":
-            return skew_circ(self.first_row)
+            return skew_circ(self._row("first_row"))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
 
     def to_rational_circulant(self) -> RationalCirculant:
@@ -128,16 +237,24 @@ class MatrixDocument:
     def to_complex_grid(self) -> np.ndarray:
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
+        grid = self._arrays.get("entries")
+        if grid is not None:
+            return grid.copy()
         return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
 
     def to_exact_grid(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
-        for row in self.entries:
-            for x in row:
-                if not isinstance(x, Fraction):
-                    raise DocumentError("entries", "grid holds floating entries, exact ones required")
+        if "entries" in self._arrays or not all(
+            isinstance(x, Fraction) for row in self.entries for x in row
+        ):
+            raise DocumentError("entries", "grid holds floating entries, exact ones required")
         return self.entries
+
+
+def _init_document(doc: MatrixDocument, kind: str, n: int, arrays: dict, tuples: dict):
+    for name, value in (("kind", kind), ("n", n), ("_arrays", arrays), ("_tuples", tuples)):
+        object.__setattr__(doc, name, value)
 
 
 def document_from_obj(obj) -> MatrixDocument:
@@ -159,31 +276,34 @@ def document_from_obj(obj) -> MatrixDocument:
     if extra:
         raise DocumentError(sorted(extra)[0], f"field not allowed on kind {kind}")
 
-    first_row = mu = entries = None
     if kind == "dense":
         raw = obj.get("entries")
         if not isinstance(raw, list) or len(raw) != n:
             raise DocumentError("entries", f"expected {n} rows")
+        grid = None
+        if set(map(type, raw)) == {list} and set(map(len, raw)) == {n}:
+            grid = _pairs_array(list(chain.from_iterable(raw)))
+        if grid is not None:
+            return MatrixDocument._decoded(kind, n, entries=grid.reshape(n, n))
         rows = []
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise DocumentError("entries", f"row {i + 1} must have {n} entries")
             rows.append(tuple(_parse_entry(x, f"entries[{i + 1}]") for x in row))
-        entries = tuple(rows)
-    else:
-        raw = obj.get("first_row")
-        if not isinstance(raw, list) or len(raw) != n:
-            raise DocumentError("first_row", f"expected a list of {n} scalars")
-        if kind == "rational_circulant":
-            first_row = tuple(parse_rational(x, "first_row") for x in raw)
-        else:
-            first_row = tuple(parse_complex(x, "first_row") for x in raw)
-        if kind == "mu_circulant":
-            raw_mu = obj.get("mu")
-            if not isinstance(raw_mu, list) or len(raw_mu) != n - 1:
-                raise DocumentError("mu", f"expected a list of {n - 1} weights")
-            mu = tuple(parse_complex(x, "mu") for x in raw_mu)
-    return MatrixDocument(kind=kind, n=n, first_row=first_row, mu=mu, entries=entries)
+        return MatrixDocument(kind, n, entries=tuple(rows))
+    raw = obj.get("first_row")
+    if not isinstance(raw, list) or len(raw) != n:
+        raise DocumentError("first_row", f"expected a list of {n} scalars")
+    if kind == "rational_circulant":
+        return MatrixDocument(kind, n, first_row=tuple(parse_rational(x, "first_row") for x in raw))
+    first_row = _complex_array(raw, "first_row")
+    mu = None
+    if kind == "mu_circulant":
+        raw_mu = obj.get("mu")
+        if not isinstance(raw_mu, list) or len(raw_mu) != n - 1:
+            raise DocumentError("mu", f"expected a list of {n - 1} weights")
+        mu = _complex_array(raw_mu, "mu")
+    return MatrixDocument._decoded(kind, n, first_row=first_row, mu=mu)
 
 
 def circulant_to_obj(c: Circulant) -> dict:
@@ -218,7 +338,7 @@ def cocycle_from_obj(obj) -> TwoCocycle:
             or not all(isinstance(row, list) and len(row) == n for row in table)
         ):
             raise DocumentError("table", "expected an n x n grid of complex pairs")
-        return TwoCocycle([[parse_complex(x, "table") for x in row] for row in table])
+        return TwoCocycle(_complex_array(list(chain.from_iterable(table)), "table").reshape(n, n))
     doc = document_from_obj(obj)
     if doc.kind not in ("mu_circulant", "skew_circulant"):
         raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
@@ -340,4 +460,7 @@ def spectrum_from_obj(obj) -> tuple:
     raw = obj.get("values")
     if not isinstance(raw, list) or not isinstance(n, int) or isinstance(n, bool) or len(raw) != n:
         raise DocumentError("values", "expected a list of n scalars")
+    z = _pairs_array(raw)
+    if z is not None:
+        return _as_tuple(z)
     return tuple(_parse_entry(v, "values") for v in raw)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import Circulant, _check_tol, _entries, _moduli
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
-from .spectral import eigenvalues
+from .spectral import _quiet, eigenvalues
 
 
 class BlockCirculant:
@@ -181,9 +181,17 @@ def block_mul(x: BlockCirculant, y: BlockCirculant) -> BlockCirculant:
     u, v = x._diagonal_row(), y._diagonal_row()
     if u is not None and v is not None:
         return comultiplication(Circulant(u) * Circulant(v))
-    spectra = np.fft.fft2(x.coefficient_tensor()) * np.fft.fft2(y.coefficient_tensor())
+    product = _convolve2(x.coefficient_tensor(), y.coefficient_tensor())
     a, b = np.divmod(np.arange(x.n * x.n), x.n)
-    return BlockCirculant._from_support(x.n, a, b, _entries(np.fft.ifft2(spectra).ravel()))
+    return BlockCirculant._from_support(x.n, a, b, _entries(product.ravel()))
+
+
+@_quiet
+def _convolve2(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The 2-D cyclic convolution of two coefficient tensors, through the
+    2-D DFT, without numpy's warnings: an entry beyond the float range
+    comes out inf or nan, which `_entries` refuses."""
+    return np.fft.ifft2(np.fft.fft2(s) * np.fft.fft2(t))
 
 
 def delta_spectrum(c: Circulant) -> tuple[complex, ...]:

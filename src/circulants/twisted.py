@@ -268,8 +268,10 @@ def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
 
 def skew_circ(coeffs) -> MuCirculant:
     """scirc(c_1, ..., c_n): a circulant with every entry below the main
-    diagonal negated, realized as circ(c; sigma, sigma^2, ..., sigma^(n-1))."""
-    coeffs = tuple(coeffs)
+    diagonal negated, realized as circ(c; sigma, sigma^2, ..., sigma^(n-1)).
+    An array row is taken as it is, any other iterable as its tuple."""
+    if not isinstance(coeffs, np.ndarray):
+        coeffs = tuple(coeffs)
     n = len(coeffs)
     mu = np.exp(1j * np.pi * np.arange(n) / n)
     return MuCirculant(coeffs, MuWeights(tuple(mu.tolist())))

@@ -267,11 +267,12 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 24
+    assert len(lines) == 30
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
+    assert (4, "parse") in methods and (8, "encode") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -538,11 +539,45 @@ def test_bench_add_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_parse_row_checks_before_timing(monkeypatch):
+    from circulants import Circulant, bench
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.PARSE]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    # A row whose one zero imaginary part lost its sign still compares
+    # equal as numbers; the bench compares bits.
+    real = Circulant([-0.0, 1.0, 2.0, 3.0])
+    assert bench._parse(real)[1] == 6.0
+    decode = documents.parse_documents
+
+    def unsigned(text):
+        return decode(text.replace('"-0.0"', '"0.0"'))
+
+    monkeypatch.setattr(bench, "parse_documents", unsigned)
+    with pytest.raises(bench.BenchDisagreementError, match="decoded row"):
+        bench._parse(real)
+
+
+def test_bench_encode_row_checks_before_timing(monkeypatch):
+    from circulants import bench
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.ENCODE]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    monkeypatch.setattr(bench, "dump_json", lambda obj: json.dumps(obj) + "\n")
+    with pytest.raises(bench.BenchDisagreementError, match="dump_json"):
+        bench.run_bench([4], reps=3)
+
+
 def test_bench_cross_checks_pass_at_a_padded_order():
     # fast_mul convolves at a zero-padded length at n = 97; run_bench
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = [bench.CLI_EIG, bench.INTEGER_SPECTRUM, bench.ADD, bench.BLOCK_MUL, bench.HOPF_VERIFY]
+    rows_after += [bench.PARSE, bench.ENCODE]
     assert [r.method for r in rows] == [*bench.METHODS, *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

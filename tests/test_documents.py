@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 from circulants import (
     BlockCirculant,
     Circulant,
+    MuCirculant,
+    MuWeights,
     TwoCocycle,
     circ,
     cocycle_from_mu,
@@ -29,9 +33,12 @@ from circulants.documents import (
     mu_circulant_to_obj,
     parse_complex,
     parse_documents,
+    parse_rational,
     spectrum_from_obj,
     spectrum_to_obj,
 )
+from circulants.cli import main
+from circulants.errors import CirculantError
 
 # Documents of the kinds that no encoder writes, as literals.
 SKEW_OBJ = {"kind": "skew_circulant", "n": 3, "first_row": [["1.0", "0.0"], ["2.0", "0.0"], ["3.0", "0.0"]]}
@@ -287,3 +294,167 @@ def test_cocycle_documents_decode_to_their_cocycle():
         cocycle_from_obj({**table, "table": [[["1", "0"], ["x", "0"]], [["1", "0"], ["1", "0"]]]})
     with pytest.raises(DocumentError, match="kind: cocycle-verify expects"):
         cocycle_from_obj(circulant_to_obj(circ(1, 2)))
+
+
+# -- the row decoder against the per-entry path ------------------------------
+
+# Each case is one item of a list of complex pairs, placed among random
+# pairs in every complex field.  The decoder must give the bits, or the
+# error, that `parse_complex` gives entry by entry.
+_EDGE_STRINGS = ("-0.0", "5e-324", "1.7e308", "1.8e308", "nan", " 1.5 ", "1_0", "١")
+_MALFORMED_ITEMS = {
+    "short-pair": ["1.5"],
+    "long-pair": ["1.5", "0", "2"],
+    "number-item": 1.5,
+    "string-item": "x",
+    "object-pair": {"re": "1.5", "im": "0"},
+    "bool-part": [True, "0"],
+    "null": None,
+    "null-part": ["0", None],
+    "integer-past-float-max": [10**400, 0],
+    "bad-decimal": ["1.5x", "0"],
+    "empty-string": ["", "0"],
+}
+_DECODER_CASES = {
+    "random": None,
+    **{f"edge-{s.strip() or 'space'}": [s, "0.5"] for s in _EDGE_STRINGS},
+    "edge-imaginary-minus-zero": ["0.5", "-0.0"],
+    "mixed-string-number": ["1.5", 2],
+    "numbers": [0.25, -3],
+    **_MALFORMED_ITEMS,
+}
+
+
+def _per_entry(value, field):
+    """One entry of a dense grid or a spectrum, decoded alone."""
+    if isinstance(value, (list, tuple)):
+        return parse_complex(value, field)
+    return parse_rational(value, field)
+
+
+def _pairs(seed: int, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return [[repr(v.real), repr(v.imag)] for v in z.tolist()]
+
+
+def _items(case, count: int) -> list:
+    items = _pairs(count, count)
+    if case != "random":
+        items[count // 2] = _DECODER_CASES[case]
+    return json.loads(json.dumps(items))
+
+
+def _grid(items: list, n: int) -> list:
+    return [items[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _decoder_legs(field: str, case):
+    """(document, [(decoded, per-entry reference)]) for one field and case;
+    each leg is a pair of calls that must agree."""
+    if field == "first_row":
+        items = _items(case, 5)
+        doc = {"kind": "circulant", "n": 5, "first_row": items}
+        row = lambda: tuple(parse_complex(x, "first_row") for x in items)  # noqa: E731
+        return doc, [
+            (lambda: document_from_obj(doc).first_row, row),
+            (lambda: document_from_obj(doc).to_circulant().array, lambda: Circulant(row()).array),
+        ]
+    if field == "mu":
+        items = _items(case, 4)
+        first_row = _pairs(1, 5)
+        doc = {"kind": "mu_circulant", "n": 5, "first_row": first_row, "mu": items}
+        mu = lambda: tuple(parse_complex(x, "mu") for x in items)  # noqa: E731
+        coeffs = [parse_complex(x, "first_row") for x in first_row]
+        return doc, [
+            (lambda: document_from_obj(doc).mu, mu),
+            (
+                lambda: document_from_obj(doc).to_mu_circulant().weights.array,
+                lambda: MuCirculant(coeffs, MuWeights.from_tail(mu())).weights.array,
+            ),
+        ]
+    if field == "table":
+        items = _items(case, 9)
+        doc = {"kind": "cocycle", "n": 3, "table": _grid(items, 3)}
+        table = lambda: [[parse_complex(x, "table") for x in row] for row in _grid(items, 3)]  # noqa: E731
+        return doc, [(lambda: cocycle_from_obj(doc).array, lambda: TwoCocycle(table()).array)]
+    if field == "entries":
+        items = _items(case, 9)
+        doc = {"kind": "dense", "n": 3, "entries": _grid(items, 3)}
+
+        def grid():
+            return tuple(
+                tuple(_per_entry(x, f"entries[{i + 1}]") for x in row)
+                for i, row in enumerate(_grid(items, 3))
+            )
+
+        return doc, [
+            (lambda: document_from_obj(doc).entries, grid),
+            (lambda: document_from_obj(doc).to_complex_grid(), lambda: np.array(grid(), dtype=complex)),
+        ]
+    items = _items(case, 5)
+    doc = {"kind": "spectrum", "n": 5, "values": items}
+    return doc, [(lambda: spectrum_from_obj(doc), lambda: tuple(_per_entry(v, "values") for v in items))]
+
+
+def _outcome(call):
+    """("ok", the bits of the complex result) or (error type, field, message)."""
+    try:
+        value = call()
+    except CirculantError as exc:
+        return type(exc), getattr(exc, "field", None), str(exc)
+    return "ok", np.asarray(value, dtype=complex).view(np.uint64)
+
+
+_DECODED_FIELDS = ("first_row", "mu", "table", "entries", "values")
+
+
+@pytest.mark.parametrize("case", _DECODER_CASES)
+@pytest.mark.parametrize("field", _DECODED_FIELDS)
+def test_decoder_matches_the_per_entry_path(field, case):
+    _doc, legs = _decoder_legs(field, case)
+    for decoded, reference in legs:
+        got, want = _outcome(decoded), _outcome(reference)
+        if want[0] == "ok":
+            assert got[0] == "ok" and np.array_equal(got[1], want[1])
+        else:
+            assert got == want
+
+
+def test_decoded_rows_keep_their_tuples_and_arrays():
+    doc = document_from_obj({"kind": "circulant", "n": 2, "first_row": [["-0.0", "1_0"], [" 2 ", "١"]]})
+    assert doc.first_row == (complex(-0.0, 10), complex(2, 1)) and doc.first_row is doc.first_row
+    assert str(doc.first_row[0].real) == "-0.0"
+    assert doc == MatrixDocument("circulant", 2, first_row=doc.first_row) and hash(doc) == hash(
+        MatrixDocument("circulant", 2, first_row=doc.first_row)
+    )
+    c = doc.to_circulant()
+    assert not c.array.flags.writeable and c == Circulant(doc.first_row)
+    assert repr(doc).startswith("MatrixDocument(kind='circulant', n=2, first_row=((-0+10j), (2+1j)), mu=None")
+    assert pickle.loads(pickle.dumps(doc)) == doc
+    with pytest.raises(FrozenInstanceError):
+        doc.n = 3
+
+
+# One command per field; every malformed item must exit 2 with the one
+# stderr line that the per-entry path's DocumentError gives.
+_FIELD_COMMANDS = {
+    "first_row": "eig",
+    "mu": "mu-eig",
+    "table": "cocycle-verify",
+    "entries": "factorize",
+    "values": "spectrum-reconstruct",
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_ITEMS)
+@pytest.mark.parametrize("field", _DECODED_FIELDS)
+def test_malformed_items_exit_2_with_the_per_entry_error_line(tmp_path, capsys, field, case):
+    doc, legs = _decoder_legs(field, case)
+    error = _outcome(legs[0][1])
+    assert error[0] is DocumentError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([_FIELD_COMMANDS[field], "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {error[2]}\n")
