@@ -2,8 +2,9 @@
 plus one whole ``circulants eig`` invocation run in process, the exact
 integer spectrum of an orbit-constant row, the sum ``x + y``, the
 coproduct product ``block_mul(Delta x, Delta y)``, the three Hopf
-checks of ``circulants hopf-verify``, and the document layer: decoding
-a circulant document and encoding a spectrum document.
+checks of ``circulants hopf-verify``, the document layer (decoding a
+circulant document and encoding a spectrum document), and the integral
+Brandt predicate of an integer set and of that set led by I/2.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -19,6 +20,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,7 +43,13 @@ from .hopf import (
     verify_antipode_axiom,
     verify_counit_axiom,
 )
-from .lattice import integer_spectrum, rational_circ
+from .lattice import (
+    BrandtCounterexample,
+    BrandtVerdict,
+    brandt_check,
+    integer_spectrum,
+    rational_circ,
+)
 from .spectral import eigenvalues, fast_mul
 
 METHODS = ("naive", "spectral", "dense")
@@ -59,6 +67,8 @@ HOPF_VERIFY = "hopf-verify"
 PARSE = "parse"
 #: The row that times ``dump_json`` of the spectrum document of x.
 ENCODE = "encode"
+#: The row that times ``brandt_check`` of an integer set and of that set led by I/2.
+BRANDT = "brandt"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -189,6 +199,30 @@ def _encode(x: Circulant):
     return lambda: dump_json(obj), float(len(text))
 
 
+def _brandt(n: int, seed: int):
+    """A call that decides the integral Brandt predicate of three random
+    integer rows of order n, entries -2..2, and of the same set led by
+    the scalar I/2, and the checksum, the witness's value.  The rows are
+    drawn from (seed, n), not from the other rows' generator, whose
+    inputs stay as they were.  Raises BenchDisagreementError unless the
+    integer set holds and the led set fails at pair (0, 0), combination
+    'a', on the first form of (X - 1/2)^n that is not an integer:
+    q_i = C(n, i) / 2^i with the smallest such i."""
+    rng = np.random.default_rng([seed, n])
+    held = [rational_circ([int(v) for v in rng.integers(-2, 3, n)]) for _ in range(3)]
+    led = [rational_circ([Fraction(1, 2)] + [0] * (n - 1)), *held]
+    i = next(i for i in range(1, n + 1) if math.comb(n, i) % 2**i)
+    want = BrandtCounterexample((0, 0), "a", i, Fraction(math.comb(n, i), 2**i))
+
+    def run():
+        return brandt_check(held), brandt_check(led)
+
+    verdicts = run()
+    if verdicts != (BrandtVerdict(True), BrandtVerdict(False, want)):
+        raise BenchDisagreementError(f"n={n}: brandt_check gives {verdicts}, want a witness {want}")
+    return run, float(want.value)
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -204,8 +238,9 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     exact spectrum of the orbit-constant row of that order, then x + y,
     then block_mul(Delta x, Delta y), then the Hopf checks of x, then
     decoding the circulant document of x and encoding its spectrum
-    document.  Raises DocumentError on the field "bench" when a size is
-    below 2 or reps below 3."""
+    document, then the Brandt predicate of an integer set of that order
+    and of that set led by I/2.  Raises DocumentError on the field
+    "bench" when a size is below 2 or reps below 3."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise DocumentError("bench", "every bench size must be >= 2")
@@ -235,6 +270,7 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         hopf_run, hopf_checksum = _hopf_verify(x)
         parse_run, parse_checksum = _parse(x)
         encode_run, encode_checksum = _encode(x)
+        brandt_run, brandt_checksum = _brandt(n, seed)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -248,4 +284,5 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         results.append(BenchResult(n, HOPF_VERIFY, reps, _median_ns(hopf_run, reps), hopf_checksum))
         results.append(BenchResult(n, PARSE, reps, _median_ns(parse_run, reps), parse_checksum))
         results.append(BenchResult(n, ENCODE, reps, _median_ns(encode_run, reps), encode_checksum))
+        results.append(BenchResult(n, BRANDT, reps, _median_ns(brandt_run, reps), brandt_checksum))
     return results

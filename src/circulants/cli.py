@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_bench,
         "time naive vs spectral vs dense multiplication, an in-process eig,"
         " an exact integer spectrum, x + y, a coproduct product, the Hopf checks,"
-        " and a document parse and encode",
+        " a document parse and encode, and the Brandt predicate",
     )
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.

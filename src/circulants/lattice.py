@@ -16,10 +16,19 @@ identities in integers.  That is O(n^3) integer operations on the first
 row, never the dense n x n matrix.
 
 Over Q the group algebra splits as Q[C_n] = prod_{d | n} Q(zeta_d)
-(Perlis and Walker), so the exact spectrum is decided factor by factor:
-the row reduced mod the cyclotomic polynomial Phi_d is a constant
-exactly when the eigenvalues at the primitive d-th roots of unity are
-rational, and then that constant is their common value.
+(Perlis and Walker).  The component of a row in Q(zeta_d) is its
+remainder r_d: the row folded mod x^d - 1 and reduced mod the
+cyclotomic polynomial Phi_d, read in the basis 1, zeta_d, ...,
+zeta_d^(phi(d)-1).  The exact spectrum and the Brandt predicate are
+both decided on these remainders, factor by factor:
+- the eigenvalues at the primitive d-th roots of unity are rational
+  exactly when r_d is a constant, and then that constant is their
+  common value;
+- the forms q_1..q_n are all integers exactly when every eigenvalue is
+  an algebraic integer, that is when every r_d has integer coordinates,
+  because that basis is an integral basis of Z[zeta_d].
+The remainders cost O(n^2) integer operations per row at most, against
+O(n^3) for the characteristic polynomial.
 
 Floating point appears in one place only, forced by the irrationality
 of omega: rebuilding coefficients from a prescribed integer/rational
@@ -223,21 +232,31 @@ def _cyclotomic(d: int) -> list[int]:
     return phi
 
 
-def _divmod_monic(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by the monic integer polynomial g, all
-    as ascending coefficient lists; only g's nonzero terms are visited."""
+def _mod_monic(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of f by the monic integer polynomial g, both as ascending
+    coefficient lists; only g's nonzero terms are visited."""
     m = len(g) - 1
     rem = list(f)
     terms = _support(g[:m])
-    quot = [0] * max(len(f) - m, 0)
     for top in range(len(f) - 1, m - 1, -1):
         q = rem[top]
         if q:
             base = top - m
-            quot[base] = q
             for i, a in terms:
                 rem[base + i] -= q * a
-    return quot, rem[:m]
+    return rem[:m]
+
+
+def _components(row: list[int]):
+    """Yield (d, r_d) for each divisor d of n = len(row), in increasing
+    order: the integer row folded mod x^d - 1 and reduced mod Phi_d, an
+    ascending list of phi(d) integer coefficients.  p(zeta) = r_d(zeta)
+    at every primitive d-th root of unity zeta, p being the row
+    polynomial."""
+    n = len(row)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            yield d, _mod_monic([sum(row[k::d]) for k in range(d)], _cyclotomic(d))
 
 
 def _check_mode(mode: str):
@@ -256,18 +275,17 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     polynomial Phi_d (the product of binomials (x^e - 1)^mu(d/e), see
     `_cyclotomic`).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
     of Q(zeta_d), those eigenvalues are rational exactly when the
-    remainder is a constant r_d, and then each equals r_d / L.  Returns
-    None when some remainder is not constant, or when mode='integral'
-    and some r_d / L is fractional, and raises InvalidModeError on any
-    other mode.  Integer operations only, no floats, so the answer does
-    not depend on the size of the entries.
+    remainder is a constant r_d (see `_components`), and then each equals
+    r_d / L.  Returns None when some remainder is not constant, or when
+    mode='integral' and some r_d / L is fractional, and raises
+    InvalidModeError on any other mode.  Integer operations only, no
+    floats, so the answer does not depend on the size of the entries.
     """
     _check_mode(mode)
     n = c.n
     scale, row = _cleared(c.coeffs)
     value: dict[int, Fraction] = {}
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        _, rem = _divmod_monic([sum(row[k::d]) for k in range(d)], _cyclotomic(d))
+    for d, rem in _components(row):
         if any(rem[1:]):
             return None
         lam = Fraction(rem[0], scale)
@@ -296,10 +314,28 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
 
     For every ordered pair (a, b), including a = b, all forms
     q_i(a), q_i(b), q_i(a+b), q_i(ab) must lie in Z (resp. Q).  Returns
-    the first violation found, in that ordered traversal; the forms of
-    a+b and ab are computed once per unordered pair.  Rational inputs
-    always satisfy the rational variant; the integral one is the
-    interesting predicate.  Raises InvalidModeError on any other mode.
+    the first violation in that ordered traversal (pairs in row-major
+    order, then a, b, a+b, ab, then i = 1..n).  Rational inputs always
+    satisfy the rational variant; the integral one is the interesting
+    predicate.  Raises InvalidModeError on any other mode.
+
+    The integral predicate is decided in the Wedderburn components, not
+    by characteristic polynomials.  With L*c integral, the forms of c
+    are all integers exactly when L divides every coefficient of every
+    remainder r_d of L*c (see `_components`): the forms are the
+    coefficients of the monic characteristic polynomial, which lies in
+    Z[X] exactly when every eigenvalue r_d(zeta_d) / L is an algebraic
+    integer, and 1, zeta_d, ..., zeta_d^(phi(d)-1) is an integral basis
+    of Z[zeta_d], the ring of integers of Q(zeta_d).  Those c form the
+    ring prod_d Z[zeta_d], closed under + and *, so a+b and ab pass
+    whenever a and b do, and the traversal's first violation is a single
+    element: the first element k whose forms are not all integers,
+    probed as a at pair (0, 0) when k = 0, else as b at pair (0, k).
+    Its witness (form_index, value) is the first fractional form of that
+    element, from one `forms_exact` call; a set that holds calls it
+    never.  Cost: the remainders of each element, O(n^2) integer
+    operations at most, plus one O(n^3) `forms_exact` on failure;
+    nothing per pair.
     """
     _check_mode(mode)
     elements = list(elements)
@@ -310,23 +346,20 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
         raise DimensionMismatchError("all elements must share one order")
     if mode == "rational":
         return BrandtVerdict(True)
-    single = [forms_exact(e) for e in elements]
-    # a + b and ab commute, so (a, b) and (b, a) share their forms.
-    combined: dict[tuple[int, int], tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
-    for ia, a in enumerate(elements):
-        for ib, b in enumerate(elements):
-            key = (min(ia, ib), max(ia, ib))
-            if key not in combined:
-                combined[key] = (forms_exact(a + b), forms_exact(a * b))
-            plus, times = combined[key]
-            probes = (("a", single[ia]), ("b", single[ib]), ("a+b", plus), ("ab", times))
-            for label, q in probes:
-                for i, qi in enumerate(q, start=1):
-                    if qi.denominator != 1:
-                        return BrandtVerdict(
-                            False, BrandtCounterexample((ia, ib), label, i, qi)
-                        )
-    return BrandtVerdict(True)
+    k = next((k for k, e in enumerate(elements) if not _has_integral_forms(e)), None)
+    if k is None:
+        return BrandtVerdict(True)
+    i, value = next(
+        (i, q) for i, q in enumerate(forms_exact(elements[k]), start=1) if q.denominator != 1
+    )
+    return BrandtVerdict(False, BrandtCounterexample((0, k), "b" if k else "a", i, value))
+
+
+def _has_integral_forms(c: RationalCirculant) -> bool:
+    """Whether every form q_i(c) is an integer: with L*c integral,
+    whether L divides every coefficient of every remainder r_d of L*c."""
+    scale, row = _cleared(c.coeffs)
+    return all(v % scale == 0 for _, rem in _components(row) for v in rem)
 
 
 @dataclass(frozen=True)

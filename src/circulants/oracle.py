@@ -7,7 +7,8 @@ transforms up to a few hundred).  The hand-rolled transforms, an
 iterative radix-2 FFT and the O(n^2) direct DFT, check the numpy.fft
 path of `spectral`; the dense coefficient tensors of C[C_n x C_n] check
 the support form of `hopf`; a loop over the cocycle triples checks
-`twisted.verify_cocycle`.
+`twisted.verify_cocycle`; the Brandt predicate walked probe by probe
+on characteristic polynomials checks `lattice.brandt_check`.
 """
 
 from __future__ import annotations
@@ -178,6 +179,51 @@ def exact_inverse(grid) -> tuple[tuple[Fraction, ...], ...]:
     for k in range(n):
         result[col_perm[k]] = tuple(aug[k][n:])
     return tuple(result)  # type: ignore[arg-type]
+
+
+def _forms_of_row(row) -> tuple[Fraction, ...]:
+    """(q_1, ..., q_n) of the circulant with this rational first row, read
+    off the exact characteristic polynomial of its dense matrix:
+    q_i = (-1)^i * (coefficient of X^(n-i))."""
+    n = len(row)
+    monic = faddeev_leverrier_exact([[row[(j - i) % n] for j in range(n)] for i in range(n)])
+    return tuple(-monic[i] if i % 2 else monic[i] for i in range(1, n + 1))
+
+
+def brandt_check_by_forms(rows, forms=_forms_of_row):
+    """The integral Brandt predicate by its definition, on first rows of
+    rationals: for every ordered pair (a, b), including a = b, the forms
+    q_1..q_n of a, b, a + b and the cyclic product ab, probed in that
+    order, must be integers.  Returns None when they all are, else the
+    first fractional form as ((ia, ib), combination, form_index, value),
+    combination one of 'a', 'b', 'a+b', 'ab'.
+
+    `forms` maps a row (a tuple of Fractions) to (q_1, ..., q_n); the
+    default takes them from `faddeev_leverrier_exact`, O(n^4).  Every
+    element's forms are taken first, and those of a + b and ab once per
+    unordered pair, since both commute."""
+    rows = [tuple(Fraction(x) for x in row) for row in rows]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatchError("all rows must share one order")
+    single = [forms(row) for row in rows]
+    combined: dict[tuple[int, int], tuple] = {}
+    for ia, a in enumerate(rows):
+        for ib, b in enumerate(rows):
+            key = (min(ia, ib), max(ia, ib))
+            if key not in combined:
+                plus = tuple(map(operator.add, a, b))
+                times = tuple(
+                    sum(a[i] * b[(k - i) % n] for i in range(n)) for k in range(n)
+                )
+                combined[key] = (forms(plus), forms(times))
+            plus_forms, times_forms = combined[key]
+            probes = (("a", single[ia]), ("b", single[ib]), ("a+b", plus_forms), ("ab", times_forms))
+            for label, q in probes:
+                for i, qi in enumerate(q, start=1):
+                    if qi.denominator != 1:
+                        return (ia, ib), label, i, qi
+    return None
 
 
 def coproduct_tensor(row) -> np.ndarray:

@@ -29,7 +29,16 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Circulant, _check_tol, _entries, _moduli, _RowValue, _set_array, _set_row
+from .core import (
+    Circulant,
+    _check_finite,
+    _check_tol,
+    _entries,
+    _moduli,
+    _RowValue,
+    _set_array,
+    _set_row,
+)
 from .errors import (
     DimensionMismatchError,
     IncompatibleAlgebrasError,
@@ -40,7 +49,7 @@ from .errors import (
 )
 from .forms import FormsVector, forms_of_spectrum
 from .hopf import HopfReport
-from .spectral import Spectrum, eigenvalues, eigenvector_matrix
+from .spectral import Spectrum, _quiet, eigenvalues, eigenvector_matrix
 
 _WEIGHT_MATCH_TOL = 1e-12
 #: verify_cocycle takes tables whose entries have max(|re|, |im|) in this
@@ -260,10 +269,21 @@ class MuEigenDecomposition:
 
 
 def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
-    """Closed-form eigen decomposition read off the entries."""
+    """Closed-form eigen decomposition read off the entries.  Raises
+    InvalidScalarError when a part of a vector entry mu_k omega^((j-1)(k-1))
+    leaves the float range, as it may where |mu_k| does although both
+    parts of mu_k are finite."""
     spectrum = eigenvalues(psi(m))
-    vectors = m.weights.array[:, None] * eigenvector_matrix(m.n)
+    vectors = _weighted_columns(m.weights.array)
+    _check_finite(vectors.ravel())
     return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
+
+
+@_quiet
+def _weighted_columns(weights: np.ndarray) -> np.ndarray:
+    """diag(weights) times the eigenvector matrix of plain circulants;
+    an overflow gives inf entries, without a numpy warning."""
+    return weights[:, None] * eigenvector_matrix(weights.size)
 
 
 def skew_circ(coeffs) -> MuCirculant:

@@ -175,6 +175,38 @@ def test_brandt_check_cli(tmp_path, capsys):
     assert payload["counterexample"]["value"] == "3/2"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["2", "1", "1"], ["1", "1", "1"]],
+        [["1/4", "1/4", "1/4", "1/4"], ["1/2", "0", "1/2", "0"], ["3", "-1", "0", "2"]],
+        [["1/2", "0", "0"]],
+        [["1", "2", "0", "-1"], ["1/3", "1/3", "1/3", "1/3"]],
+        [["1/6"] * 6, ["1/2", "0", "0", "1/2", "0", "0"], ["1/3", "1/6", "0", "0", "0", "1/2"]],
+    ],
+    ids=["integer", "idempotents", "half", "thirds", "order-6"],
+)
+def test_brandt_check_cli_writes_the_oracle_verdict(tmp_path, capsys, rows):
+    from fractions import Fraction
+
+    from circulants.oracle import brandt_check_by_forms
+
+    want = brandt_check_by_forms([[Fraction(x) for x in row] for row in rows])
+    payload = {"kind": "brandt", "mode": "integral", "holds": want is None}
+    if want is not None:
+        pair, combination, form_index, value = want
+        payload["counterexample"] = {
+            "pair": list(pair),
+            "combination": combination,
+            "form_index": form_index,
+            "value": str(value),
+        }
+    docs = [{"kind": "rational_circulant", "n": len(row), "first_row": row} for row in rows]
+    code, out, err = run_cli(["brandt-check", "--input", write(tmp_path, "set.json", docs)], capsys=capsys)
+    assert (code, err) == (0 if want is None else 1, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_spectrum_reconstruct_cli(tmp_path, capsys):
     doc = {"kind": "spectrum", "n": 3, "values": ["4", "1", "1"]}
     path = write(tmp_path, "spec.json", doc)
@@ -267,12 +299,12 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 30
+    assert len(lines) == 33
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
-    assert (4, "parse") in methods and (8, "encode") in methods
+    assert (4, "parse") in methods and (8, "encode") in methods and (2, "brandt") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -498,6 +530,32 @@ def test_bench_integer_spectrum_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_brandt_row_checks_before_timing(monkeypatch):
+    from fractions import Fraction
+
+    from circulants import bench, brandt_check
+    from circulants.lattice import BrandtCounterexample, BrandtVerdict
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.BRANDT]
+    assert [r.n for r in rows] == [4, 12]
+    # (X - 1/2)^4 has q_1 = 2, q_2 = 3/2; (X - 1/2)^12 has q_1 = 6, q_2 = 33/2.
+    assert [r.checksum for r in rows] == [1.5, 16.5] and all(r.median_ns > 0 for r in rows)
+
+    def next_form(elements, mode="integral"):
+        ce = brandt_check(elements, mode).counterexample
+        if ce is None:
+            return BrandtVerdict(True)
+        shifted = BrandtCounterexample(ce.pair, ce.combination, ce.form_index + 1, ce.value)
+        return BrandtVerdict(False, shifted)
+
+    always_fails = BrandtVerdict(False, BrandtCounterexample((0, 0), "a", 2, Fraction(3, 2)))
+    always_holds = BrandtVerdict(True)
+    for wrong in (next_form, lambda e, mode="integral": always_holds, lambda e, mode="integral": always_fails):
+        monkeypatch.setattr(bench, "brandt_check", wrong)
+        with pytest.raises(bench.BenchDisagreementError, match="brandt_check"):
+            bench.run_bench([4], reps=3)
+
+
 def test_bench_block_mul_row_checks_before_timing(monkeypatch):
     from circulants import bench
 
@@ -577,7 +635,7 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = [bench.CLI_EIG, bench.INTEGER_SPECTRUM, bench.ADD, bench.BLOCK_MUL, bench.HOPF_VERIFY]
-    rows_after += [bench.PARSE, bench.ENCODE]
+    rows_after += [bench.PARSE, bench.ENCODE, bench.BRANDT]
     assert [r.method for r in rows] == [*bench.METHODS, *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

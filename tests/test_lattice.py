@@ -1,10 +1,12 @@
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from circulants import (
+    BrandtVerdict,
     DependentBasisError,
     NotIntegralBasisError,
     basis_inverse_integral,
@@ -20,7 +22,8 @@ from circulants import (
     reconstruct_from_spectrum,
 )
 from circulants.errors import CirculantError, DimensionMismatchError, InvalidModeError, InvalidScalarError
-from circulants.oracle import exact_det, exact_inverse, faddeev_leverrier_exact
+from circulants.lattice import BrandtCounterexample
+from circulants.oracle import brandt_check_by_forms, exact_det, exact_inverse, faddeev_leverrier_exact
 
 SEED = 0x5EED
 
@@ -441,49 +444,118 @@ def test_rational_spectrum_that_does_not_split_at_order_20():
     assert integer_spectrum(c, mode="integral") is None
 
 
-def brandt_by_ordered_traversal(elements):
-    """Brute force: every probe of every ordered pair, forms recomputed."""
-    for ia, a in enumerate(elements):
-        for ib, b in enumerate(elements):
-            for label, x in (("a", a), ("b", b), ("a+b", a + b), ("ab", a * b)):
-                for i, qi in enumerate(forms_exact(x), start=1):
-                    if qi.denominator != 1:
-                        return (ia, ib), label, i, qi
-    return None
+def subgroup_average(n, m):
+    """(1/m)(I + P^(n/m) + ... + P^((m-1) n/m)), the average over the
+    subgroup of order m: an idempotent, so its forms are integers
+    although its entries are 1/m."""
+    return [F(1, m) if k % (n // m) == 0 else F(0) for k in range(n)]
+
+
+def random_brandt_rows(rng, n, holding):
+    """1 to 3 rows of order n.  A holding set adds integer multiples of
+    subgroup averages to integer rows; any other set draws each row over
+    its own denominator 1 to 4, so it fails unless every denominator
+    drawn is 1 (or the fractions happen to cancel)."""
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        if holding:
+            row = [F(int(v)) for v in rng.integers(-2, 3, size=n)]
+            for m in divisors(n):
+                t = int(rng.integers(-2, 3))
+                row = [x + t * y for x, y in zip(row, subgroup_average(n, m))]
+        else:
+            den = int(rng.integers(1, 5))
+            row = [F(int(v), den) for v in rng.integers(-4, 5, size=n)]
+        rows.append(row)
+    return rows
+
+
+def verdict_tuple(verdict):
+    """A BrandtVerdict in the oracle's form: None when it holds, else
+    (pair, combination, form_index, value)."""
+    if verdict.holds:
+        assert verdict.counterexample is None
+        return None
+    ce = verdict.counterexample
+    return ce.pair, ce.combination, ce.form_index, ce.value
 
 
 def test_brandt_check_matches_ordered_traversal():
+    # The oracle walks every probe of every ordered pair on the forms of
+    # the dense characteristic polynomial; the verdict and witness must
+    # be the same, on holding and failing sets at every order 1..16.
     rng = np.random.default_rng(SEED)
     outcomes = set()
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
-        elements = []
-        for _ in range(int(rng.integers(1, 5))):
-            row = [F(int(v)) for v in rng.integers(-2, 3, size=n)]
-            if rng.uniform() < 0.3:
-                row[int(rng.integers(n))] += F(1, 2)
-            elements.append(rational_circ(row))
-        want = brandt_by_ordered_traversal(elements)
-        verdict = brandt_check(elements)
-        if want is None:
-            assert verdict.holds and verdict.counterexample is None
-        else:
-            ce = verdict.counterexample
-            assert not verdict.holds
-            assert (ce.pair, ce.combination, ce.form_index, ce.value) == want
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
+    for n in range(1, 17):
+        for holding in (True, False, False, False):
+            rows = random_brandt_rows(rng, n, holding)
+            want = brandt_check_by_forms(rows)
+            assert verdict_tuple(brandt_check([rational_circ(r) for r in rows])) == want
+            if holding:
+                assert want is None
+            outcomes.add(None if want is None else want[1])
+    assert outcomes == {None, "a", "b"}
 
 
-def test_brandt_check_computes_pair_forms_once(monkeypatch):
+def test_brandt_oracle_takes_the_forms_it_is_given():
+    # The default forms (Faddeev-LeVerrier on the dense matrix) and
+    # forms_exact give the same traversal.
+    rng = np.random.default_rng(SEED + 1)
+    for n in (1, 3, 4, 6):
+        for holding in (True, False):
+            rows = random_brandt_rows(rng, n, holding)
+            by_exact = brandt_check_by_forms(rows, forms=lambda r: forms_exact(rational_circ(r)))
+            assert by_exact == brandt_check_by_forms(rows)
+    with pytest.raises(DimensionMismatchError):
+        brandt_check_by_forms([[1, 0], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+def test_brandt_holds_for_the_averaging_idempotent(n):
+    # J/n has every entry 1/n, but it is idempotent, with eigenvalues 1
+    # and 0, so all of its forms are integers.
+    rows = [subgroup_average(n, n)]
+    assert rows == [[F(1, n)] * n]
+    assert brandt_check_by_forms(rows) is None
+    assert brandt_check([rational_circ(r) for r in rows]) == BrandtVerdict(True)
+    shifted = [[x + (k == 0) for k, x in enumerate(rows[0])], [F(1, 2)] + [F(0)] * (n - 1)]
+    want = brandt_check_by_forms(shifted)
+    assert want is not None and want[:2] == ((0, 1), "b")
+    assert verdict_tuple(brandt_check([rational_circ(r) for r in shifted])) == want
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_brandt_check_at_large_order_is_fast(n):
+    rng = np.random.default_rng(n)
+    integer = [rational_circ([int(v) for v in rng.integers(-2, 3, size=n)]) for _ in range(4)]
+    averages = [rational_circ(subgroup_average(n, m)) for m in (2, n // 2, n)]
+    start = time.perf_counter()
+    assert brandt_check(integer).holds and brandt_check(integer + averages).holds
+    assert time.perf_counter() - start < 1.0
+    # A half on the identity coefficient moves every eigenvalue by 1/2,
+    # so the fifth element fails; its witness is its first fractional form.
+    half = rational_circ([F(1, 2)] + [F(0)] * (n - 1))
+    verdict = brandt_check(integer + [integer[0] + half])
+    ce = verdict.counterexample
+    assert (ce.pair, ce.combination) == ((0, 4), "b")
+    forms = forms_exact(integer[0] + half)
+    assert ce.value == forms[ce.form_index - 1] and ce.value.denominator != 1
+    assert all(q.denominator == 1 for q in forms[: ce.form_index - 1])
+
+
+def test_brandt_check_calls_forms_exact_only_for_the_witness(monkeypatch):
     import circulants.lattice as lattice
 
     calls = []
     monkeypatch.setattr(lattice, "forms_exact", lambda c: calls.append(c) or forms_exact(c))
-    elements = [rational_circ(2, 1, 1), rational_circ(1, 1, 1), rational_circ(0, 1, 1)]
-    assert lattice.brandt_check(elements).holds
-    # Three singles plus a + b and ab for each of the six unordered pairs.
-    assert len(calls) == 3 + 2 * 6
+    third = F(1, 3)
+    holding = [rational_circ(2, 1, 1), rational_circ(1, 1, 1), rational_circ(third, third, third)]
+    assert lattice.brandt_check(holding).holds
+    assert calls == []
+    failing = holding + [rational_circ(F(1, 2), 0, 0), rational_circ(third, 0, 0)]
+    verdict = lattice.brandt_check(failing)
+    assert calls == [failing[3]]
+    assert verdict.counterexample == BrandtCounterexample((0, 3), "b", 1, F(3, 2))
 
 
 def divisors(n):

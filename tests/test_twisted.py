@@ -321,6 +321,13 @@ def test_mu_eigen_shift_example():
         assert residual <= 1e-9 * (1.0 + np.max(np.abs(dense)))
 
 
+def test_mu_eigen_refuses_vectors_beyond_the_float_range():
+    # |mu_3| = 1.97e308: mu_3 omega^2 has a part past the float maximum.
+    m = MuCirculant((1.0, 0.0, 0.5), MuWeights((1.0, 1.7, complex(1e308, 1.7e308))))
+    with pytest.raises(InvalidScalarError, match="non-finite entry"):
+        mu_eigen(m)
+
+
 def test_mu_eigen_residuals_random():
     rng = np.random.default_rng(SEED)
     for n in (1, 2, 3, 5, 8, 16):
