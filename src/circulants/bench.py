@@ -3,8 +3,9 @@ plus one whole ``circulants eig`` invocation run in process, the exact
 integer spectrum of an orbit-constant row, the sum ``x + y``, the
 coproduct product ``block_mul(Delta x, Delta y)``, the three Hopf
 checks of ``circulants hopf-verify``, the document layer (decoding a
-circulant document and encoding a spectrum document), and the integral
-Brandt predicate of an integer set and of that set led by I/2.
+circulant document and encoding a spectrum document), the integral
+Brandt predicate of an integer set and of that set led by I/2, and the
+product and eigen decomposition of twisted circulants.
 
 Every row is cross-checked on the same fixed-seed inputs before any
 timing happens; disagreement aborts the run, so timings are never
@@ -51,6 +52,7 @@ from .lattice import (
     rational_circ,
 )
 from .spectral import eigenvalues, fast_mul
+from .twisted import MuCirculant, MuWeights, mu_eigen, mu_mul, mu_to_dense
 
 METHODS = ("naive", "spectral", "dense")
 #: The row that times ``cli.main(["eig"])`` on the first input of each size.
@@ -69,6 +71,10 @@ PARSE = "parse"
 ENCODE = "encode"
 #: The row that times ``brandt_check`` of an integer set and of that set led by I/2.
 BRANDT = "brandt"
+#: The row that times ``mu_mul`` of two twisted circulants over random weights.
+MU_MUL = "mu-mul"
+#: The row that times ``mu_eigen`` of the first of those twisted circulants.
+MU_EIG = "mu-eig"
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -223,6 +229,49 @@ def _brandt(n: int, seed: int):
     return run, float(want.value)
 
 
+def _twisted_pair(n: int, seed: int) -> tuple[MuCirculant, MuCirculant]:
+    """Two twisted circulants of order n over one set of weights, with
+    moduli uniform in [1/2, 2) and uniform phases, and coefficients drawn
+    like the other rows' inputs.  Drawn from (seed, n), not from the other
+    rows' generator, whose inputs stay as they were."""
+    rng = np.random.default_rng([seed, n])
+    tail = rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n - 1))
+    weights = MuWeights(np.concatenate(((1.0,), tail)))
+    return (
+        MuCirculant(random_circulant(rng, n).array, weights),
+        MuCirculant(random_circulant(rng, n).array, weights),
+    )
+
+
+def _mu_mul(x: MuCirculant, y: MuCirculant):
+    """A call that multiplies x by y in their twisted algebra, and the
+    checksum sum |c_i| of the product; raises BenchDisagreementError
+    unless the product's dense form is within 1e-9 * (1 + max |entry|)
+    of the product of the dense forms."""
+    product = mu_mul(x, y)
+    dense = mu_to_dense(x) @ mu_to_dense(y)
+    deviation = float(np.max(np.abs(mu_to_dense(product) - dense)))
+    if not deviation <= 1e-9 * (1.0 + float(np.max(np.abs(dense)))):
+        raise BenchDisagreementError(
+            f"n={x.n}: mu_mul deviates from the dense product by {deviation:.3e}"
+        )
+    return lambda: mu_mul(x, y), float(np.abs(product.array).sum())
+
+
+def _mu_eig(x: MuCirculant):
+    """A call that takes the eigen decomposition of x, and the checksum
+    sum |lambda_j|; raises BenchDisagreementError unless the residual
+    max |D V - V diag(lambda)| of the dense form D is within
+    1e-9 * (1 + max |D|)."""
+    eig = mu_eigen(x)
+    dense = mu_to_dense(x)
+    lam = eig.spectrum.array
+    residual = float(np.max(np.abs(dense @ eig.vectors - eig.vectors * lam)))
+    if not residual <= 1e-9 * (1.0 + float(np.max(np.abs(dense)))):
+        raise BenchDisagreementError(f"n={x.n}: mu_eigen leaves the residual {residual:.3e}")
+    return lambda: mu_eigen(x), float(np.abs(lam).sum())
+
+
 def _median_ns(fn, reps: int) -> int:
     times = []
     for _ in range(reps):
@@ -239,8 +288,10 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     then block_mul(Delta x, Delta y), then the Hopf checks of x, then
     decoding the circulant document of x and encoding its spectrum
     document, then the Brandt predicate of an integer set of that order
-    and of that set led by I/2.  Raises DocumentError on the field
-    "bench" when a size is below 2 or reps below 3."""
+    and of that set led by I/2, then the product and the eigen
+    decomposition of twisted circulants of that order.  Raises
+    DocumentError on the field "bench" when a size is below 2 or reps
+    below 3."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise DocumentError("bench", "every bench size must be >= 2")
@@ -271,6 +322,9 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         parse_run, parse_checksum = _parse(x)
         encode_run, encode_checksum = _encode(x)
         brandt_run, brandt_checksum = _brandt(n, seed)
+        mu_x, mu_y = _twisted_pair(n, seed)
+        mu_mul_run, mu_mul_checksum = _mu_mul(mu_x, mu_y)
+        mu_eig_run, mu_eig_checksum = _mu_eig(mu_x)
         for name in METHODS:
             fn = runners[name]
             median = _median_ns(lambda: fn(x, y), reps)
@@ -285,4 +339,6 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
         results.append(BenchResult(n, PARSE, reps, _median_ns(parse_run, reps), parse_checksum))
         results.append(BenchResult(n, ENCODE, reps, _median_ns(encode_run, reps), encode_checksum))
         results.append(BenchResult(n, BRANDT, reps, _median_ns(brandt_run, reps), brandt_checksum))
+        results.append(BenchResult(n, MU_MUL, reps, _median_ns(mu_mul_run, reps), mu_mul_checksum))
+        results.append(BenchResult(n, MU_EIG, reps, _median_ns(mu_eig_run, reps), mu_eig_checksum))
     return results

@@ -316,7 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_bench,
         "time naive vs spectral vs dense multiplication, an in-process eig,"
         " an exact integer spectrum, x + y, a coproduct product, the Hopf checks,"
-        " a document parse and encode, and the Brandt predicate",
+        " a document parse and encode, the Brandt predicate, and the twisted"
+        " product and eigen decomposition",
     )
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.

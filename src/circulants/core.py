@@ -12,13 +12,28 @@ e_i e_j = e_{i+j-1}.
 Formulas in docstrings are 1-based like the literature; storage is
 0-based.  Every row value of the package (circulant, spectrum, twist
 weights, twisted coefficients) stores one thing: its row as a read-only
-complex ndarray `array`, validated by one vectorised rule, `_entries`,
-in its constructor; computed results go through the same constructors.
-numpy work on a value starts from that array.  The public tuple of
-Python complex numbers (`coeffs`, `values`, `mu`) is built from the
-array on first read and cached, so a value that is only transformed
-never builds it.  `==` compares the arrays and `hash` is the hash of
-the tuple.
+complex ndarray `array`.  numpy work on a value starts from that array.
+The public tuple of Python complex numbers (`coeffs`, `values`, `mu`) is
+built from the array on first read and cached, so a value that is only
+transformed never builds it; only `repr`, `hash`, the reference product
+`mul_naive` and `hopf.counit` read it.  `==` compares the arrays and
+`hash` is the hash of the tuple.
+
+Values are built in one of two ways:
+
+* A public constructor takes outside input and checks it with the one
+  vectorised entry rule, `_entries`, which also copies it.
+* Every value the package computes is a fresh numpy array handed to
+  `_result`: the finiteness test of the entry rule, the read-only flag,
+  no copy.  The class invariants that the computation could break (the
+  nonzero weights of a twisted value, say) are checked beside it.
+
+Arithmetic on values is numpy's, run under `_quiet`, so a result beyond
+the float range comes out inf or nan without a numpy warning and
+`_result` refuses it with InvalidScalarError.  numpy's complex `*` and
+`/` may round the last bit differently from Python's complex arithmetic
+(fused multiply-adds; division through a reciprocal); both are within a
+few ulps of the exact result.
 """
 
 from __future__ import annotations
@@ -29,6 +44,16 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
+
+#: Runs numpy work with its overflow and invalid-value warnings off: an
+#: entry beyond the float range comes out inf or nan, which `_result`
+#: refuses with InvalidScalarError.  Applied as a decorator, which numpy
+#: makes safe across threads; it costs about 1.3 us per call, so it wraps
+#: the arithmetic alone, not the checks around it.  Build each wrapped
+#: function once, at module level: wrapping inside a call costs more.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+_multiply = _quiet(np.multiply)
+_divide = _quiet(np.divide)
 
 
 def _entries(values) -> np.ndarray:
@@ -85,14 +110,15 @@ def _entries(values) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray):
-    """Raise InvalidScalarError, naming the first such slot, unless every
-    entry of the complex array is finite."""
+    """Raise InvalidScalarError, naming the first such slot (its index in
+    the flattened array), unless every entry of the complex array is
+    finite."""
     finite = np.isfinite(arr)
     # count_nonzero does the job of .all() at half its fixed cost, which
     # dominates on short rows.
     if np.count_nonzero(finite) != arr.size:
         slot = int(np.argmin(finite))
-        raise InvalidScalarError(f"non-finite entry {arr[slot]} at index {slot}")
+        raise InvalidScalarError(f"non-finite entry {arr.flat[slot]} at index {slot}")
 
 
 def _moduli(z: np.ndarray) -> np.ndarray:
@@ -168,13 +194,15 @@ _set_row = _RowValue._row.__set__
 
 
 def _result(cls, arr: np.ndarray):
-    """A `cls` value (Circulant or Spectrum) holding `arr`, a 1-D complex
-    array just computed by numpy that nothing else writes (a fresh result,
-    or a row decoded into a read-only array by `documents`).  It passes
-    the finiteness test of `_entries` and becomes read-only; the rest of
-    `_entries`, the form checks and the defensive copy, would only repeat
-    what the computation guarantees (about 2 us per call at n = 12, a
-    tenth of `eigenvalues` there, on a 2-vCPU x86-64 VM)."""
+    """A `cls` value (any row value) holding `arr`, a complex array of the
+    class's shape just computed by numpy that nothing else writes (a
+    fresh result, or a row decoded into a read-only array by
+    `documents`).  It passes the finiteness test of `_entries` and
+    becomes read-only; the rest of `_entries`, the form checks and the
+    defensive copy, would only repeat what the computation guarantees
+    (about 2 us per call at n = 12, a tenth of `eigenvalues` there, on a
+    2-vCPU x86-64 VM).  The caller checks any other invariant of `cls`
+    that its computation could break."""
     _check_finite(arr)
     arr.setflags(False)
     value = cls.__new__(cls)
@@ -202,7 +230,7 @@ class Circulant(_RowValue):
     def transpose(self) -> "Circulant":
         """circ(c_1, c_n, c_{n-1}, ..., c_2); matches the dense transpose."""
         c = self.array
-        return Circulant(np.concatenate((c[:1], c[:0:-1])))
+        return _result(Circulant, np.concatenate((c[:1], c[:0:-1])))
 
     def norm_inf(self) -> float:
         """Induced infinity norm of the dense form: every row sums to sum |c_i|;
@@ -252,11 +280,9 @@ class Circulant(_RowValue):
         return NotImplemented
 
     def scale(self, a) -> "Circulant":
-        # Python complex products, not numpy's: numpy's complex multiply
-        # may fuse a multiply-add (FMA) and round the last bit differently,
-        # while +, - and unary - on the arrays equal the Python results.
-        (a,) = _entries((a,)).tolist()
-        return Circulant(tuple(a * c for c in self.coeffs))
+        """a * C, coefficientwise; raises InvalidScalarError when a is not
+        a finite number or a product leaves the float range."""
+        return _result(Circulant, _multiply(_entries((a,))[0], self.array))
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
@@ -284,7 +310,9 @@ def identity(n: int) -> Circulant:
     """circ(1, 0, ..., 0), the multiplicative identity."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    return Circulant((1.0 + 0.0j,) + (0.0 + 0.0j,) * (n - 1))
+    row = np.zeros(n, dtype=complex)
+    row[0] = 1.0
+    return _result(Circulant, row)
 
 
 def fundamental(n: int) -> Circulant:
@@ -296,19 +324,24 @@ def fundamental(n: int) -> Circulant:
     """
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return identity(1)
-    row = [0.0 + 0.0j] * n
-    row[1] = 1.0 + 0.0j
-    return Circulant(tuple(row))
+    row = np.zeros(n, dtype=complex)
+    row[min(1, n - 1)] = 1.0
+    return _result(Circulant, row)
 
 
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:
-    """Coefficientwise a*x + b*y, in Python complex arithmetic (see
-    `Circulant.scale`)."""
+    """Coefficientwise a*x + b*y; raises InvalidScalarError when a or b is
+    not a finite number or an entry leaves the float range."""
     _check_orders(x, y)
-    a, b = _entries((a, b)).tolist()
-    return Circulant(tuple(a * xc + b * yc for xc, yc in zip(x.coeffs, y.coeffs)))
+    a, b = _entries((a, b))
+    return _result(Circulant, _combine(a, x.array, b, y.array))
+
+
+@_quiet
+def _combine(a, x: np.ndarray, b, y: np.ndarray) -> np.ndarray:
+    """a * x + b * y; an entry beyond the float range comes out inf or nan
+    without a numpy warning."""
+    return a * x + b * y
 
 
 def mul_naive(x: Circulant, y: Circulant) -> Circulant:

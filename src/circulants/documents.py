@@ -27,7 +27,16 @@ from .core import Circulant, _result
 from .errors import CirculantError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
-from .twisted import MuCirculant, MuWeights, TwoCocycle, cocycle_from_mu, skew_circ
+from .twisted import (
+    MuCirculant,
+    MuWeights,
+    TwoCocycle,
+    _mu_result,
+    _skew_weights,
+    _weights_result,
+    cocycle_from_mu,
+    skew_circ,
+)
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
 
@@ -201,11 +210,6 @@ class MatrixDocument:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _row(self, name: str):
-        """The decoded array of a field, or else its tuple."""
-        z = self._arrays.get(name)
-        return self._tuples[name] if z is None else z
-
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
         if self.kind == "circulant":
@@ -218,15 +222,19 @@ class MatrixDocument:
         raise DocumentError("kind", f"cannot view a {self.kind} document as a circulant")
 
     def to_mu_circulant(self) -> MuCirculant:
+        """The twisted value of a mu_circulant or skew_circulant document.
+        Like `to_circulant`, it shares a decoded row; decoded weights are
+        copied once, behind the leading 1."""
+        row = self._arrays.get("first_row")
         if self.kind == "mu_circulant":
-            mu = self._arrays.get("mu")
-            if mu is None:
-                weights = MuWeights.from_tail(self.mu or ())
-            else:
-                weights = MuWeights(np.concatenate(((1.0,), mu)))
-            return MuCirculant(self._row("first_row"), weights)
+            if row is None:
+                return MuCirculant(self.first_row, MuWeights.from_tail(self.mu or ()))
+            weights = _weights_result(np.concatenate(((1.0,), self._arrays["mu"])))
+            return _mu_result(row, weights)
         if self.kind == "skew_circulant":
-            return skew_circ(self._row("first_row"))
+            if row is None:
+                return skew_circ(self.first_row)
+            return _mu_result(row, _skew_weights(row.size))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
 
     def to_rational_circulant(self) -> RationalCirculant:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_tol
+from .core import Circulant, _check_tol, _quiet
 from .errors import InvalidScalarError, SingularMatrixError
-from .spectral import Spectrum, _quiet, eigenvalues, from_spectrum
+from .spectral import Spectrum, eigenvalues, from_spectrum
 
 #: x is singular when min_j |lambda_j| <= SINGULAR_RTOL * max_j |lambda_j|.
 #: The FFT's error on lambda is about eps * log2(n) * max |lambda|, at

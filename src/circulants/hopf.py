@@ -38,9 +38,9 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_tol, _entries, _moduli
+from .core import Circulant, _check_finite, _check_tol, _moduli, _quiet, _result
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
-from .spectral import _quiet, eigenvalues
+from .spectral import eigenvalues
 
 
 class BlockCirculant:
@@ -91,7 +91,7 @@ class BlockCirculant:
     @property
     def blocks(self) -> tuple[Circulant, ...]:
         """The n blocks B_k = circ(T[k - 1]); O(n^2)."""
-        return tuple(map(Circulant, self.coefficient_tensor()))
+        return tuple(_result(Circulant, row) for row in self.coefficient_tensor())
 
     def coefficient_tensor(self) -> np.ndarray:
         """T[a, b] = coefficient of P^b inside block a, so that the matrix
@@ -180,17 +180,18 @@ def block_mul(x: BlockCirculant, y: BlockCirculant) -> BlockCirculant:
         raise DimensionMismatchError(f"block orders differ: {x.n} vs {y.n}")
     u, v = x._diagonal_row(), y._diagonal_row()
     if u is not None and v is not None:
-        return comultiplication(Circulant(u) * Circulant(v))
-    product = _convolve2(x.coefficient_tensor(), y.coefficient_tensor())
+        return comultiplication(_result(Circulant, u) * _result(Circulant, v))
+    product = _convolve2(x.coefficient_tensor(), y.coefficient_tensor()).ravel()
+    _check_finite(product)
     a, b = np.divmod(np.arange(x.n * x.n), x.n)
-    return BlockCirculant._from_support(x.n, a, b, _entries(product.ravel()))
+    return BlockCirculant._from_support(x.n, a, b, product)
 
 
 @_quiet
 def _convolve2(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The 2-D cyclic convolution of two coefficient tensors, through the
     2-D DFT, without numpy's warnings: an entry beyond the float range
-    comes out inf or nan, which `_entries` refuses."""
+    comes out inf or nan, which `block_mul` refuses."""
     return np.fft.ifft2(np.fft.fft2(s) * np.fft.fft2(t))
 
 
@@ -251,7 +252,7 @@ def integral_check(h: Circulant, tol: float = 1e-10) -> HopfReport:
     norm = h.norm_inf()
     if norm == math.inf:
         raise InvalidScalarError("the norm of h leaves the float range")
-    product = h * Circulant(np.ones(h.n))
+    product = h * _result(Circulant, np.ones(h.n, dtype=complex))
     residual = float(np.max(_moduli(product.array - eps))) / (1.0 + norm)
     return HopfReport("integral", residual <= tol, residual)
 

@@ -46,7 +46,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Circulant, _check_orders
+import numpy as np
+
+from .core import Circulant, _check_orders, _result
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
@@ -147,40 +149,52 @@ def _convolve(support: list[tuple[int, int]], y: list[int]) -> list[int]:
     return out
 
 
-def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial with exact coefficients, descending
-    powers, from the traces of the convolution powers.
+def _elementary(d: list[int]):
+    """Yield e_1, ..., e_n, the elementary symmetric values of the
+    eigenvalues of the integer circulant D = circ(d), one per step.
 
-    With d = L*c integral, p_k = tr(D^k) = n * (d^{*k})_0, each power one
-    exact cyclic convolution over Python ints (zero entries of d are
-    skipped).  Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    then run in integers: D is an integer matrix, so its characteristic
-    polynomial is integral and every division by k is exact.  The
-    coefficient of X^(n-i) is (-1)^i e_i / L^i.  O(n^3) integer operations.
-    """
-    n = c.n
-    scale, d = _cleared(c.coeffs)
+    Step k takes the k-th convolution power of d, one exact cyclic
+    convolution over Python ints (zero entries of d are skipped), for the
+    trace p_k = tr(D^k) = n * (d^{*k})_0, and then Newton's identity
+    k*e_k = sum_{i=1..k} (-1)^(i-1) p_i e_{k-i} in integers: D is an
+    integer matrix, so its characteristic polynomial is integral and the
+    division by k is exact.  e_k needs only p_1..p_k, so a caller that
+    stops after e_k pays k powers, not n.  O(n^2) integer operations per
+    step."""
+    n = len(d)
     support = _support(d)
     power = [1] + [0] * (n - 1)
-    traces = []
-    for _ in range(n):
-        power = _convolve(support, power)
-        traces.append(n * power[0])
+    signed = []  # (-1)^(i-1) p_i for i = 1..k
     e = [1]
     for k in range(1, n + 1):
-        total = 0
-        for i in range(1, k + 1):
-            term = e[k - i] * traces[i - 1]
-            total += term if i % 2 else -term
-        e.append(total // k)
-    return tuple(Fraction(-e[i] if i % 2 else e[i], scale**i) for i in range(n + 1))
+        power = _convolve(support, power)
+        signed.append(n * power[0] if k % 2 else -n * power[0])
+        e.append(sum(map(operator.mul, signed, reversed(e))) // k)
+        yield e[k]
+
+
+def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
+    """Monic characteristic polynomial with exact coefficients, descending
+    powers: with d = L*c integral and e_i the elementary symmetric values
+    of the eigenvalues of circ(d) (see `_elementary`), the coefficient of
+    X^(n-i) is (-1)^i e_i / L^i.  O(n^3) integer operations."""
+    scale, d = _cleared(c.coeffs)
+    e = [1, *_elementary(d)]
+    return tuple(Fraction(-e[i] if i % 2 else e[i], scale**i) for i in range(len(e)))
+
+
+def _forms(c: RationalCirculant):
+    """Yield q_1, ..., q_n of c, q_i = e_i / L^i (see `exact_char_poly`),
+    each one computed only when it is asked for."""
+    scale, d = _cleared(c.coeffs)
+    for i, e in enumerate(_elementary(d), start=1):
+        yield Fraction(e, scale**i)
 
 
 def forms_exact(c: RationalCirculant) -> tuple[Fraction, ...]:
-    """(q_1, ..., q_n) read off the exact characteristic polynomial:
-    q_i = (-1)^i * (coefficient of X^(n-i))."""
-    monic = exact_char_poly(c)
-    return tuple((-1) ** i * monic[i] for i in range(1, len(monic)))
+    """(q_1, ..., q_n), q_i = (-1)^i * (coefficient of X^(n-i)) of the
+    exact characteristic polynomial."""
+    return tuple(_forms(c))
 
 
 @dataclass(frozen=True)
@@ -331,11 +345,11 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     whenever a and b do, and the traversal's first violation is a single
     element: the first element k whose forms are not all integers,
     probed as a at pair (0, 0) when k = 0, else as b at pair (0, k).
-    Its witness (form_index, value) is the first fractional form of that
-    element, from one `forms_exact` call; a set that holds calls it
-    never.  Cost: the remainders of each element, O(n^2) integer
-    operations at most, plus one O(n^3) `forms_exact` on failure;
-    nothing per pair.
+    Its witness (form_index, value) is the first fractional form q_i of
+    that element, computed form by form and stopped there; a set that
+    holds computes no form.  Cost: the remainders of each element,
+    O(n^2) integer operations at most, plus O(i n^2) for the witness
+    q_i on failure; nothing per pair.
     """
     _check_mode(mode)
     elements = list(elements)
@@ -350,7 +364,7 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     if k is None:
         return BrandtVerdict(True)
     i, value = next(
-        (i, q) for i, q in enumerate(forms_exact(elements[k]), start=1) if q.denominator != 1
+        (i, q) for i, q in enumerate(_forms(elements[k]), start=1) if q.denominator != 1
     )
     return BrandtVerdict(False, BrandtCounterexample((0, k), "b" if k else "a", i, value))
 
@@ -373,23 +387,26 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
 
     c_i = (1/n) sum_j conj(omega^((i-1)(j-1))) lambda_j.  The result is
     real exactly when lambda_{k+1} = lambda_{n-k+1} for 1 <= k <= n-1;
-    in that case residual imaginary parts (roundoff) are zeroed.
+    in that case residual imaginary parts (roundoff) are zeroed.  Raises
+    InvalidScalarError when a value lies beyond the float range.
     """
     if isinstance(values, IntegerSpectrum):
         values = values.values
     lams = tuple(_as_rational(v) for v in values)
-    n = len(lams)
-    if n == 0:
+    if not lams:
         raise InvalidOrderError("empty spectrum")
-    real = all(lams[k] == lams[n - k] for k in range(1, n))
-    c = from_spectrum(tuple(float(v) for v in lams))
+    real = lams[1:] == lams[:0:-1]
+    try:
+        c = from_spectrum(np.array(lams, dtype=float))
+    except OverflowError:
+        raise InvalidScalarError("a spectrum value lies beyond the float range") from None
     if real:
-        worst = max(abs(z.imag) for z in c.coeffs)
+        worst = float(np.abs(c.array.imag).max())
         if worst > 1e-10:
             raise RootAssignmentError(
                 f"conjugate-symmetric spectrum left imaginary residue {worst:.3e}"
             )
-        c = Circulant(tuple(complex(z.real, 0.0) for z in c.coeffs))
+        c = _result(Circulant, c.array.real.astype(complex))
     return SpectrumReconstruction(circulant=c, real=real)
 
 

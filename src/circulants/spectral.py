@@ -37,14 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _entries, _result, _RowValue, _set_array
+from .core import Circulant, _check_orders, _entries, _quiet, _result, _RowValue, _set_array
 
-#: Runs numpy work with its overflow and invalid-value warnings off: an
-#: entry beyond the float range comes out inf or nan, which `_result`
-#: refuses with InvalidScalarError.  Applied as a decorator, which numpy
-#: makes safe across threads; it costs about 1.3 us per call, so it wraps
-#: the transforms alone, not the checks around them.
-_quiet = np.errstate(over="ignore", invalid="ignore")
 _fft = _quiet(np.fft.fft)
 _ifft = _quiet(np.fft.ifft)
 

@@ -20,6 +20,14 @@ lambda_j = p(omega^(j-1)) and the eigenvector of lambda_j is
 
 Skew circulants (sign flipped below the diagonal) are the special case
 mu_i = sigma^(i-1) for sigma = cos(pi/n) + i sin(pi/n).
+
+Psi and its inverse are one numpy product or quotient of the coefficient
+and weight arrays, so `mu_mul`, `mu_eigen` and `mu_forms` cost a
+circulant product, transform or forms call plus O(n) array work.  As in
+`core`, every computed value (psi_inv's coefficients, the skew weights,
+the coboundary table) is a fresh array handed to `core._result`; the
+nonzero weights and cocycle entries are checked beside it where the
+computation could break them.
 """
 
 from __future__ import annotations
@@ -33,8 +41,12 @@ from .core import (
     Circulant,
     _check_finite,
     _check_tol,
+    _divide,
     _entries,
     _moduli,
+    _multiply,
+    _quiet,
+    _result,
     _RowValue,
     _set_array,
     _set_row,
@@ -49,7 +61,7 @@ from .errors import (
 )
 from .forms import FormsVector, forms_of_spectrum
 from .hopf import HopfReport
-from .spectral import Spectrum, _quiet, eigenvalues, eigenvector_matrix
+from .spectral import Spectrum, eigenvalues, eigenvector_matrix
 
 _WEIGHT_MATCH_TOL = 1e-12
 #: verify_cocycle takes tables whose entries have max(|re|, |im|) in this
@@ -71,8 +83,7 @@ class MuWeights(_RowValue):
         arr = _entries(mu)
         if arr[0] != 1:
             raise InvalidWeightsError(f"mu_1 must be exactly 1, got {complex(arr[0])!r}")
-        if np.count_nonzero(arr) != arr.size:
-            raise InvalidWeightsError("weights must be nonzero")
+        _check_nonzero_weights(arr)
         _set_array(self, arr)
 
     mu = property(_RowValue._tuple, doc="The weights as Python complex numbers.")
@@ -92,6 +103,19 @@ class MuWeights(_RowValue):
         if self.n != other.n:
             return False
         return bool((_moduli(self.array - other.array) <= _WEIGHT_MATCH_TOL).all())
+
+
+def _check_nonzero_weights(arr: np.ndarray):
+    if np.count_nonzero(arr) != arr.size:
+        raise InvalidWeightsError("weights must be nonzero")
+
+
+def _weights_result(arr: np.ndarray) -> MuWeights:
+    """MuWeights holding arr, a weight array with arr[0] = 1, on the terms
+    of `core._result`; raises InvalidWeightsError on a zero weight."""
+    weights = _result(MuWeights, arr)
+    _check_nonzero_weights(arr)
+    return weights
 
 
 class TwoCocycle(_RowValue):
@@ -162,6 +186,14 @@ class MuCirculant(_RowValue):
 _set_weights = MuCirculant.weights.__set__
 
 
+def _mu_result(arr: np.ndarray, weights: MuWeights) -> MuCirculant:
+    """A MuCirculant over `weights` holding arr, weights.n coefficients, on
+    the terms of `core._result`."""
+    m = _result(MuCirculant, arr)
+    _set_weights(m, weights)
+    return m
+
+
 def mu_circ(coeffs, mu_tail) -> MuCirculant:
     """Build circ(c_1, ..., c_n; mu_2, ..., mu_n) from the two lists."""
     return MuCirculant(tuple(coeffs), MuWeights.from_tail(mu_tail))
@@ -183,10 +215,12 @@ def cocycle_from_mu(weights: MuWeights) -> TwoCocycle:
     """
     mu = weights.array
     k = np.arange(weights.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = mu[:, None] * mu[None, :] / mu[(k[:, None] + k[None, :]) % weights.n]
+    table = _divide(_multiply(mu[:, None], mu), mu[(k[:, None] + k) % weights.n])
     table[0, :] = table[:, 0] = 1.0
-    return TwoCocycle(table)
+    f = _result(TwoCocycle, table)
+    if np.count_nonzero(table) != table.size:
+        raise InvalidCocycleError("cocycle values must be nonzero")
+    return f
 
 
 def verify_cocycle(f: TwoCocycle, tol: float = 1e-10) -> HopfReport:
@@ -240,15 +274,17 @@ def mu_to_dense(m: MuCirculant) -> np.ndarray:
 
 
 def psi(m: MuCirculant) -> Circulant:
-    """The untwisting isomorphism: coefficients rescaled by the weights."""
-    return Circulant(tuple(c * w for c, w in zip(m.coeffs, m.weights.mu)))
+    """The untwisting isomorphism: coefficients rescaled by the weights.
+    Raises InvalidScalarError when a product leaves the float range."""
+    return _result(Circulant, _multiply(m.array, m.weights.array))
 
 
 def psi_inv(c: Circulant, weights: MuWeights) -> MuCirculant:
-    """Inverse of :func:`psi`: divide coefficients by the weights."""
+    """Inverse of :func:`psi`: divide coefficients by the weights.  Raises
+    InvalidScalarError when a quotient leaves the float range."""
     if c.n != weights.n:
         raise DimensionMismatchError(f"order {c.n} vs {weights.n} weights")
-    return MuCirculant(tuple(x / w for x, w in zip(c.coeffs, weights.mu)), weights)
+    return _mu_result(_divide(c.array, weights.array), weights)
 
 
 def mu_mul(x: MuCirculant, y: MuCirculant) -> MuCirculant:
@@ -275,7 +311,7 @@ def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
     parts of mu_k are finite."""
     spectrum = eigenvalues(psi(m))
     vectors = _weighted_columns(m.weights.array)
-    _check_finite(vectors.ravel())
+    _check_finite(vectors)
     return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
 
 
@@ -292,9 +328,14 @@ def skew_circ(coeffs) -> MuCirculant:
     An array row is taken as it is, any other iterable as its tuple."""
     if not isinstance(coeffs, np.ndarray):
         coeffs = tuple(coeffs)
-    n = len(coeffs)
-    mu = np.exp(1j * np.pi * np.arange(n) / n)
-    return MuCirculant(coeffs, MuWeights(tuple(mu.tolist())))
+    return MuCirculant(coeffs, _skew_weights(len(coeffs)))
+
+
+def _skew_weights(n: int) -> MuWeights:
+    """The weights (1, sigma, ..., sigma^(n-1)) of the skew circulants of
+    order n, sigma = exp(i pi / n): exp(0) = 1 exactly, and every weight
+    has modulus 1."""
+    return _result(MuWeights, np.exp(1j * np.pi * np.arange(n) / n))
 
 
 def mu_forms(m: MuCirculant) -> FormsVector:

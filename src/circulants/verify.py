@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hopf, lattice, oracle, spectral, twisted
-from .core import Circulant, fundamental, identity, mul_naive
+from .core import Circulant, _result, fundamental, identity, mul_naive
 from .fixtures import DEFAULT_SEED, random_circulant
 from .forms import char_poly, conjugate
 from .forms import forms as forms_of
@@ -53,7 +53,9 @@ def closed_forms_n4(c: Circulant) -> tuple[complex, complex, complex, complex]:
 
 
 def random_real_circulant(rng: np.random.Generator, n: int) -> Circulant:
-    return Circulant(tuple(complex(x, 0.0) for x in rng.uniform(-1.0, 1.0, size=n)))
+    """First row of n real entries uniform in [-1, 1), with imaginary
+    parts +0.0: the same bits as complex(x, 0.0)."""
+    return _result(Circulant, rng.uniform(-1.0, 1.0, size=n).astype(complex))
 
 
 def _report(name: str, deviation: float, tol: float) -> OracleReport:
@@ -246,8 +248,8 @@ def twisted_suite(rng: np.random.Generator) -> list[OracleReport]:
             weights = twisted.MuWeights.from_tail(tuple(mags * np.exp(1j * phases)))
             report = twisted.verify_cocycle(twisted.cocycle_from_mu(weights))
             worst_cocycle = max(worst_cocycle, report.residual)
-            x = twisted.MuCirculant(random_circulant(rng, n).coeffs, weights)
-            y = twisted.MuCirculant(random_circulant(rng, n).coeffs, weights)
+            x = twisted.MuCirculant(random_circulant(rng, n).array, weights)
+            y = twisted.MuCirculant(random_circulant(rng, n).array, weights)
             dense_prod = twisted.mu_to_dense(x) @ twisted.mu_to_dense(y)
             structural = twisted.mu_to_dense(twisted.mu_mul(x, y))
             scale = 1.0 + float(np.max(np.abs(dense_prod)))
@@ -262,7 +264,7 @@ def twisted_suite(rng: np.random.Generator) -> list[OracleReport]:
             worst_eigen = max(worst_eigen, float(resid) / (1.0 + float(np.max(np.abs(dense)))))
     for n in (1, 2, 3, 5, 8, 16, 32):
         c = random_real_circulant(rng, n)
-        skew_dense = twisted.mu_to_dense(twisted.skew_circ(c.coeffs))
+        skew_dense = twisted.mu_to_dense(twisted.skew_circ(c.array))
         flipped = c.to_dense()
         flipped[np.tril_indices(n, k=-1)] *= -1.0
         worst_skew = max(worst_skew, float(np.max(np.abs(skew_dense - flipped))))

@@ -299,12 +299,13 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 33
+    assert len(lines) == 39
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
     assert (4, "parse") in methods and (8, "encode") in methods and (2, "brandt") in methods
+    assert (2, "mu-mul") in methods and (8, "mu-eig") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -630,12 +631,56 @@ def test_bench_encode_row_checks_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_twisted_rows_check_before_timing(monkeypatch):
+    from circulants import bench, mu_eigen
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method in (bench.MU_MUL, bench.MU_EIG)]
+    assert [(r.n, r.method) for r in rows] == [
+        (4, bench.MU_MUL), (4, bench.MU_EIG), (12, bench.MU_MUL), (12, bench.MU_EIG)
+    ]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    monkeypatch.setattr(bench, "mu_mul", lambda x, y: x)
+    with pytest.raises(bench.BenchDisagreementError, match="mu_mul"):
+        bench.run_bench([4], reps=3)
+    monkeypatch.undo()
+
+    def shifted(m):
+        eig = mu_eigen(m)
+        return type(eig)(eig.spectrum, np.roll(eig.vectors, 1, axis=1))
+
+    monkeypatch.setattr(bench, "mu_eigen", shifted)
+    with pytest.raises(bench.BenchDisagreementError, match="mu_eigen"):
+        bench.run_bench([4], reps=3)
+
+
+def test_bench_checksums_at_the_default_seed_stay_as_committed():
+    # The seeded rows are built from the drawn arrays, and the twisted rows
+    # draw from their own generator, so every earlier row keeps the
+    # checksum of BENCH_16.json at n = 16.
+    committed = {
+        "naive": 41.2894955246304,
+        "spectral": 41.2894955246304,
+        "dense": 41.2894955246304,
+        "cli-eig": 44.47017689567819,
+        "integer-spectrum": 326.0,
+        "add": 14.48901967403918,
+        "block-mul": 41.2894955246304,
+        "hopf-verify": 3.664429568158479e-17,
+        "parse": 11.118917872208826,
+        "encode": 1147.0,
+        "brandt": 113.75,
+    }
+    found = {r.method: r.checksum for r in bench.run_bench([16], reps=3)}
+    assert {name: found[name] for name in committed} == committed
+
+
 def test_bench_cross_checks_pass_at_a_padded_order():
     # fast_mul convolves at a zero-padded length at n = 97; run_bench
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = [bench.CLI_EIG, bench.INTEGER_SPECTRUM, bench.ADD, bench.BLOCK_MUL, bench.HOPF_VERIFY]
-    rows_after += [bench.PARSE, bench.ENCODE, bench.BRANDT]
+    rows_after += [bench.PARSE, bench.ENCODE, bench.BRANDT, bench.MU_MUL, bench.MU_EIG]
     assert [r.method for r in rows] == [*bench.METHODS, *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 
@@ -779,6 +824,7 @@ _HUGE = 10**400  # a JSON integer of 401 digits, past the float maximum
         ("eig", {"kind": "circulant", "n": 2, "first_row": [[_HUGE, 0], [0, 0]]}),
         ("spectrum-reconstruct", {"kind": "spectrum", "n": 2, "values": [[_HUGE, 0], [0, 0]]}),
         ("cocycle-verify", {"kind": "cocycle", "n": 2, "table": [[[1, 0], [1, 0]], [[1, 0], [0, -_HUGE]]]}),
+        ("spectrum-reconstruct", {"kind": "spectrum", "n": 2, "values": [str(_HUGE), "0"]}),
     ),
 )
 def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, doc):

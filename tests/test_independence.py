@@ -125,3 +125,49 @@ def test_only_core_takes_moduli_with_hypot():
     }
     assert found == {name: [] for name in found}
     assert hypot_calls((PACKAGE / "core.py").read_text(encoding="utf-8"))
+
+
+#: The functions that may read the cached tuples: the text and hash of a
+#: value, the reference product and the counit's left-to-right sum.
+TUPLE_READERS = {"__repr__", "__hash__", "mul_naive", "counit"}
+
+
+def tuple_reads_outside(source: str, allowed=TUPLE_READERS) -> list[tuple[int, str]]:
+    """(line, function) for each read of a `.coeffs`, `.mu` or `.table`
+    attribute that lies in no function named in `allowed`; "" names the
+    module or class body."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in ("coeffs", "mu", "table")
+            and function not in allowed
+        ):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_computed_values_never_read_the_cached_tuples():
+    # Every computed value is built from arrays through `core._result`, so
+    # the tuples are read only where the text, the hash, the reference
+    # product or the counit's exact left-to-right sum need Python numbers.
+    sample = (
+        "def psi(m):\n    return m.coeffs\n"
+        "class V:\n    def __repr__(self):\n        return str(self.coeffs)\n"
+        "    def f(self):\n        return [w.mu for w in self.table]\n"
+        "x = y.array\n"
+    )
+    assert tuple_reads_outside(sample) == [(2, "psi"), (7, "f"), (7, "f")]
+    found = {
+        name: tuple_reads_outside((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("core", "spectral", "forms", "hopf", "twisted")
+    }
+    assert found == {name: [] for name in found}

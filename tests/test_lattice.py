@@ -543,19 +543,53 @@ def test_brandt_check_at_large_order_is_fast(n):
     assert all(q.denominator == 1 for q in forms[: ce.form_index - 1])
 
 
-def test_brandt_check_calls_forms_exact_only_for_the_witness(monkeypatch):
+def test_brandt_witness_stops_at_the_first_fractional_form():
+    # An integer row of order 256 with 1/2 added to c_1: the witness is an
+    # early form, so it costs a few convolution powers, not all 256 (3.3 s
+    # through forms_exact on a 2-vCPU VM).
+    from itertools import islice
+
     import circulants.lattice as lattice
 
-    calls = []
-    monkeypatch.setattr(lattice, "forms_exact", lambda c: calls.append(c) or forms_exact(c))
+    rng = np.random.default_rng(256)
+    row = [int(v) for v in rng.integers(-2, 3, size=256)]
+    element = rational_circ([row[0] + F(1, 2)] + row[1:])
+    start = time.perf_counter()
+    verdict = brandt_check([element])
+    assert time.perf_counter() - start < 1.0
+    ce = verdict.counterexample
+    assert (ce.pair, ce.combination) == ((0, 0), "a") and ce.value.denominator != 1
+    forms = list(islice(lattice._forms(element), ce.form_index))
+    assert forms[-1] == ce.value and all(q.denominator == 1 for q in forms[:-1])
+    assert 1 < ce.form_index < 64
+
+
+def test_brandt_check_calls_forms_exact_only_for_the_witness(monkeypatch):
+    # forms_exact and brandt_check share the form-by-form generator
+    # `_forms`; brandt_check draws from it for the witness element alone,
+    # and only up to the first fractional form.
+    import circulants.lattice as lattice
+
+    calls, drawn = [], []
+    shared = lattice._forms
+
+    def counted(c):
+        calls.append(c)
+        for q in shared(c):
+            drawn.append(q)
+            yield q
+
+    monkeypatch.setattr(lattice, "_forms", counted)
     third = F(1, 3)
     holding = [rational_circ(2, 1, 1), rational_circ(1, 1, 1), rational_circ(third, third, third)]
     assert lattice.brandt_check(holding).holds
     assert calls == []
     failing = holding + [rational_circ(F(1, 2), 0, 0), rational_circ(third, 0, 0)]
     verdict = lattice.brandt_check(failing)
-    assert calls == [failing[3]]
+    assert calls == [failing[3]] and drawn == [F(3, 2)]
     assert verdict.counterexample == BrandtCounterexample((0, 3), "b", 1, F(3, 2))
+    assert lattice.forms_exact(failing[3]) == (F(3, 2), F(3, 4), F(1, 8))
+    assert calls == [failing[3]] * 2 and drawn == [F(3, 2), F(3, 2), F(3, 4), F(1, 8)]
 
 
 def divisors(n):
