@@ -82,8 +82,32 @@ def parse_complex(value, field: str) -> complex:
     raise DocumentError(field, f"expected a [re, im] pair, got {value!r}")
 
 
+#: Python writes an int of more than 4300 decimal digits only when the
+#: process lifts its limit (``sys.set_int_max_str_digits``), which may
+#: be set as low as 640; longer ones are written in parts below that.
+_SPLIT = 10**600
+
+
+def _decimal(v: int) -> str:
+    """``str(v)`` for an int of any length."""
+    if -_SPLIT < v < _SPLIT:
+        return str(v)
+    if v < 0:
+        return "-" + _decimal(-v)
+    k = v.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(v, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """``str(Fraction(x))``, "p/q" or "p", at any length."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # a part past the process's limit on decimal digits
+        if x.denominator == 1:
+            return _decimal(x.numerator)
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def parse_rational(value, field: str) -> Fraction:

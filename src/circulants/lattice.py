@@ -387,8 +387,10 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
 
     c_i = (1/n) sum_j conj(omega^((i-1)(j-1))) lambda_j.  The result is
     real exactly when lambda_{k+1} = lambda_{n-k+1} for 1 <= k <= n-1;
-    in that case residual imaginary parts (roundoff) are zeroed.  Raises
-    InvalidScalarError when a value lies beyond the float range.
+    in that case residual imaginary parts (roundoff) are zeroed, and
+    RootAssignmentError is raised if any exceeds
+    1e-10 * (1 + max_j |lambda_j|).  Raises InvalidScalarError when a
+    value lies beyond the float range.
     """
     if isinstance(values, IntegerSpectrum):
         values = values.values
@@ -397,12 +399,14 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
         raise InvalidOrderError("empty spectrum")
     real = lams[1:] == lams[:0:-1]
     try:
-        c = from_spectrum(np.array(lams, dtype=float))
+        spectrum = np.array(lams, dtype=float)
+        c = from_spectrum(spectrum)
     except OverflowError:
         raise InvalidScalarError("a spectrum value lies beyond the float range") from None
     if real:
+        # The roundoff of the inverse transform scales with the values.
         worst = float(np.abs(c.array.imag).max())
-        if worst > 1e-10:
+        if worst > 1e-10 * (1.0 + float(np.abs(spectrum).max())):
             raise RootAssignmentError(
                 f"conjugate-symmetric spectrum left imaginary residue {worst:.3e}"
             )

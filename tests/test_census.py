@@ -1,16 +1,23 @@
-"""A bounded, seeded census of the float subcommands at extreme values.
+"""A bounded, seeded census of the subcommands at extreme values.
 
 Every float subcommand runs in process on circulant, skew, mu and dense
 documents at a few orders, on rows that mix the edges of the float range
 (+-1.7e308, 1e308, +-1e154, 1e-308, 5e-324, 0) with normal draws, under
-RuntimeWarnings turned into errors.  Each call must end in a typed exit
-(0, 1 or 2, never the internal-error 3), with no stderr on success, one
-stderr line when it fails, and no "nan" or "inf" in any result document
-(an error line may name the non-finite value a computation reached,
-as in "non-finite entry (inf+1j) at index 0").  Every exit-0 ``inverse`` must also be a good inverse: the
-coefficients of x * x^-1 - I, taken exactly in rationals (so no rescaling
-of x can overflow or hide an error), stay within
-INVERSE_RESIDUAL_BOUND * eps * cond, cond = max|lambda| / min|lambda|.
+RuntimeWarnings turned into errors.  The four other document commands
+run on exact values and tables of the same kind: `spectrum-reconstruct`
+on integer and p/q spectra of 10^0 .. 10^300 and past the float
+maximum, `cocycle-verify` on tables and mu weights inside and outside
+the 2^-500 .. 2^500 it accepts, and `brandt-check` and `lattice-solve`
+on numerators and denominators up to 10^300.  Each call must end in a
+typed exit (0, 1 or 2, never the internal-error 3), with no stderr on
+success, one stderr line when it fails, and no "nan" or "inf" in any
+result document (an error line may name the non-finite value a
+computation reached, as in "non-finite entry (inf+1j) at index 0").
+Every exit-0 ``inverse`` must also be a good inverse: the coefficients
+of x * x^-1 - I, taken exactly in rationals (so no rescaling of x can
+overflow or hide an error), stay within INVERSE_RESIDUAL_BOUND * eps *
+cond, cond = max|lambda| / min|lambda|.  A conjugate-symmetric spectrum
+in the float range must reconstruct to a real row.
 """
 
 import io
@@ -52,19 +59,19 @@ EXTREME_SHARES = (0.0, 0.0, 0.1, 0.1, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0, 1.0
 INVERSE_RESIDUAL_BOUND = 8.0
 
 
-def draw_parts(rng, count, share):
+def draw_parts(rng, count, share, extremes=EXTREMES):
     normal = rng.standard_normal(count)
-    extreme = rng.choice(EXTREMES, size=count)
+    extreme = rng.choice(extremes, size=count)
     return np.where(rng.uniform(size=count) < share, extreme, normal)
 
 
-def draw_row(rng, count, share):
-    """`count` [re, im] string pairs, each part an extreme with
+def draw_row(rng, count, share, extremes=EXTREMES):
+    """`count` [re, im] string pairs, each part one of `extremes` with
     probability `share`, else a normal draw; with share None, one real
     extreme repeated."""
     if share is None:
-        return [[repr(float(rng.choice(EXTREMES))), "0.0"]] * count
-    parts = draw_parts(rng, 2 * count, share).reshape(count, 2)
+        return [[repr(float(rng.choice(extremes))), "0.0"]] * count
+    parts = draw_parts(rng, 2 * count, share, extremes).reshape(count, 2)
     return [[repr(float(re)), repr(float(im))] for re, im in parts]
 
 
@@ -125,22 +132,138 @@ def census():
             yield command, n, kind, share, doc, code, out, err
 
 
+def assert_typed(where, code, out, err, verdicts=False):
+    """A typed exit: a result document with no stderr (exit 1 only where
+    the command reports a failed verdict), or one "error: " line on
+    stderr and a nonzero exit; no "nan" or "inf" in the result."""
+    assert code in (0, 1, 2), where
+    if out:
+        assert err == "", where
+        assert code == 0 or verdicts, where
+    else:
+        assert code != 0 and err.startswith("error: ") and err.count("\n") == 1, where
+    assert "nan" not in out.lower() and "inf" not in out.lower(), where
+
+
 def test_float_commands_stay_typed_and_finite_at_extreme_values():
     inverses = 0
     codes = set()
     for command, n, kind, share, doc, code, out, err in census():
         where = f"{command} on {kind} n={n} share={share}: exit {code}, stderr {err!r}"
         codes.add(code)
-        assert code in (0, 1, 2), where
-        if out:
-            # A result document; exit 1 only for a failed verification.
-            assert err == "", where
-            assert code == 0 or command == "hopf-verify", where
-        else:
-            assert code != 0 and err.startswith("error: ") and err.count("\n") == 1, where
-        assert "nan" not in out.lower() and "inf" not in out.lower(), where
+        assert_typed(where, code, out, err, verdicts=command == "hopf-verify")
         if command == "inverse" and code == 0:
             inverses += 1
             ratio = inverse_residual_ratio(doc["first_row"], json.loads(out)["first_row"])
             assert ratio <= INVERSE_RESIDUAL_BOUND, f"{where}: residual {ratio:.2f} eps cond"
     assert codes == {0, 1, 2} and inverses >= 20
+
+
+EXACT_ORDERS = (1, 2, 3, 4, 12)
+#: Decimal exponents of the exact values: 10^0 .. 10^300 lie in the
+#: float range, 10^400 lies past its maximum.
+SPECTRUM_EXPONENTS = (0, 7, 12, 18, 100, 300, 400)
+#: Decimal exponents of the large numerators and denominators of exact rows.
+RATIONAL_EXPONENTS = (18, 100, 300)
+#: Share of the entries of one exact row or basis with large numerators
+#: and denominators; the others are p/q with |p| < 10^6 and q < 100.
+RATIONAL_SHARES = (0.1, 1.0)
+#: The float edges and both sides of the 2^-500 .. 2^500 that
+#: cocycle-verify accepts.
+COCYCLE_EXTREMES = (2.0**500, -(2.0**-500), 2.0**501, 2.0**-501, 2.0**-250, *EXTREMES)
+
+
+def exact_value(rng, exponent, ratio):
+    """An integer of at most 10^exponent in magnitude, or with `ratio` a
+    p/q of that size with q in 2 .. 10^6, as a document string."""
+    p = int(rng.integers(-(10**6), 10**6 + 1)) * 10**exponent // 10**6
+    if not ratio:
+        return str(p)
+    q = int(rng.integers(2, 10**6))
+    return f"{p * q + 1}/{q}"
+
+
+def rational_entry(rng, share):
+    """A p/q string, zero a third of the time; with probability `share`
+    p and q are about 10^e, e drawn from RATIONAL_EXPONENTS."""
+    if rng.uniform() < share:
+        p, q = (int(rng.integers(1, 10**6)) * 10 ** int(rng.choice(RATIONAL_EXPONENTS)) for _ in range(2))
+    else:
+        p, q = int(rng.integers(1, 10**6)), int(rng.integers(1, 100))
+    return f"{p * int(rng.choice((-1, 0, 1)))}/{q}"
+
+
+def spectrum_documents(rng):
+    for n in EXACT_ORDERS:
+        for exponent in SPECTRUM_EXPONENTS:
+            for ratio in (False, True):
+                for symmetric in (False, True):
+                    values = [exact_value(rng, exponent, ratio) for _ in range(n)]
+                    if symmetric:
+                        values = [values[min(j, n - j)] for j in range(n)]
+                    yield f"n={n} 10^{exponent} ratio={ratio}", {"kind": "spectrum", "n": n, "values": values}
+
+
+def cocycle_documents(rng):
+    for n in EXACT_ORDERS:
+        for share in EXTREME_SHARES:
+            table = [draw_row(rng, n, share, COCYCLE_EXTREMES) for _ in range(n)]
+            yield f"table n={n} share={share}", {"kind": "cocycle", "n": n, "table": table}
+            mu = draw_row(rng, n - 1, share, COCYCLE_EXTREMES)
+            doc = {"kind": "mu_circulant", "n": n, "first_row": draw_row(rng, n, 0.0), "mu": mu}
+            yield f"mu n={n} share={share}", doc
+
+
+def rational_row(rng, n, share):
+    return {"kind": "rational_circulant", "n": n, "first_row": [rational_entry(rng, share) for _ in range(n)]}
+
+
+def exact_documents(rng):
+    for n in EXACT_ORDERS:
+        for share in RATIONAL_SHARES:
+            for size in (1, 2, 3):
+                where = f"n={n} share={share} set of {size}"
+                yield "brandt-check", where, [rational_row(rng, n, share) for _ in range(size)]
+            if n * n * share > 20:
+                # lattice_new clears the basis with one lcm, so its cost
+                # grows with the n^2 share large denominators: at n = 12,
+                # share 1 takes 2.5 s.
+                continue
+            grid = [[rational_entry(rng, share) for _ in range(n)] for _ in range(n)]
+            member = {"kind": "rational_circulant", "n": n, "first_row": grid[0]}
+            for basis, target, which in (
+                (grid, rational_row(rng, n, share), "random"),
+                (grid, member, "member"),
+                ([grid[0]] * n, member, "dependent"),
+            ):
+                doc = [{"kind": "dense", "n": n, "entries": basis}, target]
+                yield "lattice-solve", f"n={n} share={share} {which}", doc
+
+
+def exact_census():
+    """Every call of the four exact and table commands as (command, where,
+    doc, code, out, err)."""
+    rng = np.random.default_rng(SEED + 1)
+    calls = [("spectrum-reconstruct", where, doc) for where, doc in spectrum_documents(rng)]
+    calls += [("cocycle-verify", where, doc) for where, doc in cocycle_documents(rng)]
+    calls += list(exact_documents(rng))
+    for command, where, doc in calls:
+        yield (command, where, doc, *run_in_process(command, json.dumps(doc)))
+
+
+def test_exact_and_table_commands_stay_typed_at_extreme_values():
+    codes = {}
+    for command, where, doc, code, out, err in exact_census():
+        where = f"{command} on {where}: exit {code}, stderr {err!r}"
+        codes.setdefault(command, set()).add(code)
+        assert_typed(where, code, out, err, verdicts=command != "spectrum-reconstruct")
+        if command == "spectrum-reconstruct":
+            values = [Fraction(v) for v in doc["values"]]
+            if values[1:] == values[:0:-1] and max(map(abs, values)) <= sys.float_info.max:
+                assert code == 0 and json.loads(out)["real"] is True, where
+    assert codes == {
+        "spectrum-reconstruct": {0, 2},
+        "cocycle-verify": {0, 1, 2},
+        "brandt-check": {0, 1},
+        "lattice-solve": {0, 1},
+    }

@@ -499,7 +499,7 @@ def test_malformed_documents_past_the_decoder_exit_2(tmp_path, capsys, command, 
 def test_bench_cli_eig_row_checks_before_timing(monkeypatch):
     from circulants import bench, eigenvalues
 
-    rows = [r for r in bench.run_bench([8, 12], reps=3) if r.method == bench.CLI_EIG]
+    rows = [r for r in bench.run_bench([8, 12], reps=3) if r.method == "cli-eig"]
     assert [r.n for r in rows] == [8, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -514,7 +514,7 @@ def test_bench_cli_eig_row_checks_before_timing(monkeypatch):
 def test_bench_integer_spectrum_row_checks_before_timing(monkeypatch):
     from circulants import bench, integer_spectrum
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.INTEGER_SPECTRUM]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "integer-spectrum"]
     assert [r.n for r in rows] == [4, 12]
     # circ(1, 4, 2, 4) has the spectrum (11, -1, -5, -1).
     assert rows[0].checksum == 18.0 and all(r.median_ns > 0 for r in rows)
@@ -537,7 +537,7 @@ def test_bench_brandt_row_checks_before_timing(monkeypatch):
     from circulants import bench, brandt_check
     from circulants.lattice import BrandtCounterexample, BrandtVerdict
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.BRANDT]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "brandt"]
     assert [r.n for r in rows] == [4, 12]
     # (X - 1/2)^4 has q_1 = 2, q_2 = 3/2; (X - 1/2)^12 has q_1 = 6, q_2 = 33/2.
     assert [r.checksum for r in rows] == [1.5, 16.5] and all(r.median_ns > 0 for r in rows)
@@ -560,7 +560,7 @@ def test_bench_brandt_row_checks_before_timing(monkeypatch):
 def test_bench_block_mul_row_checks_before_timing(monkeypatch):
     from circulants import bench
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.BLOCK_MUL]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "block-mul"]
     assert [r.n for r in rows] == [4, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -573,7 +573,7 @@ def test_bench_hopf_verify_row_checks_before_timing(monkeypatch):
     from circulants import bench
     from circulants.hopf import HopfReport
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.HOPF_VERIFY]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "hopf-verify"]
     assert [r.n for r in rows] == [4, 12]
     assert all(r.median_ns > 0 and r.checksum >= 0 for r in rows)
 
@@ -589,7 +589,7 @@ def test_bench_hopf_verify_row_checks_before_timing(monkeypatch):
 def test_bench_add_row_checks_before_timing(monkeypatch):
     from circulants import Circulant, bench
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.ADD]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "add"]
     assert [r.n for r in rows] == [4, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -601,7 +601,7 @@ def test_bench_add_row_checks_before_timing(monkeypatch):
 def test_bench_parse_row_checks_before_timing(monkeypatch):
     from circulants import Circulant, bench
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.PARSE]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "parse"]
     assert [r.n for r in rows] == [4, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -622,7 +622,7 @@ def test_bench_parse_row_checks_before_timing(monkeypatch):
 def test_bench_encode_row_checks_before_timing(monkeypatch):
     from circulants import bench
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == bench.ENCODE]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "encode"]
     assert [r.n for r in rows] == [4, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -634,9 +634,9 @@ def test_bench_encode_row_checks_before_timing(monkeypatch):
 def test_bench_twisted_rows_check_before_timing(monkeypatch):
     from circulants import bench, mu_eigen
 
-    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method in (bench.MU_MUL, bench.MU_EIG)]
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method in ("mu-mul", "mu-eig")]
     assert [(r.n, r.method) for r in rows] == [
-        (4, bench.MU_MUL), (4, bench.MU_EIG), (12, bench.MU_MUL), (12, bench.MU_EIG)
+        (4, "mu-mul"), (4, "mu-eig"), (12, "mu-mul"), (12, "mu-eig")
     ]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
@@ -652,6 +652,23 @@ def test_bench_twisted_rows_check_before_timing(monkeypatch):
     monkeypatch.setattr(bench, "mu_eigen", shifted)
     with pytest.raises(bench.BenchDisagreementError, match="mu_eigen"):
         bench.run_bench([4], reps=3)
+
+
+@pytest.mark.parametrize("index", range(len(bench.ROWS)), ids=[name for name, _ in bench.ROWS])
+def test_every_bench_row_is_checked_before_any_row_is_timed(monkeypatch, index):
+    name = bench.ROWS[index][0]
+
+    def disagrees(x, y, seed):
+        raise bench.BenchDisagreementError(f"n={x.n}: {name} disagrees")
+
+    timed = []
+    rows = list(bench.ROWS)
+    rows[index] = (name, disagrees)
+    monkeypatch.setattr(bench, "ROWS", tuple(rows))
+    monkeypatch.setattr(bench, "_median_ns", lambda fn, reps: timed.append(fn) or 1)
+    with pytest.raises(bench.BenchDisagreementError, match=f"n=4: {name} disagrees"):
+        bench.run_bench([4], reps=3)
+    assert timed == []
 
 
 def test_bench_checksums_at_the_default_seed_stay_as_committed():
@@ -679,9 +696,9 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     # fast_mul convolves at a zero-padded length at n = 97; run_bench
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
-    rows_after = [bench.CLI_EIG, bench.INTEGER_SPECTRUM, bench.ADD, bench.BLOCK_MUL, bench.HOPF_VERIFY]
-    rows_after += [bench.PARSE, bench.ENCODE, bench.BRANDT, bench.MU_MUL, bench.MU_EIG]
-    assert [r.method for r in rows] == [*bench.METHODS, *rows_after]
+    rows_after = ["cli-eig", "integer-spectrum", "add", "block-mul", "hopf-verify"]
+    rows_after += ["parse", "encode", "brandt", "mu-mul", "mu-eig"]
+    assert [r.method for r in rows] == ["naive", "spectral", "dense", *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 
 
@@ -813,6 +830,20 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
     inv = [complex(float(re), float(im)) for re, im in json.loads(out)["first_row"]]
     assert inv == pytest.approx([5e-309, -5e-309j], rel=1e-12)
 
+
+
+def test_exact_results_past_4300_digits_are_written(tmp_path, capsys):
+    # Python refuses to write an int of more than 4300 digits in decimal;
+    # q_16 of this row has 4838.  charpoly exited 3 on it.
+    from circulants import exact_char_poly, rational_circ
+
+    row = [(k * k + 1) * 10**300 + k for k in range(16)]
+    path = write(tmp_path, "doc.json", {"kind": "rational_circulant", "n": 16, "first_row": list(map(str, row))})
+    code, out, err = run_cli(["charpoly", "--input", path], capsys=capsys)
+    assert code == 0 and err == ""
+    written = json.loads(out)["monic_coefficients"]
+    assert max(map(len, written)) > 4300
+    assert written == [documents.format_rational(c) for c in exact_char_poly(rational_circ(row))]
 
 
 _HUGE = 10**400  # a JSON integer of 401 digits, past the float maximum

@@ -87,6 +87,30 @@ def test_rational_circulant_roundtrip_is_exact():
     assert [format_rational(x) for x in doc.first_row] == RATIONAL_OBJ["first_row"]
 
 
+def lifted_str(x):
+    """str(x) with Python's limit on int-to-decimal digits lifted."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rational_of_any_length_is_written_as_str_writes_it():
+    # Python refuses to write an int of more than 4300 digits in decimal.
+    rng = np.random.default_rng(0x5EED)
+    values = [0, 10**600, -(10**600), 10**600 - 1, 10**5000, 7**20000, F(-(3**9000), 10**4301 + 1)]
+    for digits in (1, 599, 600, 601, 4299, 4300, 4301, 9000):
+        low = int.from_bytes(rng.bytes(digits), "big") % 10 ** (digits - 1)
+        p = (10 ** (digits - 1) + low) * int(rng.choice((-1, 1)))
+        values += [p, F(p, int(rng.integers(1, 10**6))), F(1, abs(p) + 1)]
+    for x in values:
+        assert format_rational(x) == lifted_str(F(x))
+
+
 def test_dense_roundtrips_both_flavors():
     complex_doc = roundtrip(COMPLEX_DENSE_OBJ)
     grid = complex_doc.to_complex_grid()

@@ -207,6 +207,46 @@ def test_spectrum_then_reconstruct_is_identity():
         assert brandt_check([c]).holds
 
 
+def symmetric_integer_spectrum(rng, n, exponent):
+    """lambda_{k+1} = lambda_{n-k+1}, integers of about 10^exponent."""
+    half = [int(v) * 10**exponent // 10**6 for v in rng.integers(-(10**6), 10**6 + 1, n // 2 + 1)]
+    return tuple(half[min(j, n - j)] for j in range(n))
+
+
+@pytest.mark.parametrize("exponent", (3, 6, 7, 9, 12, 15, 18, 30, 100, 200, 300))
+def test_symmetric_spectra_reconstruct_real_at_every_magnitude(exponent):
+    # The imaginary roundoff of the inverse transform grows with the
+    # values: held to an absolute 1e-10, most of these were refused with
+    # RootAssignmentError from 10^7 on.
+    rng = np.random.default_rng(SEED + exponent)
+    for _ in range(50):
+        lams = symmetric_integer_spectrum(rng, int(rng.integers(3, 129)), exponent)
+        result = reconstruct_from_spectrum(lams)
+        assert result.real and all(z.imag == 0 for z in result.circulant.coeffs)
+        scale = max(abs(v) for v in lams)
+        got = np.fft.fft(result.circulant.array)
+        assert np.max(np.abs(got - np.array(lams, dtype=float))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("exponent", (3, 18, 300))
+def test_reconstruction_refuses_an_imaginary_residue_beyond_its_bound(monkeypatch, exponent):
+    from circulants import Circulant, lattice
+    from circulants.errors import RootAssignmentError
+
+    lams = symmetric_integer_spectrum(np.random.default_rng(SEED), 16, exponent)
+    bound = 1e-10 * (1.0 + max(abs(v) for v in lams))
+    exact = lattice.from_spectrum
+
+    def residue(spectrum):
+        row = exact(spectrum).array.copy()
+        row[3] += 2j * bound
+        return Circulant(row)
+
+    monkeypatch.setattr(lattice, "from_spectrum", residue)
+    with pytest.raises(RootAssignmentError, match="imaginary residue"):
+        reconstruct_from_spectrum(lams)
+
+
 def test_close_rational_eigenvalues_take_exact_slots():
     # Two distinct rational eigenvalues 1 +/- 1/20000000, far closer than
     # any float slot match could separate; the cyclotomic rule puts the
