@@ -12,30 +12,33 @@ Kinds: circulant, mu_circulant, skew_circulant, dense, rational_circulant;
 spectrum documents carry eigenvalue lists (complex on output, exact
 rationals when used as reconstruction input), and cocycle documents an
 n x n table of complex pairs.
+
+Each field of a decoded document has one stored form, a read-only
+complex array or a tuple of Fractions; every complex row or grid meets
+the entry rule of `core` on its way to a value.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain, starmap
 
 import numpy as np
 
-from .core import Circulant, _result
-from .errors import CirculantError
+from .core import Circulant, _entries, _result
+from .errors import CirculantError, DimensionMismatchError, InvalidCocycleError, InvalidScalarError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
 from .twisted import (
     MuCirculant,
-    MuWeights,
     TwoCocycle,
     _mu_result,
     _skew_weights,
     _weights_result,
     cocycle_from_mu,
-    skew_circ,
 )
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
@@ -66,18 +69,14 @@ def parse_complex(value, field: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         parts = []
         for part in value:
-            if isinstance(part, str):
-                try:
-                    parts.append(float(part))
-                except ValueError:
-                    raise DocumentError(field, f"bad decimal string {part!r}") from None
-            elif isinstance(part, (int, float)) and not isinstance(part, bool):
-                try:
-                    parts.append(float(part))
-                except OverflowError:  # a JSON integer past the float maximum
-                    raise DocumentError(field, "component beyond the float range") from None
-            else:
+            if not isinstance(part, (str, int, float)) or isinstance(part, bool):
                 raise DocumentError(field, f"bad component {part!r} in complex pair")
+            try:
+                parts.append(float(part))
+            except ValueError:  # a string that is not a decimal
+                raise DocumentError(field, f"bad decimal string {part!r}") from None
+            except OverflowError:  # a JSON integer past the float maximum
+                raise DocumentError(field, "component beyond the float range") from None
         return complex(parts[0], parts[1])
     raise DocumentError(field, f"expected a [re, im] pair, got {value!r}")
 
@@ -111,9 +110,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(value, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(field, f"expected an exact 'p/q' or integer string, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -131,9 +128,9 @@ def _parse_entry(value, field: str):
 
 
 def _pairs_array(items: list) -> np.ndarray | None:
-    """The read-only complex array of a list of ``[re, im]`` pairs of
-    decimal strings, or None when some item is not a two-element list of
-    strings or some string is not a decimal.
+    """The complex array of a list of ``[re, im]`` pairs of decimal
+    strings, or None when some item is not a two-element list of strings
+    or some string is not a decimal.
 
     Each string goes through ``float``, as in `parse_complex`, so the
     bits are the same; but the checks are one set of types or lengths per
@@ -148,25 +145,31 @@ def _pairs_array(items: list) -> np.ndarray | None:
         parts = np.array(list(map(float, flat)))
     except ValueError:
         return None
-    parts.setflags(False)
     return parts.view(complex)
 
 
 def _complex_array(items: list, field: str) -> np.ndarray:
-    """The read-only complex array of a list of complex pairs: the array of
+    """The complex array of a list of complex pairs: the array of
     `_pairs_array`, or else, for any other pair or part, the values of
     `parse_complex` entry by entry, which raises its DocumentError."""
     z = _pairs_array(items)
     if z is None:
         z = np.array([parse_complex(x, field) for x in items], dtype=complex)
-        z.setflags(False)
     return z
 
 
-def _as_tuple(z: np.ndarray) -> tuple:
-    """A row array as a tuple of Python complex numbers, a grid as a tuple
-    of such row tuples."""
-    return tuple(z.tolist()) if z.ndim == 1 else tuple(map(tuple, z.tolist()))
+def _stored_complex(value, shape: tuple) -> np.ndarray:
+    """A complex field of this shape as a document stores it, a read-only
+    array of its own.  Raises DimensionMismatchError on another shape, and
+    InvalidScalarError on an exact entry past the float range."""
+    try:
+        z = np.array(value, dtype=complex)
+    except OverflowError:
+        raise InvalidScalarError("entry beyond the float range") from None
+    if z.shape != shape:
+        raise DimensionMismatchError(f"expected {shape} entries, got {z.shape}")
+    z.setflags(False)
+    return z
 
 
 class MatrixDocument:
@@ -174,33 +177,36 @@ class MatrixDocument:
 
     ``first_row`` and ``mu`` are tuples (of Python complex numbers, of
     Fractions on a rational_circulant) and ``entries`` a tuple of row
-    tuples, or None where the kind has no such field.  A complex field
-    decoded from JSON is stored as one read-only array, from which the
-    converters build their values; its tuple is built on first read and
-    cached, as on the row values of `core`.  A document is immutable and
-    equals (and hashes like) a document with the same kind, order and
-    fields.
+    tuples, or None where the kind has no such field.  Each field has one
+    stored form.  A complex field is a read-only array, made once by the
+    constructor and written by nothing, which the converters hand to their
+    values after the finiteness test of the entry rule; its tuple is built
+    on first read and cached, as on the row values of `core`.  An exact
+    field (a rational first row, a grid of Fractions only) is its tuple.
+    A document is immutable and equals (and hashes like) a document with
+    the same kind, order and fields.
     """
 
-    __slots__ = ("kind", "n", "_arrays", "_tuples")
+    __slots__ = ("kind", "n", "_first_row", "_mu", "_entries", "_tuples")
 
     def __init__(self, kind: str, n: int, first_row=None, mu=None, entries=None):
-        _init_document(self, kind, n, {}, {"first_row": first_row, "mu": mu, "entries": entries})
-
-    @classmethod
-    def _decoded(cls, kind: str, n: int, **arrays) -> "MatrixDocument":
-        """A document whose complex fields are the given read-only arrays,
-        which nothing else holds; every other field is None."""
-        doc = cls.__new__(cls)
-        arrays = {name: z for name, z in arrays.items() if z is not None}
-        tuples = {name: None for name in ("first_row", "mu", "entries") if name not in arrays}
-        _init_document(doc, kind, n, arrays, tuples)
-        return doc
+        if first_row is not None:
+            first_row = tuple(first_row) if kind == "rational_circulant" else _stored_complex(first_row, (n,))
+        if mu is not None or kind == "mu_circulant":
+            mu = _stored_complex(() if mu is None else mu, (n - 1,))
+        if entries is not None:
+            exact = all(isinstance(x, Fraction) for row in entries for x in row)
+            entries = tuple(map(tuple, entries)) if exact else _stored_complex(entries, (n, n))
+        for setter, value in zip(_SETTERS, (kind, n, first_row, mu, entries, {})):
+            setter(self, value)
 
     def _field(self, name: str):
         tuples = self._tuples
         if name not in tuples:
-            tuples[name] = _as_tuple(self._arrays[name])
+            value = getattr(self, "_" + name)
+            if isinstance(value, np.ndarray):
+                value = tuple(value.tolist()) if value.ndim == 1 else tuple(map(tuple, value.tolist()))
+            tuples[name] = value
         return tuples[name]
 
     first_row = property(lambda self: self._field("first_row"))
@@ -237,27 +243,19 @@ class MatrixDocument:
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
         if self.kind == "circulant":
-            row = self._arrays.get("first_row")
-            # The decoded array is read-only and nothing writes it: the
-            # value shares it after the finiteness test of the entry rule.
-            return Circulant(self.first_row) if row is None else _result(Circulant, row)
+            return _result(Circulant, self._first_row)
         if self.kind == "rational_circulant":
             return self.to_rational_circulant().to_float()
         raise DocumentError("kind", f"cannot view a {self.kind} document as a circulant")
 
     def to_mu_circulant(self) -> MuCirculant:
         """The twisted value of a mu_circulant or skew_circulant document.
-        Like `to_circulant`, it shares a decoded row; decoded weights are
+        Like `to_circulant`, it shares the stored row; the weights are
         copied once, behind the leading 1."""
-        row = self._arrays.get("first_row")
+        row = self._first_row
         if self.kind == "mu_circulant":
-            if row is None:
-                return MuCirculant(self.first_row, MuWeights.from_tail(self.mu or ()))
-            weights = _weights_result(np.concatenate(((1.0,), self._arrays["mu"])))
-            return _mu_result(row, weights)
+            return _mu_result(row, _weights_result(np.concatenate(((1.0,), self._mu))))
         if self.kind == "skew_circulant":
-            if row is None:
-                return skew_circ(self.first_row)
             return _mu_result(row, _skew_weights(row.size))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
 
@@ -267,26 +265,22 @@ class MatrixDocument:
         return RationalCirculant(self.first_row)
 
     def to_complex_grid(self) -> np.ndarray:
+        """The grid as a fresh complex array, exact ones included, under the
+        entry rule: InvalidScalarError on a non-finite or too large entry."""
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
-        grid = self._arrays.get("entries")
-        if grid is not None:
-            return grid.copy()
-        return np.array([[complex(x) for x in row] for row in self.entries], dtype=complex)
+        return _entries(np.ravel(self._entries)).reshape(self.n, self.n).copy()
 
     def to_exact_grid(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
-        if "entries" in self._arrays or not all(
-            isinstance(x, Fraction) for row in self.entries for x in row
-        ):
+        if not isinstance(self._entries, tuple):
             raise DocumentError("entries", "grid holds floating entries, exact ones required")
-        return self.entries
+        return self._entries
 
 
-def _init_document(doc: MatrixDocument, kind: str, n: int, arrays: dict, tuples: dict):
-    for name, value in (("kind", kind), ("n", n), ("_arrays", arrays), ("_tuples", tuples)):
-        object.__setattr__(doc, name, value)
+# The slots' own setters, unguarded by the frozen __setattr__: half the cost of object.__setattr__.
+_SETTERS = tuple(getattr(MatrixDocument, name).__set__ for name in MatrixDocument.__slots__)
 
 
 def document_from_obj(obj) -> MatrixDocument:
@@ -312,22 +306,19 @@ def document_from_obj(obj) -> MatrixDocument:
         raw = obj.get("entries")
         if not isinstance(raw, list) or len(raw) != n:
             raise DocumentError("entries", f"expected {n} rows")
-        grid = None
-        if set(map(type, raw)) == {list} and set(map(len, raw)) == {n}:
-            grid = _pairs_array(list(chain.from_iterable(raw)))
-        if grid is not None:
-            return MatrixDocument._decoded(kind, n, entries=grid.reshape(n, n))
-        rows = []
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != n:
                 raise DocumentError("entries", f"row {i + 1} must have {n} entries")
-            rows.append(tuple(_parse_entry(x, f"entries[{i + 1}]") for x in row))
-        return MatrixDocument(kind, n, entries=tuple(rows))
+        grid = _pairs_array(list(chain.from_iterable(raw)))
+        if grid is not None:
+            return MatrixDocument(kind, n, entries=grid.reshape(n, n))
+        grid = [[_parse_entry(x, f"entries[{i + 1}]") for x in row] for i, row in enumerate(raw)]
+        return MatrixDocument(kind, n, entries=grid)
     raw = obj.get("first_row")
     if not isinstance(raw, list) or len(raw) != n:
         raise DocumentError("first_row", f"expected a list of {n} scalars")
     if kind == "rational_circulant":
-        return MatrixDocument(kind, n, first_row=tuple(parse_rational(x, "first_row") for x in raw))
+        return MatrixDocument(kind, n, first_row=[parse_rational(x, "first_row") for x in raw])
     first_row = _complex_array(raw, "first_row")
     mu = None
     if kind == "mu_circulant":
@@ -335,7 +326,7 @@ def document_from_obj(obj) -> MatrixDocument:
         if not isinstance(raw_mu, list) or len(raw_mu) != n - 1:
             raise DocumentError("mu", f"expected a list of {n - 1} weights")
         mu = _complex_array(raw_mu, "mu")
-    return MatrixDocument._decoded(kind, n, first_row=first_row, mu=mu)
+    return MatrixDocument(kind, n, first_row=first_row, mu=mu)
 
 
 def circulant_to_obj(c: Circulant) -> dict:
@@ -365,12 +356,17 @@ def cocycle_from_obj(obj) -> TwoCocycle:
         if (
             not isinstance(n, int)
             or isinstance(n, bool)
+            or n < 1
             or not isinstance(table, list)
             or len(table) != n
             or not all(isinstance(row, list) and len(row) == n for row in table)
         ):
             raise DocumentError("table", "expected an n x n grid of complex pairs")
-        return TwoCocycle(_complex_array(list(chain.from_iterable(table)), "table").reshape(n, n))
+        table = _complex_array(list(chain.from_iterable(table)), "table").reshape(n, n)
+        f = _result(TwoCocycle, table)
+        if np.count_nonzero(table) != table.size:
+            raise InvalidCocycleError("cocycle values must be nonzero")
+        return f
     doc = document_from_obj(obj)
     if doc.kind not in ("mu_circulant", "skew_circulant"):
         raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
@@ -383,6 +379,9 @@ def load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("document", f"invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    except ValueError:  # an integer literal past Python's limit on decimal digits
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError("document", f"integer literal of more than {limit} digits") from None
 
 
 def parse_documents(text: str) -> list[MatrixDocument]:
@@ -494,5 +493,5 @@ def spectrum_from_obj(obj) -> tuple:
         raise DocumentError("values", "expected a list of n scalars")
     z = _pairs_array(raw)
     if z is not None:
-        return _as_tuple(z)
+        return tuple(z.tolist())
     return tuple(_parse_entry(v, "values") for v in raw)

@@ -418,16 +418,19 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fract
     """(det, inverse) of a square rational grid; inverse is None when
     det = 0.
 
-    Fraction-free Gauss-Jordan (Bareiss): the grid is cleared to A = L*grid
-    and [A | I] is eliminated in integers, each update
+    Fraction-free Gauss-Jordan (Bareiss): each row i is cleared by the lcm
+    L_i of its own denominators, so that A = D*grid with D = diag(L_i) is
+    integral, and [A | I] is eliminated in integers, each update
     (p * a_ij - a_ik * a_kj) // p_prev dividing exactly by the previous
     pivot.  At the end the left block is p*I with p = sign * det(A) (sign
     from the row swaps) and the right block is p * A^-1, so
-    det = sign * p / L^n and the inverse is L * right / p.
+    det = sign * p / (L_1 ... L_n) and the inverse, A^-1 D, is column c
+    of right / p times L_c.  One lcm of all n^2 denominators would do the
+    same work on numbers up to n times longer.
     """
     n = len(rows)
-    scale, flat = _cleared([x for row in rows for x in row])
-    aug = [flat[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+    scales, cleared = zip(*map(_cleared, rows))
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(cleared)]
     sign, prev = 1, 1
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
@@ -444,8 +447,8 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fract
                 aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], pivot_line)]
         prev = pivot
     return (
-        Fraction(sign * prev, scale**n),
-        [[Fraction(scale * x, prev) for x in row[n:]] for row in aug],
+        Fraction(sign * prev, math.prod(scales)),
+        [[Fraction(scale * x, prev) for x, scale in zip(row[n:], scales)] for row in aug],
     )
 
 

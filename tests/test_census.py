@@ -17,7 +17,10 @@ Every exit-0 ``inverse`` must also be a good inverse: the coefficients
 of x * x^-1 - I, taken exactly in rationals (so no rescaling of x can
 overflow or hide an error), stay within INVERSE_RESIDUAL_BOUND * eps *
 cond, cond = max|lambda| / min|lambda|.  A conjugate-symmetric spectrum
-in the float range must reconstruct to a real row.
+in the float range must reconstruct to a real row.  Last, every float
+subcommand runs on documents with one "nan", "-nan", "inf" or "1e309"
+part in any complex field, and `factorize` on exact grids with one entry
+past the float maximum: each must exit 2 with one error line.
 """
 
 import io
@@ -26,6 +29,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -225,9 +229,10 @@ def exact_documents(rng):
                 where = f"n={n} share={share} set of {size}"
                 yield "brandt-check", where, [rational_row(rng, n, share) for _ in range(size)]
             if n * n * share > 20:
-                # lattice_new clears the basis with one lcm, so its cost
-                # grows with the n^2 share large denominators: at n = 12,
-                # share 1 takes 2.5 s.
+                # lattice_new eliminates in integers, each row cleared by
+                # the lcm of its n denominators, so its cost grows with
+                # their size: at n = 12, share 1 one call still takes
+                # about 1 s (3 to 4 s with one lcm of all n^2).
                 continue
             grid = [[rational_entry(rng, share) for _ in range(n)] for _ in range(n)]
             member = {"kind": "rational_circulant", "n": n, "first_row": grid[0]}
@@ -267,3 +272,53 @@ def test_exact_and_table_commands_stay_typed_at_extreme_values():
         "brandt-check": {0, 1},
         "lattice-solve": {0, 1},
     }
+
+
+#: Parts that read as no finite float: "1e309" rounds to inf.
+NON_FINITE_PARTS = ("nan", "-nan", "inf", "1e309")
+
+
+def non_finite_documents(rng):
+    """(where, doc): a document of normal draws with one part of one entry
+    of one complex field replaced by a NON_FINITE_PARTS string, for every
+    order, kind, field and part.  With `numbers`, another entry is written
+    with JSON numbers for parts, which sends the field to the per-entry
+    decoder instead of the one for string pairs."""
+    for n in ORDERS:
+        for kind in KINDS:
+            sizes = {"dense": {"entries": n * n}, "mu_circulant": {"first_row": n, "mu": n - 1}}
+            sizes = sizes.get(kind, {"first_row": n})
+            for field, part, numbers in product(sizes, NON_FINITE_PARTS, (False, True)):
+                doc = {"kind": kind, "n": n, **{name: draw_row(rng, size, 0.0) for name, size in sizes.items()}}
+                items = doc[field]
+                if not items:
+                    continue
+                k = int(rng.integers(len(items)))
+                items[k] = [part, items[k][1]] if rng.uniform() < 0.5 else [items[k][0], part]
+                if numbers and len(items) > 1:
+                    other = (k + 1) % len(items)
+                    items[other] = [float(x) for x in items[other]]
+                if field == "entries":
+                    doc[field] = [items[i * n:(i + 1) * n] for i in range(n)]
+                yield f"{kind} n={n} {field} {part!r} numbers={numbers}", doc
+
+
+#: Exact entries past the float maximum, integers and p/q.
+PAST_FLOAT_RANGE = (str(10**400), str(-(10**309)), f"{10**400 + 1}/7", f"-{3 * 10**309 + 1}/3")
+
+
+def test_non_finite_and_out_of_range_entries_exit_2():
+    # The rule for a valid entry holds for every complex field of every
+    # kind, dense grids included: each call exits 2 with one error line.
+    rng = np.random.default_rng(SEED + 2)
+    calls = [(command, where, doc) for where, doc in non_finite_documents(rng) for command in FLOAT_COMMANDS]
+    for n in EXACT_ORDERS:
+        for value in PAST_FLOAT_RANGE:
+            entries = [[rational_entry(rng, 0.1) for _ in range(n)] for _ in range(n)]
+            entries[int(rng.integers(n))][int(rng.integers(n))] = value
+            calls.append(("factorize", f"exact n={n} {value[:12]}", {"kind": "dense", "n": n, "entries": entries}))
+    for command, where, doc in calls:
+        code, out, err = run_in_process(command, json.dumps(doc))
+        where = f"{command} on {where}: exit {code}, stderr {err!r}"
+        assert_typed(where, code, out, err)
+        assert code == 2, where

@@ -1,5 +1,6 @@
 import json
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -38,7 +39,7 @@ from circulants.documents import (
     spectrum_to_obj,
 )
 from circulants.cli import main
-from circulants.errors import CirculantError
+from circulants.errors import CirculantError, DimensionMismatchError, InvalidScalarError
 
 # Documents of the kinds that no encoder writes, as literals.
 SKEW_OBJ = {"kind": "skew_circulant", "n": 3, "first_row": [["1.0", "0.0"], ["2.0", "0.0"], ["3.0", "0.0"]]}
@@ -412,9 +413,14 @@ def _decoder_legs(field: str, case):
                 for i, row in enumerate(_grid(items, 3))
             )
 
+        # The complex grid meets the entry rule of every value, as the row
+        # of a circulant does.
         return doc, [
             (lambda: document_from_obj(doc).entries, grid),
-            (lambda: document_from_obj(doc).to_complex_grid(), lambda: np.array(grid(), dtype=complex)),
+            (
+                lambda: document_from_obj(doc).to_complex_grid(),
+                lambda: Circulant([x for row in grid() for x in row]).array.reshape(3, 3),
+            ),
         ]
     items = _items(case, 5)
     doc = {"kind": "spectrum", "n": 5, "values": items}
@@ -482,3 +488,64 @@ def test_malformed_items_exit_2_with_the_per_entry_error_line(tmp_path, capsys, 
     code = main([_FIELD_COMMANDS[field], "--input", str(path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {error[2]}\n")
+
+
+@pytest.mark.parametrize("digits", (4301, 5000))
+@pytest.mark.parametrize("where", ("pair-part", "rational-entry"))
+def test_integer_literals_past_the_digit_limit_exit_2(tmp_path, capsys, where, digits):
+    # json.loads reads a JSON integer with int(), which refuses more than
+    # sys.get_int_max_str_digits() digits (4300 by default).
+    big = "7" * digits
+    if where == "pair-part":
+        command, text = "eig", f'{{"kind": "circulant", "n": 2, "first_row": [[{big}, "0"], ["1", "0"]]}}'
+    else:
+        command, text = "charpoly", f'{{"kind": "rational_circulant", "n": 2, "first_row": [{big}, "1"]}}'
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DocumentError, match=f"integer literal of more than {limit} digits") as info:
+        parse_documents(text)
+    assert info.value.field == "document"
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: document: integer literal of more than {limit} digits\n")
+
+
+def test_each_field_has_one_stored_form_however_the_document_was_built():
+    c = circ(1.25, -2 + 0.1j, 3e-17)
+    row = np.array(c.array)
+    decoded = roundtrip(circulant_to_obj(c))
+    built = MatrixDocument("circulant", 3, first_row=c.coeffs)
+    from_array = MatrixDocument("circulant", 3, first_row=row)
+    row[0] = 99  # the document keeps an array of its own
+    for doc in (decoded, built, from_array, pickle.loads(pickle.dumps(decoded))):
+        x, y = doc.to_circulant(), doc.to_circulant()
+        assert x == c and np.shares_memory(x.array, y.array) and not x.array.flags.writeable
+        assert doc == decoded and doc.first_row is doc.first_row
+    # A built document meets the entry rule where a decoded one does.
+    nan_doc = MatrixDocument("mu_circulant", 2, first_row=(1, 2), mu=(complex("nan"),))
+    with pytest.raises(InvalidScalarError, match="non-finite"):
+        nan_doc.to_mu_circulant()
+    # The constructor holds each complex field to the shape of its order.
+    with pytest.raises(DimensionMismatchError):
+        MatrixDocument("mu_circulant", 3, first_row=(1, 2, 3), mu=(2,))
+    assert MatrixDocument("mu_circulant", 1, first_row=(5,)).to_mu_circulant() == mu_circ((5,), ())
+    # A grid of Fractions only is exact; any other grid, mixed ones
+    # included, is complex.
+    mixed = roundtrip({"kind": "dense", "n": 2, "entries": [[["1", "0"], "1/3"], ["2", ["0", "1"]]]})
+    assert mixed.entries == ((1, complex(F(1, 3))), (2, 1j))
+    assert np.array_equal(mixed.to_complex_grid(), [[1, 1 / 3], [2, 1j]])
+    with pytest.raises(DocumentError, match="entries: grid holds floating entries"):
+        mixed.to_exact_grid()
+    exact = MatrixDocument("dense", 2, entries=[[F(1, 3), F(2)], [F(0), F(-5, 7)]])
+    assert exact == roundtrip(EXACT_DENSE_OBJ) and exact.to_exact_grid() == exact.entries
+
+
+@pytest.mark.parametrize("value", (str(10**400), str(-(10**309)), f"{10**400}/3"))
+def test_exact_grids_past_the_float_range_meet_the_entry_rule(value):
+    doc = roundtrip({"kind": "dense", "n": 2, "entries": [["1", value], ["0", "1/3"]]})
+    assert doc.to_exact_grid()[0][1] == F(value)
+    with pytest.raises(InvalidScalarError, match="entry beyond the float range"):
+        doc.to_complex_grid()
+    # In a grid that reads as complex, the entry cannot be stored at all.
+    with pytest.raises(InvalidScalarError, match="entry beyond the float range"):
+        roundtrip({"kind": "dense", "n": 2, "entries": [[["1", "0"], value], ["0", "1/3"]]})

@@ -171,3 +171,35 @@ def test_computed_values_never_read_the_cached_tuples():
         for name in ("core", "spectral", "forms", "hopf", "twisted")
     }
     assert found == {name: [] for name in found}
+
+
+#: The public constructors and builders that check outside input.  A
+#: document holds its decoded fields as arrays, so it builds its complex
+#: values through `_result`, `_mu_result` and `_weights_result` alone:
+#: one construction path, with the entry rule's finiteness test.
+CHECKING_CONSTRUCTORS = {"Circulant", "MuCirculant", "MuWeights", "skew_circ", "TwoCocycle"}
+
+
+def checking_constructor_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each call whose callee names one of
+    CHECKING_CONSTRUCTORS, alone or in an attribute chain
+    (`MuWeights.from_tail(...)`, `core.Circulant(...)`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            for part in ast.walk(node.func):
+                name = part.id if isinstance(part, ast.Name) else getattr(part, "attr", None)
+                if name in CHECKING_CONSTRUCTORS:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_documents_build_complex_values_only_from_arrays():
+    sample = (
+        "a = Circulant(row)\nb = _result(Circulant, z)\nc = MuWeights.from_tail(t)\n"
+        "d = core.skew_circ(r)\ne = _mu_result(z, _weights_result(w))\nf = TwoCocycle\n"
+    )
+    assert checking_constructor_calls(sample) == [(1, "Circulant"), (3, "MuWeights"), (4, "skew_circ")]
+    source = (PACKAGE / "documents.py").read_text(encoding="utf-8")
+    assert checking_constructor_calls(source) == []
+    assert all(f"{name}(" in source for name in ("_result", "_mu_result", "_weights_result"))

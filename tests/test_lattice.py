@@ -780,6 +780,42 @@ def test_lattice_new_matches_fraction_elimination(n):
                 lattice_new(singular)
 
 
+def row_scaled_grid(rng, n, exponent):
+    """A grid whose rows have denominators of their own: row i draws them
+    near 10^exponent times the i-th prime, so no two rows share a scale,
+    and a zero leading entry forces a row swap now and then."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    grid = []
+    for i in range(n):
+        row = []
+        for _ in range(n):
+            p = int(rng.integers(-(10**6), 10**6)) * 10**exponent + int(rng.integers(0, 10**6))
+            q = primes[i] * (10**exponent + int(rng.integers(1, 10**6)))
+            row.append(F(p, q))
+        grid.append(row)
+    if rng.uniform() < 0.5:
+        grid[0][0] = F(0)
+    return grid
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8))
+def test_lattice_new_clears_each_row_by_its_own_scale(n):
+    # det divides by the product of the row scales and column c of the
+    # inverse is multiplied by the scale of row c; a mix-up of rows and
+    # columns, or of the two scales, shows as soon as the rows differ.
+    rng = np.random.default_rng(SEED + 400 + n)
+    for exponent in (0, 30):
+        for _ in range(3):
+            grid = row_scaled_grid(rng, n, exponent)
+            basis = lattice_new(grid)
+            assert basis.det == exact_det(grid)
+            assert basis.inverse == exact_inverse(grid)
+        singular = row_scaled_grid(rng, n, exponent)
+        singular[-1] = [F(3, 7) * a for a in singular[0]]
+        with pytest.raises(DependentBasisError):
+            lattice_new(singular)
+
+
 def dense_first_row_product(x, y):
     dx, dy = x.to_exact_dense(), y.to_exact_dense()
     return tuple(sum(dx[0][t] * dy[t][j] for t in range(x.n)) for j in range(x.n))
