@@ -25,15 +25,19 @@ Values are built in one of two ways:
   vectorised entry rule, `_entries`, which also copies it.
 * Every value the package computes is a fresh numpy array handed to
   `_result`: the finiteness test of the entry rule, the read-only flag,
-  no copy.  The class invariants that the computation could break (the
-  nonzero weights of a twisted value, say) are checked beside it.
+  no copy.
 
-Arithmetic on values is numpy's, run under `_quiet`, so a result beyond
-the float range comes out inf or nan without a numpy warning and
-`_result` refuses it with InvalidScalarError.  numpy's complex `*` and
-`/` may round the last bit differently from Python's complex arithmetic
-(fused multiply-adds; division through a reciprocal); both are within a
-few ulps of the exact result.
+Both run the class invariant, stated once on the class as `_check(arr)`
+(on `twisted.MuWeights` and `twisted.TwoCocycle`; None elsewhere), and
+every immutable slotted class of the package is frozen by `_Frozen`.
+
+Arithmetic on values is numpy's, run under `_quiet`, the package's only
+`np.errstate`, so a result beyond the float range comes out inf or nan
+without a numpy warning (`x + y`, `x - y`, `mu_to_dense` included) and
+`_result` or `_check_finite` refuses it with InvalidScalarError.  numpy's
+complex `*` and `/` may round the last bit differently from Python's
+complex arithmetic (fused multiply-adds; division through a reciprocal);
+both are within a few ulps of the exact result.
 """
 
 from __future__ import annotations
@@ -52,8 +56,11 @@ from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarErro
 #: the arithmetic alone, not the checks around it.  Build each wrapped
 #: function once, at module level: wrapping inside a call costs more.
 _quiet = np.errstate(over="ignore", invalid="ignore")
+_add = _quiet(np.add)
+_subtract = _quiet(np.subtract)
 _multiply = _quiet(np.multiply)
 _divide = _quiet(np.divide)
+_astype = _quiet(np.ndarray.astype)
 
 
 def _entries(values) -> np.ndarray:
@@ -88,9 +95,8 @@ def _entries(values) -> np.ndarray:
     try:
         if arr.dtype.char in "gG":
             # A long double beyond the float range casts to inf, which the
-            # finiteness check below reports; numpy would also warn.
-            with np.errstate(over="ignore"):
-                arr = arr.astype(complex)
+            # finiteness check below reports.
+            arr = _astype(arr, complex)
         arr = arr.astype(complex, copy=False)
     except OverflowError:
         raise InvalidScalarError("entry beyond the float range") from None
@@ -121,12 +127,12 @@ def _check_finite(arr: np.ndarray):
         raise InvalidScalarError(f"non-finite entry {arr.flat[slot]} at index {slot}")
 
 
+@_quiet
 def _moduli(z: np.ndarray) -> np.ndarray:
     """|z_k| for a complex array, inf (without a warning) beyond the float
     range.  np.hypot rounds like Python's abs(complex); numpy's vectorised
     complex abs differs in the last bit on about a third of entries."""
-    with np.errstate(over="ignore"):
-        return np.hypot(z.real, z.imag)
+    return np.hypot(z.real, z.imag)
 
 
 def _check_tol(tol: float, name: str = "tolerance"):
@@ -144,7 +150,21 @@ def _check_tol(tol: float, name: str = "tolerance"):
 SPECTRAL_MUL_MIN_ORDER = 12
 
 
-class _RowValue:
+class _Frozen:
+    """Base of the immutable slotted classes: assigning or deleting an
+    attribute raises FrozenInstanceError, as on a frozen dataclass.
+    Constructors fill the slots through their descriptors' `__set__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _RowValue(_Frozen):
     """Base of the row values: each stores its validated row once, as the
     read-only complex ndarray `array` (`twisted.TwoCocycle` its n x n table).
 
@@ -158,11 +178,9 @@ class _RowValue:
 
     __slots__ = ("array", "_row")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    #: The class invariant beyond finite entries, `_check(arr)`, which
+    #: raises on an array that breaks it; None on a class without one.
+    _check = None
 
     def _tuple(self) -> tuple[complex, ...]:
         row = getattr(self, "_row", None)
@@ -197,13 +215,14 @@ def _result(cls, arr: np.ndarray):
     """A `cls` value (any row value) holding `arr`, a complex array of the
     class's shape just computed by numpy that nothing else writes (a
     fresh result, or a row decoded into a read-only array by
-    `documents`).  It passes the finiteness test of `_entries` and
-    becomes read-only; the rest of `_entries`, the form checks and the
-    defensive copy, would only repeat what the computation guarantees
-    (about 2 us per call at n = 12, a tenth of `eigenvalues` there, on a
-    2-vCPU x86-64 VM).  The caller checks any other invariant of `cls`
-    that its computation could break."""
+    `documents`).  It passes the finiteness test of `_entries` and the
+    class invariant `cls._check`, if any, and becomes read-only; the rest
+    of `_entries`, the form checks and the defensive copy, would only
+    repeat what the computation guarantees (about 2 us per call at
+    n = 12, a tenth of `eigenvalues` there, on a 2-vCPU x86-64 VM)."""
     _check_finite(arr)
+    if cls._check is not None:
+        cls._check(arr)
     arr.setflags(False)
     value = cls.__new__(cls)
     _set_array(value, arr)
@@ -243,13 +262,13 @@ class Circulant(_RowValue):
         if not isinstance(other, Circulant):
             return NotImplemented
         _check_orders(self, other)
-        return _result(Circulant, self.array + other.array)
+        return _result(Circulant, _add(self.array, other.array))
 
     def __sub__(self, other: "Circulant") -> "Circulant":
         if not isinstance(other, Circulant):
             return NotImplemented
         _check_orders(self, other)
-        return _result(Circulant, self.array - other.array)
+        return _result(Circulant, _subtract(self.array, other.array))
 
     def __neg__(self) -> "Circulant":
         return _result(Circulant, -self.array)

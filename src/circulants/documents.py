@@ -22,26 +22,28 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain, starmap
 
 import numpy as np
 
-from .core import Circulant, _entries, _result
-from .errors import CirculantError, DimensionMismatchError, InvalidCocycleError, InvalidScalarError
+from .core import Circulant, _entries, _Frozen, _result
+from .errors import CirculantError, DimensionMismatchError, InvalidScalarError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
-from .twisted import (
-    MuCirculant,
-    TwoCocycle,
-    _mu_result,
-    _skew_weights,
-    _weights_result,
-    cocycle_from_mu,
-)
+from .twisted import MuCirculant, MuWeights, TwoCocycle, _mu_result, _skew_weights, cocycle_from_mu
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
+
+#: The fields each kind of document carries besides "kind" and "n", the
+#: matrix kinds and the spectrum and cocycle documents alike; `_order`
+#: refuses any other field.
+_FIELDS = dict.fromkeys(KINDS, ("first_row",)) | {
+    "mu_circulant": ("first_row", "mu"),
+    "dense": ("entries",),
+    "spectrum": ("values",),
+    "cocycle": ("table",),
+}
 
 
 class DocumentError(CirculantError, ValueError):
@@ -116,6 +118,9 @@ def parse_rational(value, field: str) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(value):
+                raise DocumentError(field, f"rational of more than {limit} digits") from None
             raise DocumentError(field, f"bad rational {value!r}") from None
     raise DocumentError(field, f"expected an exact 'p/q' or integer string, got {value!r}")
 
@@ -172,7 +177,7 @@ def _stored_complex(value, shape: tuple) -> np.ndarray:
     return z
 
 
-class MatrixDocument:
+class MatrixDocument(_Frozen):
     """One decoded matrix document.
 
     ``first_row`` and ``mu`` are tuples (of Python complex numbers, of
@@ -234,12 +239,6 @@ class MatrixDocument:
     def __reduce__(self):
         return type(self), self._key()
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
         if self.kind == "circulant":
@@ -254,7 +253,7 @@ class MatrixDocument:
         copied once, behind the leading 1."""
         row = self._first_row
         if self.kind == "mu_circulant":
-            return _mu_result(row, _weights_result(np.concatenate(((1.0,), self._mu))))
+            return _mu_result(row, _result(MuWeights, np.concatenate(((1.0,), self._mu))))
         if self.kind == "skew_circulant":
             return _mu_result(row, _skew_weights(row.size))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
@@ -289,19 +288,7 @@ def document_from_obj(obj) -> MatrixDocument:
     kind = obj.get("kind")
     if kind not in KINDS:
         raise DocumentError("kind", f"unknown kind {kind!r}, expected one of {', '.join(KINDS)}")
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DocumentError("n", f"order must be a positive integer, got {n!r}")
-
-    allowed = {"kind", "n", "first_row"}
-    if kind == "mu_circulant":
-        allowed.add("mu")
-    if kind == "dense":
-        allowed = {"kind", "n", "entries"}
-    extra = set(obj) - allowed
-    if extra:
-        raise DocumentError(sorted(extra)[0], f"field not allowed on kind {kind}")
-
+    n = _order(obj, kind)
     if kind == "dense":
         raw = obj.get("entries")
         if not isinstance(raw, list) or len(raw) != n:
@@ -329,6 +316,19 @@ def document_from_obj(obj) -> MatrixDocument:
     return MatrixDocument(kind, n, first_row=first_row, mu=mu)
 
 
+def _order(obj: dict, kind: str) -> int:
+    """The order n of a document of this kind: a positive integer.  Raises
+    DocumentError on another n, and on a field that `_FIELDS` does not
+    give the kind."""
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DocumentError("n", f"order must be a positive integer, got {n!r}")
+    extra = obj.keys() - {"kind", "n", *_FIELDS[kind]}
+    if extra:
+        raise DocumentError(sorted(extra)[0], f"field not allowed on kind {kind}")
+    return n
+
+
 def circulant_to_obj(c: Circulant) -> dict:
     """The circulant document of c, formatted from ``c.array`` without
     building the coefficient tuple."""
@@ -351,22 +351,14 @@ def cocycle_from_obj(obj) -> TwoCocycle:
     im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
     coboundary of the weights of a mu_circulant or skew_circulant document."""
     if isinstance(obj, dict) and obj.get("kind") == "cocycle":
-        n = obj.get("n")
+        n = _order(obj, "cocycle")
         table = obj.get("table")
-        if (
-            not isinstance(n, int)
-            or isinstance(n, bool)
-            or n < 1
-            or not isinstance(table, list)
-            or len(table) != n
-            or not all(isinstance(row, list) and len(row) == n for row in table)
+        if not isinstance(table, list) or len(table) != n or not all(
+            isinstance(row, list) and len(row) == n for row in table
         ):
             raise DocumentError("table", "expected an n x n grid of complex pairs")
-        table = _complex_array(list(chain.from_iterable(table)), "table").reshape(n, n)
-        f = _result(TwoCocycle, table)
-        if np.count_nonzero(table) != table.size:
-            raise InvalidCocycleError("cocycle values must be nonzero")
-        return f
+        table = _complex_array(list(chain.from_iterable(table)), "table")
+        return _result(TwoCocycle, table.reshape(n, n))
     doc = document_from_obj(obj)
     if doc.kind not in ("mu_circulant", "skew_circulant"):
         raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
@@ -382,6 +374,8 @@ def load_json(text: str):
     except ValueError:  # an integer literal past Python's limit on decimal digits
         limit = sys.get_int_max_str_digits()
         raise DocumentError("document", f"integer literal of more than {limit} digits") from None
+    except RecursionError:
+        raise DocumentError("document", "JSON nested too deeply") from None
 
 
 def parse_documents(text: str) -> list[MatrixDocument]:
@@ -487,9 +481,9 @@ def spectrum_to_obj(values) -> dict:
 def spectrum_from_obj(obj) -> tuple:
     if not isinstance(obj, dict) or obj.get("kind") != "spectrum":
         raise DocumentError("kind", "expected a spectrum document")
-    n = obj.get("n")
+    n = _order(obj, "spectrum")
     raw = obj.get("values")
-    if not isinstance(raw, list) or not isinstance(n, int) or isinstance(n, bool) or len(raw) != n:
+    if not isinstance(raw, list) or len(raw) != n:
         raise DocumentError("values", "expected a list of n scalars")
     z = _pairs_array(raw)
     if z is not None:

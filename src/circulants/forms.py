@@ -116,12 +116,12 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
     return _alternate(coeffs)
 
 
+@_quiet
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
     """Power sums directly; elementary values by `_elementary`.  Raises
     InvalidScalarError when a power sum or a form leaves the float range."""
     lam = spectrum.array
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
+    p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
     if not np.isfinite(p).all():
         raise InvalidScalarError("a power sum leaves the float range")
     return SymmetricTables(power_sums=tuple(p), elementary=_elementary(lam))
@@ -150,6 +150,7 @@ def char_poly(c: Circulant) -> tuple[complex, ...]:
     return char_poly_of_forms(forms(c))
 
 
+@_quiet
 def conjugate(c: Circulant) -> Circulant:
     """Adjugate-analogue conj(x), from its spectrum mu_j = prod_{k != j} lambda_k.
 
@@ -160,18 +161,16 @@ def conjugate(c: Circulant) -> Circulant:
     mu_j leaves the float range.
     """
     lam = eigenvalues(c).array
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
+    mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
     return from_spectrum(mu)
 
 
-@_quiet
 def _verdict(
     c: Circulant, threshold: float | None
 ) -> tuple[InvertibilityVerdict, np.ndarray, float, float]:
     """The verdict on c together with the spectrum it was read from and
-    the least and greatest modulus in it.  q_n = prod_j lambda_j may
-    leave the float range without a warning."""
+    the least and greatest modulus in it.  Run under `_quiet` by its
+    callers: q_n = prod_j lambda_j may leave the float range."""
     if threshold is not None:
         _check_tol(threshold, "threshold")
     lam = eigenvalues(c).array
@@ -192,6 +191,7 @@ def _verdict(
     return verdict, lam, lo, hi
 
 
+@_quiet
 def is_invertible(c: Circulant, threshold: float | None = None) -> InvertibilityVerdict:
     """Invertibility decided per eigenvalue slot.
 
@@ -214,16 +214,17 @@ def _reciprocal(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
     therefore scaled first, with max(|Re s|, |Im s|) in [1/2, 1), and
     1 / lambda_j = (1 / s) 2^-e (Smith 1962; Baudin and Smith 2012).
     Scaling by 2^-e is exact, so wherever the plain reciprocal neither
-    overflows nor underflows the two agree in every bit."""
+    overflows nor underflows the two agree in every bit.  Run under
+    `_quiet` by `inverse`: a reciprocal may leave the float range."""
     if 2.0**-1021 < lo and hi < 2.0**1021:
         return 1.0 / lam
     _, e = np.frexp(np.maximum(np.abs(lam.real), np.abs(lam.imag)))
     shift = -np.repeat(e, 2)
-    with np.errstate(over="ignore"):
-        scaled = 1.0 / np.ldexp(lam.view(float), shift).view(complex)
-        return np.ldexp(scaled.view(float), shift).view(complex)
+    scaled = 1.0 / np.ldexp(lam.view(float), shift).view(complex)
+    return np.ldexp(scaled.view(float), shift).view(complex)
 
 
+@_quiet
 def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
     """x^(-1) = conj(x) / q_n(x), computed as the element with spectrum
     1 / lambda_j; raises SingularMatrixError with the root-of-unity

@@ -34,16 +34,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_finite, _check_tol, _moduli, _quiet, _result
+from .core import Circulant, _check_finite, _check_tol, _Frozen, _moduli, _quiet, _result
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 
 
-class BlockCirculant:
+class BlockCirculant(_Frozen):
     """An element of C[C_n x C_n], stored as its support: read-only index
     arrays `a`, `b` and the complex `values`, for the element
     sum_i values[i] P^(a[i]) (x) P^(b[i]).  The pairs (a[i], b[i]) are
@@ -81,12 +81,6 @@ class BlockCirculant:
             object.__setattr__(x, name, value)
         object.__setattr__(x, "n", n)
         return x
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def blocks(self) -> tuple[Circulant, ...]:

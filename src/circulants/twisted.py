@@ -25,9 +25,10 @@ Psi and its inverse are one numpy product or quotient of the coefficient
 and weight arrays, so `mu_mul`, `mu_eigen` and `mu_forms` cost a
 circulant product, transform or forms call plus O(n) array work.  As in
 `core`, every computed value (psi_inv's coefficients, the skew weights,
-the coboundary table) is a fresh array handed to `core._result`; the
-nonzero weights and cocycle entries are checked beside it where the
-computation could break them.
+the coboundary table) is a fresh array handed to `core._result`, which
+also runs the invariant of its class: `MuWeights._check` (mu_1 = 1, no
+zero weight) and `TwoCocycle._check` (no zero entry) are the one place
+each is stated, and the public constructors run them too.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .core import (
     _entries,
     _moduli,
     _multiply,
-    _quiet,
     _result,
     _RowValue,
     _set_array,
     _set_row,
+    _subtract,
 )
 from .errors import (
     DimensionMismatchError,
@@ -81,10 +82,15 @@ class MuWeights(_RowValue):
 
     def __init__(self, mu):
         arr = _entries(mu)
+        self._check(arr)
+        _set_array(self, arr)
+
+    @staticmethod
+    def _check(arr: np.ndarray):
         if arr[0] != 1:
             raise InvalidWeightsError(f"mu_1 must be exactly 1, got {complex(arr[0])!r}")
-        _check_nonzero_weights(arr)
-        _set_array(self, arr)
+        if np.count_nonzero(arr) != arr.size:
+            raise InvalidWeightsError("weights must be nonzero")
 
     mu = property(_RowValue._tuple, doc="The weights as Python complex numbers.")
 
@@ -102,20 +108,7 @@ class MuWeights(_RowValue):
         match)."""
         if self.n != other.n:
             return False
-        return bool((_moduli(self.array - other.array) <= _WEIGHT_MATCH_TOL).all())
-
-
-def _check_nonzero_weights(arr: np.ndarray):
-    if np.count_nonzero(arr) != arr.size:
-        raise InvalidWeightsError("weights must be nonzero")
-
-
-def _weights_result(arr: np.ndarray) -> MuWeights:
-    """MuWeights holding arr, a weight array with arr[0] = 1, on the terms
-    of `core._result`; raises InvalidWeightsError on a zero weight."""
-    weights = _result(MuWeights, arr)
-    _check_nonzero_weights(arr)
-    return weights
+        return bool((_moduli(_subtract(self.array, other.array)) <= _WEIGHT_MATCH_TOL).all())
 
 
 class TwoCocycle(_RowValue):
@@ -136,9 +129,13 @@ class TwoCocycle(_RowValue):
         else:
             flat = list(chain.from_iterable(table))
         arr = _entries(flat)
+        self._check(arr)
+        _set_array(self, arr.reshape(n, n))
+
+    @staticmethod
+    def _check(arr: np.ndarray):
         if np.count_nonzero(arr) != arr.size:
             raise InvalidCocycleError("cocycle values must be nonzero")
-        _set_array(self, arr.reshape(n, n))
 
     def _tuple(self) -> tuple[tuple[complex, ...], ...]:
         table = getattr(self, "_row", None)
@@ -217,10 +214,7 @@ def cocycle_from_mu(weights: MuWeights) -> TwoCocycle:
     k = np.arange(weights.n)
     table = _divide(_multiply(mu[:, None], mu), mu[(k[:, None] + k) % weights.n])
     table[0, :] = table[:, 0] = 1.0
-    f = _result(TwoCocycle, table)
-    if np.count_nonzero(table) != table.size:
-        raise InvalidCocycleError("cocycle values must be nonzero")
-    return f
+    return _result(TwoCocycle, table)
 
 
 def verify_cocycle(f: TwoCocycle, tol: float = 1e-10) -> HopfReport:
@@ -265,12 +259,15 @@ def mu_to_dense(m: MuCirculant) -> np.ndarray:
 
     On the first row and the main diagonal the weight factor is
     identically 1, so those entries carry c_j and c_1 verbatim rather
-    than going through floating division.
+    than going through floating division.  Raises InvalidScalarError when
+    an entry leaves the float range.
     """
     n = m.n
     i = np.arange(n)[:, None]
     shift = (np.arange(n)[None, :] - i) % n
-    return m.array[shift] * cocycle_from_mu(m.weights).array[i, shift]
+    dense = _multiply(m.array[shift], cocycle_from_mu(m.weights).array[i, shift])
+    _check_finite(dense)
+    return dense
 
 
 def psi(m: MuCirculant) -> Circulant:
@@ -310,16 +307,9 @@ def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
     leaves the float range, as it may where |mu_k| does although both
     parts of mu_k are finite."""
     spectrum = eigenvalues(psi(m))
-    vectors = _weighted_columns(m.weights.array)
+    vectors = _multiply(m.weights.array[:, None], eigenvector_matrix(m.n))
     _check_finite(vectors)
     return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
-
-
-@_quiet
-def _weighted_columns(weights: np.ndarray) -> np.ndarray:
-    """diag(weights) times the eigenvector matrix of plain circulants;
-    an overflow gives inf entries, without a numpy warning."""
-    return weights[:, None] * eigenvector_matrix(weights.size)
 
 
 def skew_circ(coeffs) -> MuCirculant:

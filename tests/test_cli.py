@@ -864,3 +864,32 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, doc):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "float range" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    (
+        ("eig", "[" * 100000, "document: JSON nested too deeply"),
+        (
+            "forms",
+            json.dumps({"kind": "rational_circulant", "n": 1, "first_row": ["1/" + "3" * 4400]}),
+            "first_row: rational of more than 4300 digits",
+        ),
+        (
+            "spectrum-reconstruct",
+            '{"kind": "spectrum", "n": 2, "values": ["1", "1"], "note": "x"}',
+            "note: field not allowed on kind spectrum",
+        ),
+        (
+            "cocycle-verify",
+            '{"kind": "cocycle", "n": 1, "table": [[["1", "0"]]], "note": "x"}',
+            "note: field not allowed on kind cocycle",
+        ),
+    ),
+    ids=("deep-json", "long-rational", "spectrum-field", "cocycle-field"),
+)
+def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli([command, "--input", str(path)], capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

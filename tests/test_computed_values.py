@@ -23,6 +23,7 @@ from circulants import (
     circ,
     linear_combine,
     mu_mul,
+    mu_to_dense,
     psi,
     psi_inv,
 )
@@ -121,6 +122,14 @@ def test_results_beyond_the_float_range_raise_the_typed_error():
         psi_inv(big, MuWeights((1.0, 1e-10)))
     with pytest.raises(InvalidScalarError):
         big.scale(float("inf"))
+    with pytest.raises(InvalidScalarError):
+        big + big
+    with pytest.raises(InvalidScalarError):
+        big - (-big)
+    with pytest.raises(InvalidScalarError):
+        mu_to_dense(MuCirculant((1.0, 1e308), MuWeights((1.0, 1e10))))
+    # A difference past the float range is no match, not a warning.
+    assert not MuWeights((1, 1e308)).matches(MuWeights((1, -1e308)))
 
 
 def test_mu_documents_share_the_decoded_row():

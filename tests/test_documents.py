@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -157,6 +158,44 @@ def test_kind_dependent_fields_enforced():
         document_from_obj({"kind": "dense", "n": 2, "entries": [[["1", "0"]]]})
 
 
+# One document of each of the seven kinds, with the parser that reads it.
+KIND_DOCUMENTS = (
+    (document_from_obj, circulant_to_obj(circ(1, 2))),
+    (document_from_obj, mu_circulant_to_obj(mu_circ((1, 2), (3,)))),
+    (document_from_obj, SKEW_OBJ),
+    (document_from_obj, COMPLEX_DENSE_OBJ),
+    (document_from_obj, RATIONAL_OBJ),
+    (spectrum_from_obj, {"kind": "spectrum", "n": 2, "values": ["1", "1"]}),
+    (cocycle_from_obj, {"kind": "cocycle", "n": 1, "table": [[["1", "0"]]]}),
+)
+
+
+@pytest.mark.parametrize("parse, obj", KIND_DOCUMENTS, ids=[obj["kind"] for _, obj in KIND_DOCUMENTS])
+def test_every_kind_refuses_other_fields_and_a_bad_order(parse, obj):
+    parse(obj)
+    with pytest.raises(DocumentError, match=f"^note: field not allowed on kind {obj['kind']}$"):
+        parse({**obj, "note": "x"})
+    for n in (0, -1, True, 2.0, "2", None):
+        message = f"^n: order must be a positive integer, got {re.escape(repr(n))}$"
+        with pytest.raises(DocumentError, match=message):
+            parse({**obj, "n": n})
+
+
+def test_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError, match="^document: JSON nested too deeply$"):
+        parse_documents("[" * 100000)
+
+
+def test_rational_past_the_digit_limit_is_named_not_printed():
+    # Python reads no int of more than 4300 digits; the error line names
+    # the limit instead of echoing the string.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DocumentError) as info:
+        parse_rational("1/" + "3" * (limit + 100), "first_row")
+    assert str(info.value) == f"first_row: rational of more than {limit} digits"
+    assert parse_rational("1/" + "3" * limit, "first_row") == F(1, int("3" * limit))
+
+
 def test_bad_scalars_rejected():
     with pytest.raises(DocumentError, match="first_row"):
         document_from_obj({"kind": "circulant", "n": 1, "first_row": ["1"]})
@@ -249,7 +288,7 @@ def test_booleans_are_not_numbers(part):
         parse_complex([part, "0"], "first_row")
     with pytest.raises(DocumentError, match="first_row"):
         document_from_obj({"kind": "circulant", "n": 1, "first_row": [["0", part]]})
-    with pytest.raises(DocumentError, match="values"):
+    with pytest.raises(DocumentError, match="n: order must be a positive integer"):
         spectrum_from_obj({"kind": "spectrum", "n": part, "values": ["1"] * int(part)})
     assert parse_complex([1, 2.5], "x") == complex(1, 2.5)
 

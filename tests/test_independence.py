@@ -2,7 +2,7 @@
 runs them against production code, imports `oracle`, and `oracle`
 computes with nothing from the package.  Shared rules stay in one place:
 values are not rebuilt from their tuples, and only `core` takes moduli
-with np.hypot."""
+with np.hypot, sets numpy's error state and raises FrozenInstanceError."""
 
 import ast
 from pathlib import Path
@@ -101,30 +101,72 @@ def test_spectral_and_forms_read_no_row_tuple():
     assert found == {"spectral": [], "forms": []}
 
 
-def hypot_calls(source: str) -> list[int]:
-    """Lines where this source calls np.hypot (or numpy.hypot)."""
+def numpy_calls(source: str, function: str) -> list[int]:
+    """Lines where this source calls np.<function> (or numpy.<function>)."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "hypot"
+        and node.func.attr == function
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id in ("np", "numpy")
     ]
+
+
+def calls_outside_core(calls) -> dict[str, list]:
+    """calls(source) for each module of the package but `core`."""
+    return {
+        name: calls((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in sorted(MODULES - {"core"})
+    }
 
 
 def test_only_core_takes_moduli_with_hypot():
     # One rule for a reported modulus, `core._moduli`: np.hypot, which
     # rounds like Python's abs(complex), without an overflow warning.
     sample = "a = np.hypot(x, y)\nb = numpy.hypot(x, y)\nc = math.hypot(x, y)\nd = _moduli(z)\n"
-    assert hypot_calls(sample) == [1, 2]
-    found = {
-        name: hypot_calls((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for name in sorted(MODULES - {"core"})
-    }
+    assert numpy_calls(sample, "hypot") == [1, 2]
+    found = calls_outside_core(lambda source: numpy_calls(source, "hypot"))
     assert found == {name: [] for name in found}
-    assert hypot_calls((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    assert numpy_calls((PACKAGE / "core.py").read_text(encoding="utf-8"), "hypot")
+
+
+def test_only_core_sets_the_error_state():
+    # One error state, `core._quiet`: every other module wraps its numpy
+    # work in it, so no overflow reaches the caller as a warning.
+    sample = "a = np.errstate(over='ignore')\nwith numpy.errstate():\n    pass\n@_quiet\ndef f(): pass\n"
+    assert numpy_calls(sample, "errstate") == [1, 2]
+    found = calls_outside_core(lambda source: numpy_calls(source, "errstate"))
+    assert found == {name: [] for name in found}
+    assert len(numpy_calls((PACKAGE / "core.py").read_text(encoding="utf-8"), "errstate")) == 1
+
+
+def frozen_raises(source: str) -> list[int]:
+    """Lines where this source raises FrozenInstanceError (called or not,
+    bare or as an attribute)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            getattr(part, "id", getattr(part, "attr", None)) == "FrozenInstanceError"
+            for part in ast.walk(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        )
+    ]
+
+
+def test_only_core_raises_frozen_instance_error():
+    # One frozen base, `core._Frozen`, for every immutable slotted class.
+    sample = (
+        "raise FrozenInstanceError('x')\nraise dataclasses.FrozenInstanceError\n"
+        "raise ValueError(FrozenInstanceError)\n"
+    )
+    assert frozen_raises(sample) == [1, 2]
+    found = calls_outside_core(frozen_raises)
+    assert found == {name: [] for name in found}
+    assert len(frozen_raises((PACKAGE / "core.py").read_text(encoding="utf-8"))) == 2
 
 
 #: The functions that may read the cached tuples: the text and hash of a
@@ -175,8 +217,8 @@ def test_computed_values_never_read_the_cached_tuples():
 
 #: The public constructors and builders that check outside input.  A
 #: document holds its decoded fields as arrays, so it builds its complex
-#: values through `_result`, `_mu_result` and `_weights_result` alone:
-#: one construction path, with the entry rule's finiteness test.
+#: values through `_result` and `_mu_result` alone: one construction
+#: path, with the entry rule's finiteness test and the class invariants.
 CHECKING_CONSTRUCTORS = {"Circulant", "MuCirculant", "MuWeights", "skew_circ", "TwoCocycle"}
 
 
@@ -202,4 +244,4 @@ def test_documents_build_complex_values_only_from_arrays():
     assert checking_constructor_calls(sample) == [(1, "Circulant"), (3, "MuWeights"), (4, "skew_circ")]
     source = (PACKAGE / "documents.py").read_text(encoding="utf-8")
     assert checking_constructor_calls(source) == []
-    assert all(f"{name}(" in source for name in ("_result", "_mu_result", "_weights_result"))
+    assert all(f"{name}(" in source for name in ("_result", "_mu_result"))
