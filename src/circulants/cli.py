@@ -264,7 +264,10 @@ def _cmd_bench(args) -> tuple[dict | list | str, int]:
 
 
 def _seed(text: str) -> int:
-    return int(text, 0)
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _sizes(text: str) -> list[int]:

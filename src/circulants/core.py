@@ -13,11 +13,10 @@ Formulas in docstrings are 1-based like the literature; storage is
 0-based.  Every row value of the package (circulant, spectrum, twist
 weights, twisted coefficients) stores one thing: its row as a read-only
 complex ndarray `array`.  numpy work on a value starts from that array.
-The public tuple of Python complex numbers (`coeffs`, `values`, `mu`) is
-built from the array on first read and cached, so a value that is only
-transformed never builds it; only `repr`, `hash`, the reference product
-`mul_naive` and `hopf.counit` read it.  `==` compares the arrays and
-`hash` is the hash of the tuple.
+The public tuples of Python complex numbers (`coeffs`, `values`, `mu`,
+`table`) are views, built from the array by `_view` on every read and
+never stored; in the value layer only `repr` and `hash` read them.  `==`
+compares the arrays and `hash` is the hash of the tuple.
 
 Values are built in one of two ways:
 
@@ -164,30 +163,31 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _view(arr: np.ndarray) -> tuple:
+    """A stored complex array as Python complex numbers of the same bits:
+    the tuple of a row, or a tuple of row tuples for a table."""
+    return tuple(arr.tolist()) if arr.ndim == 1 else tuple(map(tuple, arr.tolist()))
+
+
 class _RowValue(_Frozen):
     """Base of the row values: each stores its validated row once, as the
     read-only complex ndarray `array` (`twisted.TwoCocycle` its n x n table).
 
-    `_row` caches the row as a tuple of Python complex numbers, built from
-    `array` on the first read of the subclass's public tuple attribute and
-    returned as the same object afterwards.  A value is immutable, equals
-    a value of the same class whose array holds equal entries (so -0.0
-    equals 0.0, as in tuples), hashes like its tuple, and pickles through
-    its constructor, so an unpickled array is read-only again.
+    The subclass's public tuple attribute is `_tuple`, the `_view` of
+    `array` built on each read.  A value is immutable, equals a value of
+    the same class whose array holds equal entries (so -0.0 equals 0.0, as
+    in tuples), hashes like its tuple, and pickles through its constructor,
+    so an unpickled array is read-only again.
     """
 
-    __slots__ = ("array", "_row")
+    __slots__ = ("array",)
 
     #: The class invariant beyond finite entries, `_check(arr)`, which
     #: raises on an array that breaks it; None on a class without one.
     _check = None
 
-    def _tuple(self) -> tuple[complex, ...]:
-        row = getattr(self, "_row", None)
-        if row is None:
-            row = tuple(self.array.tolist())
-            _set_row(self, row)
-        return row
+    def _tuple(self) -> tuple:
+        return _view(self.array)
 
     @property
     def n(self) -> int:
@@ -205,10 +205,9 @@ class _RowValue(_Frozen):
         return type(self), (self.array,)
 
 
-# The slots' own setters, which the frozen __setattr__ does not guard: a
+# The slot's own setter, which the frozen __setattr__ does not guard: a
 # quarter cheaper than object.__setattr__ on every construction.
 _set_array = _RowValue.array.__set__
-_set_row = _RowValue._row.__set__
 
 
 def _result(cls, arr: np.ndarray):
@@ -242,9 +241,7 @@ class Circulant(_RowValue):
 
     def to_dense(self) -> np.ndarray:
         """Expand to the full n x n array with entry (i, j) = c_{j-i+1 mod n}."""
-        n = self.n
-        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return self.array[shift]
+        return self.array[_shift(self.n)]
 
     def transpose(self) -> "Circulant":
         """circ(c_1, c_n, c_{n-1}, ..., c_2); matches the dense transpose."""
@@ -305,6 +302,12 @@ class Circulant(_RowValue):
 
     def __repr__(self) -> str:
         return "circ(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
+
+
+def _shift(n: int) -> np.ndarray:
+    """The n x n index array (j - i) mod n: at (i, j), the slot of the
+    first row that an order-n circulant holds there (0-based)."""
+    return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
 
 
 def _fmt(z: complex) -> str:
@@ -372,8 +375,8 @@ def mul_naive(x: Circulant, y: Circulant) -> Circulant:
     _check_orders(x, y)
     n = x.n
     out = [0.0 + 0.0j] * n
-    ys = y.coeffs
-    for i, xi in enumerate(x.coeffs):
+    ys = y.array.tolist()
+    for i, xi in enumerate(x.array.tolist()):
         if xi == 0:
             continue
         for j, yj in enumerate(ys):

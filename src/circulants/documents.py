@@ -27,7 +27,7 @@ from itertools import chain, starmap
 
 import numpy as np
 
-from .core import Circulant, _entries, _Frozen, _result
+from .core import Circulant, _entries, _Frozen, _result, _view
 from .errors import CirculantError, DimensionMismatchError, InvalidScalarError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant
@@ -185,14 +185,14 @@ class MatrixDocument(_Frozen):
     tuples, or None where the kind has no such field.  Each field has one
     stored form.  A complex field is a read-only array, made once by the
     constructor and written by nothing, which the converters hand to their
-    values after the finiteness test of the entry rule; its tuple is built
-    on first read and cached, as on the row values of `core`.  An exact
-    field (a rational first row, a grid of Fractions only) is its tuple.
-    A document is immutable and equals (and hashes like) a document with
-    the same kind, order and fields.
+    values after the finiteness test of the entry rule; its tuple is the
+    `core._view` built on each read, read only by `==`, `hash`, `repr` and
+    pickling.  An exact field (a rational first row, a grid of Fractions
+    only) is its tuple.  A document is immutable and equals (and hashes
+    like) a document with the same kind, order and fields.
     """
 
-    __slots__ = ("kind", "n", "_first_row", "_mu", "_entries", "_tuples")
+    __slots__ = ("kind", "n", "_first_row", "_mu", "_entries")
 
     def __init__(self, kind: str, n: int, first_row=None, mu=None, entries=None):
         if first_row is not None:
@@ -202,17 +202,12 @@ class MatrixDocument(_Frozen):
         if entries is not None:
             exact = all(isinstance(x, Fraction) for row in entries for x in row)
             entries = tuple(map(tuple, entries)) if exact else _stored_complex(entries, (n, n))
-        for setter, value in zip(_SETTERS, (kind, n, first_row, mu, entries, {})):
+        for setter, value in zip(_SETTERS, (kind, n, first_row, mu, entries)):
             setter(self, value)
 
     def _field(self, name: str):
-        tuples = self._tuples
-        if name not in tuples:
-            value = getattr(self, "_" + name)
-            if isinstance(value, np.ndarray):
-                value = tuple(value.tolist()) if value.ndim == 1 else tuple(map(tuple, value.tolist()))
-            tuples[name] = value
-        return tuples[name]
+        value = getattr(self, "_" + name)
+        return _view(value) if isinstance(value, np.ndarray) else value
 
     first_row = property(lambda self: self._field("first_row"))
     mu = property(lambda self: self._field("mu"))
@@ -350,7 +345,9 @@ def cocycle_from_obj(obj) -> TwoCocycle:
     """The cocycle of a ``cocycle-verify`` input: the n x n table of ``[re,
     im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
     coboundary of the weights of a mu_circulant or skew_circulant document."""
-    if isinstance(obj, dict) and obj.get("kind") == "cocycle":
+    if not isinstance(obj, dict):
+        raise DocumentError("document", "expected a JSON object")
+    if obj.get("kind") == "cocycle":
         n = _order(obj, "cocycle")
         table = obj.get("table")
         if not isinstance(table, list) or len(table) != n or not all(
@@ -359,10 +356,9 @@ def cocycle_from_obj(obj) -> TwoCocycle:
             raise DocumentError("table", "expected an n x n grid of complex pairs")
         table = _complex_array(list(chain.from_iterable(table)), "table")
         return _result(TwoCocycle, table.reshape(n, n))
-    doc = document_from_obj(obj)
-    if doc.kind not in ("mu_circulant", "skew_circulant"):
+    if obj.get("kind") not in ("mu_circulant", "skew_circulant"):
         raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
-    return cocycle_from_mu(doc.to_mu_circulant().weights)
+    return cocycle_from_mu(document_from_obj(obj).to_mu_circulant().weights)
 
 
 def load_json(text: str):

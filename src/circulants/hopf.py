@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_finite, _check_tol, _Frozen, _moduli, _quiet, _result
+from .core import Circulant, _check_finite, _check_tol, _Frozen, _moduli, _quiet, _result, _shift
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 
@@ -99,7 +99,7 @@ class BlockCirculant(_Frozen):
 
         Entry (i n + r, j n + s) is T[j - i mod n, s - r mod n]."""
         n = self.n
-        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        shift = _shift(n)
         dense = self.coefficient_tensor()[shift[:, None, :, None], shift[None, :, None, :]]
         return dense.reshape(n * n, n * n)
 
@@ -147,7 +147,7 @@ class HopfReport:
 def counit(c: Circulant) -> complex:
     """eps(C) = c_1 + ... + c_n; multiplicative on circulants.  Raises
     InvalidScalarError when the sum leaves the float range."""
-    eps = complex(sum(c.coeffs))
+    eps = complex(sum(c.array.tolist()))
     if not cmath.isfinite(eps):
         raise InvalidScalarError("the counit leaves the float range")
     return eps
@@ -273,9 +273,7 @@ def reconstruct_factorization(grid: np.ndarray) -> np.ndarray:
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise DimensionMismatchError(f"square grid required, got {grid.shape}")
     n = grid.shape[0]
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    return grid[i, (j - i) % n]
+    return grid[np.arange(n)[:, None], _shift(n)]
 
 
 def coassociativity_tensors(

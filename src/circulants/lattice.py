@@ -173,22 +173,20 @@ def _elementary(d: list[int]):
         yield e[k]
 
 
-def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial with exact coefficients, descending
-    powers: with d = L*c integral and e_i the elementary symmetric values
-    of the eigenvalues of circ(d) (see `_elementary`), the coefficient of
-    X^(n-i) is (-1)^i e_i / L^i.  O(n^3) integer operations."""
-    scale, d = _cleared(c.coeffs)
-    e = [1, *_elementary(d)]
-    return tuple(Fraction(-e[i] if i % 2 else e[i], scale**i) for i in range(len(e)))
-
-
 def _forms(c: RationalCirculant):
-    """Yield q_1, ..., q_n of c, q_i = e_i / L^i (see `exact_char_poly`),
-    each one computed only when it is asked for."""
+    """Yield q_1, ..., q_n of c, each one computed only when it is asked
+    for: with d = L*c integral and e_i the elementary symmetric values of
+    the eigenvalues of circ(d) (see `_elementary`), q_i = e_i / L^i."""
     scale, d = _cleared(c.coeffs)
     for i, e in enumerate(_elementary(d), start=1):
         yield Fraction(e, scale**i)
+
+
+def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
+    """Monic characteristic polynomial with exact coefficients, descending
+    powers: the coefficient of X^(n-i) is (-1)^i q_i (see `_forms`).
+    O(n^3) integer operations."""
+    return (Fraction(1), *(-q if i % 2 else q for i, q in enumerate(_forms(c), start=1)))
 
 
 def forms_exact(c: RationalCirculant) -> tuple[Fraction, ...]:

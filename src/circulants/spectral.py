@@ -19,7 +19,8 @@ zero-padded fast length m >= 2n - 1 and folds it mod n.  The hand-rolled
 radix-2 FFT and direct DFT live on in `oracle` as independent references.
 
 Like every value, a Spectrum stores only its read-only ndarray `array`;
-the tuple `values` of Python complex numbers is built on first read.
+the tuple `values` of Python complex numbers is a view of it, built on
+each read, and only `repr` and `hash` read it here.
 Each transform runs its FFTs on its operands' `array`, and its output
 array becomes the result's `array` through `core._result`, which applies
 the finiteness test of the entry rule and builds no Python object per

@@ -49,7 +49,7 @@ from .core import (
     _result,
     _RowValue,
     _set_array,
-    _set_row,
+    _shift,
     _subtract,
 )
 from .errors import (
@@ -114,7 +114,8 @@ class MuWeights(_RowValue):
 class TwoCocycle(_RowValue):
     """Explicit table F[i][j] = F(e_{i+1}, e_{j+1}), all entries nonzero,
     stored like a row value as the read-only n x n complex array `array`;
-    `table`, the rows as tuples of Python complex numbers, is cached."""
+    `table`, the rows as tuples of Python complex numbers, is its view,
+    built on each read."""
 
     __slots__ = ()
 
@@ -137,14 +138,7 @@ class TwoCocycle(_RowValue):
         if np.count_nonzero(arr) != arr.size:
             raise InvalidCocycleError("cocycle values must be nonzero")
 
-    def _tuple(self) -> tuple[tuple[complex, ...], ...]:
-        table = getattr(self, "_row", None)
-        if table is None:
-            table = tuple(map(tuple, self.array.tolist()))
-            _set_row(self, table)
-        return table
-
-    table = property(_tuple, doc="The rows as tuples of Python complex numbers.")
+    table = property(_RowValue._tuple, doc="The rows as tuples of Python complex numbers.")
 
     def __repr__(self) -> str:
         return f"TwoCocycle(table={self.table!r})"
@@ -264,7 +258,7 @@ def mu_to_dense(m: MuCirculant) -> np.ndarray:
     """
     n = m.n
     i = np.arange(n)[:, None]
-    shift = (np.arange(n)[None, :] - i) % n
+    shift = _shift(n)
     dense = _multiply(m.array[shift], cocycle_from_mu(m.weights).array[i, shift])
     _check_finite(dense)
     return dense

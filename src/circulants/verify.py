@@ -83,11 +83,12 @@ def core_suite(rng: np.random.Generator) -> list[OracleReport]:
             )
             worst_row = max(worst_row, float(np.max(np.abs(x.to_dense()[0] - x.array))))
             p = fundamental(n)
-            acc = x.coeffs[0] * identity(n)
+            coeffs = x.coeffs
+            acc = coeffs[0] * identity(n)
             power = identity(n)
             for k in range(1, n):
                 power = mul_naive(power, p)
-                acc = acc + x.coeffs[k] * power
+                acc = acc + coeffs[k] * power
             worst_pow = max(worst_pow, _max_coeff_diff(acc, x))
     return [
         _report("core.naive-product-matches-dense-product", worst_dense, 1e-12),

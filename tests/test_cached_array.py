@@ -1,12 +1,13 @@
 """Circulants, spectra and twisted values store one thing: their
 validated row as a read-only ndarray `array`.  The tuple of Python
-complex numbers (`coeffs`, `values`, `mu`) is built from it on first read
-and cached.  The array is private to the value and invisible to `repr`;
-`==` compares arrays entrywise and `hash` follows the tuple, so both
-agree on signed zeros; values are immutable and pickle through their
-constructors.  The spectral layer computes from the array with results
-equal to those built from the tuple, and builds no Python object per
-entry."""
+complex numbers (`coeffs`, `values`, `mu`) is a view, built from the
+array on every read and never stored; within the value layer only `repr`
+and `hash` read it.  The array is private to the value and invisible to
+`repr`; `==` compares arrays entrywise and `hash` follows the tuple, so
+both agree on signed zeros; values are immutable and pickle through
+their constructors.  The spectral layer computes from the array with
+results equal to those built from the tuple, and builds no Python object
+per entry."""
 
 import copy
 import pickle
@@ -24,6 +25,8 @@ from circulants import (
     fast_mul,
     from_spectrum,
 )
+from circulants.core import _RowValue
+from circulants.documents import MatrixDocument
 from circulants.fixtures import random_circulant
 from circulants.spectral import _product_length
 
@@ -106,11 +109,11 @@ def test_pickle_and_replace_round_trip(builder):
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_row_tuple_is_built_once_from_the_array(builder):
+def test_row_tuple_is_a_view_of_the_array(builder):
     build, row = BUILDERS[builder]
     value = build(_row(16))
     first = getattr(value, row)
-    assert getattr(value, row) is first
+    assert getattr(value, row) == tuple(value.array.tolist())
     assert all(type(z) is complex for z in first)
     assert np.array(first).tobytes() == value.array.tobytes()
     assert value.n == len(first) == 16
@@ -162,6 +165,13 @@ def test_values_are_immutable(builder):
             delattr(value, name)
     assert not hasattr(value, "__dict__")
     assert value.array.tobytes() == before
+
+
+def test_values_and_documents_store_no_tuple():
+    # The tuples are views: a value's one slot is its array, and a
+    # document keeps its fields in their stored forms only.
+    assert _RowValue.__slots__ == ("array",)
+    assert "_tuples" not in MatrixDocument.__slots__
 
 
 #: Order at which a tuple of Python complex (40 bytes and one traced

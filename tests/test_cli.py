@@ -345,6 +345,15 @@ def test_seed_changes_bench_inputs(capsys):
     assert cs1 != cs2
 
 
+@pytest.mark.parametrize(
+    "args", (["verify-all", "--seed", "-1"], ["bench", "--seed", "-1", "--sizes", "4", "--reps", "3"])
+)
+def test_negative_seed_is_a_usage_error(capsys, args):
+    code, out, err = run_cli(args, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
+
+
 def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     def defect(c, threshold=None):
         raise RuntimeError("a\nb")

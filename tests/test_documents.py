@@ -356,8 +356,16 @@ def test_cocycle_documents_decode_to_their_cocycle():
             cocycle_from_obj(bad)
     with pytest.raises(DocumentError, match="table"):
         cocycle_from_obj({**table, "table": [[["1", "0"], ["x", "0"]], [["1", "0"], ["1", "0"]]]})
-    with pytest.raises(DocumentError, match="kind: cocycle-verify expects"):
-        cocycle_from_obj(circulant_to_obj(circ(1, 2)))
+    # Every other kind is refused with the command's own message.
+    dense = {"kind": "dense", "n": 1, "entries": [["1"]]}
+    refused = "^kind: cocycle-verify expects a cocycle table or a mu/skew document$"
+    for other in (circulant_to_obj(circ(1, 2)), spectrum_to_obj([1]), dense, {"kind": "x", "n": 1}):
+        with pytest.raises(DocumentError, match=refused):
+            cocycle_from_obj(other)
+    with pytest.raises(DocumentError, match="^document: expected a JSON object$"):
+        cocycle_from_obj([table])
+    with pytest.raises(DocumentError, match="^mu: expected a list of 1 weights$"):
+        cocycle_from_obj({"kind": "mu_circulant", "n": 2, "first_row": [["1", "0"], ["2", "0"]], "mu": []})
 
 
 # -- the row decoder against the per-entry path ------------------------------
@@ -492,7 +500,7 @@ def test_decoder_matches_the_per_entry_path(field, case):
 
 def test_decoded_rows_keep_their_tuples_and_arrays():
     doc = document_from_obj({"kind": "circulant", "n": 2, "first_row": [["-0.0", "1_0"], [" 2 ", "١"]]})
-    assert doc.first_row == (complex(-0.0, 10), complex(2, 1)) and doc.first_row is doc.first_row
+    assert doc.first_row == (complex(-0.0, 10), complex(2, 1)) == tuple(doc.to_circulant().array.tolist())
     assert str(doc.first_row[0].real) == "-0.0"
     assert doc == MatrixDocument("circulant", 2, first_row=doc.first_row) and hash(doc) == hash(
         MatrixDocument("circulant", 2, first_row=doc.first_row)
@@ -559,7 +567,7 @@ def test_each_field_has_one_stored_form_however_the_document_was_built():
     for doc in (decoded, built, from_array, pickle.loads(pickle.dumps(decoded))):
         x, y = doc.to_circulant(), doc.to_circulant()
         assert x == c and np.shares_memory(x.array, y.array) and not x.array.flags.writeable
-        assert doc == decoded and doc.first_row is doc.first_row
+        assert doc == decoded and doc.first_row == tuple(x.array.tolist())
     # A built document meets the entry rule where a decoded one does.
     nan_doc = MatrixDocument("mu_circulant", 2, first_row=(1, 2), mu=(complex("nan"),))
     with pytest.raises(InvalidScalarError, match="non-finite"):

@@ -169,9 +169,8 @@ def test_only_core_raises_frozen_instance_error():
     assert len(frozen_raises((PACKAGE / "core.py").read_text(encoding="utf-8"))) == 2
 
 
-#: The functions that may read the cached tuples: the text and hash of a
-#: value, the reference product and the counit's left-to-right sum.
-TUPLE_READERS = {"__repr__", "__hash__", "mul_naive", "counit"}
+#: The functions that may read the tuple views: the text and hash of a value.
+TUPLE_READERS = {"__repr__", "__hash__"}
 
 
 def tuple_reads_outside(source: str, allowed=TUPLE_READERS) -> list[tuple[int, str]]:
@@ -199,8 +198,8 @@ def tuple_reads_outside(source: str, allowed=TUPLE_READERS) -> list[tuple[int, s
 
 def test_computed_values_never_read_the_cached_tuples():
     # Every computed value is built from arrays through `core._result`, so
-    # the tuples are read only where the text, the hash, the reference
-    # product or the counit's exact left-to-right sum need Python numbers.
+    # the tuples are read only where the text or the hash needs Python
+    # numbers.
     sample = (
         "def psi(m):\n    return m.coeffs\n"
         "class V:\n    def __repr__(self):\n        return str(self.coeffs)\n"
