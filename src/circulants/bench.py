@@ -248,6 +248,9 @@ def _mu_eig(x: Circulant, y: Circulant, seed: int):
     return lambda: mu_eigen(a), float(np.abs(lam).sum())
 
 
+#: The largest bench order: each size first runs the O(n^2) `naive` check.
+_MAX_SIZE = 4096
+
 #: (name, build) for every row, in output order.
 ROWS = (
     ("naive", functools.partial(_product, "mul_naive")),
@@ -279,12 +282,15 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time over ``reps`` calls, and the checksum, for every
     size and row of ``ROWS``, in that order.  x and y are drawn in turn
     for each size from one generator seeded with ``seed``.  Raises
-    DocumentError on the field "bench" when a size is below 2 or reps
-    below 3, and BenchDisagreementError when a row's check fails, before
-    any row of that size is timed."""
+    DocumentError on the field "bench", before drawing any input, when a
+    size is below 2 or above 4096 or reps below 3, and
+    BenchDisagreementError when a row's check fails, before any row of
+    that size is timed."""
     sizes = [int(n) for n in sizes]
     if not sizes or any(n < 2 for n in sizes):
         raise DocumentError("bench", "every bench size must be >= 2")
+    if any(n > _MAX_SIZE for n in sizes):
+        raise DocumentError("bench", f"every bench size must be <= {_MAX_SIZE}")
     if reps < 3:
         raise DocumentError("bench", f"need at least 3 repetitions, got {reps}")
     rng = np.random.default_rng(seed)

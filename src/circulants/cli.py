@@ -286,9 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, tol: bool = False):
+    def add(name: str, handler, help_text: str, tol: bool = False, reads: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", default="-", help="input document path (default stdin)")
+        if reads:
+            p.add_argument("--input", default="-", help="input document path (default stdin)")
         p.add_argument("--output", default="-", help="output path (default stdout)")
         if tol:
             p.add_argument("--tol", type=float, default=None, help="residual/singularity tolerance")
@@ -312,9 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("spectrum-reconstruct", _cmd_spectrum_reconstruct, "coefficients from an exact spectrum")
     add("lattice-solve", _cmd_lattice_solve, "decompose a target over a lattice basis")
     add("factorize", _cmd_factorize, "diagonal-times-circulant coefficients of a dense matrix")
-    verify_all = add("verify-all", _cmd_verify_all, "run every module's invariant suite")
+    verify_all = add("verify-all", _cmd_verify_all, "run every module's invariant suite", reads=False)
     verify_all.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (hex ok)")
-    bench = add("bench", _cmd_bench, "time each row of bench.ROWS after cross-checking it")
+    bench = add("bench", _cmd_bench, "time each row of bench.ROWS after cross-checking it", reads=False)
     # 100 exercises the mixed-radix transform; it comes last so that the
     # default seed still draws the same inputs for 16, 64 and 256.
     bench.add_argument("--sizes", type=_sizes, default=[16, 64, 256, 100], help="comma-separated orders")

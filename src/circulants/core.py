@@ -18,17 +18,17 @@ The public tuples of Python complex numbers (`coeffs`, `values`, `mu`,
 never stored; in the value layer only `repr` and `hash` read them.  `==`
 compares the arrays and `hash` is the hash of the tuple.
 
-Values are built in one of two ways:
+Values are built in one of two ways, both in this module:
 
-* A public constructor takes outside input and checks it with the one
-  vectorised entry rule, `_entries`, which also copies it.
+* Outside input goes through the one public constructor, `_RowValue`'s,
+  which checks and copies it with the one vectorised entry rule, `_entries`.
 * Every value the package computes is a fresh numpy array handed to
   `_result`: the finiteness test of the entry rule, the read-only flag,
   no copy.
 
 Both run the class invariant, stated once on the class as `_check(arr)`
-(on `twisted.MuWeights` and `twisted.TwoCocycle`; None elsewhere), and
-every immutable slotted class of the package is frozen by `_Frozen`.
+(on `twisted.MuWeights` and `twisted.TwoCocycle`; None elsewhere), which
+no other module calls.  `_Frozen` freezes every immutable slotted class.
 
 Arithmetic on values is numpy's, run under `_quiet`, the package's only
 `np.errstate`, so a result beyond the float range comes out inf or nan
@@ -152,7 +152,7 @@ SPECTRAL_MUL_MIN_ORDER = 12
 class _Frozen:
     """Base of the immutable slotted classes: assigning or deleting an
     attribute raises FrozenInstanceError, as on a frozen dataclass.
-    Constructors fill the slots through their descriptors' `__set__`."""
+    Every constructor fills the slots through their descriptors' `__set__`."""
 
     __slots__ = ()
 
@@ -173,6 +173,8 @@ class _RowValue(_Frozen):
     """Base of the row values: each stores its validated row once, as the
     read-only complex ndarray `array` (`twisted.TwoCocycle` its n x n table).
 
+    `__init__(values)` is the one public constructor: `_entries`, then the
+    class invariant; `MuCirculant` and `TwoCocycle` add their own steps.
     The subclass's public tuple attribute is `_tuple`, the `_view` of
     `array` built on each read.  A value is immutable, equals a value of
     the same class whose array holds equal entries (so -0.0 equals 0.0, as
@@ -185,6 +187,12 @@ class _RowValue(_Frozen):
     #: The class invariant beyond finite entries, `_check(arr)`, which
     #: raises on an array that breaks it; None on a class without one.
     _check = None
+
+    def __init__(self, values):
+        arr = _entries(values)
+        if self._check is not None:
+            self._check(arr)
+        _set_array(self, arr)
 
     def _tuple(self) -> tuple:
         return _view(self.array)
@@ -233,9 +241,6 @@ class Circulant(_RowValue):
     array `array`, also readable as the tuple `coeffs`."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs):
-        _set_array(self, _entries(coeffs))
 
     coeffs = property(_RowValue._tuple, doc="The first row as Python complex numbers.")
 

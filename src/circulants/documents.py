@@ -480,7 +480,7 @@ def spectrum_from_obj(obj) -> tuple:
     n = _order(obj, "spectrum")
     raw = obj.get("values")
     if not isinstance(raw, list) or len(raw) != n:
-        raise DocumentError("values", "expected a list of n scalars")
+        raise DocumentError("values", f"expected a list of {n} scalars")
     z = _pairs_array(raw)
     if z is not None:
         return tuple(z.tolist())

@@ -75,11 +75,11 @@ class BlockCirculant(_Frozen):
     ) -> "BlockCirculant":
         """The element sum_i values[i] P^(a[i]) (x) P^(b[i]) of order n, from
         validated arrays, which it makes read-only and keeps."""
-        x = object.__new__(cls)
-        for name, value in (("a", a), ("b", b), ("values", values)):
+        for value in (a, b, values):
             value.setflags(write=False)
-            object.__setattr__(x, name, value)
-        object.__setattr__(x, "n", n)
+        x = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (n, a, b, values)):
+            getattr(cls, name).__set__(x, value)
         return x
 
     @property

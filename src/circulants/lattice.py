@@ -412,9 +412,10 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
     return SpectrumReconstruction(circulant=c, real=real)
 
 
-def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """(det, inverse) of a square rational grid; inverse is None when
-    det = 0.
+def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, tuple[int, tuple[int, ...]] | None]:
+    """(det, inverse) of a square rational grid, the inverse cleared as
+    (lv, v): v / lv, with v the integer entries flattened row by row,
+    lv > 0 and gcd(lv, v) = 1; inverse is None when det = 0.
 
     Fraction-free Gauss-Jordan (Bareiss): each row i is cleared by the lcm
     L_i of its own denominators, so that A = D*grid with D = diag(L_i) is
@@ -423,8 +424,8 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fract
     pivot.  At the end the left block is p*I with p = sign * det(A) (sign
     from the row swaps) and the right block is p * A^-1, so
     det = sign * p / (L_1 ... L_n) and the inverse, A^-1 D, is column c
-    of right / p times L_c.  One lcm of all n^2 denominators would do the
-    same work on numbers up to n times longer.
+    of right times L_c, over p.  One lcm of all n^2 denominators would do
+    the same work on numbers up to n times longer.
     """
     n = len(rows)
     scales, cleared = zip(*map(_cleared, rows))
@@ -444,31 +445,27 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, list[list[Fract
                 factor = aug[i][k]
                 aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], pivot_line)]
         prev = pivot
-    return (
-        Fraction(sign * prev, math.prod(scales)),
-        [[Fraction(scale * x, prev) for x, scale in zip(row[n:], scales)] for row in aug],
-    )
+    v = [scale * x for row in aug for x, scale in zip(row[n:], scales)]
+    g = math.gcd(prev, *v)
+    if prev < 0:
+        g = -g
+    return Fraction(sign * prev, math.prod(scales)), (prev // g, tuple(x // g for x in v))
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
     """Rows hold the P-power coefficients of the generators v_1, ..., v_n.
 
-    The constructor also clears the inverse and the rows once, for every
-    `lattice_decompose` against this basis: inverse = v / lv and
-    rows = r / lr with v and r integer tuples, flattened row by row, kept
-    outside `==`, `hash` and `repr`."""
+    `lattice_new` builds it with the inverse and the rows also cleared,
+    for every `lattice_decompose` against this basis: inverse = v / lv
+    and rows = r / lr with v and r integer tuples, flattened row by row,
+    lv > 0 and gcd(lv, v) = 1, kept outside `==`, `hash` and `repr`."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     det: Fraction
     inverse: tuple[tuple[Fraction, ...], ...]
-    cleared_inverse: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    cleared_rows: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, grid in (("cleared_inverse", self.inverse), ("cleared_rows", self.rows)):
-            scale, flat = _cleared([x for row in grid for x in row])
-            object.__setattr__(self, name, (scale, tuple(flat)))
+    cleared_inverse: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
+    cleared_rows: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -482,21 +479,24 @@ def lattice_new(rows) -> LatticeBasis:
     n = len(grid)
     if n == 0 or any(len(row) != n for row in grid):
         raise InvalidOrderError("basis must be a nonempty square grid")
-    det, inverse = _gauss_jordan(grid)
-    if inverse is None:
+    det, cleared_inverse = _gauss_jordan(grid)
+    if cleared_inverse is None:
         raise DependentBasisError("basis rows are linearly dependent (det = 0)")
+    lv, v = cleared_inverse
+    lr, r = _cleared([x for row in grid for x in row])
     return LatticeBasis(
-        rows=tuple(tuple(row) for row in grid),
+        rows=tuple(map(tuple, grid)),
         det=det,
-        inverse=tuple(tuple(row) for row in inverse),
+        inverse=tuple(tuple(Fraction(x, lv) for x in v[i:i + n]) for i in range(0, n * n, n)),
+        cleared_inverse=cleared_inverse,
+        cleared_rows=(lr, tuple(r)),
     )
 
 
 def basis_inverse_integral(basis: LatticeBasis) -> tuple[bool, tuple[tuple[Fraction, ...], ...]]:
     """Whether every entry of the exact inverse is an integer, with the
     inverse itself."""
-    integral = all(x.denominator == 1 for row in basis.inverse for x in row)
-    return integral, basis.inverse
+    return basis.cleared_inverse[0] == 1, basis.inverse
 
 
 @dataclass(frozen=True)

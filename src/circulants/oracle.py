@@ -8,14 +8,14 @@ iterative radix-2 FFT and the O(n^2) direct DFT, check the numpy.fft
 path of `spectral`; the dense coefficient tensors of C[C_n x C_n] check
 the support form of `hopf`; a loop over the cocycle triples checks
 `twisted.verify_cocycle`; the Brandt predicate walked probe by probe
-on characteristic polynomials checks `lattice.brandt_check`.
+on characteristic polynomials checks `lattice.brandt_check`; closed
+forms at orders 3 and 4 check `forms`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +23,34 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidVectorError, SingularMatrixError
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    passed: bool
-    max_deviation: float
-    location: str | None = None
+def closed_forms_n3(row) -> tuple[complex, complex, complex]:
+    """Hard-coded (q_1, q_2, q_3) of circ(c_1, c_2, c_3), from its row."""
+    c1, c2, c3 = row
+    return (
+        3 * c1,
+        3 * c1**2 - 3 * c2 * c3,
+        c1**3 + c2**3 + c3**3 - 3 * c1 * c2 * c3,
+    )
+
+
+def closed_forms_n4(row) -> tuple[complex, complex, complex, complex]:
+    """Hard-coded (q_1, ..., q_4) of circ(c_1, ..., c_4), from its row."""
+    c1, c2, c3, c4 = row
+    return (
+        4 * c1,
+        6 * c1**2 - 4 * c2 * c4 - 2 * c3**2,
+        4 * c1**3 - 8 * c1 * c2 * c4 - 4 * c1 * c3**2 + 4 * c2**2 * c3 + 4 * c3 * c4**2,
+        c1**4
+        - c2**4
+        + c3**4
+        - c4**4
+        - 2 * c1**2 * c3**2
+        - 4 * c1**2 * c2 * c4
+        + 4 * c1 * c2**2 * c3
+        + 4 * c1 * c3 * c4**2
+        + 2 * c2**2 * c4**2
+        - 4 * c2 * c3**2 * c4,
+    )
 
 
 def dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _entries, _quiet, _result, _RowValue, _set_array
+from .core import Circulant, _check_orders, _quiet, _result, _RowValue
 
 _fft = _quiet(np.fft.fft)
 _ifft = _quiet(np.fft.ifft)
@@ -149,9 +149,6 @@ class Spectrum(_RowValue):
     as the read-only array `array`."""
 
     __slots__ = ()
-
-    def __init__(self, values):
-        _set_array(self, _entries(values))
 
     values = property(_RowValue._tuple, doc="The eigenvalues as Python complex numbers.")
 

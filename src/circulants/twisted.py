@@ -28,7 +28,7 @@ circulant product, transform or forms call plus O(n) array work.  As in
 the coboundary table) is a fresh array handed to `core._result`, which
 also runs the invariant of its class: `MuWeights._check` (mu_1 = 1, no
 zero weight) and `TwoCocycle._check` (no zero entry) are the one place
-each is stated, and the public constructors run them too.
+each is stated, and `core`'s one public constructor runs them too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
     _check_finite,
     _check_tol,
     _divide,
-    _entries,
     _moduli,
     _multiply,
     _result,
@@ -79,11 +78,6 @@ class MuWeights(_RowValue):
     stored as the read-only array `array`."""
 
     __slots__ = ()
-
-    def __init__(self, mu):
-        arr = _entries(mu)
-        self._check(arr)
-        _set_array(self, arr)
 
     @staticmethod
     def _check(arr: np.ndarray):
@@ -129,9 +123,8 @@ class TwoCocycle(_RowValue):
             flat = table.ravel()
         else:
             flat = list(chain.from_iterable(table))
-        arr = _entries(flat)
-        self._check(arr)
-        _set_array(self, arr.reshape(n, n))
+        super().__init__(flat)
+        _set_array(self, self.array.reshape(n, n))
 
     @staticmethod
     def _check(arr: np.ndarray):
@@ -151,10 +144,9 @@ class MuCirculant(_RowValue):
     __slots__ = ("weights",)
 
     def __init__(self, coeffs, weights: MuWeights):
-        arr = _entries(coeffs)
-        if arr.size != weights.n:
-            raise DimensionMismatchError(f"{arr.size} coefficients but {weights.n} weights")
-        _set_array(self, arr)
+        super().__init__(coeffs)
+        if self.n != weights.n:
+            raise DimensionMismatchError(f"{self.n} coefficients but {weights.n} weights")
         _set_weights(self, weights)
 
     coeffs = property(_RowValue._tuple, doc="The coefficients as Python complex numbers.")

@@ -2,14 +2,12 @@
 
 Each suite draws reproducible random inputs and measures the worst
 deviation of a handful of identities; the pytest suite runs the same
-checks at full strength.  Also home to the order-3 and order-4
-closed-form expressions for the forms, kept solely as independent
-oracles against the production path (the product recurrence on the
-spectrum).
+checks at full strength.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,37 +17,13 @@ from .core import Circulant, _result, fundamental, identity, mul_naive
 from .fixtures import DEFAULT_SEED, random_circulant
 from .forms import char_poly, conjugate
 from .forms import forms as forms_of
-from .oracle import OracleReport
 
 
-def closed_forms_n3(c: Circulant) -> tuple[complex, complex, complex]:
-    """Hard-coded (q_1, q_2, q_3) for order 3."""
-    c1, c2, c3 = c.coeffs
-    return (
-        3 * c1,
-        3 * c1**2 - 3 * c2 * c3,
-        c1**3 + c2**3 + c3**3 - 3 * c1 * c2 * c3,
-    )
-
-
-def closed_forms_n4(c: Circulant) -> tuple[complex, complex, complex, complex]:
-    """Hard-coded (q_1, ..., q_4) for order 4."""
-    c1, c2, c3, c4 = c.coeffs
-    return (
-        4 * c1,
-        6 * c1**2 - 4 * c2 * c4 - 2 * c3**2,
-        4 * c1**3 - 8 * c1 * c2 * c4 - 4 * c1 * c3**2 + 4 * c2**2 * c3 + 4 * c3 * c4**2,
-        c1**4
-        - c2**4
-        + c3**4
-        - c4**4
-        - 2 * c1**2 * c3**2
-        - 4 * c1**2 * c2 * c4
-        + 4 * c1 * c2**2 * c3
-        + 4 * c1 * c3 * c4**2
-        + 2 * c2**2 * c4**2
-        - 4 * c2 * c3**2 * c4,
-    )
+@dataclass(frozen=True)
+class OracleReport:
+    name: str
+    passed: bool
+    max_deviation: float
 
 
 def random_real_circulant(rng: np.random.Generator, n: int) -> Circulant:
@@ -159,8 +133,8 @@ def forms_suite(rng: np.random.Generator) -> list[OracleReport]:
         c3, c4 = random_circulant(rng, 3), random_circulant(rng, 4)
         worst_closed = max(
             worst_closed,
-            max(abs(a - b) for a, b in zip(forms_of(c3).q, closed_forms_n3(c3))),
-            max(abs(a - b) for a, b in zip(forms_of(c4).q, closed_forms_n4(c4))),
+            max(abs(a - b) for a, b in zip(forms_of(c3).q, oracle.closed_forms_n3(c3.coeffs))),
+            max(abs(a - b) for a, b in zip(forms_of(c4).q, oracle.closed_forms_n4(c4.coeffs))),
         )
     return [
         _report("forms.element-satisfies-char-poly", worst_ch, 1e-8),

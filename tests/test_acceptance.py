@@ -41,8 +41,8 @@ from circulants import (
 )
 from circulants.bench import BenchDisagreementError, run_bench
 from circulants.lattice import basis_inverse_integral
-from circulants.oracle import dense_mul, greedy_multiset_match
-from circulants.verify import closed_forms_n3, closed_forms_n4, random_circulant
+from circulants.oracle import closed_forms_n3, closed_forms_n4, dense_mul, greedy_multiset_match
+from circulants.verify import random_circulant
 
 SEED = 0x5EED
 
@@ -156,8 +156,8 @@ def test_c05_form_identities():
     closed_worst = 0.0
     for _ in range(200):
         c3, c4 = random_circulant(rng, 3), random_circulant(rng, 4)
-        dev3 = max(abs(a - b) for a, b in zip(forms(c3).q, closed_forms_n3(c3)))
-        dev4 = max(abs(a - b) for a, b in zip(forms(c4).q, closed_forms_n4(c4)))
+        dev3 = max(abs(a - b) for a, b in zip(forms(c3).q, closed_forms_n3(c3.coeffs)))
+        dev4 = max(abs(a - b) for a, b in zip(forms(c4).q, closed_forms_n4(c4.coeffs)))
         assert dev3 <= 1e-10 and dev4 <= 1e-10
         closed_worst = max(closed_worst, dev3, dev4)
     _passed(5, f"identity residual {worst:.2e}, closed-form dev {closed_worst:.2e}")

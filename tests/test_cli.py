@@ -318,8 +318,13 @@ def test_bench_cli_and_preconditions(capsys):
 
 @pytest.mark.parametrize(
     "sizes, reps, message",
-    (([], 3, "every bench size must be >= 2"), ([4], 2, "need at least 3 repetitions, got 2")),
-    ids=("no-sizes", "reps-2"),
+    (
+        ([], 3, "every bench size must be >= 2"),
+        ([4], 2, "need at least 3 repetitions, got 2"),
+        ([4097], 3, "every bench size must be <= 4096"),
+        ([16, 100000000], 3, "every bench size must be <= 4096"),
+    ),
+    ids=("no-sizes", "reps-2", "4097", "10^8"),
 )
 def test_bench_preconditions_are_document_errors(sizes, reps, message):
     with pytest.raises(documents.DocumentError) as info:
@@ -343,6 +348,22 @@ def test_seed_changes_bench_inputs(capsys):
     cs1 = json.loads(out1.strip().splitlines()[0])["checksum"]
     cs2 = json.loads(out2.strip().splitlines()[0])["checksum"]
     assert cs1 != cs2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    (
+        (["bench", "--sizes", "4097", "--reps", "3"], "error: bench: every bench size must be <= 4096\n"),
+        (["bench", "--sizes", "4,x"], "argument --sizes: bad size list '4,x'"),
+        (["verify-all", "--input", "no-such-file"], "unrecognized arguments: --input no-such-file"),
+        (["bench", "--input", "no-such-file"], "unrecognized arguments: --input no-such-file"),
+    ),
+    ids=("size-4097", "bad-size-list", "verify-all-input", "bench-input"),
+)
+def test_bench_and_verify_all_usage_errors_exit_2(capsys, args, message):
+    # verify-all and bench read no document, so they take no --input.
+    code, out, err = run_cli(args, capsys=capsys)
+    assert (code, out) == (2, "") and message in err
 
 
 @pytest.mark.parametrize(
@@ -894,8 +915,31 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, doc):
             '{"kind": "cocycle", "n": 1, "table": [[["1", "0"]]], "note": "x"}',
             "note: field not allowed on kind cocycle",
         ),
+        (
+            "eig",
+            json.dumps([circulant_doc(1, 2), circulant_doc(3)]),
+            "document: expected exactly one document, got 2",
+        ),
+        (
+            "spectrum-reconstruct",
+            '{"kind": "spectrum", "n": 2, "values": [["1", "0"], ["2", "0"]]}',
+            "values: reconstruction needs exact integer or 'p/q' values",
+        ),
+        (
+            "spectrum-reconstruct",
+            '{"kind": "spectrum", "n": 3, "values": ["1", "1"]}',
+            "values: expected a list of 3 scalars",
+        ),
+        (
+            "lattice-solve",
+            json.dumps({"kind": "dense", "n": 1, "entries": [["1"]]}),
+            "document: lattice-solve expects [basis dense document, rational_circulant target]",
+        ),
     ),
-    ids=("deep-json", "long-rational", "spectrum-field", "cocycle-field"),
+    ids=(
+        "deep-json", "long-rational", "spectrum-field", "cocycle-field",
+        "eig-two-documents", "complex-spectrum", "short-spectrum", "lattice-one-document",
+    ),
 )
 def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "doc.json"

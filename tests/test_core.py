@@ -173,3 +173,50 @@ def test_immutability():
     c = circ(1, 2)
     with pytest.raises(AttributeError):
         c.coeffs = (3, 4)
+
+
+def test_circ_of_one_iterable_and_orders_below_1():
+    assert circ([1, 2, 3]) == circ(iter((1, 2, 3))) == circ(1, 2, 3)
+    with pytest.raises(InvalidOrderError, match="^order must be >= 1, got 0$"):
+        identity(0)
+
+
+#: The binary operators with a foreign operand on either side.
+_FOREIGN = {
+    "__add__": lambda v, o: v + o,
+    "__sub__": lambda v, o: v - o,
+    "__mul__": lambda v, o: v * o,
+    "__rmul__": lambda v, o: o * v,
+}
+
+
+def _foreign_operand_cases():
+    from circulants import comultiplication, mu_circ, rational_circ
+    from circulants.documents import circulant_to_obj, document_from_obj
+
+    c = circ(1, 2)
+    return (
+        *((c, method) for method in (*_FOREIGN, "__eq__")),
+        (mu_circ((1, 2), (3,)), "__eq__"),
+        (comultiplication(c), "__eq__"),
+        (rational_circ(1, 2), "__add__"),
+        (rational_circ(1, 2), "__mul__"),
+        (document_from_obj(circulant_to_obj(c)), "__eq__"),
+    )
+
+
+@pytest.mark.parametrize(
+    "value, method",
+    _foreign_operand_cases(),
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_foreign_operands_are_not_implemented(value, method):
+    # Python then tries the other operand, and ends in TypeError or, for
+    # ==, in identity.
+    other = object()
+    assert getattr(value, method)(other) is NotImplemented
+    if method == "__eq__":
+        assert value != other
+    else:
+        with pytest.raises(TypeError):
+            _FOREIGN[method](value, other)

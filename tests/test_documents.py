@@ -181,6 +181,42 @@ def test_every_kind_refuses_other_fields_and_a_bad_order(parse, obj):
             parse({**obj, "n": n})
 
 
+_CIRCULANT_DOC = document_from_obj(circulant_to_obj(circ(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: document_from_obj([]), "document: expected a JSON object"),
+        (
+            lambda: document_from_obj({"kind": "dense", "n": 2, "entries": [["1", "0"], ["1"]]}),
+            "entries: row 2 must have 2 entries",
+        ),
+        (_CIRCULANT_DOC.to_mu_circulant, "kind: cannot view a circulant document as a mu-circulant"),
+        (_CIRCULANT_DOC.to_rational_circulant, "kind: expected rational_circulant, got circulant"),
+        (_CIRCULANT_DOC.to_exact_grid, "kind: expected dense, got circulant"),
+        (lambda: spectrum_from_obj(circulant_to_obj(circ(1, 2))), "kind: expected a spectrum document"),
+        (
+            lambda: spectrum_from_obj({"kind": "spectrum", "n": 3, "values": ["1", "2"]}),
+            "values: expected a list of 3 scalars",
+        ),
+    ),
+    ids=(
+        "not-an-object", "short-dense-row", "circulant-as-mu", "circulant-as-rational",
+        "circulant-as-grid", "spectrum-of-circulant", "short-spectrum",
+    ),
+)
+def test_refused_shapes_and_kinds_name_their_field(call, message):
+    with pytest.raises(DocumentError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_json_integers_are_exact_rationals():
+    assert parse_rational(7, "values") == F(7)
+    assert spectrum_from_obj({"kind": "spectrum", "n": 2, "values": [4, -1]}) == (F(4), F(-1))
+
+
 def test_deeply_nested_json_is_a_document_error():
     with pytest.raises(DocumentError, match="^document: JSON nested too deeply$"):
         parse_documents("[" * 100000)

@@ -21,9 +21,9 @@ from circulants import (
     mul_naive,
     symmetric_tables,
 )
-from circulants.oracle import faddeev_leverrier
+from circulants.oracle import closed_forms_n3, closed_forms_n4, faddeev_leverrier
 from circulants.spectral import Spectrum
-from circulants.verify import closed_forms_n3, closed_forms_n4, random_circulant
+from circulants.verify import random_circulant
 
 SEED = 0x5EED
 
@@ -90,9 +90,9 @@ def test_closed_forms_match_production_path():
     rng = np.random.default_rng(SEED)
     for _ in range(500):
         c3 = random_circulant(rng, 3)
-        assert forms(c3).q == pytest.approx(closed_forms_n3(c3), abs=1e-10)
+        assert forms(c3).q == pytest.approx(closed_forms_n3(c3.coeffs), abs=1e-10)
         c4 = random_circulant(rng, 4)
-        assert forms(c4).q == pytest.approx(closed_forms_n4(c4), abs=1e-10)
+        assert forms(c4).q == pytest.approx(closed_forms_n4(c4.coeffs), abs=1e-10)
 
 
 def test_char_poly_examples():
@@ -440,3 +440,7 @@ def test_scaled_reciprocal_is_the_plain_one_where_both_are_exact(row):
     x = Circulant(row)
     lam = eigenvalues(x).array
     assert inverse(x).array.tobytes() == from_spectrum(1.0 / lam).array.tobytes()
+
+
+def test_forms_vector_order():
+    assert forms(circ(1, 2, 3)).n == 3

@@ -393,3 +393,22 @@ def test_factorization_reconstructs_through_basis_matrices():
             rebuilt += grid[i, k] * (unit @ shift_power)
         shift_power = shift_power @ p
     assert np.max(np.abs(rebuilt - a)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (
+            lambda: block_mul(comultiplication(circ(1, 2)), comultiplication(circ(1, 2, 3))),
+            "block orders differ: 2 vs 3",
+        ),
+        (lambda: factorize_dense(np.ones((2, 3))), "square matrix required, got (2, 3)"),
+        (lambda: factorize_dense(np.ones(4)), "square matrix required, got (4,)"),
+        (lambda: reconstruct_factorization(np.ones((3, 2))), "square grid required, got (3, 2)"),
+    ),
+    ids=("block-orders", "factorize-2x3", "factorize-1d", "reconstruct-3x2"),
+)
+def test_order_and_shape_mismatches_raise(call, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        call()
+    assert str(info.value) == message

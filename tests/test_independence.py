@@ -2,7 +2,8 @@
 runs them against production code, imports `oracle`, and `oracle`
 computes with nothing from the package.  Shared rules stay in one place:
 values are not rebuilt from their tuples, and only `core` takes moduli
-with np.hypot, sets numpy's error state and raises FrozenInstanceError."""
+with np.hypot, sets numpy's error state, raises FrozenInstanceError and
+runs the class invariants."""
 
 import ast
 from pathlib import Path
@@ -244,3 +245,28 @@ def test_documents_build_complex_values_only_from_arrays():
     source = (PACKAGE / "documents.py").read_text(encoding="utf-8")
     assert checking_constructor_calls(source) == []
     assert all(f"{name}(" in source for name in ("_result", "_mu_result"))
+
+
+def invariant_calls(source: str) -> list[int]:
+    """Lines where this source calls a class invariant, `_check`, bare or
+    as an attribute (`self._check(arr)`, `cls._check(arr)`)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check"
+    ]
+
+
+def test_only_core_runs_the_class_invariants():
+    # One door per source of a value: `_RowValue.__init__` for outside
+    # input and `_result` for computed arrays, both in `core`; the row
+    # classes themselves define no constructor.
+    from circulants import Circulant, MuWeights, Spectrum
+
+    sample = "self._check(a)\ncls._check(a)\n_check(a)\nf = cls._check\n_check_tol(t)\n"
+    assert invariant_calls(sample) == [1, 2, 3]
+    found = calls_outside_core(invariant_calls)
+    assert found == {name: [] for name in found}
+    assert len(invariant_calls((PACKAGE / "core.py").read_text(encoding="utf-8"))) == 2
+    assert not any("__init__" in vars(cls) for cls in (Circulant, Spectrum, MuWeights))

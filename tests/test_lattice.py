@@ -843,3 +843,35 @@ def test_sum_product_and_decomposition_match_dense_fractions(n):
             solution = lattice_decompose(basis, target)
             assert solution.coefficients == want
             assert solution.member == all(a.denominator == 1 for a in want)
+
+
+def test_empty_inputs_and_the_integer_spectrum_value():
+    from circulants.errors import InvalidOrderError
+    from circulants.lattice import IntegerSpectrum, RationalCirculant
+
+    with pytest.raises(InvalidOrderError, match="^a circulant needs at least one coefficient$"):
+        RationalCirculant(())
+    with pytest.raises(InvalidOrderError, match="^empty spectrum$"):
+        reconstruct_from_spectrum(())
+    assert brandt_check([]) == brandt_check([], mode="rational") == BrandtVerdict(True)
+    spectrum = integer_spectrum(rational_circ(2, 1, 1))
+    assert (spectrum.n, spectrum.is_integral()) == (3, True)
+    assert not IntegerSpectrum((F(1), F(1, 2))).is_integral()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cleared_grids_are_the_stored_grids_in_lowest_terms(seed):
+    # lattice_new hands the basis its inverse as (lv, v) with lv > 0 and
+    # gcd(lv, v) = 1, so that lv == 1 exactly when the inverse is integral.
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 4
+    while True:
+        rows = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(n)] for _ in range(n)]
+        if exact_det(rows) != 0:
+            break
+    basis = lattice_new(rows)
+    for (scale, flat), grid in ((basis.cleared_inverse, basis.inverse), (basis.cleared_rows, basis.rows)):
+        entries = [x for row in grid for x in row]
+        assert scale == math.lcm(*(x.denominator for x in entries)) > 0
+        assert list(flat) == [x * scale for x in entries]
+    assert basis_inverse_integral(basis)[0] == all(x.denominator == 1 for row in basis.inverse for x in row)

@@ -31,7 +31,7 @@ from circulants import (
     verify_cocycle,
 )
 from circulants.core import SPECTRAL_MUL_MIN_ORDER
-from circulants.errors import InvalidScalarError
+from circulants.errors import DimensionMismatchError, InvalidScalarError
 from circulants.oracle import cocycle_residual
 from circulants.twisted import TwoCocycle
 from circulants.verify import random_circulant, random_real_circulant
@@ -423,3 +423,23 @@ def test_mu_forms_builds_no_n_by_n_matrix():
         tracemalloc.stop()
     assert peak < 1e6
     assert q[:3] == (512, 130816, 22238720) and q[-1] == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    (
+        (lambda: MuCirculant((1, 2, 3), _weights(2)), DimensionMismatchError, "3 coefficients but 2 weights"),
+        (lambda: psi_inv(circ(1, 2, 3), _weights(2)), DimensionMismatchError, "order 3 vs 2 weights"),
+        (lambda: skew_root(0), InvalidOrderError, "order must be >= 1, got 0"),
+    ),
+    ids=("weight-count", "psi-inv-order", "skew-root-0"),
+)
+def test_order_mismatches_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_weights_of_different_orders_never_match():
+    assert not _weights(2).matches(_weights(2, 3))
+    assert _weights(2, 3).matches(_weights(2, 3))
