@@ -3,9 +3,11 @@
 ``ROWS`` lists the rows in output order, as (name, build).  For each
 size the run draws two random circulants x and y and calls every
 ``build(x, y, seed)``: it cross-checks the call it will time on those
-inputs and returns ``(call, checksum)``.  Only then is any row of that
-size timed.  A failed check raises BenchDisagreementError, so timings
-are never published for wrong answers.  Builders look up the functions
+inputs and returns ``(call, checksum)``, or None above the order the
+row is capped at, and then no record of that row is written.  Only then
+is any row of that size timed.  A failed check raises
+BenchDisagreementError, so timings are never published for wrong
+answers.  Builders look up the functions
 they check and time in this module's namespace when they run, so a test
 can replace one.
 """
@@ -39,7 +41,7 @@ from .fixtures import DEFAULT_SEED, random_circulant
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict
-from .lattice import brandt_check, integer_spectrum, rational_circ
+from .lattice import brandt_check, exact_char_poly, integer_spectrum, rational_circ
 from .spectral import eigenvalues, fast_mul
 from .twisted import MuCirculant, MuWeights, mu_eigen, mu_mul, mu_to_dense
 
@@ -212,6 +214,50 @@ def _brandt(x: Circulant, y: Circulant, seed: int):
     return run, float(want.value)
 
 
+#: The largest order of the `exact-char-poly` row.  On a 2-vCPU VM
+#: `exact_char_poly` of the row took 0.16 to 0.3 s at n = 256 and 3.5 s
+#: at n = 512, where products of integers of millions of bits dominate;
+#: the earlier power-by-power code took 2.3 to 3.9 s at 256, so a record
+#: to compare against already costs it half a minute there.
+_EXACT_MAX_SIZE = 256
+
+#: A prime below 2^25: products of two residues and sums of up to 2^13
+#: of them stay within int64.
+_PRIME = 33554393
+
+
+def _exact_char_poly(x: Circulant, y: Circulant, seed: int):
+    """The exact characteristic polynomial of a dense integer row of x's
+    order n, entries -3..3, drawn from (seed, n), not from x and y's
+    generator; and the checksum, the total bit length of its
+    coefficients.  None above `_EXACT_MAX_SIZE`.  Checked: circ(2, 1,
+    0, ..., 0) = 2I + P gives (X - 2)^n - 1 exactly, and the dense row's
+    polynomial annihilates the row modulo a prime below 2^25
+    (Cayley-Hamilton, by Horner's rule in int64)."""
+    n = x.n
+    if n > _EXACT_MAX_SIZE:
+        return None
+    closed = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
+    closed[-1] -= 1
+    if exact_char_poly(rational_circ([2, 1] + [0] * (n - 2))) != tuple(closed):
+        raise BenchDisagreementError(f"n={n}: exact_char_poly of 2I + P is not (X - 2)^n - 1")
+    rng = np.random.default_rng([seed, n])
+    row = [int(v) for v in rng.integers(-3, 4, n)]
+    c = rational_circ(row)
+    monic = exact_char_poly(c)
+    # The first row of p(C), by acc <- acc C + a_k I with every entry a
+    # residue; C[i, j] = row[j - i mod n], so the first row of acc C is
+    # acc @ C.
+    dense = np.array(row, dtype=np.int64)[(np.arange(n) - np.arange(n)[:, None]) % n] % _PRIME
+    acc = np.zeros(n, dtype=np.int64)
+    for a in monic:
+        acc = acc @ dense % _PRIME
+        acc[0] = (acc[0] + a.numerator % _PRIME) % _PRIME
+    if any(a.denominator != 1 for a in monic) or acc.any():
+        raise BenchDisagreementError(f"n={n}: exact_char_poly does not annihilate its row mod {_PRIME}")
+    return lambda: exact_char_poly(c), float(sum(abs(a.numerator).bit_length() for a in monic))
+
+
 def _twisted_pair(n: int, seed: int) -> tuple[MuCirculant, MuCirculant]:
     """Two twisted circulants of order n over one set of weights, with
     moduli uniform in [1/2, 2) and uniform phases, and coefficients drawn
@@ -264,6 +310,7 @@ ROWS = (
     ("parse", _parse),
     ("encode", _encode),
     ("brandt", _brandt),
+    ("exact-char-poly", _exact_char_poly),
     ("mu-mul", _mu_mul),
     ("mu-eig", _mu_eig),
 )
@@ -280,8 +327,9 @@ def _median_ns(fn, reps: int) -> int:
 
 def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     """Median wall time over ``reps`` calls, and the checksum, for every
-    size and row of ``ROWS``, in that order.  x and y are drawn in turn
-    for each size from one generator seeded with ``seed``.  Raises
+    size and row of ``ROWS``, in that order, but none for a row above its
+    cap.  x and y are drawn in turn for each size from one generator
+    seeded with ``seed``.  Raises
     DocumentError on the field "bench", before drawing any input, when a
     size is below 2 or above 4096 or reps below 3, and
     BenchDisagreementError when a row's check fails, before any row of
@@ -298,7 +346,9 @@ def run_bench(sizes, reps: int, seed: int = DEFAULT_SEED) -> list[BenchResult]:
     for n in sizes:
         x = random_circulant(rng, n)
         y = random_circulant(rng, n)
-        built = [(name, *build(x, y, seed)) for name, build in ROWS]
-        for name, call, checksum in built:
-            results.append(BenchResult(n, name, reps, _median_ns(call, reps), checksum))
+        built = [(name, build(x, y, seed)) for name, build in ROWS]
+        for name, row in built:
+            if row is not None:
+                call, checksum = row
+                results.append(BenchResult(n, name, reps, _median_ns(call, reps), checksum))
     return results

@@ -89,7 +89,7 @@ class MuWeights(_RowValue):
     mu = property(_RowValue._tuple, doc="The weights as Python complex numbers.")
 
     def __repr__(self) -> str:
-        return f"MuWeights(mu={self.mu!r})"
+        return f"MuWeights(values={self.mu!r})"
 
     @classmethod
     def from_tail(cls, tail) -> "MuWeights":

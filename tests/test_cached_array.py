@@ -21,6 +21,7 @@ from circulants import (
     MuCirculant,
     MuWeights,
     Spectrum,
+    TwoCocycle,
     eigenvalues,
     fast_mul,
     from_spectrum,
@@ -124,10 +125,23 @@ def test_repr_shows_the_row_tuple():
     weights = MuWeights((1, 1j))
     assert repr(Circulant(a)) == "circ(1.5, 2j)"
     assert repr(Spectrum(a)) == "Spectrum(values=((1.5+0j), 2j))"
-    assert repr(weights) == "MuWeights(mu=((1+0j), 1j))"
+    assert repr(weights) == "MuWeights(values=((1+0j), 1j))"
     assert repr(MuCirculant(a, weights)) == (
-        "MuCirculant(coeffs=((1.5+0j), 2j), weights=MuWeights(mu=((1+0j), 1j)))"
+        "MuCirculant(coeffs=((1.5+0j), 2j), weights=MuWeights(values=((1+0j), 1j)))"
     )
+
+
+def test_repr_evaluates_back_to_an_equal_value():
+    names = {cls.__name__: cls for cls in (Spectrum, TwoCocycle, MuWeights, MuCirculant)}
+    weights = MuWeights((1, 1j, -0.5 + 2j))
+    values = (
+        Spectrum(np.array([1.5, 2j, -0.0])),
+        TwoCocycle([[1, 2j], [-3.5, 1e-300 + 1j]]),
+        weights,
+        MuCirculant(np.array([1.5, -2j, 0.0]), weights),
+    )
+    for value in values:
+        assert eval(repr(value), names) == value
 
 
 @pytest.mark.parametrize("builder", ("Circulant", "Spectrum", "MuWeights", "MuCirculant"))

@@ -299,7 +299,7 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 39
+    assert len(lines) == 42
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
@@ -587,6 +587,34 @@ def test_bench_brandt_row_checks_before_timing(monkeypatch):
             bench.run_bench([4], reps=3)
 
 
+def test_bench_exact_char_poly_row_checks_before_timing(monkeypatch):
+    from circulants import bench, exact_char_poly
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "exact-char-poly"]
+    assert [r.n for r in rows] == [4, 12]
+    assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
+
+    def last_off_by_one(c):
+        return (*exact_char_poly(c)[:-1], exact_char_poly(c)[-1] + 1)
+
+    def off_by_one_past_2i_plus_p(c):
+        return exact_char_poly(c) if c.coeffs[:2] == (2, 1) else last_off_by_one(c)
+
+    for wrong, match in (
+        (last_off_by_one, "2I \\+ P"),
+        (off_by_one_past_2i_plus_p, "annihilate"),
+    ):
+        monkeypatch.setattr(bench, "exact_char_poly", wrong)
+        with pytest.raises(bench.BenchDisagreementError, match=match):
+            bench.run_bench([4], reps=3)
+    monkeypatch.undo()
+    # No record above the cap, and no call: the row is never built there.
+    monkeypatch.setattr(bench, "_EXACT_MAX_SIZE", 8)
+    rows = bench.run_bench([8, 12], reps=3)
+    assert [r.n for r in rows if r.method == "exact-char-poly"] == [8]
+    assert {r.method for r in rows if r.n == 12} == {name for name, _ in bench.ROWS} - {"exact-char-poly"}
+
+
 def test_bench_block_mul_row_checks_before_timing(monkeypatch):
     from circulants import bench
 
@@ -717,6 +745,7 @@ def test_bench_checksums_at_the_default_seed_stay_as_committed():
         "parse": 11.118917872208826,
         "encode": 1147.0,
         "brandt": 113.75,
+        "exact-char-poly": 419.0,
     }
     found = {r.method: r.checksum for r in bench.run_bench([16], reps=3)}
     assert {name: found[name] for name in committed} == committed
@@ -727,7 +756,7 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = ["cli-eig", "integer-spectrum", "add", "block-mul", "hopf-verify"]
-    rows_after += ["parse", "encode", "brandt", "mu-mul", "mu-eig"]
+    rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig"]
     assert [r.method for r in rows] == ["naive", "spectral", "dense", *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

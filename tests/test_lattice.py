@@ -462,6 +462,83 @@ def test_exact_cayley_hamilton_at_order_32():
     assert acc.coeffs == (0,) * n
 
 
+# The traces past m = isqrt(3n) come in giant blocks of m, and these
+# orders end the last block in every way: on a giant power (24, 40), one
+# trace past it (25), one short of the next (23) and in between, primes
+# included.
+@pytest.mark.parametrize("n", (17, 23, 24, 25, 30, 31, 35, 36, 37, 40))
+def test_exact_char_poly_matches_faddeev_leverrier_past_the_first_giant_blocks(n):
+    rng = np.random.default_rng(SEED + n)
+    c = rational_circ([int(v) for v in rng.integers(-5, 6, size=n)])
+    assert exact_char_poly(c) == faddeev_leverrier_exact(c.to_exact_dense())
+
+
+def closed_form_rows(n, magnitude):
+    """(row, monic) pairs whose polynomial is known in closed form: I gives
+    (X - 1)^n, 2I + P gives (X - 2)^n - 1, v P^(n-1) gives X^n - v^n, and
+    the row of all -M, whose one nonzero eigenvalue is -nM, gives
+    X^(n-1) (X + nM)."""
+    zeros = [0] * (n - 1)
+    two_plus_p = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
+    two_plus_p[-1] -= 1
+    v = -magnitude
+    return [
+        ([1, *zeros], [math.comb(n, i) * (-1) ** i for i in range(n + 1)]),
+        ([2, 1, *zeros[1:]], two_plus_p),
+        ([*zeros, v], [1, *zeros, -(v**n)]),
+        ([-magnitude] * n, [1, n * magnitude, *zeros]),
+    ]
+
+
+@pytest.mark.parametrize("n", (17, 24, 25))
+def test_exact_char_poly_on_rows_that_stress_the_packed_slots(n):
+    rng = np.random.default_rng(SEED + n)
+    huge = [int(v) for v in rng.integers(-(10**15), 10**15, size=n, endpoint=True)]
+    for row in (huge, mixed_row(rng, n, 9, (1, 2, 3, 7, 10))):
+        c = rational_circ(row)
+        assert exact_char_poly(c) == faddeev_leverrier_exact(c.to_exact_dense())
+    # The row of all -M fills every slot of its k-th power with
+    # (-M)^k n^(k-1), all of one sign, negative at every odd k: the worst
+    # case for the sign bits.
+    for magnitude in (1, 127, 128, 255, 256, 10**15):
+        for row, monic in closed_form_rows(n, magnitude):
+            assert exact_char_poly(rational_circ(row)) == tuple(monic), row[:2]
+
+
+def schoolbook(x, y):
+    n = len(x)
+    return tuple(sum(x[i] * y[(s - i) % n] for i in range(n)) for s in range(n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 256])
+def test_rational_product_matches_the_schoolbook_convolution(n):
+    rng = np.random.default_rng(SEED + n)
+    huge = [F(int(v)) for v in rng.integers(-(10**15), 10**15, size=n, endpoint=True)]
+    mixed = mixed_row(rng, n, 10**15, (1, 2, 3, 7, 10))
+    product = rational_circ(huge) * rational_circ(mixed)
+    assert product.coeffs == schoolbook(huge, mixed)
+    assert all(type(v) is F for v in product.coeffs)
+    # A zero row, and a constant row, whose products are known without the
+    # double loop: every slot of (-M, ..., -M) * y is -M (y_1 + ... + y_n).
+    zero = rational_circ([0] * n)
+    assert (zero * rational_circ(huge)).coeffs == (rational_circ(mixed) * zero).coeffs == (0,) * n
+    for magnitude in (1, 10**15):
+        constant = rational_circ([-magnitude] * n)
+        assert (constant * rational_circ(mixed)).coeffs == (-magnitude * sum(mixed),) * n
+
+
+@pytest.mark.parametrize("n", (256, 1024))
+def test_brandt_witness_of_the_half_led_set_at_large_order(n):
+    # The set the bench's brandt row times: I/2 ahead of three integer
+    # rows; the witness is the first fractional form of (X - 1/2)^n.
+    rng = np.random.default_rng([SEED, n])
+    held = [rational_circ([int(v) for v in rng.integers(-2, 3, n)]) for _ in range(3)]
+    led = [rational_circ([F(1, 2)] + [0] * (n - 1)), *held]
+    i = next(i for i in range(1, n + 1) if math.comb(n, i) % 2**i)
+    want = BrandtCounterexample((0, 0), "a", i, F(math.comb(n, i), 2**i))
+    assert brandt_check(led) == BrandtVerdict(False, want)
+
+
 def test_rational_spectrum_with_mixed_denominators_at_order_24():
     rng = np.random.default_rng(SEED)
     c, spectrum = galois_stable_row(24, divisor_values(rng, 24, (2, 3, 7)))
