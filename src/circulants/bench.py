@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Circulant, mul_naive
+from .core import Circulant, _shift, mul_naive
 from .documents import (
     DocumentError,
     circulant_to_obj,
@@ -37,13 +37,13 @@ from .documents import (
     spectrum_to_obj,
 )
 from .errors import CirculantError
-from .fixtures import DEFAULT_SEED, random_circulant
+from .fixtures import DEFAULT_SEED, random_circulant, random_weights
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict
 from .lattice import brandt_check, exact_char_poly, integer_spectrum, rational_circ
 from .spectral import eigenvalues, fast_mul
-from .twisted import MuCirculant, MuWeights, mu_eigen, mu_mul, mu_to_dense
+from .twisted import MuCirculant, mu_eigen, mu_mul, mu_to_dense
 
 
 class BenchDisagreementError(CirculantError, ArithmeticError):
@@ -248,7 +248,7 @@ def _exact_char_poly(x: Circulant, y: Circulant, seed: int):
     # The first row of p(C), by acc <- acc C + a_k I with every entry a
     # residue; C[i, j] = row[j - i mod n], so the first row of acc C is
     # acc @ C.
-    dense = np.array(row, dtype=np.int64)[(np.arange(n) - np.arange(n)[:, None]) % n] % _PRIME
+    dense = np.array(row, dtype=np.int64)[_shift(n)] % _PRIME
     acc = np.zeros(n, dtype=np.int64)
     for a in monic:
         acc = acc @ dense % _PRIME
@@ -259,12 +259,11 @@ def _exact_char_poly(x: Circulant, y: Circulant, seed: int):
 
 
 def _twisted_pair(n: int, seed: int) -> tuple[MuCirculant, MuCirculant]:
-    """Two twisted circulants of order n over one set of weights, with
-    moduli uniform in [1/2, 2) and uniform phases, and coefficients drawn
-    like x and y.  Drawn from (seed, n), not from x and y's generator."""
+    """Two twisted circulants of order n over one set of `random_weights`,
+    with coefficients drawn like x and y.  Drawn from (seed, n), not from
+    x and y's generator."""
     rng = np.random.default_rng([seed, n])
-    tail = rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n - 1))
-    weights = MuWeights(np.concatenate(((1.0,), tail)))
+    weights = random_weights(rng, n)
     return tuple(MuCirculant(random_circulant(rng, n).array, weights) for _ in range(2))
 
 

@@ -88,10 +88,17 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
     return spectrum_to_obj(_spectrum_of(_single_document(args)).array), 0
 
 
+def _exact_row(doc: MatrixDocument) -> lattice.RationalCirculant:
+    """The rational row of ``doc``, refused above `lattice._EXACT_MAX_ORDER`."""
+    if doc.n > lattice._EXACT_MAX_ORDER:
+        raise DocumentError("n", f"exact forms need order <= {lattice._EXACT_MAX_ORDER}, got {doc.n}")
+    return doc.to_rational_circulant()
+
+
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
-        q: tuple = lattice.forms_exact(doc.to_rational_circulant())
+        q: tuple = lattice.forms_exact(_exact_row(doc))
         encoded = [format_rational(x) for x in q]
     else:
         q = forms_of_spectrum(_spectrum_of(doc)).q
@@ -102,7 +109,7 @@ def _cmd_forms(args) -> tuple[dict | list | str, int]:
 def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
-        monic: tuple = lattice.exact_char_poly(doc.to_rational_circulant())
+        monic: tuple = lattice.exact_char_poly(_exact_row(doc))
         encoded = [format_rational(x) for x in monic]
     else:
         coeffs = char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc)))

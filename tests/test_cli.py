@@ -340,6 +340,54 @@ def test_verify_all_cli(capsys):
     assert "passed" in lines[-1]
 
 
+#: verify-all's output at seed 0x5EED.  It checks the package only, so no
+#: check is named after the oracle; the deviations are pinned, so that a
+#: change to any check's inputs or arithmetic shows here.
+VERIFY_ALL_AT_0X5EED = """\
+ok core.naive-product-matches-dense-product max_dev=4.094e-15
+ok core.convolution-commutes max_dev=3.596e-15
+ok core.transpose-matches-dense-transpose max_dev=0.000e+00
+ok core.shift-powers-rebuild-circulant max_dev=0.000e+00
+ok core.dense-first-row-is-verbatim max_dev=0.000e+00
+ok spectral.spectrum-roundtrip max_dev=6.280e-16
+ok spectral.transform-linearity max_dev=4.680e-15
+ok spectral.eigen-residuals max_dev=4.851e-16
+ok spectral.fast-product-matches-naive max_dev=5.054e-17
+ok forms.element-satisfies-char-poly max_dev=2.339e-17
+ok forms.trace-of-conjugate-is-q(n-1) max_dev=5.392e-16
+ok forms.q2-sum-identity max_dev=9.597e-15
+ok forms.closed-forms-n3-n4 max_dev=3.972e-15
+ok forms.char-poly-matches-trace-recurrence max_dev=2.175e-17
+ok hopf.axiom-residuals max_dev=5.780e-17
+ok hopf.coproduct-is-algebra-map max_dev=0.000e+00
+ok hopf.product-matches-convolution max_dev=1.443e-15
+ok hopf.coassociativity-exact max_dev=0.000e+00
+ok hopf.delta-spectrum-multiplicity-n max_dev=1.307e-14
+ok hopf.factorization-roundtrip max_dev=0.000e+00
+ok hopf.antipode-involution max_dev=0.000e+00
+ok twisted.coboundary-satisfies-cocycle-identity max_dev=6.106e-16
+ok twisted.product-transport-matches-dense max_dev=4.343e-16
+ok twisted.eigen-residuals max_dev=7.427e-16
+ok twisted.skew-is-sign-flipped-circulant max_dev=5.813e-16
+ok twisted.skew-root-squares-to-omega max_dev=5.598e-15
+ok lattice.reference-basis-inverse max_dev=0.000e+00
+ok lattice.reference-decomposition max_dev=0.000e+00
+ok lattice.integral-targets-decompose max_dev=0.000e+00
+ok lattice.integer-spectra-and-brandt max_dev=0.000e+00
+ok lattice.spectrum-reconstruction max_dev=0.000e+00
+ok lattice.exact-char-poly-matches-oracle max_dev=0.000e+00
+ok lattice.basis-det-and-unit-rows-match-oracle max_dev=0.000e+00
+33/33 invariant checks passed (seed 0x5eed)
+"""
+
+
+def test_verify_all_checks_the_package_not_its_references(capsys):
+    code, out, _ = run_cli(["verify-all", "--seed", "0x5EED"], capsys=capsys)
+    names = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert code == 0 and not [name for name in names if name.startswith("oracle.")]
+    assert out == VERIFY_ALL_AT_0X5EED
+
+
 def test_seed_changes_bench_inputs(capsys):
     code, out1, _ = run_cli(["bench", "--sizes", "4", "--reps", "3", "--seed", "1"], capsys=capsys)
     assert code == 0
@@ -889,6 +937,19 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
     inv = [complex(float(re), float(im)) for re, im in json.loads(out)["first_row"]]
     assert inv == pytest.approx([5e-309, -5e-309j], rel=1e-12)
 
+
+
+@pytest.mark.parametrize("command", ("forms", "charpoly"))
+def test_exact_documents_above_the_order_cap_exit_2(capsys, monkeypatch, command):
+    from circulants.lattice import _EXACT_MAX_ORDER
+
+    def doc(n):
+        return json.dumps({"kind": "rational_circulant", "n": n, "first_row": ["2", "1"] + ["0"] * (n - 2)})
+
+    assert run_cli([command], doc(_EXACT_MAX_ORDER), capsys, monkeypatch)[0] == 0
+    code, out, err = run_cli([command], doc(_EXACT_MAX_ORDER + 1), capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: n: exact forms need order <= {_EXACT_MAX_ORDER}, got {_EXACT_MAX_ORDER + 1}\n"
 
 
 def test_exact_results_past_4300_digits_are_written(tmp_path, capsys):

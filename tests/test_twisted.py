@@ -43,6 +43,16 @@ def _weights(*tail):
     return MuWeights.from_tail(tuple(tail))
 
 
+def test_random_weights_draw_moduli_then_phases():
+    from circulants.fixtures import random_weights
+
+    rng = np.random.default_rng(SEED)
+    state = rng.bit_generator.state
+    assert random_weights(rng, 1) == MuWeights((1,)) and rng.bit_generator.state == state
+    mags, phases = rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 2 * np.pi, 4)
+    assert random_weights(np.random.default_rng(SEED), 5) == _weights(*(mags * np.exp(1j * phases)))
+
+
 def test_weights_validation():
     with pytest.raises(InvalidWeightsError):
         MuWeights((2, 1))
