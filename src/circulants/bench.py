@@ -40,7 +40,7 @@ from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
-from .lattice import BrandtCounterexample, BrandtVerdict
+from .lattice import _EXACT_MAX_COST, BrandtCounterexample, BrandtVerdict, _exact_cost
 from .lattice import brandt_check, exact_char_poly, integer_spectrum, rational_circ
 from .spectral import eigenvalues, fast_mul
 from .twisted import MuCirculant, mu_eigen, mu_mul, mu_to_dense
@@ -214,13 +214,6 @@ def _brandt(x: Circulant, y: Circulant, seed: int):
     return run, float(want.value)
 
 
-#: The largest order of the `exact-char-poly` row.  On a 2-vCPU VM
-#: `exact_char_poly` of the row took 0.16 to 0.3 s at n = 256 and 3.5 s
-#: at n = 512, where products of integers of millions of bits dominate;
-#: the earlier power-by-power code took 2.3 to 3.9 s at 256, so a record
-#: to compare against already costs it half a minute there.
-_EXACT_MAX_SIZE = 256
-
 #: A prime below 2^25: products of two residues and sums of up to 2^13
 #: of them stay within int64.
 _PRIME = 33554393
@@ -230,20 +223,22 @@ def _exact_char_poly(x: Circulant, y: Circulant, seed: int):
     """The exact characteristic polynomial of a dense integer row of x's
     order n, entries -3..3, drawn from (seed, n), not from x and y's
     generator; and the checksum, the total bit length of its
-    coefficients.  None above `_EXACT_MAX_SIZE`.  Checked: circ(2, 1,
+    coefficients.  None when the dense row's `_exact_cost` is above
+    `_EXACT_MAX_COST` (about n = 570).  Checked: circ(2, 1,
     0, ..., 0) = 2I + P gives (X - 2)^n - 1 exactly, and the dense row's
     polynomial annihilates the row modulo a prime below 2^25
     (Cayley-Hamilton, by Horner's rule in int64)."""
     n = x.n
-    if n > _EXACT_MAX_SIZE:
+    rng = np.random.default_rng([seed, n])
+    row = [int(v) for v in rng.integers(-3, 4, n)]
+    c = rational_circ(row)
+    # Where the bound bites, 2I + P (1-norm 3) costs less than the dense row.
+    if _exact_cost(c) > _EXACT_MAX_COST:
         return None
     closed = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
     closed[-1] -= 1
     if exact_char_poly(rational_circ([2, 1] + [0] * (n - 2))) != tuple(closed):
         raise BenchDisagreementError(f"n={n}: exact_char_poly of 2I + P is not (X - 2)^n - 1")
-    rng = np.random.default_rng([seed, n])
-    row = [int(v) for v in rng.integers(-3, 4, n)]
-    c = rational_circ(row)
     monic = exact_char_poly(c)
     # The first row of p(C), by acc <- acc C + a_k I with every entry a
     # residue; C[i, j] = row[j - i mod n], so the first row of acc C is

@@ -89,10 +89,13 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
 
 
 def _exact_row(doc: MatrixDocument) -> lattice.RationalCirculant:
-    """The rational row of ``doc``, refused above `lattice._EXACT_MAX_ORDER`."""
-    if doc.n > lattice._EXACT_MAX_ORDER:
-        raise DocumentError("n", f"exact forms need order <= {lattice._EXACT_MAX_ORDER}, got {doc.n}")
-    return doc.to_rational_circulant()
+    """The rational row of ``doc``, refused above `lattice._EXACT_MAX_COST`."""
+    c = doc.to_rational_circulant()
+    cost, bound = lattice._exact_cost(c), lattice._EXACT_MAX_COST
+    if cost > bound:
+        model = "sqrt(n) (n^2 b)^1.585 + (n b)^2, b = bits of ||L c||_1"
+        raise DocumentError("first_row", f"exact forms need a cost <= {bound:.3g}, got {cost:.3g} ({model})")
+    return c
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:

@@ -3,9 +3,13 @@
 Everything here runs over arbitrary-precision rationals: characteristic
 polynomials, exact spectra, Brandt-style integrality predicates on the
 forms q_i, lattice bases of circulants and exact membership
-decompositions.  Each exact path clears denominators once (an integer
-row or grid times 1/L, L the lcm of the denominators), works in Python
-ints and builds the returned Fractions at the end.
+decompositions.  Each exact value is stored once, cleared: an integer
+row or grid and L, the lcm of its denominators, the value being the
+integers times 1/L.  A `RationalCirculant` is built through its one
+constructor, which applies the exact entry rule `_as_rational` and
+clears; a `LatticeBasis` holds its rows and inverse so.  The exact
+algorithms work on these Python ints; Fractions appear only as views at
+the API edge (`coeffs`, `rows`, `inverse`) and as the returned results.
 
 Circulants of order n are the group algebra of the cyclic group C_n, so
 tr(C^k) is n times the identity coefficient of the k-th convolution
@@ -50,12 +54,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _result
+from .core import Circulant, _Frozen, _check_orders, _result, _shift
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
@@ -66,8 +70,6 @@ from .errors import (
     RootAssignmentError,
 )
 from .spectral import from_spectrum
-
-Rational = Fraction
 
 
 def _as_rational(value) -> Fraction:
@@ -81,69 +83,78 @@ def _as_rational(value) -> Fraction:
         raise InvalidScalarError(f"cannot use {value!r} as a rational entry") from exc
 
 
-@dataclass(frozen=True)
-class RationalCirculant:
-    """Circulant with exact rational first row."""
+class RationalCirculant(_Frozen):
+    """Circulant with exact rational first row, stored once, cleared: `scale`
+    is L, the lcm of the entries' denominators, and `cleared` the tuple of
+    integers L*c.  The row as Fractions, `coeffs`, is a view built on each
+    read; every exact algorithm reads `scale` and `cleared` instead.
 
-    coeffs: tuple[Fraction, ...]
+    `RationalCirculant(coeffs)` is the one constructor, `+` and `*`
+    included: each entry through `_as_rational`, the exact entry rule, then
+    cleared.  So the stored form is unique to the rational row, `==` and
+    `hash` agree with equality of the Fraction rows, and a value pickles
+    through its constructor."""
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    __slots__ = ("scale", "cleared")
+
+    def __init__(self, coeffs):
+        values = tuple(coeffs)
+        if not values:
             raise InvalidOrderError("a circulant needs at least one coefficient")
-        coeffs = tuple(self.coeffs)
-        # A row of exact Fractions, as `+` and `*` build, is kept as it is.
-        if set(map(type, coeffs)) != {Fraction}:
-            coeffs = tuple(map(_as_rational, coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
+        # A row of exact Fractions, as `+` and `*` build, needs no conversion.
+        if set(map(type, values)) != {Fraction}:
+            values = tuple(map(_as_rational, values))
+        scale = math.lcm(*(x.denominator for x in values))
+        # The slots' own setters, which the frozen __setattr__ does not guard.
+        RationalCirculant.scale.__set__(self, scale)
+        RationalCirculant.cleared.__set__(self, tuple(x.numerator * (scale // x.denominator) for x in values))
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
+    coeffs = property(lambda self: tuple(Fraction(v, self.scale) for v in self.cleared))
+    n = property(lambda self: len(self.cleared))
 
     def to_exact_dense(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.n
-        return tuple(
-            tuple(self.coeffs[(j - i) % n] for j in range(n)) for i in range(n)
-        )
+        row = self.coeffs
+        return tuple(tuple(row[k] for k in line) for line in _shift(self.n).tolist())
 
     def to_float(self) -> Circulant:
         return Circulant(self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.scale == 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scale == other.scale and self.cleared == other.cleared
+
+    def __hash__(self):
+        return hash((self.scale, self.cleared))
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"RationalCirculant(coeffs={self.coeffs!r})"
 
     def __add__(self, other: "RationalCirculant") -> "RationalCirculant":
         if not isinstance(other, RationalCirculant):
             return NotImplemented
         _check_orders(self, other)
-        return RationalCirculant(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        lx, ly = self.scale, other.scale
+        sums = (x * ly + y * lx for x, y in zip(self.cleared, other.cleared))
+        return RationalCirculant(tuple(Fraction(v, lx * ly) for v in sums))
 
     def __mul__(self, other: "RationalCirculant") -> "RationalCirculant":
         if not isinstance(other, RationalCirculant):
             return NotImplemented
         _check_orders(self, other)
-        lx, x = _cleared(self.coeffs)
-        ly, y = _cleared(other.coeffs)
-        scale = lx * ly
-        return RationalCirculant(tuple(Fraction(v, scale) for v in _cyclic(x, y)))
+        scale = self.scale * other.scale
+        return RationalCirculant(tuple(Fraction(v, scale) for v in _cyclic(self.cleared, other.cleared)))
 
 
 def rational_circ(*coeffs) -> RationalCirculant:
-    if len(coeffs) == 1 and isinstance(coeffs[0], (list, tuple)):
-        coeffs = tuple(coeffs[0])
-    return RationalCirculant(tuple(coeffs))
-
-
-def _cleared(values) -> tuple[int, list[int]]:
-    """(L, d): L is the lcm of the Fractions' denominators and d = L*values,
-    a list of integers."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
-def _support(d: list[int]) -> list[tuple[int, int]]:
-    """The nonzero entries (i, d_i) of an integer row."""
-    return [(i, v) for i, v in enumerate(d) if v]
+    one_row = len(coeffs) == 1 and isinstance(coeffs[0], (list, tuple))
+    return RationalCirculant(coeffs[0] if one_row else coeffs)
 
 
 # Packed rows (Kronecker substitution).  An integer row v of length n
@@ -279,20 +290,33 @@ def _forms(c: RationalCirculant):
     """Yield q_1, ..., q_n of c, each one computed only when it is asked
     for: with d = L*c integral and e_i the elementary symmetric values of
     the eigenvalues of circ(d) (see `_elementary`), q_i = e_i / L^i."""
-    scale, d = _cleared(c.coeffs)
-    for i, e in enumerate(_elementary(d), start=1):
-        yield Fraction(e, scale**i)
+    for i, e in enumerate(_elementary(c.cleared), start=1):
+        yield Fraction(e, c.scale**i)
 
 
-#: The largest order of a rational document whose exact forms or
-#: characteristic polynomial `circulants forms` and `charpoly` compute.
-#: At a fixed entry size the cost grows about as n^3.7 (sqrt(n) products
-#: of integers of up to n^2 log2 ||d||_1 bits, by Karatsuba): through
-#: `cli.main` on a 2-vCPU VM a dense row of order 128 took 0.03 s with
-#: entries -3..3, 0.4 to 0.5 s with 15-digit integers or with fractions
-#: of denominators below 50, and 3.2 to 3.5 s with 64-digit integers; at
-#: order 256 the 15-digit row took 4.5 s and the fractions 6 to 9 s.
-_EXACT_MAX_ORDER = 128
+def _exact_cost(c: RationalCirculant) -> float:
+    """The cost model of the exact forms of c, read off the stored row:
+    sqrt(n) (n^2 b)^log2(3) + (n b)^2, with b = bit_length(||L c||_1), at
+    least 1.  The first term is the packed products, about 2.3 sqrt(n) of
+    integers of up to n^2 b bits, which CPython multiplies by Karatsuba
+    (see `_traces`); the second the forms' reduction to lowest terms and
+    their decimal text, quadratic in their length of up to n b bits."""
+    n, bits = c.n, max(1, sum(map(abs, c.cleared)).bit_length())
+    return math.sqrt(n) * (n * n * bits) ** math.log2(3) + (n * bits) ** 2
+
+
+#: The largest `_exact_cost` of a row whose exact forms or characteristic
+#: polynomial `circulants forms` and `charpoly` and the `exact-char-poly`
+#: bench row compute.  On a 2-vCPU VM `circulants charpoly` took about
+#: 1e-11 s per unit of cost on rows of wide entries: order 128 with
+#: 64-digit integers (cost 2.8e11) 2.6 s, order 256 with 15-digit ones
+#: (4.2e11) 3.0 s, order 64 with 450-digit ones (4.7e11) 4.2 s, order 8
+#: with fractions of 4300-digit parts (1.1e12) 13.5 s; and less on small
+#: entries: order 512 with -3..3 (3.4e11) 1.5 s, order 1540 with the
+#: identity row (5.0e11) 0.3 s.  So an accepted call stays within a few
+#: seconds; order 64 with 1000-digit integers (1.6e12, 18 s) and order
+#: 128 with 300-digit ones (3.5e12, 31 s) are refused.
+_EXACT_MAX_COST = 5e11
 
 
 def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
@@ -363,7 +387,7 @@ def _mod_monic(f: list[int], g: list[int]) -> list[int]:
     coefficient lists; only g's nonzero terms are visited."""
     m = len(g) - 1
     rem = list(f)
-    terms = _support(g[:m])
+    terms = [(i, a) for i, a in enumerate(g[:m]) if a]
     for top in range(len(f) - 1, m - 1, -1):
         q = rem[top]
         if q:
@@ -409,12 +433,11 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     """
     _check_mode(mode)
     n = c.n
-    scale, row = _cleared(c.coeffs)
     value: dict[int, Fraction] = {}
-    for d, rem in _components(row):
+    for d, rem in _components(c.cleared):
         if any(rem[1:]):
             return None
-        lam = Fraction(rem[0], scale)
+        lam = Fraction(rem[0], c.scale)
         if mode == "integral" and lam.denominator != 1:
             return None
         value[d] = lam
@@ -485,8 +508,7 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
 def _has_integral_forms(c: RationalCirculant) -> bool:
     """Whether every form q_i(c) is an integer: with L*c integral,
     whether L divides every coefficient of every remainder r_d of L*c."""
-    scale, row = _cleared(c.coeffs)
-    return all(v % scale == 0 for _, rem in _components(row) for v in rem)
+    return all(v % c.scale == 0 for _, rem in _components(c.cleared) for v in rem)
 
 
 @dataclass(frozen=True)
@@ -527,24 +549,24 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
     return SpectrumReconstruction(circulant=c, real=real)
 
 
-def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, tuple[int, tuple[int, ...]] | None]:
-    """(det, inverse) of a square rational grid, the inverse cleared as
+def _gauss_jordan(rows: list[RationalCirculant]) -> tuple[Fraction, tuple[int, tuple[int, ...]] | None]:
+    """(det, inverse) of the square grid of these rows, the inverse cleared as
     (lv, v): v / lv, with v the integer entries flattened row by row,
     lv > 0 and gcd(lv, v) = 1; inverse is None when det = 0.
 
-    Fraction-free Gauss-Jordan (Bareiss): each row i is cleared by the lcm
-    L_i of its own denominators, so that A = D*grid with D = diag(L_i) is
-    integral, and [A | I] is eliminated in integers, each update
-    (p * a_ij - a_ik * a_kj) // p_prev dividing exactly by the previous
-    pivot.  At the end the left block is p*I with p = sign * det(A) (sign
+    Fraction-free Gauss-Jordan (Bareiss): each row i is stored cleared by
+    the lcm L_i of its own denominators, so that A = D*grid with
+    D = diag(L_i) is integral, and [A | I] is eliminated in integers, each
+    update (p * a_ij - a_ik * a_kj) // p_prev dividing exactly by the
+    previous pivot.  At the end the left block is p*I with p = sign * det(A) (sign
     from the row swaps) and the right block is p * A^-1, so
     det = sign * p / (L_1 ... L_n) and the inverse, A^-1 D, is column c
     of right times L_c, over p.  One lcm of all n^2 denominators would do
     the same work on numbers up to n times longer.
     """
     n = len(rows)
-    scales, cleared = zip(*map(_cleared, rows))
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(cleared)]
+    scales = [row.scale for row in rows]
+    aug = [[*row.cleared, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
@@ -567,45 +589,52 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> tuple[Fraction, tuple[int, tupl
     return Fraction(sign * prev, math.prod(scales)), (prev // g, tuple(x // g for x in v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LatticeBasis:
     """Rows hold the P-power coefficients of the generators v_1, ..., v_n.
 
-    `lattice_new` builds it with the inverse and the rows also cleared,
-    for every `lattice_decompose` against this basis: inverse = v / lv
-    and rows = r / lr with v and r integer tuples, flattened row by row,
-    lv > 0 and gcd(lv, v) = 1, kept outside `==`, `hash` and `repr`."""
+    Stored once, cleared, as `lattice_new` builds it: the rows as
+    `cleared_rows` = (lr, r), rows = r / lr, and the exact inverse of
+    their grid as `cleared_inverse` = (lv, v), inverse = v / lv, with r
+    and v integer tuples flattened row by row, lr and lv the lcms of the
+    entries' denominators and gcd(lv, v) = 1; and the determinant `det`.
+    `rows` and `inverse`, the grids as Fractions, are views built on each
+    read.  Each stored form is unique to its grid, so `==` and `hash` mean
+    equality of rows, det and inverse, and `repr` shows those three."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    cleared_rows: tuple[int, tuple[int, ...]]
     det: Fraction
-    inverse: tuple[tuple[Fraction, ...], ...]
-    cleared_inverse: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
-    cleared_rows: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
+    cleared_inverse: tuple[int, tuple[int, ...]]
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    n = property(lambda self: math.isqrt(len(self.cleared_rows[1])))
+    rows = property(lambda self: _grid(*self.cleared_rows), doc="The rows as Fractions.")
+    inverse = property(lambda self: _grid(*self.cleared_inverse), doc="The inverse as Fractions.")
+
+    def __repr__(self) -> str:
+        return f"LatticeBasis(rows={self.rows!r}, det={self.det!r}, inverse={self.inverse!r})"
+
+
+def _grid(scale: int, flat: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """The square grid of Fractions flat / scale, flat read row by row."""
+    n = math.isqrt(len(flat))
+    return tuple(tuple(Fraction(x, scale) for x in flat[i:i + n]) for i in range(0, n * n, n))
 
 
 def lattice_new(rows) -> LatticeBasis:
     """Validate and precompute: stores the exact determinant and inverse
-    of the coefficient matrix; rejects dependent rows."""
-    grid = [[_as_rational(x) for x in row] for row in rows]
+    of the coefficient matrix; rejects dependent rows.  Each row is built
+    as a `RationalCirculant`, through its entry rule."""
+    grid = [tuple(row) for row in rows]
     n = len(grid)
     if n == 0 or any(len(row) != n for row in grid):
         raise InvalidOrderError("basis must be a nonempty square grid")
-    det, cleared_inverse = _gauss_jordan(grid)
+    circulants = [RationalCirculant(row) for row in grid]
+    det, cleared_inverse = _gauss_jordan(circulants)
     if cleared_inverse is None:
         raise DependentBasisError("basis rows are linearly dependent (det = 0)")
-    lv, v = cleared_inverse
-    lr, r = _cleared([x for row in grid for x in row])
-    return LatticeBasis(
-        rows=tuple(map(tuple, grid)),
-        det=det,
-        inverse=tuple(tuple(Fraction(x, lv) for x in v[i:i + n]) for i in range(0, n * n, n)),
-        cleared_inverse=cleared_inverse,
-        cleared_rows=(lr, tuple(r)),
-    )
+    lr = math.lcm(*(c.scale for c in circulants))
+    r = tuple(x * (lr // c.scale) for c in circulants for x in c.cleared)
+    return LatticeBasis(cleared_rows=(lr, r), det=det, cleared_inverse=cleared_inverse)
 
 
 def basis_inverse_integral(basis: LatticeBasis) -> tuple[bool, tuple[tuple[Fraction, ...], ...]]:
@@ -633,7 +662,7 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
         raise DimensionMismatchError(f"target order {target.n} vs basis order {n}")
     # target = t/lt, inverse = v/lv and rows = r/lr with t, v, r integral
     # (v and r flattened row by row), so the coefficients are t v / (lt lv).
-    lt, t = _cleared(target.coeffs)
+    lt, t = target.scale, target.cleared
     lv, v = basis.cleared_inverse
     lr, r = basis.cleared_rows
     nums = [sum(map(operator.mul, t, v[j::n])) for j in range(n)]
@@ -660,12 +689,11 @@ def delta_lattice_decompose(basis: LatticeBasis, block_coeffs) -> tuple[int, ...
     integer a_i (InvalidScalarError otherwise), so every m_i is an
     integer.
     """
-    integral_inverse, _ = basis_inverse_integral(basis)
-    if not integral_inverse:
+    if basis.cleared_inverse[0] != 1:
         raise NotIntegralBasisError("basis inverse has fractional entries")
-    target = RationalCirculant(tuple(block_coeffs))
-    fractional = [a for a in target.coeffs if a.denominator != 1]
-    if fractional:
-        raise InvalidScalarError(f"block coefficient {fractional[0]} is not an integer")
+    target = RationalCirculant(block_coeffs)
+    if target.scale != 1:
+        fractional = next(Fraction(v, target.scale) for v in target.cleared if v % target.scale)
+        raise InvalidScalarError(f"block coefficient {fractional} is not an integer")
     solution = lattice_decompose(basis, target)
     return tuple(int(a) for a in solution.coefficients)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -656,8 +657,11 @@ def test_bench_exact_char_poly_row_checks_before_timing(monkeypatch):
         with pytest.raises(bench.BenchDisagreementError, match=match):
             bench.run_bench([4], reps=3)
     monkeypatch.undo()
-    # No record above the cap, and no call: the row is never built there.
-    monkeypatch.setattr(bench, "_EXACT_MAX_SIZE", 8)
+    # No record above the bound, and no call: the row is never built there.
+    # Every -3..3 row of order 8 costs at most circ(3, ..., 3).
+    from circulants.lattice import _exact_cost
+
+    monkeypatch.setattr(bench, "_EXACT_MAX_COST", _exact_cost(bench.rational_circ([3] * 8)))
     rows = bench.run_bench([8, 12], reps=3)
     assert [r.n for r in rows if r.method == "exact-char-poly"] == [8]
     assert {r.method for r in rows if r.n == 12} == {name for name, _ in bench.ROWS} - {"exact-char-poly"}
@@ -941,15 +945,37 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ("forms", "charpoly"))
 def test_exact_documents_above_the_order_cap_exit_2(capsys, monkeypatch, command):
-    from circulants.lattice import _EXACT_MAX_ORDER
+    # One bound, on the cost model of the stored cleared row rather than
+    # on the order: order 256 with entries -3..3 is served, and order 64
+    # with 1000-digit integers (18 s to compute) is refused at once.
+    import time
 
-    def doc(n):
-        return json.dumps({"kind": "rational_circulant", "n": n, "first_row": ["2", "1"] + ["0"] * (n - 2)})
+    from circulants import lattice
 
-    assert run_cli([command], doc(_EXACT_MAX_ORDER), capsys, monkeypatch)[0] == 0
-    code, out, err = run_cli([command], doc(_EXACT_MAX_ORDER + 1), capsys, monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == f"error: n: exact forms need order <= {_EXACT_MAX_ORDER}, got {_EXACT_MAX_ORDER + 1}\n"
+    def doc(row):
+        return json.dumps({"kind": "rational_circulant", "n": len(row), "first_row": [str(v) for v in row]})
+
+    def refusal(cost):
+        bound = lattice._EXACT_MAX_COST
+        return (
+            f"error: first_row: exact forms need a cost <= {bound:.3g}, got {cost:.3g} "
+            "(sqrt(n) (n^2 b)^1.585 + (n b)^2, b = bits of ||L c||_1)\n"
+        )
+
+    small = [int(v) for v in np.random.default_rng(0x5EED).integers(-3, 4, 256)]
+    assert run_cli([command], doc(small), capsys, monkeypatch)[0] == 0
+    wide = [10**999 + k for k in range(64)]
+    start = time.perf_counter()
+    code, out, err = run_cli([command], doc(wide), capsys, monkeypatch)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", refusal(lattice._exact_cost(lattice.rational_circ(wide))))
+    # The edge: a row whose cost equals the bound is served, one above not.
+    row = ["2", "1"] + ["0"] * 126
+    cost = lattice._exact_cost(lattice.rational_circ([2, 1] + [0] * 126))
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", cost)
+    assert run_cli([command], doc(row), capsys, monkeypatch)[0] == 0
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
+    assert run_cli([command], doc(row), capsys, monkeypatch) == (2, "", refusal(cost))
 
 
 def test_exact_results_past_4300_digits_are_written(tmp_path, capsys):

@@ -102,6 +102,48 @@ def test_spectral_and_forms_read_no_row_tuple():
     assert found == {"spectral": [], "forms": []}
 
 
+def function_sources(module: str) -> dict[str, str]:
+    """The source of every function and method of a package module, by
+    qualified name (`Class.method` for a method)."""
+    text = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    found = {}
+    for node in ast.parse(text).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for member in members:
+            if isinstance(member, ast.FunctionDef):
+                found[prefix + member.name] = ast.get_source_segment(text, member)
+    return found
+
+
+def test_exact_algorithms_read_the_cleared_row():
+    # A rational value stores its cleared integers once; the Fractions of
+    # `coeffs` are a view for the API edge, never an input to the exact
+    # algorithms.  The exact entry rule `_as_rational` takes a circulant
+    # row in the one constructor only (and a spectrum's values in
+    # `reconstruct_from_spectrum`).
+    functions = function_sources("lattice")
+    exact = (
+        "RationalCirculant.__add__", "RationalCirculant.__mul__", "_forms", "_exact_cost",
+        "integer_spectrum", "_has_integral_forms", "_gauss_jordan", "lattice_new",
+        "lattice_decompose", "delta_lattice_decompose",
+    )
+    assert {name: tuple_reads(functions[name]) for name in exact} == {name: [] for name in exact}
+    users = {name for name, source in functions.items() if "_as_rational" in names_read(source)}
+    assert users == {"RationalCirculant.__init__", "reconstruct_from_spectrum"}
+    for name in MODULES - {"lattice"}:
+        assert "_as_rational" not in (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+
+
+def names_read(source: str) -> set[str]:
+    """The bare names this source reads."""
+    return {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def numpy_calls(source: str, function: str) -> list[int]:
     """Lines where this source calls np.<function> (or numpy.<function>)."""
     return [

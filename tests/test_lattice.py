@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction as F
@@ -56,7 +57,7 @@ def test_rational_circulant_keeps_a_fraction_row_and_converts_any_other():
     from circulants.lattice import RationalCirculant
 
     row = (F(1, 2), F(-3))
-    assert all(a is b for a, b in zip(RationalCirculant(row).coeffs, row))
+    assert RationalCirculant(row).coeffs == row
     assert RationalCirculant([F(1, 2), F(-3)]).coeffs == row
 
     class Half(F):
@@ -952,3 +953,130 @@ def test_cleared_grids_are_the_stored_grids_in_lowest_terms(seed):
         assert scale == math.lcm(*(x.denominator for x in entries)) > 0
         assert list(flat) == [x * scale for x in entries]
     assert basis_inverse_integral(basis)[0] == all(x.denominator == 1 for row in basis.inverse for x in row)
+
+
+def fraction_row(rng, n):
+    """n Fractions with denominators up to 12, some in non-lowest terms as
+    given, so that the row's lcm and each entry's own reduction matter."""
+    return [F(int(k), int(q)) for k, q in zip(rng.integers(-20, 21, n), rng.integers(1, 13, n))]
+
+
+def test_values_store_cleared_integers_and_no_fraction_tuple():
+    from circulants.lattice import LatticeBasis, RationalCirculant
+
+    c = RationalCirculant((F(1, 2), F(-2, 3), 5))
+    assert RationalCirculant.__slots__ == ("scale", "cleared") and not hasattr(c, "__dict__")
+    assert (c.scale, c.cleared) == (6, (3, -4, 30))
+    assert c.coeffs == (F(1, 2), F(-2, 3), F(5)) and all(type(x) is F for x in c.coeffs)
+    assert c.is_integral() is False and RationalCirculant((F(4, 2), 3)).is_integral()
+
+    basis = lattice_new(REFERENCE_ROWS)
+    assert list(vars(basis)) == [f.name for f in dataclasses.fields(LatticeBasis)]
+    assert vars(basis) == {
+        "cleared_rows": (3, (0, -3, 3, -1, 1, 1, 1, 2, -1)),
+        "det": basis.det,
+        "cleared_inverse": (1, tuple(x for row in REFERENCE_INVERSE for x in row)),
+    }
+    assert basis.rows == tuple(tuple(F(x) for x in row) for row in REFERENCE_ROWS)
+    assert basis.inverse == REFERENCE_INVERSE and basis.n == 3
+    # Basis rows pass the same entry rule as any rational row.
+    for bad in (0.5, "x", None):
+        with pytest.raises(InvalidScalarError):
+            lattice_new([[1, bad], [0, 1]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_views_equal_the_fractions_given(seed):
+    rng = np.random.default_rng(SEED + 400 + seed)
+    n = 1 + 3 * seed
+    row = fraction_row(rng, n)
+    assert rational_circ(row).coeffs == tuple(row)
+    while True:
+        grid = [fraction_row(rng, n) for _ in range(n)]
+        if exact_det(grid) != 0:
+            break
+    basis = lattice_new(grid)
+    assert basis.rows == tuple(map(tuple, grid))
+    assert basis.inverse == tuple(map(tuple, exact_inverse(grid)))
+    assert basis.det == exact_det(grid)
+
+
+def test_equality_hash_and_pickling_follow_the_fraction_rows():
+    import pickle
+
+    from circulants.lattice import RationalCirculant
+
+    spellings = (
+        (F(2, 4), F(6, 3), 0),
+        ("1/2", "4/2", "0/7"),
+        (F(1, 2), 2, False),
+        (F(1, 2), np.int64(2), F(0, 5)),
+    )
+    values = [RationalCirculant(row) for row in spellings]
+    for v in values:
+        assert v == values[0] and hash(v) == hash(values[0])
+        assert repr(v) == "RationalCirculant(coeffs=(Fraction(1, 2), Fraction(2, 1), Fraction(0, 1)))"
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v) and (back.scale, back.cleared) == (2, (1, 4, 0))
+    # Integer input against Fraction input, and rows that differ.
+    assert RationalCirculant((1, 2)) == RationalCirculant((F(1), F(4, 2)))
+    assert hash(RationalCirculant((1, 2))) == hash(RationalCirculant((F(1), F(4, 2))))
+    assert RationalCirculant((F(1, 2), F(1, 2))) != RationalCirculant((1, 1))
+    assert RationalCirculant((F(1, 2), 1)) != RationalCirculant((F(1, 2), 1, 0))
+    assert RationalCirculant((1, 2)) != (1, 2)
+
+    halves = [[F(2, 4), 0], [0, F(3, 1)]]
+    same = [["1/2", 0], [F(0, 3), 3]]
+    basis = lattice_new(halves)
+    assert basis == lattice_new(same) and hash(basis) == hash(lattice_new(same))
+    assert basis != lattice_new([[1, 0], [0, 3]])
+    back = pickle.loads(pickle.dumps(basis))
+    assert back == basis and hash(back) == hash(basis) and repr(back) == repr(basis)
+    assert repr(basis) == (
+        "LatticeBasis(rows=((Fraction(1, 2), Fraction(0, 1)), (Fraction(0, 1), Fraction(3, 1))), "
+        "det=Fraction(3, 2), inverse=((Fraction(2, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 3))))"
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_sum_product_and_decomposition_match_fraction_arithmetic(n):
+    # The reference works on the Fractions given, entry by entry, never on
+    # a stored row: sums, the O(n^2) cyclic convolution, and coefficients
+    # that recombine the basis rows into the target.
+    rng = np.random.default_rng(SEED + 500 + n)
+    a, b = fraction_row(rng, n), fraction_row(rng, n)
+    x, y = rational_circ(a), rational_circ(b)
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x * y).coeffs == tuple(sum(a[i] * b[(j - i) % n] for i in range(n)) for j in range(n))
+    assert (x + y) == rational_circ(tuple(p + q for p, q in zip(a, b)))
+    grid = _unimodular_like(rng, n)
+    basis = lattice_new(grid)
+    for target in (a, [int(v) for v in rng.integers(-5, 6, n)]):
+        solution = lattice_decompose(basis, rational_circ(target))
+        assert all(type(v) is F for v in solution.coefficients)
+        recombined = [sum(m * row[j] for m, row in zip(solution.coefficients, grid)) for j in range(n)]
+        assert recombined == list(target)
+        assert solution.member == all(v.denominator == 1 for v in solution.coefficients)
+
+
+def _unimodular_like(rng, n):
+    """An invertible n x n grid: the identity with a random strictly upper
+    triangle of small Fractions, rows then shuffled."""
+    grid = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = F(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+    return [grid[k] for k in rng.permutation(n)]
+
+
+def test_exact_cost_reads_the_one_norm_of_the_cleared_row():
+    from circulants.lattice import _exact_cost
+
+    def model(n, bits):
+        return math.sqrt(n) * (n * n * bits) ** math.log2(3) + (n * bits) ** 2
+
+    # L = 6 and L c = (3, -2, 12): 1-norm 17, of 5 bits.
+    assert _exact_cost(rational_circ(F(1, 2), F(-1, 3), 2)) == model(3, 5)
+    assert _exact_cost(rational_circ(16, 0, 0)) == _exact_cost(rational_circ(8, 8, 0)) == model(3, 5)
+    # The zero row still pays for its order.
+    assert _exact_cost(rational_circ([0] * 40)) == _exact_cost(rational_circ([1] + [0] * 39)) == model(40, 1)
