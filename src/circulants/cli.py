@@ -89,13 +89,15 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
 
 
 def _exact_row(doc: MatrixDocument) -> lattice.RationalCirculant:
-    """The rational row of ``doc``, refused above `lattice._EXACT_MAX_COST`."""
-    c = doc.to_rational_circulant()
-    cost, bound = lattice._exact_cost(c), lattice._EXACT_MAX_COST
-    if cost > bound:
-        model = "sqrt(n) (n^2 b)^1.585 + (n b)^2, b = bits of ||L c||_1"
-        raise DocumentError("first_row", f"exact forms need a cost <= {bound:.3g}, got {cost:.3g} ({model})")
-    return c
+    """The rational row of ``doc``, refused when the cost of its exact forms
+    passes `lattice._EXACT_MAX_COST`: first on the lower bound read off
+    the entries, before the row is cleared, then on the cleared row."""
+    bound, model = lattice._EXACT_MAX_COST, lattice._EXACT_COST_MODEL
+    if (cost := lattice._least_exact_cost(doc.first_row)) <= bound:
+        c = doc.to_rational_circulant()
+        if (cost := lattice._exact_cost(c)) <= bound:
+            return c
+    raise DocumentError("first_row", f"exact forms need a cost <= {bound:.3g}, got at least {cost:.3g} ({model})")
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
@@ -120,18 +122,14 @@ def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
     return {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}, 0
 
 
-def _circulant_result(c) -> tuple[dict | list | str, int]:
-    return circulant_to_obj(c), 0
-
-
 def _cmd_inverse(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    return _circulant_result(inverse_of(c, threshold=args.tol))
+    return circulant_to_obj(inverse_of(c, threshold=args.tol)), 0
 
 
 def _cmd_conjugate(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    return _circulant_result(conjugate_of(c))
+    return circulant_to_obj(conjugate_of(c)), 0
 
 
 def _cmd_hopf_counit(args) -> tuple[dict | list | str, int]:
@@ -146,7 +144,7 @@ def _cmd_hopf_delta(args) -> tuple[dict | list | str, int]:
 
 def _cmd_hopf_antipode(args) -> tuple[dict | list | str, int]:
     c = _single_document(args).to_circulant()
-    return _circulant_result(hopf.antipode(c))
+    return circulant_to_obj(hopf.antipode(c)), 0
 
 
 def _given_tol(args) -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 from .core import Circulant, _entries, _Frozen, _result, _view
 from .errors import CirculantError, DimensionMismatchError, InvalidScalarError
 from .hopf import BlockCirculant
-from .lattice import RationalCirculant
+from .lattice import RationalCirculant, _rational_row
 from .twisted import MuCirculant, MuWeights, TwoCocycle, _mu_result, _skew_weights, cocycle_from_mu
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
@@ -239,7 +239,9 @@ class MatrixDocument(_Frozen):
         if self.kind == "circulant":
             return _result(Circulant, self._first_row)
         if self.kind == "rational_circulant":
-            return self.to_rational_circulant().to_float()
+            # The floats need no cleared row: one lcm of many distinct large
+            # denominators would cost more than the whole float call.
+            return _result(Circulant, _entries(_rational_row(self.first_row)))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a circulant")
 
     def to_mu_circulant(self) -> MuCirculant:

@@ -83,6 +83,19 @@ def _as_rational(value) -> Fraction:
         raise InvalidScalarError(f"cannot use {value!r} as a rational entry") from exc
 
 
+def _rational_row(coeffs) -> tuple[Fraction, ...]:
+    """A circulant's first row under the exact entry rule `_as_rational`,
+    the one door of every exact row: `RationalCirculant` clears it, and the
+    float view of a rational document converts it without clearing."""
+    values = tuple(coeffs)
+    if not values:
+        raise InvalidOrderError("a circulant needs at least one coefficient")
+    # A row of exact Fractions, as `+` and `*` build, needs no conversion.
+    if set(map(type, values)) != {Fraction}:
+        values = tuple(map(_as_rational, values))
+    return values
+
+
 class RationalCirculant(_Frozen):
     """Circulant with exact rational first row, stored once, cleared: `scale`
     is L, the lcm of the entries' denominators, and `cleared` the tuple of
@@ -98,12 +111,7 @@ class RationalCirculant(_Frozen):
     __slots__ = ("scale", "cleared")
 
     def __init__(self, coeffs):
-        values = tuple(coeffs)
-        if not values:
-            raise InvalidOrderError("a circulant needs at least one coefficient")
-        # A row of exact Fractions, as `+` and `*` build, needs no conversion.
-        if set(map(type, values)) != {Fraction}:
-            values = tuple(map(_as_rational, values))
+        values = _rational_row(coeffs)
         scale = math.lcm(*(x.denominator for x in values))
         # The slots' own setters, which the frozen __setattr__ does not guard.
         RationalCirculant.scale.__set__(self, scale)
@@ -117,7 +125,12 @@ class RationalCirculant(_Frozen):
         return tuple(tuple(row[k] for k in line) for line in _shift(self.n).tolist())
 
     def to_float(self) -> Circulant:
-        return Circulant(self.coeffs)
+        # int / int rounds once, as float(Fraction) does, and needs no entry
+        # in lowest terms.
+        try:
+            return Circulant(tuple(v / self.scale for v in self.cleared))
+        except OverflowError:
+            raise InvalidScalarError("entry beyond the float range") from None
 
     def is_integral(self) -> bool:
         return self.scale == 1
@@ -294,28 +307,52 @@ def _forms(c: RationalCirculant):
         yield Fraction(e, c.scale**i)
 
 
+#: What `_exact_cost` counts, as the refusals quote it.
+_EXACT_COST_MODEL = "sqrt(n) (n^2 a)^1.585 + n^3 b^2 / 30, a = bits of ||L c||_1, b = a + bits of L"
+
+
+def _cost(n: int, norm: int, scale: int) -> float:
+    """`_EXACT_COST_MODEL` at order n, with a and b read off ||L c||_1 and
+    L.  The first term is the packed products, about 2.3 sqrt(n) of
+    integers of up to n^2 a bits, which CPython multiplies by Karatsuba
+    (see `_traces`); they see only L*c.  The second is the forms
+    q_i = e_i / L^i, whose numerator and denominator grow by up to b bits
+    a step: their reduction to lowest terms and their decimal text are
+    quadratic in their length, and the n lengths of up to n b bits sum to
+    about n^3 b^2 / 3 squared bits, each timed at about a tenth of a unit
+    of the first term (1e-12 s against 1e-11 s on a 2-vCPU VM)."""
+    a = norm.bit_length()
+    return math.sqrt(n) * (n * n * max(1, a)) ** math.log2(3) + n**3 * (a + scale.bit_length()) ** 2 / 30
+
+
 def _exact_cost(c: RationalCirculant) -> float:
-    """The cost model of the exact forms of c, read off the stored row:
-    sqrt(n) (n^2 b)^log2(3) + (n b)^2, with b = bit_length(||L c||_1), at
-    least 1.  The first term is the packed products, about 2.3 sqrt(n) of
-    integers of up to n^2 b bits, which CPython multiplies by Karatsuba
-    (see `_traces`); the second the forms' reduction to lowest terms and
-    their decimal text, quadratic in their length of up to n b bits."""
-    n, bits = c.n, max(1, sum(map(abs, c.cleared)).bit_length())
-    return math.sqrt(n) * (n * n * bits) ** math.log2(3) + (n * bits) ** 2
+    """The cost model of the exact forms of c, read off the stored row."""
+    return _cost(c.n, sum(map(abs, c.cleared)), c.scale)
+
+
+def _least_exact_cost(row) -> float:
+    """A lower bound of `_exact_cost(RationalCirculant(row))`, read off the
+    sizes of the entries' parts in O(n), before the row is cleared: L is
+    at least each denominator and ||L c||_1 at least each numerator.  So
+    a row whose many distinct large denominators would make L, and the
+    clearing, large is refused without building it."""
+    return _cost(len(row), max(abs(x.numerator) for x in row), max(x.denominator for x in row))
 
 
 #: The largest `_exact_cost` of a row whose exact forms or characteristic
 #: polynomial `circulants forms` and `charpoly` and the `exact-char-poly`
-#: bench row compute.  On a 2-vCPU VM `circulants charpoly` took about
-#: 1e-11 s per unit of cost on rows of wide entries: order 128 with
-#: 64-digit integers (cost 2.8e11) 2.6 s, order 256 with 15-digit ones
-#: (4.2e11) 3.0 s, order 64 with 450-digit ones (4.7e11) 4.2 s, order 8
-#: with fractions of 4300-digit parts (1.1e12) 13.5 s; and less on small
-#: entries: order 512 with -3..3 (3.4e11) 1.5 s, order 1540 with the
-#: identity row (5.0e11) 0.3 s.  So an accepted call stays within a few
-#: seconds; order 64 with 1000-digit integers (1.6e12, 18 s) and order
-#: 128 with 300-digit ones (3.5e12, 31 s) are refused.
+#: bench row compute.  On a 2-vCPU VM `circulants charpoly` took up to
+#: about 1.1e-11 s per unit of cost: on integer rows, order 128 with
+#: 64-digit entries (cost 2.8e11) 2.2 s, order 256 with 15-digit ones
+#: (4.2e11) 2.7 s, order 64 with 450-digit ones (4.8e11) 4.3 s, order 32
+#: with 2100-digit ones (4.7e11) 5.2 s, order 512 with -3..3 (3.4e11)
+#: 1.5 s, order 1540 with the identity row (5.0e11) 0.3 s; where L
+#: counts, (1/D, 0, ..., 0) with D of 4299 digits at order 40 (4.3e11)
+#: 4.5 s, order 6 with fractions of 4300-digit parts (2.6e11) 3.4 s,
+#: order 24 with one 4300-digit denominator (9.4e10) 1.3 s.  So an
+#: accepted call stays within a few seconds; order 64 with 1000-digit
+#: integers (1.7e12, 18 s) and (1/D, 0, ..., 0) at order 256 (1.1e14,
+#: forms of about 1.4e8 digits) are refused.
 _EXACT_MAX_COST = 5e11
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -943,6 +944,17 @@ def test_inverse_of_eigenvalues_beyond_the_reciprocal_range(tmp_path, capsys):
 
 
 
+def rational_doc(row):
+    return json.dumps({"kind": "rational_circulant", "n": len(row), "first_row": [str(v) for v in row]})
+
+
+def exact_refusal(cost):
+    from circulants import lattice
+
+    bound, model = lattice._EXACT_MAX_COST, lattice._EXACT_COST_MODEL
+    return f"error: first_row: exact forms need a cost <= {bound:.3g}, got at least {cost:.3g} ({model})\n"
+
+
 @pytest.mark.parametrize("command", ("forms", "charpoly"))
 def test_exact_documents_above_the_order_cap_exit_2(capsys, monkeypatch, command):
     # One bound, on the cost model of the stored cleared row rather than
@@ -952,30 +964,65 @@ def test_exact_documents_above_the_order_cap_exit_2(capsys, monkeypatch, command
 
     from circulants import lattice
 
-    def doc(row):
-        return json.dumps({"kind": "rational_circulant", "n": len(row), "first_row": [str(v) for v in row]})
-
-    def refusal(cost):
-        bound = lattice._EXACT_MAX_COST
-        return (
-            f"error: first_row: exact forms need a cost <= {bound:.3g}, got {cost:.3g} "
-            "(sqrt(n) (n^2 b)^1.585 + (n b)^2, b = bits of ||L c||_1)\n"
-        )
-
     small = [int(v) for v in np.random.default_rng(0x5EED).integers(-3, 4, 256)]
-    assert run_cli([command], doc(small), capsys, monkeypatch)[0] == 0
+    assert run_cli([command], rational_doc(small), capsys, monkeypatch)[0] == 0
     wide = [10**999 + k for k in range(64)]
     start = time.perf_counter()
-    code, out, err = run_cli([command], doc(wide), capsys, monkeypatch)
+    code, out, err = run_cli([command], rational_doc(wide), capsys, monkeypatch)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (2, "", refusal(lattice._exact_cost(lattice.rational_circ(wide))))
+    assert (code, out, err) == (2, "", exact_refusal(lattice._exact_cost(lattice.rational_circ(wide))))
     # The edge: a row whose cost equals the bound is served, one above not.
-    row = ["2", "1"] + ["0"] * 126
-    cost = lattice._exact_cost(lattice.rational_circ([2, 1] + [0] * 126))
+    row = [2, 1] + [0] * 126
+    cost = lattice._exact_cost(lattice.rational_circ(row))
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", cost)
-    assert run_cli([command], doc(row), capsys, monkeypatch)[0] == 0
+    assert run_cli([command], rational_doc(row), capsys, monkeypatch)[0] == 0
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
-    assert run_cli([command], doc(row), capsys, monkeypatch) == (2, "", refusal(cost))
+    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal(cost))
+
+
+@pytest.mark.parametrize("command", ("forms", "charpoly"))
+def test_exact_documents_count_the_common_denominator(capsys, monkeypatch, command):
+    # The forms of (1/D, 0, ..., 0) are C(n, i) / D^i: L c is the identity
+    # row, but with D of 4299 digits the forms at order 256 would be about
+    # 1.4e8 decimal digits.  Refused at once, and from the sizes of the
+    # parts alone, before the row is cleared.
+    import time
+
+    from circulants import lattice
+
+    def never(row):
+        raise AssertionError("cleared a row the lower bound refuses")
+
+    row = [f"1/{10**4298 + 1}"] + ["0"] * 255
+    cost = lattice._exact_cost(lattice.RationalCirculant(row))
+    assert lattice._least_exact_cost(lattice.RationalCirculant(row).coeffs) == cost > 1e14
+    monkeypatch.setattr(documents, "RationalCirculant", never)
+    start = time.perf_counter()
+    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal(cost))
+    assert time.perf_counter() - start < 1.0
+    # The same row at order 8 is served: its forms are C(8, i) / D^i.
+    monkeypatch.undo()
+    code, out, err = run_cli(["forms"], rational_doc(row[:8]), capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    q = [documents.format_rational(Fraction(math.comb(8, i), (10**4298 + 1) ** i)) for i in range(1, 9)]
+    assert json.loads(out)["q"] == q
+
+
+def test_many_distinct_large_denominators_are_not_cleared_for_floats(capsys, monkeypatch):
+    # The float commands convert a rational row entry by entry and never
+    # clear it: clearing 128 distinct 4300-digit denominators took 13 s
+    # and held a row of 128 integers of 1.8 Mbit each.  The exact commands
+    # refuse that row from its parts.
+    def never(row):
+        raise AssertionError("cleared a rational row")
+
+    rng = np.random.default_rng(7)
+    row = [f"1/{10**4299 + int(rng.integers(1, 10**18))}" for _ in range(128)]
+    monkeypatch.setattr(documents, "RationalCirculant", never)
+    code, out, err = run_cli(["eig"], rational_doc(row), capsys, monkeypatch)
+    assert (code, err) == (0, "") and len(json.loads(out)["values"]) == 128
+    code, out, err = run_cli(["charpoly"], rational_doc(row), capsys, monkeypatch)
+    assert (code, out) == (2, "") and err.startswith("error: first_row: exact forms need a cost <= ")
 
 
 def test_exact_results_past_4300_digits_are_written(tmp_path, capsys):

@@ -120,17 +120,20 @@ def test_exact_algorithms_read_the_cleared_row():
     # A rational value stores its cleared integers once; the Fractions of
     # `coeffs` are a view for the API edge, never an input to the exact
     # algorithms.  The exact entry rule `_as_rational` takes a circulant
-    # row in the one constructor only (and a spectrum's values in
-    # `reconstruct_from_spectrum`).
+    # row in `_rational_row` only, which the one constructor calls (and a
+    # spectrum's values in `reconstruct_from_spectrum`).
     functions = function_sources("lattice")
     exact = (
-        "RationalCirculant.__add__", "RationalCirculant.__mul__", "_forms", "_exact_cost",
+        "RationalCirculant.__add__", "RationalCirculant.__mul__", "RationalCirculant.to_float",
+        "_forms", "_exact_cost",
         "integer_spectrum", "_has_integral_forms", "_gauss_jordan", "lattice_new",
         "lattice_decompose", "delta_lattice_decompose",
     )
     assert {name: tuple_reads(functions[name]) for name in exact} == {name: [] for name in exact}
     users = {name for name, source in functions.items() if "_as_rational" in names_read(source)}
-    assert users == {"RationalCirculant.__init__", "reconstruct_from_spectrum"}
+    assert users == {"_rational_row", "reconstruct_from_spectrum"}
+    doors = {name for name, source in functions.items() if "_rational_row" in names_read(source)}
+    assert doors == {"RationalCirculant.__init__"}
     for name in MODULES - {"lattice"}:
         assert "_as_rational" not in (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
 

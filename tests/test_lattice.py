@@ -1069,14 +1069,35 @@ def _unimodular_like(rng, n):
     return [grid[k] for k in rng.permutation(n)]
 
 
-def test_exact_cost_reads_the_one_norm_of_the_cleared_row():
-    from circulants.lattice import _exact_cost
+def test_exact_cost_reads_the_one_norm_and_the_scale_of_the_cleared_row():
+    from circulants.lattice import RationalCirculant, _exact_cost
 
-    def model(n, bits):
-        return math.sqrt(n) * (n * n * bits) ** math.log2(3) + (n * bits) ** 2
+    def model(n, a, b):
+        return math.sqrt(n) * (n * n * max(1, a)) ** math.log2(3) + n**3 * b * b / 30
 
-    # L = 6 and L c = (3, -2, 12): 1-norm 17, of 5 bits.
-    assert _exact_cost(rational_circ(F(1, 2), F(-1, 3), 2)) == model(3, 5)
-    assert _exact_cost(rational_circ(16, 0, 0)) == _exact_cost(rational_circ(8, 8, 0)) == model(3, 5)
+    # L = 6 and L c = (3, -2, 12): 1-norm 17, of 5 bits, and L of 3.
+    assert _exact_cost(rational_circ(F(1, 2), F(-1, 3), 2)) == model(3, 5, 8)
+    assert _exact_cost(rational_circ(16, 0, 0)) == _exact_cost(rational_circ(8, 8, 0)) == model(3, 5, 6)
     # The zero row still pays for its order.
-    assert _exact_cost(rational_circ([0] * 40)) == _exact_cost(rational_circ([1] + [0] * 39)) == model(40, 1)
+    assert _exact_cost(rational_circ([0] * 40)) == model(40, 0, 1) == model(40, 1, 1)
+    assert _exact_cost(rational_circ([1] + [0] * 39)) == model(40, 1, 2)
+    # The forms of (1/D, 0, ..., 0) are C(n, i) / D^i: L c is the identity
+    # row, but L counts, and at order 256 with D of 4299 digits the forms
+    # would be about 1.4e8 decimal digits.
+    wide = [F(1, 10**4298)] + [F(0)] * 255
+    assert _exact_cost(RationalCirculant(wide)) == model(256, 1, 1 + (10**4298).bit_length()) > 1e14
+
+
+def test_least_exact_cost_is_a_lower_bound_read_off_the_parts():
+    from circulants.lattice import RationalCirculant, _exact_cost, _least_exact_cost
+
+    rng = np.random.default_rng(0x5EED)
+    for n in (1, 2, 5, 16, 64):
+        for top in (2, 10**6, 10**18):
+            row = [F(int(rng.integers(-top, top)), int(rng.integers(1, top))) for _ in range(n)]
+            assert _least_exact_cost(row) <= _exact_cost(RationalCirculant(row))
+    # Equal where one entry holds the 1-norm of L c and L is its
+    # denominator; ints have parts too.
+    row = [F(7, 9), F(0), F(0)]
+    assert _least_exact_cost(row) == _exact_cost(RationalCirculant(row))
+    assert _least_exact_cost([2, 1, 0]) == _exact_cost(rational_circ(2, 1, 0))
