@@ -13,6 +13,11 @@ this package, reported on one line of stderr rather than as a
 traceback, so that it is never mistaken for a domain verdict).  `main`
 sets no numpy error state: each layer quiets its own numpy work, so a
 RuntimeWarning that a library call leaks is not hidden here.
+
+The self-check tooling loads on first use: `verify-all` imports `verify`
+(and through it `oracle`), and `bench` imports `bench`, inside their
+handlers.  No other subcommand imports them, so a process that runs one
+does not compile or execute them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import sys
 from fractions import Fraction
 
 from . import hopf, lattice, spectral, twisted
-from .bench import run_bench
 from .fixtures import DEFAULT_SEED
 from .forms import char_poly_of_forms, forms_of_spectrum
 from .forms import conjugate as conjugate_of
@@ -47,7 +51,6 @@ from .documents import (
     spectrum_to_obj,
 )
 from .errors import CirculantError
-from .verify import run_all
 
 
 def _read_text(path: str) -> str:
@@ -233,7 +236,11 @@ def _cmd_lattice_solve(args) -> tuple[dict | list | str, int]:
             "document", "lattice-solve expects [basis dense document, rational_circulant target]"
         )
     basis_doc, target_doc = docs
-    basis = lattice.lattice_new(basis_doc.to_exact_grid())
+    grid = basis_doc.to_exact_grid()
+    bound, model = lattice._EXACT_MAX_COST, lattice._SOLVE_COST_MODEL
+    if (cost := lattice._least_solve_cost(grid)) > bound:
+        raise DocumentError("entries", f"exact elimination needs a cost <= {bound:.3g}, got at least {cost:.3g} ({model})")
+    basis = lattice.lattice_new(grid)
     target = target_doc.to_rational_circulant()
     solution = lattice.lattice_decompose(basis, target)
     payload = {
@@ -256,6 +263,8 @@ def _cmd_factorize(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_verify_all(args) -> tuple[dict | list | str, int]:
+    from .verify import run_all
+
     reports = run_all(seed=args.seed)
     lines = []
     for r in reports:
@@ -267,6 +276,8 @@ def _cmd_verify_all(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_bench(args) -> tuple[dict | list | str, int]:
+    from .bench import run_bench
+
     results = run_bench(args.sizes, args.reps, seed=args.seed)
     return "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results), 0
 

@@ -330,13 +330,29 @@ def _exact_cost(c: RationalCirculant) -> float:
     return _cost(c.n, sum(map(abs, c.cleared)), c.scale)
 
 
+def _scales(denominators):
+    """Yield the lcm of the distinct denominators read so far, one distinct
+    denominator at a time, so that a caller can stop as soon as a cost read
+    off it passes a bound, before the lcm of them all is built."""
+    scale = 1
+    for d in dict.fromkeys(denominators):
+        scale = math.lcm(scale, d)
+        yield scale
+
+
 def _least_exact_cost(row) -> float:
     """A lower bound of `_exact_cost(RationalCirculant(row))`, read off the
-    sizes of the entries' parts in O(n), before the row is cleared: L is
-    at least each denominator and ||L c||_1 at least each numerator.  So
-    a row whose many distinct large denominators would make L, and the
-    clearing, large is refused without building it."""
-    return _cost(len(row), max(abs(x.numerator) for x in row), max(x.denominator for x in row))
+    entries' parts before the row is cleared: ||L c||_1 is at least each
+    numerator, and L at least the lcm of any of the denominators.  L is
+    built one distinct denominator at a time (see `_scales`) and the bound
+    returned as soon as it passes `_EXACT_MAX_COST`.  So a row whose many
+    distinct large denominators would make L, and the clearing, large is
+    refused after an L of about the bound's size, not the whole of it."""
+    n, norm = len(row), max(abs(x.numerator) for x in row)
+    for scale in _scales(x.denominator for x in row):
+        if (cost := _cost(n, norm, scale)) > _EXACT_MAX_COST:
+            break
+    return cost
 
 
 #: The largest `_exact_cost` of a row whose exact forms or characteristic
@@ -354,6 +370,54 @@ def _least_exact_cost(row) -> float:
 #: integers (1.7e12, 18 s) and (1/D, 0, ..., 0) at order 256 (1.1e14,
 #: forms of about 1.4e8 digits) are refused.
 _EXACT_MAX_COST = 5e11
+
+
+#: What `_solve_cost` counts, as the `lattice-solve` refusal quotes it.
+_SOLVE_COST_MODEL = "n^3 (R^2 / 7 + 160 R + 43000), R = sum over rows of the bits of the largest entry of L_i times row i"
+
+
+def _solve_cost(n: int, bits: int) -> float:
+    """`_SOLVE_COST_MODEL` at order n, with R = bits: the fraction-free
+    elimination of `_gauss_jordan`, in the unit of `_EXACT_MAX_COST`
+    (about 1e-11 s).  Each of its n steps updates the 2n entries of n - 1
+    rows of [A | I], and at step k they are k x k minors of about k R / n
+    bits.  Python multiplies and divides such integers in time at most
+    quadratic in their length (its long division is schoolbook), so the
+    steps sum to about n^3 (C R^2 + B R + A).  A, B and C are a least
+    squares fit to in-process `circulants lattice-solve` times of 33
+    grids on a 2-vCPU VM: integers of 1 to 4000 digits at n = 4..128,
+    fractions p/q with |p| < 100, q < 50 at n = 8..64, and rows mixing
+    p/q of 18 to 1000 digits with small ones at n = 4..24.  Each time of
+    0.02 s or more was 0.82 to 1.75 times the model's, the larger ratios
+    on the mixed rows.  So the bound serves random fractional grids as
+    above up to about n = 56 (3.8 s) and refuses them from n = 64 on
+    (7.8 s)."""
+    return n**3 * (bits * bits / 7 + 160 * bits + 43000)
+
+
+def _least_solve_cost(grid) -> float:
+    """A lower bound of `_solve_cost` of the square grid of rationals,
+    read off the entries' parts before any row is cleared.  Row i is
+    cleared by L_i, the lcm of its denominators, and each nonzero entry
+    p/q of it becomes |p| L_i / q, of at least bits(p) bits (q divides
+    L_i) and at least bits(p) + bits(L_i) - bits(q) - 1.  Each L_i is
+    built one distinct denominator at a time (see `_scales`), and the
+    bound returned as soon as it passes `_EXACT_MAX_COST`: a grid of many
+    distinct large denominators is refused before their lcm is built."""
+    n = len(grid)
+    parts = [[(x.numerator.bit_length(), x.denominator.bit_length()) for x in row if x] for row in grid]
+    bits = [max((p for p, _ in row), default=0) for row in parts]
+    total = sum(bits)
+    if (cost := _solve_cost(n, total)) > _EXACT_MAX_COST:
+        return cost
+    for i, row in enumerate(grid):
+        spread = max((p - q for p, q in parts[i]), default=0) - 1
+        for scale in _scales(x.denominator for x in row if x):
+            least = max(bits[i], spread + scale.bit_length())
+            total, bits[i] = total + least - bits[i], least
+            if (cost := _solve_cost(n, total)) > _EXACT_MAX_COST:
+                return cost
+    return cost
 
 
 def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:

@@ -1109,3 +1109,107 @@ def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command,
     path.write_text(text)
     code, out, err = run_cli([command, "--input", str(path)], capsys=capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_self_check_modules_load_only_for_verify_all_and_bench():
+    # `verify` (which imports `oracle`) and `bench` are imported by their
+    # handlers on first use: importing the CLI and running any other
+    # subcommand leaves them unloaded.  A fresh interpreter, since this
+    # one has loaded them already.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import circulants
+
+    script = (
+        "import contextlib, io, sys\n"
+        "import circulants.cli as cli\n"
+        "names = ('circulants.verify', 'circulants.oracle', 'circulants.bench')\n"
+        "loaded = lambda: [m for m in names if m in sys.modules]\n"
+        "print(loaded())\n"
+        "sys.stdin = io.StringIO(sys.argv[1])\n"
+        "for argv in (['eig'], ['verify-all'], ['bench', '--sizes', '4', '--reps', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(circulants.__file__).resolve().parents[1]))
+    doc = json.dumps(circulant_doc(1, 2, 3))
+    run = subprocess.run([sys.executable, "-c", script, doc], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [
+        "[]",
+        "eig 0 []",
+        "verify-all 0 ['circulants.verify', 'circulants.oracle']",
+        "bench 0 ['circulants.verify', 'circulants.oracle', 'circulants.bench']",
+    ]
+
+
+def test_distinct_large_denominators_are_refused_before_their_lcm(capsys, monkeypatch):
+    # The lcm of 40 distinct 4300-digit denominators has about 570 000
+    # bits, and building it took about 1.1 s before the row was refused.
+    # L is now built one distinct denominator at a time and the row
+    # refused once the cost read off it passes the bound: after two.
+    import time
+
+    from circulants import lattice
+
+    rng = np.random.default_rng(7)
+    row = [f"1/{10**4299 + int(rng.integers(1, 10**18))}" for _ in range(40)]
+    text = rational_doc(row)
+    start = time.perf_counter()
+    code, out, err = run_cli(["charpoly"], text, capsys, monkeypatch)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "") and err.startswith("error: first_row: exact forms need a cost <= ")
+    assert err.endswith(f"({lattice._EXACT_COST_MODEL})\n") and len(err.splitlines()) == 1
+
+
+def solve_doc(grid, target):
+    return json.dumps([
+        {"kind": "dense", "n": len(grid), "entries": [[str(v) for v in row] for row in grid]},
+        {"kind": "rational_circulant", "n": len(target), "first_row": [str(v) for v in target]},
+    ])
+
+
+def solve_refusal(cost):
+    from circulants import lattice
+
+    bound, model = lattice._EXACT_MAX_COST, lattice._SOLVE_COST_MODEL
+    return f"error: entries: exact elimination needs a cost <= {bound:.3g}, got at least {cost:.3g} ({model})\n"
+
+
+def test_lattice_solve_refuses_a_grid_past_the_cost_bound(capsys, monkeypatch):
+    # Random fractional grids (p/q, |p| < 100, q < 50) took 6 s to eliminate
+    # at n = 64 and 20 s at n = 80; at n = 80 the lower bound read off the
+    # parts refuses the grid before any row is cleared.
+    import time
+
+    from circulants import lattice
+
+    rng = np.random.default_rng(0x5EED)
+    grid = [[Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 50))) for _ in range(80)] for _ in range(80)]
+    text = solve_doc(grid, [1] * 80)
+    start = time.perf_counter()
+    code, out, err = run_cli(["lattice-solve"], text, capsys, monkeypatch)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", solve_refusal(lattice._least_solve_cost(grid)))
+    assert lattice._least_solve_cost(grid) > lattice._EXACT_MAX_COST
+    # A grid of the same kind at n = 16 is served.
+    small = [row[:16] for row in grid[:16]]
+    assert run_cli(["lattice-solve"], solve_doc(small, [1] * 16), capsys, monkeypatch)[0] in (0, 1)
+
+
+def test_lattice_solve_serves_a_grid_at_the_cost_bound(capsys, monkeypatch):
+    # On an integer grid the lower bound is the model itself: R sums the
+    # bits of each row's largest entry, here 3 + 2 + 2.
+    from circulants import lattice
+
+    grid = [[5, 1, 0], [0, 2, 1], [1, 0, 3]]
+    cost = lattice._solve_cost(3, 7)
+    assert lattice._least_solve_cost([[Fraction(v) for v in row] for row in grid]) == cost
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", cost)
+    code, out, err = run_cli(["lattice-solve"], solve_doc(grid, [5, 1, 0]), capsys, monkeypatch)
+    assert (code, err) == (0, "") and json.loads(out)["coefficients"] == ["1", "0", "0"]
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
+    assert run_cli(["lattice-solve"], solve_doc(grid, [5, 1, 0]), capsys, monkeypatch) == (2, "", solve_refusal(cost))

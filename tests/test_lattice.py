@@ -1101,3 +1101,55 @@ def test_least_exact_cost_is_a_lower_bound_read_off_the_parts():
     row = [F(7, 9), F(0), F(0)]
     assert _least_exact_cost(row) == _exact_cost(RationalCirculant(row))
     assert _least_exact_cost([2, 1, 0]) == _exact_cost(rational_circ(2, 1, 0))
+
+
+def cleared_bits(grid) -> int:
+    """R of `lattice._SOLVE_COST_MODEL`: the bits of the largest entry of
+    each row cleared by the lcm of its denominators, summed over rows."""
+    total = 0
+    for row in grid:
+        scale = math.lcm(*(x.denominator for x in row))
+        total += max(abs(x.numerator) * (scale // x.denominator) for x in row).bit_length()
+    return total
+
+
+def test_least_solve_cost_is_a_lower_bound_read_off_the_parts():
+    from circulants.lattice import _least_solve_cost, _solve_cost
+
+    rng = np.random.default_rng(0x5EED)
+    for n in (1, 2, 5, 12):
+        for top in (2, 100, 10**6, 10**18):
+            grid = [
+                [F(int(rng.integers(-top, top)) * int(rng.integers(0, 2)), int(rng.integers(1, top))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert _least_solve_cost(grid) <= _solve_cost(n, cleared_bits(grid))
+    # Equal on integer grids.
+    grid = [[F(7), F(0)], [F(0), F(-3)]]
+    assert _least_solve_cost(grid) == _solve_cost(2, cleared_bits(grid)) == _solve_cost(2, 3 + 2)
+    # Row (1, 1/6) clears by 6 to (6, 1), of 3 bits, and its parts show at
+    # least bits(1) + bits(6) - bits(1) - 1 = 2; row (1/2, 1/3) clears to
+    # (3, 2), of 2 bits, and its parts show only bits(1) = 1.
+    grid = [[F(1), F(1, 6)], [F(1, 2), F(1, 3)]]
+    assert cleared_bits(grid) == 5
+    assert _least_solve_cost(grid) == _solve_cost(2, 2 + 1)
+
+
+def test_least_solve_cost_stops_building_the_lcm_past_the_bound(monkeypatch):
+    # Each row of distinct 4300-digit denominators would clear by an lcm of
+    # about 570 000 bits; the bound is passed after the first few.
+    from circulants import lattice
+
+    seen = []
+    scales = lattice._scales
+
+    def counted(denominators):
+        for scale in scales(denominators):
+            seen.append(scale)
+            yield scale
+
+    rng = np.random.default_rng(7)
+    grid = [[F(1, 10**4299 + int(rng.integers(1, 10**18))) for _ in range(40)] for _ in range(40)]
+    monkeypatch.setattr(lattice, "_scales", counted)
+    assert lattice._least_solve_cost(grid) > lattice._EXACT_MAX_COST
+    assert len(seen) < 40
