@@ -40,8 +40,8 @@ from .errors import CirculantError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
-from .lattice import _EXACT_MAX_COST, BrandtCounterexample, BrandtVerdict, _exact_cost
-from .lattice import brandt_check, exact_char_poly, integer_spectrum, rational_circ
+from .lattice import BrandtCounterexample, BrandtVerdict, bounded_row, brandt_check, exact_char_poly
+from .lattice import integer_spectrum, rational_circ
 from .spectral import eigenvalues, fast_mul
 from .twisted import MuCirculant, mu_eigen, mu_mul, mu_to_dense
 
@@ -223,17 +223,18 @@ def _exact_char_poly(x: Circulant, y: Circulant, seed: int):
     """The exact characteristic polynomial of a dense integer row of x's
     order n, entries -3..3, drawn from (seed, n), not from x and y's
     generator; and the checksum, the total bit length of its
-    coefficients.  None when the dense row's `_exact_cost` is above
-    `_EXACT_MAX_COST` (about n = 570).  Checked: circ(2, 1,
-    0, ..., 0) = 2I + P gives (X - 2)^n - 1 exactly, and the dense row's
-    polynomial annihilates the row modulo a prime below 2^25
-    (Cayley-Hamilton, by Horner's rule in int64)."""
+    coefficients.  None where `lattice.bounded_row`, the door of
+    `circulants charpoly`, refuses the dense row (from about n = 570).
+    Checked: circ(2, 1, 0, ..., 0) = 2I + P gives (X - 2)^n - 1 exactly,
+    and the dense row's polynomial annihilates the row modulo a prime
+    below 2^25 (Cayley-Hamilton, by Horner's rule in int64)."""
     n = x.n
     rng = np.random.default_rng([seed, n])
     row = [int(v) for v in rng.integers(-3, 4, n)]
-    c = rational_circ(row)
     # Where the bound bites, 2I + P (1-norm 3) costs less than the dense row.
-    if _exact_cost(c) > _EXACT_MAX_COST:
+    try:
+        c = bounded_row(row)
+    except DocumentError:
         return None
     closed = [math.comb(n, i) * (-2) ** i for i in range(n + 1)]
     closed[-1] -= 1

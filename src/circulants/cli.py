@@ -91,37 +91,21 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
     return spectrum_to_obj(_spectrum_of(_single_document(args)).array), 0
 
 
-def _exact_row(doc: MatrixDocument) -> lattice.RationalCirculant:
-    """The rational row of ``doc``, refused when the cost of its exact forms
-    passes `lattice._EXACT_MAX_COST`: first on the lower bound read off
-    the entries, before the row is cleared, then on the cleared row."""
-    bound, model = lattice._EXACT_MAX_COST, lattice._EXACT_COST_MODEL
-    if (cost := lattice._least_exact_cost(doc.first_row)) <= bound:
-        c = doc.to_rational_circulant()
-        if (cost := lattice._exact_cost(c)) <= bound:
-            return c
-    raise DocumentError("first_row", f"exact forms need a cost <= {bound:.3g}, got at least {cost:.3g} ({model})")
-
-
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
-        q: tuple = lattice.forms_exact(_exact_row(doc))
-        encoded = [format_rational(x) for x in q]
+        encoded = list(map(format_rational, lattice.forms_exact(lattice.bounded_row(doc.first_row))))
     else:
-        q = forms_of_spectrum(_spectrum_of(doc)).q
-        encoded = format_complex_row(q)
+        encoded = format_complex_row(forms_of_spectrum(_spectrum_of(doc)).q)
     return {"kind": "forms", "n": doc.n, "q": encoded}, 0
 
 
 def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
-        monic: tuple = lattice.exact_char_poly(_exact_row(doc))
-        encoded = [format_rational(x) for x in monic]
+        encoded = list(map(format_rational, lattice.exact_char_poly(lattice.bounded_row(doc.first_row))))
     else:
-        coeffs = char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc)))
-        encoded = format_complex_row(coeffs)
+        encoded = format_complex_row(char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc))))
     return {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}, 0
 
 
@@ -236,13 +220,7 @@ def _cmd_lattice_solve(args) -> tuple[dict | list | str, int]:
             "document", "lattice-solve expects [basis dense document, rational_circulant target]"
         )
     basis_doc, target_doc = docs
-    grid = basis_doc.to_exact_grid()
-    bound, model = lattice._EXACT_MAX_COST, lattice._SOLVE_COST_MODEL
-    if (cost := lattice._least_solve_cost(grid)) > bound:
-        raise DocumentError("entries", f"exact elimination needs a cost <= {bound:.3g}, got at least {cost:.3g} ({model})")
-    basis = lattice.lattice_new(grid)
-    target = target_doc.to_rational_circulant()
-    solution = lattice.lattice_decompose(basis, target)
+    solution = lattice.bounded_solve(basis_doc.to_exact_grid(), target_doc.to_exact_row())
     payload = {
         "kind": "lattice_solution",
         "coefficients": [format_rational(a) for a in solution.coefficients],

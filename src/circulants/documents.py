@@ -28,7 +28,7 @@ from itertools import chain, starmap
 import numpy as np
 
 from .core import Circulant, _entries, _Frozen, _result, _view
-from .errors import CirculantError, DimensionMismatchError, InvalidScalarError
+from .errors import DimensionMismatchError, DocumentError, InvalidScalarError
 from .hopf import BlockCirculant
 from .lattice import RationalCirculant, _rational_row
 from .twisted import MuCirculant, MuWeights, TwoCocycle, _mu_result, _skew_weights, cocycle_from_mu
@@ -44,14 +44,6 @@ _FIELDS = dict.fromkeys(KINDS, ("first_row",)) | {
     "spectrum": ("values",),
     "cocycle": ("table",),
 }
-
-
-class DocumentError(CirculantError, ValueError):
-    """Malformed document; the message names the offending field."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
 
 
 def format_complex_row(values) -> list[list[str]]:
@@ -255,10 +247,13 @@ class MatrixDocument(_Frozen):
             return _mu_result(row, _skew_weights(row.size))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
 
-    def to_rational_circulant(self) -> RationalCirculant:
+    def to_exact_row(self) -> tuple[Fraction, ...]:
         if self.kind != "rational_circulant":
             raise DocumentError("kind", f"expected rational_circulant, got {self.kind}")
-        return RationalCirculant(self.first_row)
+        return self.first_row
+
+    def to_rational_circulant(self) -> RationalCirculant:
+        return RationalCirculant(self.to_exact_row())
 
     def to_complex_grid(self) -> np.ndarray:
         """The grid as a fresh complex array, exact ones included, under the

@@ -14,6 +14,15 @@ class CirculantError(Exception):
     exit_code = 2
 
 
+class DocumentError(CirculantError, ValueError):
+    """Malformed document, or one past a cost bound; the message names the
+    offending field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
+
+
 class InvalidOrderError(CirculantError, ValueError):
     """Matrix order is empty, zero or negative."""
 

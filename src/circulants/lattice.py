@@ -63,6 +63,7 @@ from .core import Circulant, _Frozen, _check_orders, _result, _shift
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
+    DocumentError,
     InvalidModeError,
     InvalidOrderError,
     InvalidScalarError,
@@ -340,35 +341,31 @@ def _scales(denominators):
         yield scale
 
 
-def _least_exact_cost(row) -> float:
-    """A lower bound of `_exact_cost(RationalCirculant(row))`, read off the
-    entries' parts before the row is cleared: ||L c||_1 is at least each
-    numerator, and L at least the lcm of any of the denominators.  L is
-    built one distinct denominator at a time (see `_scales`) and the bound
-    returned as soon as it passes `_EXACT_MAX_COST`.  So a row whose many
-    distinct large denominators would make L, and the clearing, large is
-    refused after an L of about the bound's size, not the whole of it."""
+def _least_exact_costs(row):
+    """Lower bounds of `_exact_cost(RationalCirculant(row))`, read off the
+    entries' parts before the row is cleared, each at least the one
+    before: ||L c||_1 is at least each numerator, and L at least the lcm
+    of any of the denominators, built one distinct denominator at a time
+    (see `_scales`)."""
     n, norm = len(row), max(abs(x.numerator) for x in row)
-    for scale in _scales(x.denominator for x in row):
-        if (cost := _cost(n, norm, scale)) > _EXACT_MAX_COST:
-            break
-    return cost
+    return (_cost(n, norm, scale) for scale in _scales(x.denominator for x in row))
 
 
-#: The largest `_exact_cost` of a row whose exact forms or characteristic
-#: polynomial `circulants forms` and `charpoly` and the `exact-char-poly`
-#: bench row compute.  On a 2-vCPU VM `circulants charpoly` took up to
-#: about 1.1e-11 s per unit of cost: on integer rows, order 128 with
-#: 64-digit entries (cost 2.8e11) 2.2 s, order 256 with 15-digit ones
-#: (4.2e11) 2.7 s, order 64 with 450-digit ones (4.8e11) 4.3 s, order 32
-#: with 2100-digit ones (4.7e11) 5.2 s, order 512 with -3..3 (3.4e11)
-#: 1.5 s, order 1540 with the identity row (5.0e11) 0.3 s; where L
-#: counts, (1/D, 0, ..., 0) with D of 4299 digits at order 40 (4.3e11)
-#: 4.5 s, order 6 with fractions of 4300-digit parts (2.6e11) 3.4 s,
-#: order 24 with one 4300-digit denominator (9.4e10) 1.3 s.  So an
-#: accepted call stays within a few seconds; order 64 with 1000-digit
-#: integers (1.7e12, 18 s) and (1/D, 0, ..., 0) at order 256 (1.1e14,
-#: forms of about 1.4e8 digits) are refused.
+#: The largest cost, on the model of its path, of an exact input that
+#: `circulants forms`, `charpoly` and `lattice-solve` and the
+#: `exact-char-poly` bench row serve, about 1e-11 s a unit.  On a 2-vCPU
+#: VM `circulants charpoly` took up to about 1.1e-11 s per unit of
+#: `_exact_cost`: on integer rows, order 128 with 64-digit entries (cost
+#: 2.8e11) 2.2 s, order 256 with 15-digit ones (4.2e11) 2.7 s, order 64
+#: with 450-digit ones (4.8e11) 4.3 s, order 32 with 2100-digit ones
+#: (4.7e11) 5.2 s, order 512 with -3..3 (3.4e11) 1.5 s, order 1540 with
+#: the identity row (5.0e11) 0.3 s; where L counts, (1/D, 0, ..., 0) with
+#: D of 4299 digits at order 40 (4.3e11) 4.5 s, order 6 with fractions of
+#: 4300-digit parts (2.6e11) 3.4 s, order 24 with one 4300-digit
+#: denominator (9.4e10) 1.3 s.  So an accepted call stays within a few
+#: seconds; order 64 with 1000-digit integers (1.7e12, 18 s) and
+#: (1/D, 0, ..., 0) at order 256 (1.1e14, forms of about 1.4e8 digits)
+#: are refused.
 _EXACT_MAX_COST = 5e11
 
 
@@ -395,29 +392,86 @@ def _solve_cost(n: int, bits: int) -> float:
     return n**3 * (bits * bits / 7 + 160 * bits + 43000)
 
 
-def _least_solve_cost(grid) -> float:
-    """A lower bound of `_solve_cost` of the square grid of rationals,
-    read off the entries' parts before any row is cleared.  Row i is
-    cleared by L_i, the lcm of its denominators, and each nonzero entry
-    p/q of it becomes |p| L_i / q, of at least bits(p) bits (q divides
-    L_i) and at least bits(p) + bits(L_i) - bits(q) - 1.  Each L_i is
-    built one distinct denominator at a time (see `_scales`), and the
-    bound returned as soon as it passes `_EXACT_MAX_COST`: a grid of many
-    distinct large denominators is refused before their lcm is built."""
+def _least_solve_costs(grid):
+    """Lower bounds of `_solve_cost` of the square grid of rationals, read
+    off the entries' parts before any row is cleared, each at least the
+    one before.  Row i is cleared by L_i, the lcm of its denominators, and
+    each nonzero entry p/q of it becomes |p| L_i / q, of at least bits(p)
+    bits (q divides L_i) and at least bits(p) + bits(L_i) - bits(q) - 1.
+    Each L_i is built one distinct denominator at a time (see `_scales`)."""
     n = len(grid)
     parts = [[(x.numerator.bit_length(), x.denominator.bit_length()) for x in row if x] for row in grid]
     bits = [max((p for p, _ in row), default=0) for row in parts]
     total = sum(bits)
-    if (cost := _solve_cost(n, total)) > _EXACT_MAX_COST:
-        return cost
+    yield _solve_cost(n, total)
     for i, row in enumerate(grid):
         spread = max((p - q for p, q in parts[i]), default=0) - 1
         for scale in _scales(x.denominator for x in row if x):
             least = max(bits[i], spread + scale.bit_length())
             total, bits[i] = total + least - bits[i], least
-            if (cost := _solve_cost(n, total)) > _EXACT_MAX_COST:
-                return cost
-    return cost
+            yield _solve_cost(n, total)
+
+
+#: What `_least_target_costs` counts, as the `lattice-solve` refusal
+#: quotes it.
+_TARGET_COST_MODEL = "n T^2 / 3, T = bits of the lcm of the target's denominators"
+
+
+def _least_target_costs(row):
+    """Lower bounds of `_TARGET_COST_MODEL` of the target row, each at least
+    the one before: L_t is at least the lcm of any of the denominators,
+    built one distinct denominator at a time (see `_scales`).
+
+    The model counts clearing the target row of `lattice-solve` and
+    `lattice_decompose`, in the unit of `_EXACT_MAX_COST`.  With L_t of T
+    bits, the n coefficients are sums t v_j over L_t lv, and reducing each
+    to lowest terms is a gcd of integers of about T bits, quadratic in T;
+    so is their decimal text.  A least squares fit of C n T^2 to
+    in-process `circulants lattice-solve` times on a 2-vCPU VM gave
+    C = 0.36, here 1/3: 17 targets of distinct 1000- or 4300-digit
+    denominators, numerators 1 or as long, at n = 4..32, over a unimodular
+    basis with a dense inverse.  Each time of 0.02 s or more was 0.93 to
+    1.76 times the model's, the larger ratios on the shortest times.  Over
+    the identity basis each gcd ends in a few steps and the time is nearer
+    T^2 / 1.4 (0.38 s at n = 16, T = 228 000).  The grid's own terms, such
+    as lv, are bounded by `_solve_cost`.  So a target of 16 distinct
+    4300-digit denominators is served (2.8 s over the dense inverse) and
+    one of 24 refused (8.7 s)."""
+    return (len(row) * scale.bit_length() ** 2 / 3 for scale in _scales(x.denominator for x in row))
+
+
+def _refuse_past(costs, field: str, what: str, model: str) -> None:
+    """The one check of a cost against `_EXACT_MAX_COST` and the one
+    refusal: read the costs in turn, and at the first past the bound raise
+    DocumentError on ``field``, exit 2, reading no further.  So a lower
+    bound built one distinct denominator at a time (see `_scales`) refuses
+    an input of many distinct large denominators before their lcm is
+    built."""
+    if any(cost > _EXACT_MAX_COST for cost in costs):
+        raise DocumentError(field, f"the cost of {what} is more than {_EXACT_MAX_COST:.3g} ({model})")
+
+
+def bounded_row(row) -> RationalCirculant:
+    """The rational row whose exact forms `circulants forms` and `charpoly`
+    and the `exact-char-poly` bench row compute, refused past the bound on
+    `_EXACT_COST_MODEL`: first on the lower bounds read off the entries'
+    parts, before the row is cleared, then on the cleared row."""
+    refusal = ("first_row", "exact forms", _EXACT_COST_MODEL)
+    _refuse_past(_least_exact_costs(row), *refusal)
+    c = RationalCirculant(row)
+    _refuse_past((_exact_cost(c),), *refusal)
+    return c
+
+
+def bounded_solve(grid, row) -> LatticeSolution:
+    """The `lattice_decompose` of the target row over the `lattice_new`
+    basis of the grid of rationals, as `circulants lattice-solve` asks,
+    refused past the bound: first the target on `_TARGET_COST_MODEL`, then
+    the grid on `_SOLVE_COST_MODEL`, each on the lower bounds read off its
+    entries' parts, before anything is cleared or eliminated."""
+    _refuse_past(_least_target_costs(row), "first_row", "exact decomposition", _TARGET_COST_MODEL)
+    _refuse_past(_least_solve_costs(grid), "entries", "exact elimination", _SOLVE_COST_MODEL)
+    return lattice_decompose(lattice_new(grid), RationalCirculant(row))
 
 
 def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:

@@ -660,9 +660,9 @@ def test_bench_exact_char_poly_row_checks_before_timing(monkeypatch):
     monkeypatch.undo()
     # No record above the bound, and no call: the row is never built there.
     # Every -3..3 row of order 8 costs at most circ(3, ..., 3).
-    from circulants.lattice import _exact_cost
+    from circulants import lattice
 
-    monkeypatch.setattr(bench, "_EXACT_MAX_COST", _exact_cost(bench.rational_circ([3] * 8)))
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", lattice._exact_cost(bench.rational_circ([3] * 8)))
     rows = bench.run_bench([8, 12], reps=3)
     assert [r.n for r in rows if r.method == "exact-char-poly"] == [8]
     assert {r.method for r in rows if r.n == 12} == {name for name, _ in bench.ROWS} - {"exact-char-poly"}
@@ -948,11 +948,11 @@ def rational_doc(row):
     return json.dumps({"kind": "rational_circulant", "n": len(row), "first_row": [str(v) for v in row]})
 
 
-def exact_refusal(cost):
+def exact_refusal():
     from circulants import lattice
 
     bound, model = lattice._EXACT_MAX_COST, lattice._EXACT_COST_MODEL
-    return f"error: first_row: exact forms need a cost <= {bound:.3g}, got at least {cost:.3g} ({model})\n"
+    return f"error: first_row: the cost of exact forms is more than {bound:.3g} ({model})\n"
 
 
 @pytest.mark.parametrize("command", ("forms", "charpoly"))
@@ -970,14 +970,14 @@ def test_exact_documents_above_the_order_cap_exit_2(capsys, monkeypatch, command
     start = time.perf_counter()
     code, out, err = run_cli([command], rational_doc(wide), capsys, monkeypatch)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (2, "", exact_refusal(lattice._exact_cost(lattice.rational_circ(wide))))
+    assert (code, out, err) == (2, "", exact_refusal())
     # The edge: a row whose cost equals the bound is served, one above not.
     row = [2, 1] + [0] * 126
     cost = lattice._exact_cost(lattice.rational_circ(row))
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", cost)
     assert run_cli([command], rational_doc(row), capsys, monkeypatch)[0] == 0
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
-    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal(cost))
+    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal())
 
 
 @pytest.mark.parametrize("command", ("forms", "charpoly"))
@@ -995,10 +995,10 @@ def test_exact_documents_count_the_common_denominator(capsys, monkeypatch, comma
 
     row = [f"1/{10**4298 + 1}"] + ["0"] * 255
     cost = lattice._exact_cost(lattice.RationalCirculant(row))
-    assert lattice._least_exact_cost(lattice.RationalCirculant(row).coeffs) == cost > 1e14
-    monkeypatch.setattr(documents, "RationalCirculant", never)
+    assert max(lattice._least_exact_costs(lattice.RationalCirculant(row).coeffs)) == cost > 1e14
+    monkeypatch.setattr(lattice, "RationalCirculant", never)
     start = time.perf_counter()
-    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal(cost))
+    assert run_cli([command], rational_doc(row), capsys, monkeypatch) == (2, "", exact_refusal())
     assert time.perf_counter() - start < 1.0
     # The same row at order 8 is served: its forms are C(8, i) / D^i.
     monkeypatch.undo()
@@ -1016,13 +1016,16 @@ def test_many_distinct_large_denominators_are_not_cleared_for_floats(capsys, mon
     def never(row):
         raise AssertionError("cleared a rational row")
 
+    from circulants import lattice
+
     rng = np.random.default_rng(7)
     row = [f"1/{10**4299 + int(rng.integers(1, 10**18))}" for _ in range(128)]
     monkeypatch.setattr(documents, "RationalCirculant", never)
+    monkeypatch.setattr(lattice, "RationalCirculant", never)
     code, out, err = run_cli(["eig"], rational_doc(row), capsys, monkeypatch)
     assert (code, err) == (0, "") and len(json.loads(out)["values"]) == 128
     code, out, err = run_cli(["charpoly"], rational_doc(row), capsys, monkeypatch)
-    assert (code, out) == (2, "") and err.startswith("error: first_row: exact forms need a cost <= ")
+    assert (code, out, err) == (2, "", exact_refusal())
 
 
 def test_exact_results_past_4300_digits_are_written(tmp_path, capsys):
@@ -1161,8 +1164,7 @@ def test_distinct_large_denominators_are_refused_before_their_lcm(capsys, monkey
     start = time.perf_counter()
     code, out, err = run_cli(["charpoly"], text, capsys, monkeypatch)
     assert time.perf_counter() - start < 0.1
-    assert (code, out) == (2, "") and err.startswith("error: first_row: exact forms need a cost <= ")
-    assert err.endswith(f"({lattice._EXACT_COST_MODEL})\n") and len(err.splitlines()) == 1
+    assert (code, out, err) == (2, "", exact_refusal())
 
 
 def solve_doc(grid, target):
@@ -1172,11 +1174,11 @@ def solve_doc(grid, target):
     ])
 
 
-def solve_refusal(cost):
+def solve_refusal():
     from circulants import lattice
 
     bound, model = lattice._EXACT_MAX_COST, lattice._SOLVE_COST_MODEL
-    return f"error: entries: exact elimination needs a cost <= {bound:.3g}, got at least {cost:.3g} ({model})\n"
+    return f"error: entries: the cost of exact elimination is more than {bound:.3g} ({model})\n"
 
 
 def test_lattice_solve_refuses_a_grid_past_the_cost_bound(capsys, monkeypatch):
@@ -1193,8 +1195,8 @@ def test_lattice_solve_refuses_a_grid_past_the_cost_bound(capsys, monkeypatch):
     start = time.perf_counter()
     code, out, err = run_cli(["lattice-solve"], text, capsys, monkeypatch)
     assert time.perf_counter() - start < 0.5
-    assert (code, out, err) == (2, "", solve_refusal(lattice._least_solve_cost(grid)))
-    assert lattice._least_solve_cost(grid) > lattice._EXACT_MAX_COST
+    assert (code, out, err) == (2, "", solve_refusal())
+    assert max(lattice._least_solve_costs(grid)) > lattice._EXACT_MAX_COST
     # A grid of the same kind at n = 16 is served.
     small = [row[:16] for row in grid[:16]]
     assert run_cli(["lattice-solve"], solve_doc(small, [1] * 16), capsys, monkeypatch)[0] in (0, 1)
@@ -1207,9 +1209,59 @@ def test_lattice_solve_serves_a_grid_at_the_cost_bound(capsys, monkeypatch):
 
     grid = [[5, 1, 0], [0, 2, 1], [1, 0, 3]]
     cost = lattice._solve_cost(3, 7)
-    assert lattice._least_solve_cost([[Fraction(v) for v in row] for row in grid]) == cost
+    assert max(lattice._least_solve_costs([[Fraction(v) for v in row] for row in grid])) == cost
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", cost)
     code, out, err = run_cli(["lattice-solve"], solve_doc(grid, [5, 1, 0]), capsys, monkeypatch)
     assert (code, err) == (0, "") and json.loads(out)["coefficients"] == ["1", "0", "0"]
     monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
-    assert run_cli(["lattice-solve"], solve_doc(grid, [5, 1, 0]), capsys, monkeypatch) == (2, "", solve_refusal(cost))
+    assert run_cli(["lattice-solve"], solve_doc(grid, [5, 1, 0]), capsys, monkeypatch) == (2, "", solve_refusal())
+
+
+def target_refusal():
+    from circulants import lattice
+
+    bound, model = lattice._EXACT_MAX_COST, lattice._TARGET_COST_MODEL
+    return f"error: first_row: the cost of exact decomposition is more than {bound:.3g} ({model})\n"
+
+
+def test_lattice_solve_refuses_a_target_past_the_cost_bound(capsys, monkeypatch):
+    # Clearing a target of 128 distinct 4300-digit denominators and
+    # decomposing it over the identity took about 25 s.  Its lower bound
+    # read off the parts refuses it after a few of them, before the target
+    # is cleared or the grid eliminated.
+    import time
+
+    from circulants import lattice
+
+    def never(row):
+        raise AssertionError("cleared a row the lower bound refuses")
+
+    rng = np.random.default_rng(7)
+    denominators = [10**4299 + int(rng.integers(1, 10**18)) for _ in range(128)]
+    target = [f"1/{d}" for d in denominators]
+    identity = [[int(i == j) for j in range(128)] for i in range(128)]
+    text = solve_doc(identity, target)
+    monkeypatch.setattr(lattice, "RationalCirculant", never)
+    start = time.perf_counter()
+    code, out, err = run_cli(["lattice-solve"], text, capsys, monkeypatch)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", target_refusal())
+    # The same kind of target at n = 16 is served: its coefficients over
+    # the identity are its entries.
+    monkeypatch.undo()
+    small = [row[:16] for row in identity[:16]]
+    code, out, err = run_cli(["lattice-solve"], solve_doc(small, target[:16]), capsys, monkeypatch)
+    assert (code, err) == (1, "") and json.loads(out)["coefficients"] == target[:16]
+
+
+def test_lattice_solve_refuses_a_target_just_past_the_cost_bound(capsys, monkeypatch):
+    # The target (1/2, 1/3, 0) clears by L_t = 6, of T = 3 bits.
+    from circulants import lattice
+
+    cost = 3 * 3**2 / 3
+    assert max(lattice._least_target_costs([Fraction(1, 2), Fraction(1, 3), Fraction(0)])) == cost == 9
+    text = solve_doc([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["1/2", "1/3", "0"])
+    assert run_cli(["lattice-solve"], text, capsys, monkeypatch)[:2] == (1, json.dumps({
+        "kind": "lattice_solution", "coefficients": ["1/2", "1/3", "0"], "member": False}, indent=2) + "\n")
+    monkeypatch.setattr(lattice, "_EXACT_MAX_COST", math.nextafter(cost, 0))
+    assert run_cli(["lattice-solve"], text, capsys, monkeypatch) == (2, "", target_refusal())

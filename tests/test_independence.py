@@ -138,6 +138,46 @@ def test_exact_algorithms_read_the_cleared_row():
         assert "_as_rational" not in (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
 
 
+#: The names of the exact cost policy of `lattice`: its bound, its models
+#: and the lower bounds read off an input's parts, each lower bound under
+#: its singular name too.
+COST_NAMES = {
+    "_EXACT_MAX_COST", "_EXACT_COST_MODEL", "_SOLVE_COST_MODEL", "_TARGET_COST_MODEL",
+    "_exact_cost", "_solve_cost",
+    "_least_exact_cost", "_least_solve_cost",
+    "_least_exact_costs", "_least_solve_costs", "_least_target_costs",
+}
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name this source reads bare or as an attribute, or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_the_exact_cost_policy_lives_behind_the_lattice_doors():
+    # One bound decides which exact inputs the commands serve, and only
+    # `lattice` knows it: `cli` and `bench` ask its doors, `bounded_row`
+    # and `bounded_solve`.  In `lattice`, one function compares a cost with
+    # the bound and words the refusal.
+    readers = {
+        name for name in MODULES
+        if identifiers((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) & COST_NAMES
+    }
+    assert readers == {"lattice"}
+    assert "_exact_row" not in function_sources("cli")
+    functions = function_sources("lattice")
+    for policy in ("_EXACT_MAX_COST", "DocumentError"):
+        assert {name for name, source in functions.items() if policy in names_read(source)} == {"_refuse_past"}
+
+
 def names_read(source: str) -> set[str]:
     """The bare names this source reads."""
     return {

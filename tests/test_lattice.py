@@ -22,7 +22,13 @@ from circulants import (
     rational_circ,
     reconstruct_from_spectrum,
 )
-from circulants.errors import CirculantError, DimensionMismatchError, InvalidModeError, InvalidScalarError
+from circulants.errors import (
+    CirculantError,
+    DimensionMismatchError,
+    DocumentError,
+    InvalidModeError,
+    InvalidScalarError,
+)
 from circulants.lattice import BrandtCounterexample
 from circulants.oracle import brandt_check_by_forms, exact_det, exact_inverse, faddeev_leverrier_exact
 
@@ -1089,7 +1095,10 @@ def test_exact_cost_reads_the_one_norm_and_the_scale_of_the_cleared_row():
 
 
 def test_least_exact_cost_is_a_lower_bound_read_off_the_parts():
-    from circulants.lattice import RationalCirculant, _exact_cost, _least_exact_cost
+    from circulants.lattice import RationalCirculant, _exact_cost, _least_exact_costs
+
+    def _least_exact_cost(row):
+        return max(_least_exact_costs(row))
 
     rng = np.random.default_rng(0x5EED)
     for n in (1, 2, 5, 16, 64):
@@ -1114,7 +1123,10 @@ def cleared_bits(grid) -> int:
 
 
 def test_least_solve_cost_is_a_lower_bound_read_off_the_parts():
-    from circulants.lattice import _least_solve_cost, _solve_cost
+    from circulants.lattice import _least_solve_costs, _solve_cost
+
+    def _least_solve_cost(grid):
+        return max(_least_solve_costs(grid))
 
     rng = np.random.default_rng(0x5EED)
     for n in (1, 2, 5, 12):
@@ -1135,6 +1147,18 @@ def test_least_solve_cost_is_a_lower_bound_read_off_the_parts():
     assert _least_solve_cost(grid) == _solve_cost(2, 2 + 1)
 
 
+def test_least_target_costs_grow_to_the_model_of_the_cleared_target():
+    from circulants.lattice import RationalCirculant, _least_target_costs
+
+    rng = np.random.default_rng(0x5EED)
+    for n in (1, 3, 16):
+        for top in (2, 10**6, 10**18):
+            row = [F(int(rng.integers(-top, top)), int(rng.integers(1, top))) for _ in range(n)]
+            costs = list(_least_target_costs(row))
+            assert costs == sorted(costs)
+            assert costs[-1] == n * RationalCirculant(row).scale.bit_length() ** 2 / 3
+
+
 def test_least_solve_cost_stops_building_the_lcm_past_the_bound(monkeypatch):
     # Each row of distinct 4300-digit denominators would clear by an lcm of
     # about 570 000 bits; the bound is passed after the first few.
@@ -1151,5 +1175,6 @@ def test_least_solve_cost_stops_building_the_lcm_past_the_bound(monkeypatch):
     rng = np.random.default_rng(7)
     grid = [[F(1, 10**4299 + int(rng.integers(1, 10**18))) for _ in range(40)] for _ in range(40)]
     monkeypatch.setattr(lattice, "_scales", counted)
-    assert lattice._least_solve_cost(grid) > lattice._EXACT_MAX_COST
+    with pytest.raises(DocumentError, match="^entries: the cost of exact elimination is more than"):
+        lattice.bounded_solve(grid, [F(0)] * 40)
     assert len(seen) < 40
