@@ -13,6 +13,11 @@ spectrum documents carry eigenvalue lists (complex on output, exact
 rationals when used as reconstruction input), and cocycle documents an
 n x n table of complex pairs.
 
+Every document, of any of these seven kinds, is read through one field
+table, `_FIELDS`: each field's name, its shape and the parser of its
+entries.  One reader, `_read`, checks the object, kind, order and fields
+against it and decodes each field.
+
 Each field of a decoded document has one stored form, a read-only
 complex array or a tuple of Fractions; every complex row or grid meets
 the entry rule of `core` on its way to a value.
@@ -34,17 +39,6 @@ from .lattice import RationalCirculant, _rational_row
 from .twisted import MuCirculant, MuWeights, TwoCocycle, _mu_result, _skew_weights, cocycle_from_mu
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
-
-#: The fields each kind of document carries besides "kind" and "n", the
-#: matrix kinds and the spectrum and cocycle documents alike; `_order`
-#: refuses any other field.
-_FIELDS = dict.fromkeys(KINDS, ("first_row",)) | {
-    "mu_circulant": ("first_row", "mu"),
-    "dense": ("entries",),
-    "spectrum": ("values",),
-    "cocycle": ("table",),
-}
-
 
 def format_complex_row(values) -> list[list[str]]:
     """The ``[re, im]`` pairs of a row of complex numbers (or anything
@@ -145,14 +139,63 @@ def _pairs_array(items: list) -> np.ndarray | None:
     return parts.view(complex)
 
 
-def _complex_array(items: list, field: str) -> np.ndarray:
-    """The complex array of a list of complex pairs: the array of
-    `_pairs_array`, or else, for any other pair or part, the values of
-    `parse_complex` entry by entry, which raises its DocumentError."""
-    z = _pairs_array(items)
-    if z is None:
-        z = np.array([parse_complex(x, field) for x in items], dtype=complex)
-    return z
+#: The shapes of a field, as its refusal words them: n entries, the n - 1
+#: weights mu_2..mu_n behind mu_1 = 1, or an n x n grid of n rows.
+_ROW, _WEIGHTS, _GRID = "a list of {} scalars", "a list of {} weights", "{} rows"
+
+#: The one table of what each kind of document carries besides "kind" and
+#: "n": its fields in the order they are read, each with its shape and the
+#: parser of its entries.  `_read` follows it and refuses any other field.
+_FIELDS = dict.fromkeys(KINDS, (("first_row", _ROW, parse_complex),)) | {
+    "mu_circulant": (("first_row", _ROW, parse_complex), ("mu", _WEIGHTS, parse_complex)),
+    "dense": (("entries", _GRID, _parse_entry),),
+    "rational_circulant": (("first_row", _ROW, parse_rational),),
+    "spectrum": (("values", _ROW, _parse_entry),),
+    "cocycle": (("table", _GRID, parse_complex),),
+}
+
+
+def _read(obj, kinds: tuple, refusal: str) -> tuple[str, int, dict]:
+    """(kind, n, fields) of a document of one of these kinds: a JSON object
+    with a positive integer order n and exactly the fields `_FIELDS` gives
+    its kind.  Raises DocumentError naming the field at fault; a kind not
+    in kinds is refused with ``refusal.format(kind)``.
+
+    A field of pairs of decimal strings only is one complex array, read
+    by `_pairs_array` (a grid's of shape (n, n)).  Any other field is the
+    list, a grid the list of rows, of its parser's values entry by entry,
+    so the first bad entry raises its own error; a grid names its entries
+    by row, ``field[i]``.  `MatrixDocument` decides the stored form."""
+    if not isinstance(obj, dict):
+        raise DocumentError("document", "expected a JSON object")
+    kind = obj.get("kind")
+    if kind not in kinds:
+        raise DocumentError("kind", refusal.format(kind))
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DocumentError("n", f"order must be a positive integer, got {n!r}")
+    extra = obj.keys() - {"kind", "n", *(name for name, _, _ in _FIELDS[kind])}
+    if extra:
+        raise DocumentError(sorted(extra)[0], f"field not allowed on kind {kind}")
+    fields = {}
+    for name, shape, parse in _FIELDS[kind]:
+        raw, size = obj.get(name), n - (shape == _WEIGHTS)
+        if not isinstance(raw, list) or len(raw) != size:
+            raise DocumentError(name, "expected " + shape.format(size))
+        items = raw
+        if shape == _GRID:
+            for i, row in enumerate(raw, start=1):
+                if not isinstance(row, list) or len(row) != n:
+                    raise DocumentError(name, f"row {i} must have {n} entries")
+            items = list(chain.from_iterable(raw))
+        z = None if parse is parse_rational else _pairs_array(items)
+        if z is not None:
+            fields[name] = z.reshape(n, n) if shape == _GRID else z
+        elif shape == _GRID:
+            fields[name] = [[parse(x, f"{name}[{i}]") for x in row] for i, row in enumerate(raw, start=1)]
+        else:
+            fields[name] = [parse(x, name) for x in raw]
+    return kind, n, fields
 
 
 def _stored_complex(value, shape: tuple) -> np.ndarray:
@@ -275,50 +318,8 @@ _SETTERS = tuple(getattr(MatrixDocument, name).__set__ for name in MatrixDocumen
 
 
 def document_from_obj(obj) -> MatrixDocument:
-    if not isinstance(obj, dict):
-        raise DocumentError("document", "expected a JSON object")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise DocumentError("kind", f"unknown kind {kind!r}, expected one of {', '.join(KINDS)}")
-    n = _order(obj, kind)
-    if kind == "dense":
-        raw = obj.get("entries")
-        if not isinstance(raw, list) or len(raw) != n:
-            raise DocumentError("entries", f"expected {n} rows")
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != n:
-                raise DocumentError("entries", f"row {i + 1} must have {n} entries")
-        grid = _pairs_array(list(chain.from_iterable(raw)))
-        if grid is not None:
-            return MatrixDocument(kind, n, entries=grid.reshape(n, n))
-        grid = [[_parse_entry(x, f"entries[{i + 1}]") for x in row] for i, row in enumerate(raw)]
-        return MatrixDocument(kind, n, entries=grid)
-    raw = obj.get("first_row")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise DocumentError("first_row", f"expected a list of {n} scalars")
-    if kind == "rational_circulant":
-        return MatrixDocument(kind, n, first_row=[parse_rational(x, "first_row") for x in raw])
-    first_row = _complex_array(raw, "first_row")
-    mu = None
-    if kind == "mu_circulant":
-        raw_mu = obj.get("mu")
-        if not isinstance(raw_mu, list) or len(raw_mu) != n - 1:
-            raise DocumentError("mu", f"expected a list of {n - 1} weights")
-        mu = _complex_array(raw_mu, "mu")
-    return MatrixDocument(kind, n, first_row=first_row, mu=mu)
-
-
-def _order(obj: dict, kind: str) -> int:
-    """The order n of a document of this kind: a positive integer.  Raises
-    DocumentError on another n, and on a field that `_FIELDS` does not
-    give the kind."""
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DocumentError("n", f"order must be a positive integer, got {n!r}")
-    extra = obj.keys() - {"kind", "n", *_FIELDS[kind]}
-    if extra:
-        raise DocumentError(sorted(extra)[0], f"field not allowed on kind {kind}")
-    return n
+    kind, n, fields = _read(obj, KINDS, f"unknown kind {{!r}}, expected one of {', '.join(KINDS)}")
+    return MatrixDocument(kind, n, **fields)
 
 
 def circulant_to_obj(c: Circulant) -> dict:
@@ -342,20 +343,11 @@ def cocycle_from_obj(obj) -> TwoCocycle:
     """The cocycle of a ``cocycle-verify`` input: the n x n table of ``[re,
     im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
     coboundary of the weights of a mu_circulant or skew_circulant document."""
-    if not isinstance(obj, dict):
-        raise DocumentError("document", "expected a JSON object")
-    if obj.get("kind") == "cocycle":
-        n = _order(obj, "cocycle")
-        table = obj.get("table")
-        if not isinstance(table, list) or len(table) != n or not all(
-            isinstance(row, list) and len(row) == n for row in table
-        ):
-            raise DocumentError("table", "expected an n x n grid of complex pairs")
-        table = _complex_array(list(chain.from_iterable(table)), "table")
-        return _result(TwoCocycle, table.reshape(n, n))
-    if obj.get("kind") not in ("mu_circulant", "skew_circulant"):
-        raise DocumentError("kind", "cocycle-verify expects a cocycle table or a mu/skew document")
-    return cocycle_from_mu(document_from_obj(obj).to_mu_circulant().weights)
+    kinds = ("cocycle", "mu_circulant", "skew_circulant")
+    kind, n, fields = _read(obj, kinds, "cocycle-verify expects a cocycle table or a mu/skew document")
+    if kind == "cocycle":
+        return _result(TwoCocycle, np.asarray(fields["table"], dtype=complex))
+    return cocycle_from_mu(MatrixDocument(kind, n, **fields).to_mu_circulant().weights)
 
 
 def load_json(text: str):
@@ -472,13 +464,7 @@ def spectrum_to_obj(values) -> dict:
 
 
 def spectrum_from_obj(obj) -> tuple:
-    if not isinstance(obj, dict) or obj.get("kind") != "spectrum":
-        raise DocumentError("kind", "expected a spectrum document")
-    n = _order(obj, "spectrum")
-    raw = obj.get("values")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise DocumentError("values", f"expected a list of {n} scalars")
-    z = _pairs_array(raw)
-    if z is not None:
-        return tuple(z.tolist())
-    return tuple(_parse_entry(v, "values") for v in raw)
+    # A value that is not an object is refused as a document of another kind.
+    _, _, fields = _read(obj if isinstance(obj, dict) else {}, ("spectrum",), "expected a spectrum document")
+    values = fields["values"]
+    return tuple(values.tolist() if isinstance(values, np.ndarray) else values)

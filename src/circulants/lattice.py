@@ -217,13 +217,6 @@ def _fold(product: int, n: int, width: int) -> int:
     return low + ((product - low) >> shift)
 
 
-def _slot0(packed: int, width: int) -> int:
-    """The first entry of a packed row."""
-    w = 8 * width
-    v = packed & ((1 << w) - 1)
-    return v - (1 << w) if v >> w - 1 else v
-
-
 def _cyclic(x: list[int], y: list[int]) -> list[int]:
     """Cyclic convolution of two integer rows of one length n: one big
     integer product of the packed rows, folded mod x^n - 1.  The slots
@@ -242,15 +235,17 @@ def _traces(d: list[int]):
 
     Baby steps and giant steps (Paterson and Stockmeyer): with
     m = isqrt(3n) and a = ||d||_1, every entry of d^{*k} is at most a^k.
-    The baby powers B_i = d^{*i}, i <= m, are kept packed at the one
-    width of a^m, each one big integer product of n-slot numbers and a
-    fold, and p_i is read from slot 0 (p_1 = n d_0, before anything is
-    packed).  Past m they are unpacked once, and
+    The baby powers B_i = d^{*i}, i <= m, are each one big integer
+    product B_{i-1} * d of n-slot numbers and a fold, packed at the width
+    of a^top, where top starts at min(8, m) and doubles, up to m, when i
+    passes it.  Each power is kept as its unpacked row, and p_i is read
+    from its slot 0 (p_1 = n d_0, before anything is packed).  Past m,
     p_{jm+i} = n sum_s G_j[s] B_i[-s mod n] with the giant powers
     G_j = d^{*jm}, each one `_cyclic` product G_{j-1} * G_1, its slots
     sized by the norms of the two factors, at most a^{jm}.  In all, about
     2.3 sqrt(n) big integer products and n dot products of length n; a
-    caller that stops after p_k pays for the powers up to k only."""
+    caller that stops after p_k, k <= m, pays for k products at the
+    width of at most a^max(8, 2k), not a^m."""
     n = len(d)
     yield n * d[0]
     # A giant step packs two rows, multiplies at a growing width and
@@ -259,17 +254,18 @@ def _traces(d: list[int]):
     # at every order tried, by 4 to 32 %; isqrt(4n) lost at 64 and 97.
     m = math.isqrt(3 * n)
     a = sum(map(abs, d))
-    width = _width(a**m)
-    packed_d = power = _pack(d, width)
-    babies = [power]
-    for _ in range(1, m):
+    rows, top = [d], 0  # rows[i - 1] = B_i
+    for i in range(2, m + 1):
+        if i > top:
+            top = min(max(8, 2 * top), m)
+            width = _width(a**top)
+            packed_d, power = _pack(d, width), _pack(rows[-1], width)
         power = _fold(power * packed_d, n, width)
-        babies.append(power)
-        yield n * _slot0(power, width)
+        rows.append(_unpack(power, n, width))
+        yield n * rows[-1][0]
     if m == n:
         return
     # reversed_rows[i][s] = B_i[-s mod n], B_0 being the identity row.
-    rows = [_unpack(b, n, width) for b in babies]
     reversed_rows = [[1] + [0] * (n - 1)] + [row[:1] + row[:0:-1] for row in rows[:-1]]
     first = giant = rows[-1]  # G_1 = B_m
     for k in range(m + 1, n + 1):
@@ -640,7 +636,8 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     holds computes no form.  Cost: the remainders of each element,
     O(n^2) integer operations at most, plus, on failure, the traces up
     to the witness q_i (for i <= isqrt(3n), i products of packed n-slot
-    integers; see `_traces`); nothing per pair.
+    integers whose slots hold at most a^max(8, 2i), a = ||L c||_1; see
+    `_traces`); nothing per pair.
     """
     _check_mode(mode)
     elements = list(elements)
@@ -733,8 +730,9 @@ def _gauss_jordan(rows: list[RationalCirculant]) -> tuple[Fraction, tuple[int, t
         pivot_line = aug[k]
         pivot = pivot_line[k]
         for i in range(n):
-            if i != k:
-                factor = aug[i][k]
+            factor = aug[i][k]
+            # With factor 0 and pivot = prev, the update would leave row i as it is.
+            if i != k and (factor or pivot != prev):
                 aug[i] = [(pivot * x - factor * y) // prev for x, y in zip(aug[i], pivot_line)]
         prev = pivot
     v = [scale * x for row in aug for x, scale in zip(row[n:], scales)]

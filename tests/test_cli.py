@@ -268,7 +268,7 @@ def test_output_file_and_roundtrip(tmp_path, capsys):
         ["hopf-antipode", "--input", in_path, "--output", out_path], capsys=capsys
     )
     assert code == 0
-    payload = json.loads(open(out_path).read())
+    payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["kind"] == "circulant"
 
 

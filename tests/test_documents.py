@@ -158,21 +158,41 @@ def test_kind_dependent_fields_enforced():
         document_from_obj({"kind": "dense", "n": 2, "entries": [[["1", "0"]]]})
 
 
-# One document of each of the seven kinds, with the parser that reads it.
+def _spoiled(obj: dict, grid: str | None = None) -> tuple:
+    """(field, document) pairs, each spoiling one field of obj: the field
+    is not a list, or one entry short, or, for the grid field, its first
+    row is one entry short."""
+    fields = [name for name in obj if name not in ("kind", "n")]
+    out = [(name, {**obj, name: bad}) for name in fields for bad in ("x", obj[name][:-1])]
+    if grid:
+        out.append((grid, {**obj, grid: [obj[grid][0][:-1], *obj[grid][1:]]}))
+    return tuple(out)
+
+
+_MU_OBJ = mu_circulant_to_obj(mu_circ((1, 2), (3,)))
+_SPECTRUM_OBJ = {"kind": "spectrum", "n": 2, "values": ["1", "1"]}
+_COCYCLE_OBJ = {"kind": "cocycle", "n": 1, "table": [[["1", "0"]]]}
+
+# One document of each of the seven kinds, with the parser that reads it
+# and the documents that spoil one of its fields.
 KIND_DOCUMENTS = (
-    (document_from_obj, circulant_to_obj(circ(1, 2))),
-    (document_from_obj, mu_circulant_to_obj(mu_circ((1, 2), (3,)))),
-    (document_from_obj, SKEW_OBJ),
-    (document_from_obj, COMPLEX_DENSE_OBJ),
-    (document_from_obj, RATIONAL_OBJ),
-    (spectrum_from_obj, {"kind": "spectrum", "n": 2, "values": ["1", "1"]}),
-    (cocycle_from_obj, {"kind": "cocycle", "n": 1, "table": [[["1", "0"]]]}),
+    (document_from_obj, circulant_to_obj(circ(1, 2)), _spoiled(circulant_to_obj(circ(1, 2)))),
+    (document_from_obj, _MU_OBJ, _spoiled(_MU_OBJ)),
+    (document_from_obj, SKEW_OBJ, _spoiled(SKEW_OBJ)),
+    (document_from_obj, COMPLEX_DENSE_OBJ, _spoiled(COMPLEX_DENSE_OBJ, "entries")),
+    (document_from_obj, RATIONAL_OBJ, _spoiled(RATIONAL_OBJ)),
+    (spectrum_from_obj, _SPECTRUM_OBJ, _spoiled(_SPECTRUM_OBJ)),
+    (cocycle_from_obj, _COCYCLE_OBJ, _spoiled(_COCYCLE_OBJ, "table")),
 )
 
 
-@pytest.mark.parametrize("parse, obj", KIND_DOCUMENTS, ids=[obj["kind"] for _, obj in KIND_DOCUMENTS])
-def test_every_kind_refuses_other_fields_and_a_bad_order(parse, obj):
+@pytest.mark.parametrize("parse, obj, spoiled", KIND_DOCUMENTS, ids=[obj["kind"] for _, obj, _ in KIND_DOCUMENTS])
+def test_every_kind_refuses_other_fields_and_a_bad_order(parse, obj, spoiled):
     parse(obj)
+    for field, bad in spoiled:
+        with pytest.raises(DocumentError) as info:
+            parse(bad)
+        assert info.value.field == field
     with pytest.raises(DocumentError, match=f"^note: field not allowed on kind {obj['kind']}$"):
         parse({**obj, "note": "x"})
     for n in (0, -1, True, 2.0, "2", None):
@@ -387,10 +407,13 @@ def test_cocycle_documents_decode_to_their_cocycle():
     m = mu_circ((1, 2.5, -3j), (0.5 + 1j, 4))
     assert cocycle_from_obj(mu_circulant_to_obj(m)) == cocycle_from_mu(m.weights)
     assert cocycle_from_obj(SKEW_OBJ) == cocycle_from_mu(skew_circ((1, 2, 3)).weights)
-    for bad in ({**table, "n": 3}, {**table, "table": [[["1", "0"]], [["1", "0"]]]}):
-        with pytest.raises(DocumentError, match="table: expected an n x n grid"):
+    for bad, message in (
+        ({**table, "n": 3}, "table: expected 3 rows"),
+        ({**table, "table": [[["1", "0"]], [["1", "0"]]]}, "table: row 1 must have 2 entries"),
+    ):
+        with pytest.raises(DocumentError, match=f"^{message}$"):
             cocycle_from_obj(bad)
-    with pytest.raises(DocumentError, match="table"):
+    with pytest.raises(DocumentError, match=r"^table\[1\]: bad decimal string 'x'$"):
         cocycle_from_obj({**table, "table": [[["1", "0"], ["x", "0"]], [["1", "0"], ["1", "0"]]]})
     # Every other kind is refused with the command's own message.
     dense = {"kind": "dense", "n": 1, "entries": [["1"]]}
@@ -484,7 +507,9 @@ def _decoder_legs(field: str, case):
     if field == "table":
         items = _items(case, 9)
         doc = {"kind": "cocycle", "n": 3, "table": _grid(items, 3)}
-        table = lambda: [[parse_complex(x, "table") for x in row] for row in _grid(items, 3)]  # noqa: E731
+        table = lambda: [  # noqa: E731
+            [parse_complex(x, f"table[{i + 1}]") for x in row] for i, row in enumerate(_grid(items, 3))
+        ]
         return doc, [(lambda: cocycle_from_obj(doc).array, lambda: TwoCocycle(table()).array)]
     if field == "entries":
         items = _items(case, 9)

@@ -688,6 +688,45 @@ def test_brandt_witness_stops_at_the_first_fractional_form():
     assert 1 < ce.form_index < 64
 
 
+def test_brandt_witness_packs_its_powers_no_wider_than_it_reads(monkeypatch):
+    # (1/2 + r_0, r_1, ..., r_{n-1}), r random in -3..3: the witness is an
+    # early form q_i, and the powers before it are packed at the width of
+    # a^top, top doubling from 8, not at a^isqrt(3n) = a^55.
+    from itertools import islice
+
+    import circulants.lattice as lattice
+
+    n = 1024
+    rng = np.random.default_rng([SEED, n])
+    r = [int(v) for v in rng.integers(-3, 4, n)]
+    element = rational_circ([r[0] + F(1, 2)] + r[1:])
+    bounds, width = [], lattice._width
+
+    def spied(bound):
+        bounds.append(bound)
+        return width(bound)
+
+    monkeypatch.setattr(lattice, "_width", spied)
+    ce = brandt_check([element]).counterexample
+    i, a = ce.form_index, sum(map(abs, element.cleared))
+    assert bounds and max(bounds) <= a ** max(8, 2 * i) and 2 * i < math.isqrt(3 * n)
+    forms = list(islice(lattice._forms(element), i))
+    assert forms[-1] == ce.value and ce.value.denominator != 1
+    assert all(q.denominator == 1 for q in forms[:-1])
+
+
+def test_lattice_new_of_the_order_256_identity_is_fast():
+    # Bareiss leaves alone a row whose pivot-column entry is 0 while the
+    # pivot equals the previous one; on the identity that is every row at
+    # every step (2.7 s at this order when each row was updated).
+    n = 256
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    basis = lattice_new(identity)
+    assert time.perf_counter() - start < 1.0
+    assert basis.det == 1 and basis.cleared_inverse == (1, tuple(x for row in identity for x in row))
+
+
 def test_brandt_check_calls_forms_exact_only_for_the_witness(monkeypatch):
     # forms_exact and brandt_check share the form-by-form generator
     # `_forms`; brandt_check draws from it for the witness element alone,

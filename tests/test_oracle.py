@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_greedy_multiset_match():
 def test_oracles_do_not_depend_on_circulant_modules():
     import circulants.oracle as oracle_module
 
-    source = open(oracle_module.__file__).read()
+    source = Path(oracle_module.__file__).read_text()
     for banned in ("from .core", "from .spectral", "from .forms", "from .hopf",
                    "from .twisted", "from .lattice"):
         assert banned not in source
