@@ -141,12 +141,14 @@ def _check_tol(tol: float, name: str = "tolerance"):
         raise InvalidScalarError(f"{name} must be a non-negative number, got {tol!r}")
 
 
-#: Order from which `x * y` takes the spectral product instead of the
-#: O(n^2) convolution.  On CPython 3.11 with numpy 2.4 (pocketfft), on a
-#: 2-vCPU x86-64 VM, random complex inputs, best of 15 runs: mul_naive
-#: takes 15 / 21 / 27 / 29 / 45 us at n = 8 / 10 / 11 / 12 / 16, and
-#: fast_mul 24 us at each of these orders; they break even at n = 11.
-SPECTRAL_MUL_MIN_ORDER = 12
+#: Order from which `x * y` takes the spectral product `fast_mul` instead
+#: of the direct convolution `mul_naive`.  On CPython 3.11 with numpy 2.4
+#: (pocketfft), on a 2-vCPU x86-64 VM, random complex inputs, the two
+#: timed interleaved, medians of 21 to 25 rounds: mul_naive took 0.33 /
+#: 0.47 / 0.44 / 0.65 / 0.79 of fast_mul's time at n = 12 / 64 / 97 /
+#: 128 / 160, 0.91 to 0.98 at 192 to 208 (0.74 at 212), 0.98 to 1.05 at
+#: 216 and 220, 1.07 at 224 and 1.29 at 256.
+SPECTRAL_MUL_MIN_ORDER = 216
 
 
 class _Frozen:
@@ -278,12 +280,12 @@ class Circulant(_RowValue):
     def __mul__(self, other):
         """Circulant product, or scaling by a number.
 
-        Below order SPECTRAL_MUL_MIN_ORDER the product is the O(n^2)
-        convolution `mul_naive` (exact on integer entries); from that
-        order on it is `spectral.fast_mul`, O(n log n) through numpy.fft:
-        a length-n transform, or at orders with one large prime factor a
-        zero-padded convolution folded mod n.  A product beyond the float
-        range raises InvalidScalarError, without a numpy warning.
+        Below order SPECTRAL_MUL_MIN_ORDER the product is `mul_naive`,
+        numpy's direct O(n^2) convolution (exact on integer entries); from
+        that order on it is `spectral.fast_mul`, O(n log n) through
+        numpy.fft: a length-n transform, or at orders with one large prime
+        factor a zero-padded convolution folded mod n.  A product beyond
+        the float range raises InvalidScalarError, without a numpy warning.
         """
         if isinstance(other, Circulant):
             if self.n < SPECTRAL_MUL_MIN_ORDER:
@@ -372,21 +374,31 @@ def _combine(a, x: np.ndarray, b, y: np.ndarray) -> np.ndarray:
 
 
 def mul_naive(x: Circulant, y: Circulant) -> Circulant:
-    """Reference O(n^2) product: cyclic convolution of first rows.
+    """Direct O(n^2) product: cyclic convolution of first rows.
 
     r_k = sum of x_i y_j over i + j - 1 = k (mod n), which is the first
-    row of the dense matrix product.
+    row of the dense matrix product: numpy's direct linear convolution
+    of the rows (`np.convolve`), folded mod n by `_fold`.  Exact on
+    integer entries whose products and sums stay below 2^53.  A product
+    beyond the float range raises InvalidScalarError, without a numpy
+    warning.
     """
     _check_orders(x, y)
-    n = x.n
-    out = [0.0 + 0.0j] * n
-    ys = y.array.tolist()
-    for i, xi in enumerate(x.array.tolist()):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(ys):
-            k = i + j
-            if k >= n:
-                k -= n
-            out[k] += xi * yj
-    return Circulant(tuple(out))
+    return _result(Circulant, _direct(x.array, y.array))
+
+
+@_quiet
+def _direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cyclic convolution of the rows a and b: their direct linear
+    convolution, folded mod n."""
+    return _fold(np.convolve(a, b), a.size)
+
+
+def _fold(r: np.ndarray, n: int) -> np.ndarray:
+    """Fold the linear convolution r of two order-n rows mod n:
+    c_k = r_k + r_(k+n).  Entries of r from 2n - 1 on, zero in exact
+    arithmetic, are dropped.  Call it under `_quiet`, where a sum beyond
+    the float range comes out inf."""
+    c = r[:n].copy()
+    c[: n - 1] += r[n : 2 * n - 1]
+    return c

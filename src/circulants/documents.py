@@ -464,7 +464,6 @@ def spectrum_to_obj(values) -> dict:
 
 
 def spectrum_from_obj(obj) -> tuple:
-    # A value that is not an object is refused as a document of another kind.
-    _, _, fields = _read(obj if isinstance(obj, dict) else {}, ("spectrum",), "expected a spectrum document")
+    _, _, fields = _read(obj, ("spectrum",), "expected a spectrum document")
     values = fields["values"]
     return tuple(values.tolist() if isinstance(values, np.ndarray) else values)

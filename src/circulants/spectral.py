@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _quiet, _result, _RowValue
+from .core import Circulant, _check_orders, _fold, _quiet, _result, _RowValue
 
 _fft = _quiet(np.fft.fft)
 _ifft = _quiet(np.fft.ifft)
@@ -200,14 +200,14 @@ def from_spectrum(spectrum) -> Circulant:
 def fast_mul(x: Circulant, y: Circulant) -> Circulant:
     """Product through pointwise multiplication of spectra.
 
-    O(n log n) at every order (numpy.fft); agrees with the convolution
-    reference path up to roundoff.  At most orders it is
+    O(n log n) at every order (numpy.fft); agrees with the direct
+    convolution `core.mul_naive` up to roundoff.  At most orders it is
     ifft(fft(x) * fft(y)) at length n.  Where n has one large prime
     factor (`_product_length`) it convolves the rows at a zero-padded
     fast length m >= 2n - 1 instead, r = ifft(fft(x, m) * fft(y, m)),
-    and folds the linear convolution mod n: c_k = r_k + r_(k+n).
-    `x * y` switches to this function from order
-    `core.SPECTRAL_MUL_MIN_ORDER` on.
+    and folds the linear convolution mod n with `core._fold`, as
+    `mul_naive` folds its own.  `x * y` switches from `mul_naive` to this
+    function at order `core.SPECTRAL_MUL_MIN_ORDER`.
     """
     _check_orders(x, y)
     return _result(Circulant, _convolve(x.array, y.array, _product_length(x.n)))
@@ -218,10 +218,5 @@ def _convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """The cyclic convolution of the rows a and b, through transforms at
     length m: the rows' own length n, or m >= 2n - 1, where the rows are
     zero-padded and their linear convolution is folded mod n."""
-    n = a.size
     r = np.fft.ifft(np.fft.fft(a, m) * np.fft.fft(b, m))
-    if m == n:
-        return r
-    c = r[:n].copy()
-    c[: n - 1] += r[n : 2 * n - 1]
-    return c
+    return r if m == a.size else _fold(r, a.size)

@@ -216,6 +216,7 @@ _CIRCULANT_DOC = document_from_obj(circulant_to_obj(circ(1, 2)))
         (_CIRCULANT_DOC.to_rational_circulant, "kind: expected rational_circulant, got circulant"),
         (_CIRCULANT_DOC.to_exact_grid, "kind: expected dense, got circulant"),
         (lambda: spectrum_from_obj(circulant_to_obj(circ(1, 2))), "kind: expected a spectrum document"),
+        (lambda: spectrum_from_obj([1, 2]), "document: expected a JSON object"),
         (
             lambda: spectrum_from_obj({"kind": "spectrum", "n": 3, "values": ["1", "2"]}),
             "values: expected a list of 3 scalars",
@@ -223,7 +224,7 @@ _CIRCULANT_DOC = document_from_obj(circulant_to_obj(circ(1, 2)))
     ),
     ids=(
         "not-an-object", "short-dense-row", "circulant-as-mu", "circulant-as-rational",
-        "circulant-as-grid", "spectrum-of-circulant", "short-spectrum",
+        "circulant-as-grid", "spectrum-of-circulant", "spectrum-not-an-object", "short-spectrum",
     ),
 )
 def test_refused_shapes_and_kinds_name_their_field(call, message):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -237,12 +239,14 @@ def test_product_operator_dispatches_at_crossover():
         lambda: fast_mul(circ(1e308, 1e308), circ(1e308, 1)),
         lambda: circ(*[1e308] * 13) * circ(*[1e308] * 13),
         lambda: Circulant([1e300] * 97) * Circulant([1e300] * 97),
+        lambda: Circulant([1e300] * 257) * Circulant([1e300] * 257),
     ),
-    ids=("eigenvalues", "from_spectrum", "fast_mul", "mul-13", "mul-97-padded"),
+    ids=("eigenvalues", "from_spectrum", "fast_mul", "mul-13", "mul-97-padded", "mul-257-padded"),
 )
 def test_transform_overflow_raises_the_typed_error_without_a_warning(call):
     # pytest turns RuntimeWarning into an error here (pyproject.toml), so
     # a numpy overflow warning would fail the test before the typed error.
+    # `*` takes the zero-padded `fast_mul` at order 257, above the crossover.
     with pytest.raises(InvalidScalarError, match="non-finite"):
         call()
 
@@ -288,6 +292,18 @@ def test_padded_product_agrees_with_naive(n):
     x, y = random_circulant(rng, n), random_circulant(rng, n)
     scale = 1.0 + x.norm_inf() * y.norm_inf()
     assert np.max(np.abs(fast_mul(x, y).array - mul_naive(x, y).array)) <= 1e-9 * scale
+
+
+def test_direct_product_at_order_4096_agrees_with_fast_mul_within_a_second():
+    n = 4096
+    rng = np.random.default_rng(SEED + n)
+    x, y = random_circulant(rng, n), random_circulant(rng, n)
+    start = time.perf_counter()
+    direct = mul_naive(x, y)
+    elapsed = time.perf_counter() - start
+    scale = 1.0 + x.norm_inf() * y.norm_inf()
+    assert np.max(np.abs(direct.array - fast_mul(x, y).array)) <= 1e-9 * scale
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n", (64, 96, 209, 1000, 2048))
