@@ -154,7 +154,12 @@ SPECTRAL_MUL_MIN_ORDER = 216
 class _Frozen:
     """Base of the immutable slotted classes: assigning or deleting an
     attribute raises FrozenInstanceError, as on a frozen dataclass.
-    Every constructor fills the slots through their descriptors' `__set__`."""
+    Every constructor fills the slots through their descriptors' `__set__`.
+
+    The one equality rule of these values: a value equals a value of its
+    own class whose `_key()`, the stored form as a hashable tuple, is
+    equal, and hashes like its key.  A subclass defines `_key`; one that
+    compares its stored arrays directly (`_RowValue`) keeps the hash."""
 
     __slots__ = ()
 
@@ -163,6 +168,14 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _view(arr: np.ndarray) -> tuple:
@@ -199,6 +212,8 @@ class _RowValue(_Frozen):
     def _tuple(self) -> tuple:
         return _view(self.array)
 
+    _key = _tuple
+
     @property
     def n(self) -> int:
         return self.array.shape[0]
@@ -208,8 +223,8 @@ class _RowValue(_Frozen):
             return NotImplemented
         return np.array_equal(self.array, other.array)
 
-    def __hash__(self):
-        return hash(self._tuple())
+    # Defining __eq__ drops the inherited hash; the key's hash is the tuple's.
+    __hash__ = _Frozen.__hash__
 
     def __reduce__(self):
         return type(self), (self.array,)
@@ -335,13 +350,18 @@ def circ(*coeffs) -> Circulant:
     return Circulant(tuple(coeffs))
 
 
-def identity(n: int) -> Circulant:
-    """circ(1, 0, ..., 0), the multiplicative identity."""
+def _unit(n: int, k: int) -> Circulant:
+    """P_n^k, the circulant whose first row is 1 at index k, 0 elsewhere."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
     row = np.zeros(n, dtype=complex)
-    row[0] = 1.0
+    row[k] = 1.0
     return _result(Circulant, row)
+
+
+def identity(n: int) -> Circulant:
+    """circ(1, 0, ..., 0), the multiplicative identity."""
+    return _unit(n, 0)
 
 
 def fundamental(n: int) -> Circulant:
@@ -351,11 +371,7 @@ def fundamental(n: int) -> Circulant:
     circ(c_1, ..., c_n) = c_1 I + c_2 P_n + ... + c_n P_n^(n-1).
     For n = 1 this degenerates to circ(1).
     """
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
-    row = np.zeros(n, dtype=complex)
-    row[min(1, n - 1)] = 1.0
-    return _result(Circulant, row)
+    return _unit(n, min(1, n - 1))
 
 
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:

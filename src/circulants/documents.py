@@ -251,14 +251,6 @@ class MatrixDocument(_Frozen):
     def _key(self) -> tuple:
         return self.kind, self.n, self.first_row, self.mu, self.entries
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self) -> str:
         kind, n, first_row, mu, entries = self._key()
         return (

@@ -112,23 +112,13 @@ class BlockCirculant(_Frozen):
         row[self.a] = self.values
         return row
 
-    def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+    def _key(self) -> tuple:
+        """The order and the nonzero support: equal elements have the same
+        order and the same nonzero coefficients (-0.0 equals 0.0, as in the
+        tensors)."""
         keep = self.values != 0
-        return self.a[keep] * self.n + self.b[keep], self.values[keep]
-
-    def __eq__(self, other):
-        """Equal elements: the same order and the same nonzero coefficients
-        (-0.0 equals 0.0, as in the tensors)."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        (i, v), (j, w) = self._nonzero(), other._nonzero()
-        return np.array_equal(i, j) and np.array_equal(v, w)
-
-    def __hash__(self):
-        index, values = self._nonzero()
-        return hash((self.n, tuple(index.tolist()), tuple(values.tolist())))
+        index = self.a[keep] * self.n + self.b[keep]
+        return self.n, tuple(index.tolist()), tuple(self.values[keep].tolist())
 
     def __reduce__(self):
         return BlockCirculant._from_support, (self.n, self.a, self.b, self.values)

@@ -136,13 +136,8 @@ class RationalCirculant(_Frozen):
     def is_integral(self) -> bool:
         return self.scale == 1
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.scale == other.scale and self.cleared == other.cleared
-
-    def __hash__(self):
-        return hash((self.scale, self.cleared))
+    def _key(self) -> tuple:
+        return self.scale, self.cleared
 
     def __reduce__(self):
         return type(self), (self.coeffs,)
@@ -806,9 +801,11 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
     """Solve (a_1, ..., a_n) * C = target row exactly; membership means
     every a_i is an integer.
 
-    When the basis inverse is integral and the target is integral,
-    membership is guaranteed and asserted.  Non-members still get their
-    exact rational coefficients.
+    The coefficients are recombined with the rows and checked against the
+    target exactly (ArithmeticError otherwise).  When the basis inverse
+    and the target are integral, the coefficients are integer sums of
+    products, so membership follows.  Non-members still get their exact
+    rational coefficients.
     """
     n = basis.n
     if target.n != n:
@@ -826,8 +823,6 @@ def lattice_decompose(basis: LatticeBasis, target: RationalCirculant) -> Lattice
             raise ArithmeticError("exact decomposition failed to recombine")
     denominator = lt * lv
     member = all(a % denominator == 0 for a in nums)
-    if lv == 1 and lt == 1 and not member:
-        raise ArithmeticError("integral inverse must decompose integral targets")
     return LatticeSolution(
         coefficients=tuple(Fraction(a, denominator) for a in nums), member=member
     )

@@ -10,7 +10,6 @@ checks at full strength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,28 +22,23 @@ from .forms import char_poly_of_forms, conjugate
 from .forms import forms as forms_of
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    passed: bool
-    max_deviation: float
-
-
 def random_real_circulant(rng: np.random.Generator, n: int) -> Circulant:
     """First row of n real entries uniform in [-1, 1), with imaginary
     parts +0.0: the same bits as complex(x, 0.0)."""
     return _result(Circulant, rng.uniform(-1.0, 1.0, size=n).astype(complex))
 
 
-def _report(name: str, deviation: float, tol: float) -> OracleReport:
-    return OracleReport(name=name, passed=bool(deviation <= tol), max_deviation=float(deviation))
+def _report(name: str, deviation: float, tol: float) -> hopf.HopfReport:
+    """The check ``name`` as the package's one report: it holds when the
+    worst deviation is at most ``tol``, and the deviation is its residual."""
+    return hopf.HopfReport(name, bool(deviation <= tol), float(deviation))
 
 
 def _max_coeff_diff(x: Circulant, y: Circulant) -> float:
     return max(abs(a - b) for a, b in zip(x.coeffs, y.coeffs))
 
 
-def core_suite(rng: np.random.Generator) -> list[OracleReport]:
+def core_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
     worst_dense = worst_comm = worst_pow = worst_row = worst_tr = 0.0
     for n in (1, 2, 3, 4, 5, 8, 12, 16, 32):
         for _ in range(5):
@@ -74,7 +68,7 @@ def core_suite(rng: np.random.Generator) -> list[OracleReport]:
     ]
 
 
-def spectral_suite(rng: np.random.Generator) -> list[OracleReport]:
+def spectral_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
     worst_round = worst_lin = worst_resid = worst_fast = 0.0
     for n in (1, 2, 3, 4, 5, 8, 12, 16, 31, 32, 64):
         for _ in range(5):
@@ -100,7 +94,7 @@ def spectral_suite(rng: np.random.Generator) -> list[OracleReport]:
     ]
 
 
-def forms_suite(rng: np.random.Generator) -> list[OracleReport]:
+def forms_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
     worst_ch = worst_conj = worst_q2 = worst_closed = worst_fl = 0.0
     for n in range(2, 11):
         for _ in range(5):
@@ -154,7 +148,7 @@ def _scattered(support, n: int) -> np.ndarray:
     return t
 
 
-def hopf_suite(rng: np.random.Generator) -> list[OracleReport]:
+def hopf_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
     worst_axiom = worst_map = worst_conv = worst_spec = worst_fact = worst_invol = worst_coassoc = 0.0
     for n in (1, 2, 3, 4, 8, 16):
         for _ in range(5):
@@ -214,7 +208,7 @@ def hopf_suite(rng: np.random.Generator) -> list[OracleReport]:
     ]
 
 
-def twisted_suite(rng: np.random.Generator) -> list[OracleReport]:
+def twisted_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
     worst_cocycle = worst_transport = worst_eigen = worst_skew = worst_sigma = 0.0
     for n in (1, 2, 3, 4, 5, 8):
         for _ in range(4):
@@ -254,8 +248,8 @@ def twisted_suite(rng: np.random.Generator) -> list[OracleReport]:
     ]
 
 
-def lattice_suite(rng: np.random.Generator) -> list[OracleReport]:
-    reports: list[OracleReport] = []
+def lattice_suite(rng: np.random.Generator) -> list[hopf.HopfReport]:
+    reports: list[hopf.HopfReport] = []
     basis = lattice.lattice_new(
         [
             [Fraction(0), Fraction(-1), Fraction(1)],
@@ -326,6 +320,6 @@ def lattice_suite(rng: np.random.Generator) -> list[OracleReport]:
 SUITES = (core_suite, spectral_suite, forms_suite, hopf_suite, twisted_suite, lattice_suite)
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[OracleReport]:
+def run_all(seed: int = DEFAULT_SEED) -> list[hopf.HopfReport]:
     rng = np.random.default_rng(seed)
     return [report for suite in SUITES for report in suite(rng)]

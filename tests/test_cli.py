@@ -1102,10 +1102,21 @@ def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command, doc):
             json.dumps({"kind": "dense", "n": 1, "entries": [["1"]]}),
             "document: lattice-solve expects [basis dense document, rational_circulant target]",
         ),
+        (
+            "eig",
+            json.dumps({"kind": "dense", "n": 1, "entries": [["1"]]}),
+            "kind: cannot view a dense document as a circulant",
+        ),
+        (
+            "mu-eig",
+            json.dumps(circulant_doc(1, 2)),
+            "kind: cannot view a circulant document as a mu-circulant",
+        ),
     ),
     ids=(
         "deep-json", "long-rational", "spectrum-field", "cocycle-field",
         "eig-two-documents", "complex-spectrum", "short-spectrum", "lattice-one-document",
+        "eig-dense", "mu-eig-circulant",
     ),
 )
 def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command, text, message):

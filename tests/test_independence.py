@@ -355,3 +355,42 @@ def test_only_core_runs_the_class_invariants():
     assert found == {name: [] for name in found}
     assert len(invariant_calls((PACKAGE / "core.py").read_text(encoding="utf-8"))) == 2
     assert not any("__init__" in vars(cls) for cls in (Circulant, Spectrum, MuWeights))
+
+
+def equality_definers(source: str) -> list[str]:
+    """Names of the classes of this source whose body defines or assigns
+    `__eq__` or `__hash__`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(member.name)
+            elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                names.update(target.id for target in targets if isinstance(target, ast.Name))
+        if names & {"__eq__", "__hash__"}:
+            found.append(node.name)
+    return found
+
+
+def test_one_equality_rule_for_the_frozen_values():
+    # `core._Frozen` compares and hashes every frozen value by its `_key()`;
+    # the others define only `_key`.  `_RowValue` compares its arrays
+    # without building the tuples and keeps the key's hash; `MuCirculant`
+    # also compares its weights.
+    sample = (
+        "class A:\n    def __eq__(self, o): pass\n"
+        "class B:\n    __hash__ = None\n"
+        "class C:\n    def _key(self): pass\n"
+        "class D:\n    __hash__: object = None\n"
+    )
+    assert equality_definers(sample) == ["A", "B", "D"]
+    found = {
+        (name, cls)
+        for name in MODULES
+        for cls in equality_definers((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    }
+    assert found == {("core", "_Frozen"), ("core", "_RowValue"), ("twisted", "MuCirculant")}

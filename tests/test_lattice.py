@@ -9,6 +9,7 @@ import pytest
 from circulants import (
     BrandtVerdict,
     DependentBasisError,
+    LatticeBasis,
     NotIntegralBasisError,
     basis_inverse_integral,
     brandt_check,
@@ -327,6 +328,15 @@ def test_lattice_decompose_non_member():
     solution = lattice_decompose(basis, rational_circ(F(1, 2), 0, 0))
     assert not solution.member
     assert solution.coefficients == (F(1, 2), 0, 0)
+
+
+def test_lattice_decompose_refuses_a_basis_whose_inverse_does_not_recombine():
+    # A stored inverse that is not the inverse of the rows: the identity
+    # rows with (1, 1; 0, 1) give coefficients (1, 1) for the target
+    # (1, 0), which recombine to (1, 1), and the exact check refuses them.
+    basis = LatticeBasis(cleared_rows=(1, (1, 0, 0, 1)), det=F(1), cleared_inverse=(1, (1, 1, 0, 1)))
+    with pytest.raises(ArithmeticError, match="failed to recombine"):
+        lattice_decompose(basis, rational_circ(1, 0))
 
 
 def test_lattice_decompose_dimension_error():
