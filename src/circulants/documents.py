@@ -89,12 +89,9 @@ def _decimal(v: int) -> str:
 def format_rational(x: Fraction) -> str:
     """``str(Fraction(x))``, "p/q" or "p", at any length."""
     x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:  # a part past the process's limit on decimal digits
-        if x.denominator == 1:
-            return _decimal(x.numerator)
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def parse_rational(value, field: str) -> Fraction:

@@ -44,10 +44,14 @@ class InvalidVectorError(CirculantError, ValueError):
 
 
 class SingularMatrixError(CirculantError, ArithmeticError):
-    """Inverse requested for a (numerically) singular matrix.
+    """Inverse requested for a singular matrix: exactly singular for an
+    exact one, numerically singular for a float circulant, where the rule
+    is min_j |lambda_j| <= threshold (by default 1e-10 max_j |lambda_j|),
+    which a nonzero eigenvalue can meet.
 
-    ``witness`` is the 1-based eigenvalue slot j at which the representer
-    polynomial vanishes at the n-th root of unity omega^(j-1), when known.
+    ``witness`` is the 1-based eigenvalue slot j of that least modulus,
+    the n-th root of unity omega^(j-1) at which the representer
+    polynomial is (numerically) zero, when known.
     """
 
     exit_code = 1

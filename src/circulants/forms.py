@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_tol, _quiet
+from .core import Circulant, _check_tol, _quiet, _result
 from .errors import InvalidScalarError, SingularMatrixError
 from .spectral import Spectrum, eigenvalues, from_spectrum
 
@@ -162,7 +162,7 @@ def conjugate(c: Circulant) -> Circulant:
     """
     lam = eigenvalues(c).array
     mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
-    return from_spectrum(mu)
+    return from_spectrum(_result(Spectrum, mu))
 
 
 def _verdict(
@@ -234,8 +234,8 @@ def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
     verdict, lam, lo, hi = _verdict(c, threshold)
     if not verdict.invertible:
         raise SingularMatrixError(
-            "singular circulant: representer vanishes at root-of-unity slot "
-            f"j={verdict.witness} (|lambda_j|={lo:.3e} <= {verdict.threshold:.3e})",
+            f"numerically singular circulant: |lambda_j|={lo:.3e} <= {verdict.threshold:.3e}"
+            f" at root-of-unity slot j={verdict.witness}",
             witness=verdict.witness,
         )
-    return from_spectrum(_reciprocal(lam, lo, hi))
+    return from_spectrum(_result(Spectrum, _reciprocal(lam, lo, hi)))

@@ -105,9 +105,10 @@ class RationalCirculant(_Frozen):
 
     `RationalCirculant(coeffs)` is the one constructor, `+` and `*`
     included: each entry through `_as_rational`, the exact entry rule, then
-    cleared.  So the stored form is unique to the rational row, `==` and
-    `hash` agree with equality of the Fraction rows, and a value pickles
-    through its constructor."""
+    cleared.  So the stored form is unique to the rational row, and `==`
+    and `hash` agree with equality of the Fraction rows.  A value pickles
+    as its stored form, which `_restore` puts back unchanged: neither the
+    view nor a second clearing is paid."""
 
     __slots__ = ("scale", "cleared")
 
@@ -118,8 +119,15 @@ class RationalCirculant(_Frozen):
         RationalCirculant.scale.__set__(self, scale)
         RationalCirculant.cleared.__set__(self, tuple(x.numerator * (scale // x.denominator) for x in values))
 
-    coeffs = property(lambda self: tuple(Fraction(v, self.scale) for v in self.cleared))
     n = property(lambda self: len(self.cleared))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The row as Fractions, built on each read: one gcd of an entry
+        and L per entry, so n gcds of integers as long as L.  With many
+        distinct large denominators L is their product, n times as long as
+        one of them, and the view costs O(n) gcds of that length."""
+        return tuple(Fraction(v, self.scale) for v in self.cleared)
 
     def to_exact_dense(self) -> tuple[tuple[Fraction, ...], ...]:
         row = self.coeffs
@@ -140,7 +148,7 @@ class RationalCirculant(_Frozen):
         return self.scale, self.cleared
 
     def __reduce__(self):
-        return type(self), (self.coeffs,)
+        return _restore, (self.scale, self.cleared)
 
     def __repr__(self) -> str:
         return f"RationalCirculant(coeffs={self.coeffs!r})"
@@ -159,6 +167,15 @@ class RationalCirculant(_Frozen):
         _check_orders(self, other)
         scale = self.scale * other.scale
         return RationalCirculant(tuple(Fraction(v, scale) for v in _cyclic(self.cleared, other.cleared)))
+
+
+def _restore(scale: int, cleared: tuple[int, ...]) -> RationalCirculant:
+    """The value whose stored form is (scale, cleared), as `__reduce__`
+    wrote it from a value built by the constructor."""
+    value = object.__new__(RationalCirculant)
+    RationalCirculant.scale.__set__(value, scale)
+    RationalCirculant.cleared.__set__(value, cleared)
+    return value
 
 
 def rational_circ(*coeffs) -> RationalCirculant:

@@ -3,13 +3,13 @@
 Nothing here calls into the circulant modules; inputs are plain numpy
 arrays or grids of Fractions.  These run at desk scale only (n <= 64
 floating, n <= 16 exact, n <= 32 for the dense Hopf tensors; the
-transforms up to a few hundred).  The hand-rolled transforms, an
-iterative radix-2 FFT and the O(n^2) direct DFT, check the numpy.fft
-path of `spectral`; the dense coefficient tensors of C[C_n x C_n] check
-the support form of `hopf`; a loop over the cocycle triples checks
-`twisted.verify_cocycle`; the Brandt predicate walked probe by probe
-on characteristic polynomials checks `lattice.brandt_check`; closed
-forms at orders 3 and 4 check `forms`.
+transform up to about a thousand).  One hand-rolled transform, the
+O(n^2) direct DFT that evaluates the definition at every order, checks
+the numpy.fft path of `spectral`; the dense coefficient tensors of
+C[C_n x C_n] check the support form of `hopf`; a loop over the cocycle
+triples checks `twisted.verify_cocycle`; the Brandt predicate walked
+probe by probe on characteristic polynomials checks
+`lattice.brandt_check`; closed forms at orders 3 and 4 check `forms`.
 """
 
 from __future__ import annotations
@@ -53,45 +53,10 @@ def closed_forms_n4(row) -> tuple[complex, complex, complex, complex]:
     )
 
 
-def dense_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain dense matrix product."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def _bit_reversed_indices(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    idx = np.arange(n)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(vec: np.ndarray, sign: int) -> np.ndarray:
-    # Iterative Cooley-Tukey, decimation in time.  sign +1 evaluates at
-    # the omega powers (the eigenvalue convention), -1 at their conjugates.
-    n = vec.size
-    if n == 1:
-        return vec.astype(complex)
-    out = vec[_bit_reversed_indices(n)].astype(complex)
-    half = 1
-    while half < n:
-        twiddle = np.exp(sign * 1j * np.pi * np.arange(half) / half)
-        out = out.reshape(-1, 2 * half)
-        even = out[:, :half]
-        odd = out[:, half:] * twiddle
-        out = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-        half *= 2
-    return out
-
-
 def _dft_direct(vec: np.ndarray, sign: int) -> np.ndarray:
-    # O(n^2) evaluation; exponents reduced mod n to keep the phases clean.
+    # O(n^2) evaluation of the definition; sign +1 evaluates at the omega
+    # powers (the eigenvalue convention), -1 at their conjugates.  The
+    # exponents are reduced mod n to keep the phases clean.
     n = vec.size
     k = np.arange(n)
     table = np.exp(sign * 2j * np.pi / n * ((k[:, None] * k[None, :]) % n))
@@ -170,37 +135,25 @@ def exact_det(grid) -> Fraction:
 
 
 def exact_inverse(grid) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan with full pivoting over Fractions."""
+    """Exact inverse by Gauss-Jordan over Fractions on [A | I], each column
+    pivoted on its first nonzero entry at or below the diagonal."""
     rows = [[Fraction(x) for x in row] for row in grid]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("square grid required")
     aug = [rows[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    col_perm = list(range(n))
     for k in range(n):
-        pivot = max(
-            ((i, j) for i in range(k, n) for j in range(k, n)),
-            key=lambda ij: abs(aug[ij[0]][ij[1]]),
-        )
-        if aug[pivot[0]][pivot[1]] == 0:
+        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot_row is None:
             raise SingularMatrixError("exact determinant is zero")
-        i, j = pivot
-        aug[k], aug[i] = aug[i], aug[k]
-        if j != k:
-            for row in aug:
-                row[k], row[j] = row[j], row[k]
-            col_perm[k], col_perm[j] = col_perm[j], col_perm[k]
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
         inv_pivot = 1 / aug[k][k]
         aug[k] = [x * inv_pivot for x in aug[k]]
         for i in range(n):
             if i != k and aug[i][k]:
                 factor = aug[i][k]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
-    # Column swaps inverted A*P, so row k of the result is row perm[k] of A^-1.
-    result: list[tuple[Fraction, ...] | None] = [None] * n
-    for k in range(n):
-        result[col_perm[k]] = tuple(aug[k][n:])
-    return tuple(result)  # type: ignore[arg-type]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _forms_of_row(row) -> tuple[Fraction, ...]:

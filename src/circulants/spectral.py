@@ -15,8 +15,8 @@ evaluates the representer at the omega powers, so lambda = ifft(c) and
 c = fft(lambda) carry no extra scaling pass.  `fast_mul` at an order
 with one large prime factor (see `_product_length`) skips the length-n
 transform: it takes the linear convolution of the two rows at a
-zero-padded fast length m >= 2n - 1 and folds it mod n.  The hand-rolled
-radix-2 FFT and direct DFT live on in `oracle` as independent references.
+zero-padded fast length m >= 2n - 1 and folds it mod n.  The O(n^2)
+direct DFT of `oracle` is its independent reference.
 
 Like every value, a Spectrum stores only its read-only ndarray `array`;
 the tuple `values` of Python complex numbers is a view of it, built on

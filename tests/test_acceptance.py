@@ -41,7 +41,7 @@ from circulants import (
 )
 from circulants.bench import BenchDisagreementError, run_bench
 from circulants.lattice import basis_inverse_integral
-from circulants.oracle import closed_forms_n3, closed_forms_n4, dense_mul, greedy_multiset_match
+from circulants.oracle import closed_forms_n3, closed_forms_n4, greedy_multiset_match
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -59,7 +59,7 @@ def test_c01_isomorphism_suite():
         for _ in range(200):
             x, y = random_circulant(rng, n), random_circulant(rng, n)
             product = mul_naive(x, y)
-            dev = np.max(np.abs(product.to_dense() - dense_mul(x.to_dense(), y.to_dense())))
+            dev = np.max(np.abs(product.to_dense() - x.to_dense() @ y.to_dense()))
             assert dev <= 1e-12
             worst_dense = max(worst_dense, float(dev))
             scale = 1.0 + x.norm_inf() * y.norm_inf()

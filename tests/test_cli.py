@@ -69,6 +69,20 @@ def test_inverse_success_and_singular(tmp_path, capsys):
     assert out == ""
     assert "j=3" in err  # witness root of unity is named
 
+    # (x - 1)^10 + J at n = 64: every eigenvalue is nonzero (det = 64^11),
+    # but |lambda_2| = |omega - 1|^10 falls under the float rule's threshold
+    # 1e-10 * max |lambda_j| = 1e-10 * 2^10, and the message says so.
+    n, k = 64, 10
+    row = [1 + (math.comb(k, i) * (-1) ** (k - i) if i <= k else 0) for i in range(n)]
+    doc = {"kind": "rational_circulant", "n": n, "first_row": [str(v) for v in row]}
+    path = write(tmp_path, "near.json", doc)
+    code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: numerically singular circulant: |lambda_j|=8.284e-11 <= 1.024e-07"
+        " at root-of-unity slot j=2\n"
+    )
+
 
 def test_conjugate(tmp_path, capsys):
     path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))

@@ -12,7 +12,6 @@ from circulants import (
     linear_combine,
     mul_naive,
 )
-from circulants.oracle import dense_mul
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -102,7 +101,7 @@ def test_mul_naive_matches_dense_product():
         for _ in range(10):
             x, y = random_circulant(rng, n), random_circulant(rng, n)
             lhs = mul_naive(x, y).to_dense()
-            rhs = dense_mul(x.to_dense(), y.to_dense())
+            rhs = x.to_dense() @ y.to_dense()
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

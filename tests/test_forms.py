@@ -149,6 +149,30 @@ def test_inverse_examples():
     assert err.value.witness == 3
 
 
+def test_conjugate_and_inverse_pass_their_computed_spectra_as_results(monkeypatch):
+    # The spectrum each one computes goes to the transform through
+    # `core._result`, never through the entry rule `_entries` for outside
+    # input, and gives the bits of that outside-input path.
+    from circulants import core
+
+    rng = np.random.default_rng(SEED)
+    values = [random_circulant(rng, n) + 3 * identity(n) for n in (1, 2, 5, 12, 97, 256)]
+    expected = []
+    for x in values:
+        lam = eigenvalues(x).array
+        mu = [np.prod(np.delete(lam, j)) for j in range(x.n)]
+        expected.append((from_spectrum(tuple(1.0 / lam)), from_spectrum(tuple(mu))))
+
+    def refuse(values):
+        raise AssertionError("a computed spectrum went through the entry rule")
+
+    monkeypatch.setattr(core, "_entries", refuse)
+    for x, (inv, conj) in zip(values, expected):
+        assert np.array_equal(inverse(x).array, inv.array)
+        scale = float(np.abs(conj.array).max())
+        assert np.max(np.abs(conjugate(x).array - conj.array)) <= 1e-12 * scale
+
+
 def test_inverse_times_self_is_identity():
     rng = np.random.default_rng(SEED)
     for n in (1, 2, 3, 5, 8):

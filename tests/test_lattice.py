@@ -1093,6 +1093,35 @@ def test_equality_hash_and_pickling_follow_the_fraction_rows():
     )
 
 
+def test_pickling_reads_the_stored_integers_not_the_fraction_view(monkeypatch):
+    # Dumping and loading leave the `coeffs` view and the clearing alone,
+    # so a row of many distinct large denominators pickles in time linear
+    # in its stored size.
+    import pickle
+
+    from circulants.lattice import RationalCirculant
+
+    denominators = [10**400 + 2 * k + 1 for k in range(16)]
+    value = RationalCirculant([F(k + 1, d) for k, d in enumerate(denominators)])
+
+    def refuse(self):
+        raise AssertionError("the Fraction view was read")
+
+    monkeypatch.setattr(RationalCirculant, "coeffs", property(refuse))
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is RationalCirculant
+    assert (back.scale, back.cleared) == (value.scale, value.cleared) and back == value
+    assert hash(back) == hash(value)
+    monkeypatch.undo()
+    # A pickle written when values pickled through the constructor still loads.
+    old = (
+        b"\x80\x02ccirculants.lattice\nRationalCirculant\nq\x00cfractions\nFraction\nq\x01"
+        b"K\x01K\x02\x86q\x02Rq\x03h\x01K\x02K\x01\x86q\x04Rq\x05h\x01K\x00K\x01\x86q\x06Rq\x07"
+        b"\x87q\x08\x85q\tRq\n."
+    )
+    assert pickle.loads(old) == RationalCirculant((F(1, 2), 2, 0))
+
+
 @pytest.mark.parametrize("n", range(1, 65))
 def test_sum_product_and_decomposition_match_fraction_arithmetic(n):
     # The reference works on the Fractions given, entry by entry, never on

