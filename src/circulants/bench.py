@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import cli
 from .core import Circulant, _shift, mul_naive
 from .documents import (
     DocumentError,
@@ -89,8 +90,6 @@ def _cli_eig(x: Circulant, *_):
     """``circulants eig`` run in process on x's document, and the checksum
     sum |lambda_j|; checked: the decoded output equals
     ``eigenvalues(x).values``."""
-    from . import cli  # cli imports this module
-
     text = json.dumps(circulant_to_obj(x))
 
     def run() -> tuple[int, str]:

@@ -62,31 +62,35 @@ _divide = _quiet(np.divide)
 _astype = _quiet(np.ndarray.astype)
 
 
-def _entries(values) -> np.ndarray:
-    """A row of matrix entries as a read-only complex ndarray: the one rule
-    for a valid entry, shared by every value type of the package.
+def _entries(values, ndim=1) -> np.ndarray:
+    """Matrix entries as a read-only complex ndarray: the one rule for a
+    valid entry, shared by every value type of the package and by the
+    dense helpers.
 
-    Accepts any flat sequence or 1-D array of numbers: numpy numeric
-    dtypes, or an object row (Fractions, Decimals, ints beyond int64,
-    mixed types) whose every element is a numbers.Number, so that a
-    string is never parsed as a number.  Each entry equals complex(v).
-    The array never shares memory with the caller's, so mutating the
-    caller's array later leaves the value unchanged.  Raises
-    InvalidOrderError on an empty row and InvalidScalarError on a nested,
-    ragged or non-numeric row, on an entry beyond the float range and on a
+    Accepts a row (a flat sequence or 1-D array, ndim=1), a table (a
+    sequence of rows or 2-D array, ndim=2) or, with ndim=None, an array of
+    any shape, whose caller checks the shape itself.  The entries are
+    numbers: numpy numeric dtypes, or an object array (Fractions,
+    Decimals, ints beyond int64, mixed types) whose every element is a
+    numbers.Number, so that a string is never parsed as a number.  Each
+    entry equals complex(v).  The array never shares memory with the
+    caller's, so mutating the caller's array later leaves the value
+    unchanged.  Raises InvalidOrderError when there is no entry, and
+    InvalidScalarError on a ragged or non-numeric input or one of another
+    number of axes, on an entry beyond the float range and on a
     non-finite entry (one vectorised check).
     """
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):
-        raise InvalidScalarError("entries must form a flat sequence of numbers") from None
-    if arr.ndim != 1:
-        raise InvalidScalarError("entries must form a flat sequence of numbers")
+        arr = None
+    if arr is None or (ndim is not None and arr.ndim != ndim):
+        raise InvalidScalarError(f"entries must form {'a flat sequence' if ndim == 1 else 'a table'} of numbers")
     if arr.size == 0:
         raise InvalidOrderError("need at least one entry")
     if arr.dtype.kind == "O":
         # One issubclass per distinct type, not one isinstance per entry.
-        for kind in set(map(type, arr.tolist())):
+        for kind in set(map(type, arr.ravel().tolist())):
             if not issubclass(kind, numbers.Number):
                 raise InvalidScalarError(f"cannot use {kind.__name__} as a matrix entry")
     elif arr.dtype.kind not in "biufc":
@@ -188,8 +192,10 @@ class _RowValue(_Frozen):
     """Base of the row values: each stores its validated row once, as the
     read-only complex ndarray `array` (`twisted.TwoCocycle` its n x n table).
 
-    `__init__(values)` is the one public constructor: `_entries`, then the
-    class invariant; `MuCirculant` and `TwoCocycle` add their own steps.
+    `__init__(values)` is the one public constructor: `_entries` at the
+    class's number of axes `_ndim` (a row, or TwoCocycle's table taken
+    whole), then the class invariant; `MuCirculant` and `TwoCocycle` add
+    their own steps.
     The subclass's public tuple attribute is `_tuple`, the `_view` of
     `array` built on each read.  A value is immutable, equals a value of
     the same class whose array holds equal entries (so -0.0 equals 0.0, as
@@ -202,9 +208,11 @@ class _RowValue(_Frozen):
     #: The class invariant beyond finite entries, `_check(arr)`, which
     #: raises on an array that breaks it; None on a class without one.
     _check = None
+    #: The number of axes of `array`: 1 for a row, 2 for a table.
+    _ndim = 1
 
     def __init__(self, values):
-        arr = _entries(values)
+        arr = _entries(values, self._ndim)
         if self._check is not None:
             self._check(arr)
         _set_array(self, arr)
@@ -350,10 +358,15 @@ def circ(*coeffs) -> Circulant:
     return Circulant(tuple(coeffs))
 
 
-def _unit(n: int, k: int) -> Circulant:
-    """P_n^k, the circulant whose first row is 1 at index k, 0 elsewhere."""
+def _check_order(n: int):
+    """Raise InvalidOrderError unless the order n is at least 1."""
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
+
+
+def _unit(n: int, k: int) -> Circulant:
+    """P_n^k, the circulant whose first row is 1 at index k, 0 elsewhere."""
+    _check_order(n)
     row = np.zeros(n, dtype=complex)
     row[k] = 1.0
     return _result(Circulant, row)

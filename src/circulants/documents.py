@@ -292,7 +292,7 @@ class MatrixDocument(_Frozen):
         entry rule: InvalidScalarError on a non-finite or too large entry."""
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
-        return _entries(np.ravel(self._entries)).reshape(self.n, self.n).copy()
+        return _entries(self._entries, 2).copy()
 
     def to_exact_grid(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.kind != "dense":

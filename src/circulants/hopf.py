@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_finite, _check_tol, _Frozen, _moduli, _quiet, _result, _shift
+from .core import Circulant, _check_finite, _check_tol, _entries, _Frozen, _moduli, _quiet, _result, _shift
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 
@@ -247,8 +247,13 @@ def factorize_dense(a: np.ndarray) -> np.ndarray:
     A = sum_{i,k} grid[i][k] E_ii P^(k-1) forces
     grid[i][k] = A[i, i+k-1 mod n] (1-based); the factorization through
     diagonal and circulant matrices is unique and exact.
+
+    The entries pass the package's entry rule: InvalidScalarError on a
+    ragged, non-numeric, non-finite or beyond-float-range entry,
+    InvalidOrderError on an empty matrix and DimensionMismatchError on one
+    that is not square.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _entries(a, None)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"square matrix required, got {a.shape}")
     n = a.shape[0]
@@ -258,8 +263,8 @@ def factorize_dense(a: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_factorization(grid: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`factorize_dense`."""
-    grid = np.asarray(grid, dtype=complex)
+    """Inverse of :func:`factorize_dense`, with its refusals."""
+    grid = _entries(grid, None)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise DimensionMismatchError(f"square grid required, got {grid.shape}")
     n = grid.shape[0]

@@ -80,7 +80,7 @@ def _as_rational(value) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidScalarError(f"cannot use {value!r} as a rational entry") from exc
 
 

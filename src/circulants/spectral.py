@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_orders, _fold, _quiet, _result, _RowValue
+from .core import Circulant, _check_order, _check_orders, _fold, _quiet, _result, _RowValue
 
 _fft = _quiet(np.fft.fft)
 _ifft = _quiet(np.fft.ifft)
@@ -139,6 +139,7 @@ class FourierContext:
 
 
 def fourier_context(n: int) -> FourierContext:
+    _check_order(n)
     powers = np.exp(2j * np.pi * np.arange(n) / n)
     powers.setflags(False)
     return FourierContext(n=n, omega=complex(powers[min(1, n - 1)]), array=powers)

@@ -34,20 +34,19 @@ each is stated, and `core`'s one public constructor runs them too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .core import (
     Circulant,
     _check_finite,
+    _check_order,
     _check_tol,
     _divide,
     _moduli,
     _multiply,
     _result,
     _RowValue,
-    _set_array,
     _shift,
     _subtract,
 )
@@ -109,22 +108,24 @@ class TwoCocycle(_RowValue):
     """Explicit table F[i][j] = F(e_{i+1}, e_{j+1}), all entries nonzero,
     stored like a row value as the read-only n x n complex array `array`;
     `table`, the rows as tuples of Python complex numbers, is its view,
-    built on each read."""
+    built on each read.
+
+    The constructor takes a sequence of n rows of n entries, or an n x n
+    array, and checks the table's shape before the entry rule reads it
+    whole: InvalidOrderError on an empty table, InvalidCocycleError on one
+    that is not square (a flat row included)."""
 
     __slots__ = ()
+
+    _ndim = 2
 
     def __init__(self, table):
         n = len(table)
         if n == 0:
             raise InvalidOrderError("empty cocycle table")
-        if any(len(row) != n for row in table):
+        if any(not hasattr(row, "__len__") or len(row) != n for row in table):
             raise InvalidCocycleError("cocycle table must be square")
-        if isinstance(table, np.ndarray) and table.ndim == 2:
-            flat = table.ravel()
-        else:
-            flat = list(chain.from_iterable(table))
-        super().__init__(flat)
-        _set_array(self, self.array.reshape(n, n))
+        super().__init__(table)
 
     @staticmethod
     def _check(arr: np.ndarray):
@@ -184,8 +185,7 @@ def mu_circ(coeffs, mu_tail) -> MuCirculant:
 
 def skew_root(n: int) -> complex:
     """sigma = cos(pi/n) + i sin(pi/n); sigma^2 = omega and sigma^n = -1."""
-    if n < 1:
-        raise InvalidOrderError(f"order must be >= 1, got {n}")
+    _check_order(n)
     return complex(np.exp(1j * np.pi / n))
 
 

@@ -17,7 +17,9 @@ from circulants import (
     MuWeights,
     Spectrum,
     TwoCocycle,
+    factorize_dense,
     from_spectrum,
+    reconstruct_factorization,
 )
 
 
@@ -29,7 +31,8 @@ def _table_with_first_row(row):
 # Each builder returns the row as the value stored it.  The twisted
 # builders put the row where it is validated: weights (mu_1 = 1 leads
 # every accepted row), coefficients over unit weights, and the first row
-# of a cocycle table whose other rows are ones.
+# of a cocycle table whose other rows are ones.  The dense factorization
+# helpers take that table too, and keep its first row as row 0.
 BUILDERS = {
     "Circulant": lambda row: Circulant(row).coeffs,
     "Spectrum": lambda row: Spectrum(row).values,
@@ -37,6 +40,10 @@ BUILDERS = {
     "MuWeights": lambda row: MuWeights(row).mu,
     "MuCirculant": lambda row: MuCirculant(row, MuWeights((1,) * len(row))).coeffs,
     "TwoCocycle": lambda row: TwoCocycle(_table_with_first_row(row)).table[0],
+    "factorize_dense": lambda row: tuple(factorize_dense(_table_with_first_row(row))[0].tolist()),
+    "reconstruct_factorization": lambda row: tuple(
+        reconstruct_factorization(_table_with_first_row(row))[0].tolist()
+    ),
 }
 
 REJECTED = {

@@ -74,7 +74,7 @@ def test_rational_circulant_keeps_a_fraction_row_and_converts_any_other():
         c = RationalCirculant(mixed)
         assert type(c.coeffs) is tuple and all(type(x) is F for x in c.coeffs)
     assert RationalCirculant((Half(1, 2), F(-3))).coeffs == row
-    for bad in ((F(1, 2), 0.5), (F(1, 2), "x"), (F(1, 2), None)):
+    for bad in ((F(1, 2), 0.5), (F(1, 2), "x"), (F(1, 2), None), (F(1, 2), "1/0")):
         with pytest.raises(InvalidScalarError):
             RationalCirculant(bad)
 

@@ -24,7 +24,7 @@ from circulants.core import SPECTRAL_MUL_MIN_ORDER
 from circulants.errors import DimensionMismatchError
 from circulants.hopf import block_mul, comultiplication
 from circulants.spectral import _FAST_LENGTHS, _product_length
-from circulants.twisted import mu_circ, mu_mul, mu_to_dense
+from circulants.twisted import mu_circ, mu_mul, mu_to_dense, skew_root
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -35,6 +35,16 @@ def test_fourier_context_root_relations():
         ctx = fourier_context(n)
         assert abs(ctx.omega**n - 1) <= 1e-12
         assert all(abs(abs(p) - 1) <= 1e-12 for p in ctx.powers)
+
+
+@pytest.mark.parametrize("n", (0, -1))
+@pytest.mark.parametrize(
+    "function", (identity, fundamental, skew_root, fourier_context, eigenvector_matrix)
+)
+def test_every_order_taking_function_refuses_orders_below_one(function, n):
+    with pytest.raises(InvalidOrderError) as info:
+        function(n)
+    assert str(info.value) == f"order must be >= 1, got {n}"
 
 
 def test_eigenvalues_allones():

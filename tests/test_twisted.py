@@ -207,8 +207,13 @@ def test_two_cocycle_stores_one_read_only_array():
         (np.array([[1, 1], [1, np.inf]]), InvalidScalarError),
         (np.ones((2, 2, 2)), InvalidScalarError),
         (((1, 1), (1, "2")), InvalidScalarError),
+        ((1, 2), InvalidCocycleError),
+        (np.ones(4), InvalidCocycleError),
     ),
-    ids=("empty", "ragged", "zero-array", "nan", "inf", "inf-array", "3-d", "string"),
+    ids=(
+        "empty", "ragged", "zero-array", "nan", "inf", "inf-array", "3-d", "string",
+        "flat-row", "flat-array",
+    ),
 )
 def test_two_cocycle_rejects_bad_tables(table, error):
     # With test_cocycle_table_rejects_zero_entries: ragged, zero, non-finite
