@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
 
 from . import cli
 from .core import Circulant, _shift, mul_naive
@@ -37,8 +38,9 @@ from .documents import (
     spectrum_from_obj,
     spectrum_to_obj,
 )
-from .errors import CirculantError
+from .errors import CirculantError, InvalidScalarError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
+from .forms import forms
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict, bounded_row, brandt_check, exact_char_poly
@@ -123,6 +125,30 @@ def _integer_spectrum(x: Circulant, *_):
     ):
         raise BenchDisagreementError(f"n={n}: integer_spectrum disagrees with eigenvalues")
     return lambda: integer_spectrum(row), float(sum(abs(v) for v in spectrum.values))
+
+
+def _forms(x: Circulant, *_):
+    """The forms of circ(2, 1, 0, ..., 0) = 2I + P of x's order n, and the
+    checksum sum_i |q_i| 2^-i; None where a form leaves the float range
+    (from n = 650).  Checked: prod_j (X + lambda_j) = (X + 2)^n - (-1)^n,
+    so q_i = C(n, i) 2^i - [i = n] (-1)^n, within 1e-12 e_i(|lambda|), the
+    scale of the expansion's error.  Both sides are scaled by 2^-i, which
+    is exact, so that e_i(|lambda|) / 2^i = e_i(|lambda| / 2), taken from
+    numpy's polyfromroots, stays in the float range."""
+    n = x.n
+    c = Circulant((2, 1) + (0,) * (n - 2))
+    try:
+        q = np.array(forms(c).q)
+    except InvalidScalarError:
+        return None
+    exact = [math.comb(n, i) * 2**i for i in range(1, n + 1)]
+    exact[-1] -= (-1) ** n
+    unit = np.ldexp(1.0, -np.arange(1, n + 1))
+    half_moduli = np.abs(2.0 + np.exp(2j * np.pi * np.arange(n) / n)) / 2
+    scale = polyfromroots(-half_moduli)[-2::-1]
+    if not np.all(np.abs(q - np.array(exact, dtype=float)) * unit <= 1e-12 * scale):
+        raise BenchDisagreementError(f"n={n}: forms of 2I + P are not those of (X - 2)^n - 1")
+    return lambda: forms(c), float(np.abs(q * unit).sum())
 
 
 def _add(x: Circulant, y: Circulant, *_):
@@ -304,6 +330,7 @@ ROWS = (
     ("exact-char-poly", _exact_char_poly),
     ("mu-mul", _mu_mul),
     ("mu-eig", _mu_eig),
+    ("forms", _forms),
 )
 
 

@@ -42,6 +42,7 @@ both are within a few ulps of the exact result.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -359,16 +360,21 @@ def circ(*coeffs) -> Circulant:
 
 
 def _check_order(n: int):
-    """Raise InvalidOrderError unless the order n is at least 1."""
+    """Raise InvalidOrderError unless the order n is an integer (one that
+    operator.index takes) of at least 1."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise InvalidOrderError(f"order must be an integer, got {n!r}") from None
     if n < 1:
         raise InvalidOrderError(f"order must be >= 1, got {n}")
 
 
 def _unit(n: int, k: int) -> Circulant:
-    """P_n^k, the circulant whose first row is 1 at index k, 0 elsewhere."""
+    """P_n^k, the circulant whose first row is 1 at index k mod n, 0 elsewhere."""
     _check_order(n)
     row = np.zeros(n, dtype=complex)
-    row[k] = 1.0
+    row[k % n] = 1.0
     return _result(Circulant, row)
 
 
@@ -384,7 +390,7 @@ def fundamental(n: int) -> Circulant:
     circ(c_1, ..., c_n) = c_1 I + c_2 P_n + ... + c_n P_n^(n-1).
     For n = 1 this degenerates to circ(1).
     """
-    return _unit(n, min(1, n - 1))
+    return _unit(n, 1)
 
 
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:

@@ -5,9 +5,11 @@ X^n - q_1 X^(n-1) + q_2 X^(n-2) - ... + (-1)^n q_n, where q_i is the
 i-th elementary symmetric polynomial of the eigenvalues; q_1 = n*c_1 is
 the trace form and q_n = det the norm form.  The DFT diagonalises the
 algebra, so each result is read off the spectrum lambda: the q_i are the
-signed coefficients of prod_j (X - lambda_j), expanded one factor at a
-time (numpy.poly), which stays accurate where Newton's identities on
-power sums cancel.  The conjugate
+coefficients of prod_j (X + lambda_j), expanded one factor at a time in
+place in one complex array, which stays accurate where Newton's
+identities on power sums cancel (its error is about n * eps *
+e_i(|lambda|); Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed.).  The conjugate
 
     conj(x) = (-1)^(n+1) x^(n-1) + (-1)^n q_1(x) x^(n-2) + ... + q_{n-1}(x)
 
@@ -34,7 +36,7 @@ SINGULAR_RTOL = 1e-10
 
 #: sum_j log|lambda_j| beyond this means |q_n| = prod_j |lambda_j| is past
 #: the float range by at least a factor e, a margin far wider than the
-#: rounding of the log sum or of numpy.poly's running product.
+#: rounding of the log sum or of the expansion's running product.
 _LOG_NORM_LIMIT = math.log(sys.float_info.max) + 1.0
 
 
@@ -77,9 +79,10 @@ class InvertibilityVerdict:
 
 def _alternate(coeffs) -> tuple[complex, ...]:
     """(a_0, -a_1, a_2, -a_3, ...) as Python complex numbers: the sign
-    pattern between prod_j (X - lambda_j) and s_0..s_n = (1, q_1, ..., q_n)."""
+    pattern between s_0..s_n = (1, q_1, ..., q_n) and prod_j (X - lambda_j).
+    Negated as 0.0 - a, so a zero part comes out +0.0, never -0.0."""
     signed = np.array(coeffs, dtype=complex)
-    signed[1::2] *= -1
+    signed[1::2] = 0.0 - signed[1::2]
     return tuple(signed.tolist())
 
 
@@ -92,9 +95,26 @@ def _log_modulus(z: complex) -> float:
     return math.log(m) + 0.5 * math.log1p((s / m) ** 2)
 
 
+@_quiet
+def _expand(lam: np.ndarray) -> np.ndarray:
+    """s_0..s_n, the coefficients of prod_j (X + lambda_j) in descending
+    powers, expanded in place one factor at a time: s_i += lambda_k s_(i-1).
+    Negating lambda is exact, so s_i has the bits of (-1)^i times the
+    coefficient of prod_j (X - lambda_j) by the same recurrence.  As in
+    numpy.poly, a lambda closed under conjugation (as sorted multisets)
+    gives real s_i, here with imaginary parts +0.0.  A value beyond the
+    float range comes out inf or nan without a numpy warning."""
+    s = np.zeros(lam.size + 1, dtype=complex)
+    s[0] = 1.0
+    for k, z in enumerate(lam.tolist(), 1):
+        s[1 : k + 1] += z * s[:k]
+    if (np.sort(lam) == np.sort(lam.conj())).all():
+        s.imag = 0.0
+    return s
+
+
 def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
-    """s_0..s_n = (1, q_1, ..., q_n) of lam: the signed coefficients of
-    prod_j (X - lambda_j), expanded one factor at a time.  Raises
+    """s_0..s_n = (1, q_1, ..., q_n) of lam by `_expand`.  Raises
     InvalidScalarError when one leaves the float range: in O(n), before
     the expansion, when q_n alone does."""
     # sum_j log|lambda_j| in C-level builtins: at small n this costs a
@@ -110,10 +130,10 @@ def _elementary(lam: np.ndarray) -> tuple[complex, ...]:
         log_norm = -math.inf
     if log_norm > _LOG_NORM_LIMIT:
         raise InvalidScalarError("a characteristic form leaves the float range")
-    coeffs = np.poly(lam)
-    if not np.isfinite(coeffs).all():
+    s = _expand(lam)
+    if not np.isfinite(s).all():
         raise InvalidScalarError("a characteristic form leaves the float range")
-    return _alternate(coeffs)
+    return tuple(s.tolist())
 
 
 @_quiet
@@ -161,8 +181,9 @@ def conjugate(c: Circulant) -> Circulant:
     mu_j leaves the float range.
     """
     lam = eigenvalues(c).array
-    mu = np.cumprod(np.r_[1, lam[:-1]]) * np.cumprod(np.r_[1, lam[:0:-1]])[::-1]
-    return from_spectrum(_result(Spectrum, mu))
+    prefix = np.cumprod(np.concatenate(((1.0,), lam[:-1])))
+    suffix = np.cumprod(np.concatenate(((1.0,), lam[:0:-1])))[::-1]
+    return from_spectrum(_result(Spectrum, prefix * suffix))
 
 
 def _verdict(

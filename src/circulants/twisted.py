@@ -113,17 +113,21 @@ class TwoCocycle(_RowValue):
     The constructor takes a sequence of n rows of n entries, or an n x n
     array, and checks the table's shape before the entry rule reads it
     whole: InvalidOrderError on an empty table, InvalidCocycleError on one
-    that is not square (a flat row included)."""
+    that is not square (a flat row, a scalar or an iterator included)."""
 
     __slots__ = ()
 
     _ndim = 2
 
     def __init__(self, table):
-        n = len(table)
+        try:
+            n = len(table)
+            square = all(len(row) == n for row in table)
+        except TypeError:  # the table or a row has no length
+            n, square = None, False
         if n == 0:
             raise InvalidOrderError("empty cocycle table")
-        if any(not hasattr(row, "__len__") or len(row) != n for row in table):
+        if not square:
             raise InvalidCocycleError("cocycle table must be square")
         super().__init__(table)
 

@@ -103,6 +103,22 @@ def test_forms_and_charpoly_exact_for_rational_input(tmp_path, capsys):
     assert json.loads(out)["monic_coefficients"] == ["1", "-6", "9", "-4"]
 
 
+@pytest.mark.parametrize(
+    "command, row, field, want",
+    (
+        ("forms", (1.5, -2, 0.25, 3), "q", ["6.0", "37.375", "98.125", "54.78515625"]),
+        ("charpoly", (-1.5, 2, 0.25), "monic_coefficients", ["1.0", "4.5", "5.25", "-6.890625"]),
+    ),
+)
+def test_forms_and_charpoly_of_a_real_row_have_no_negative_zero(tmp_path, capsys, command, row, field, want):
+    # The spectrum of a real row is closed under conjugation, so every
+    # form and coefficient is real, written with the imaginary part "0.0".
+    path = write(tmp_path, "c.json", circulant_doc(*row))
+    code, out, _ = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)[field] == [[re, "0.0"] for re in want]
+
+
 def test_hopf_subcommands(tmp_path, capsys):
     path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
     code, out, _ = run_cli(["hopf-counit", "--input", path], capsys=capsys)
@@ -315,13 +331,13 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 42
+    assert len(lines) == 45
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
     assert (4, "parse") in methods and (8, "encode") in methods and (2, "brandt") in methods
-    assert (2, "mu-mul") in methods and (8, "mu-eig") in methods
+    assert (2, "mu-mul") in methods and (8, "mu-eig") in methods and (4, "forms") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -369,11 +385,11 @@ ok spectral.spectrum-roundtrip max_dev=6.280e-16
 ok spectral.transform-linearity max_dev=4.680e-15
 ok spectral.eigen-residuals max_dev=4.851e-16
 ok spectral.fast-product-matches-naive max_dev=5.607e-17
-ok forms.element-satisfies-char-poly max_dev=2.339e-17
-ok forms.trace-of-conjugate-is-q(n-1) max_dev=5.392e-16
-ok forms.q2-sum-identity max_dev=1.213e-14
-ok forms.closed-forms-n3-n4 max_dev=3.972e-15
-ok forms.char-poly-matches-trace-recurrence max_dev=2.175e-17
+ok forms.element-satisfies-char-poly max_dev=1.987e-17
+ok forms.trace-of-conjugate-is-q(n-1) max_dev=7.176e-16
+ok forms.q2-sum-identity max_dev=1.348e-14
+ok forms.closed-forms-n3-n4 max_dev=2.665e-15
+ok forms.char-poly-matches-trace-recurrence max_dev=1.972e-17
 ok hopf.axiom-residuals max_dev=1.337e-16
 ok hopf.coproduct-is-algebra-map max_dev=9.155e-16
 ok hopf.product-matches-convolution max_dev=1.443e-15
@@ -779,6 +795,26 @@ def test_bench_twisted_rows_check_before_timing(monkeypatch):
         bench.run_bench([4], reps=3)
 
 
+def test_bench_forms_row_checks_before_timing(monkeypatch):
+    from circulants import bench, circ, forms
+    from circulants.forms import FormsVector
+
+    rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "forms"]
+    assert [r.n for r in rows] == [4, 12]
+    # 2I + P at n = 4: q = (8, 24, 32, 15), so sum_i |q_i| 2^-i = 4 + 6 + 4 + 15/16.
+    assert rows[0].checksum == 14.9375 and all(r.median_ns > 0 for r in rows)
+    # No record where the forms leave the float range.
+    assert bench._forms(circ(*[0] * 649)) is not None and bench._forms(circ(*[0] * 650)) is None
+
+    def last_off(c):
+        q = forms(c).q
+        return FormsVector(q[:-1] + (q[-1] * (1 + 1e-9),))
+
+    monkeypatch.setattr(bench, "forms", last_off)
+    with pytest.raises(bench.BenchDisagreementError, match="forms of 2I \\+ P"):
+        bench.run_bench([12], reps=3)
+
+
 @pytest.mark.parametrize("index", range(len(bench.ROWS)), ids=[name for name, _ in bench.ROWS])
 def test_every_bench_row_is_checked_before_any_row_is_timed(monkeypatch, index):
     name = bench.ROWS[index][0]
@@ -824,7 +860,7 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = ["cli-eig", "integer-spectrum", "add", "block-mul", "hopf-verify"]
-    rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig"]
+    rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig", "forms"]
     assert [r.method for r in rows] == ["naive", "spectral", "dense", *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

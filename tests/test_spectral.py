@@ -47,6 +47,16 @@ def test_every_order_taking_function_refuses_orders_below_one(function, n):
     assert str(info.value) == f"order must be >= 1, got {n}"
 
 
+@pytest.mark.parametrize("n", (2.5, 2.0, np.float64(3.0), "3", None), ids=repr)
+@pytest.mark.parametrize(
+    "function", (identity, fundamental, skew_root, fourier_context, eigenvector_matrix)
+)
+def test_every_order_taking_function_refuses_orders_that_are_not_integers(function, n):
+    with pytest.raises(InvalidOrderError) as info:
+        function(n)
+    assert str(info.value) == f"order must be an integer, got {n!r}"
+
+
 def test_eigenvalues_allones():
     lam = eigenvalues(circ(1, 1, 1)).values
     assert lam[0] == pytest.approx(3)

@@ -209,10 +209,13 @@ def test_two_cocycle_stores_one_read_only_array():
         (((1, 1), (1, "2")), InvalidScalarError),
         ((1, 2), InvalidCocycleError),
         (np.ones(4), InvalidCocycleError),
+        (5, InvalidCocycleError),
+        (iter([(1,)]), InvalidCocycleError),
+        (np.array(3.0), InvalidCocycleError),
     ),
     ids=(
         "empty", "ragged", "zero-array", "nan", "inf", "inf-array", "3-d", "string",
-        "flat-row", "flat-array",
+        "flat-row", "flat-array", "scalar", "iterator", "0-d-array",
     ),
 )
 def test_two_cocycle_rejects_bad_tables(table, error):
