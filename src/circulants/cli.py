@@ -14,10 +14,20 @@ traceback, so that it is never mistaken for a domain verdict).  `main`
 sets no numpy error state: each layer quiets its own numpy work, so a
 RuntimeWarning that a library call leaks is not hidden here.
 
-The self-check tooling loads on first use: `verify-all` imports `verify`
-(and through it `oracle`), and `bench` imports `bench`, inside their
-handlers.  No other subcommand imports them, so a process that runs one
-does not compile or execute them.
+Each subcommand loads the layers it runs, on first use, inside its
+handler or the document converter it calls; importing this module loads
+`core`, `errors`, `spectral`, `forms`, `fixtures` and `documents` only.
+`eig`, `forms`, `charpoly`, `inverse` and `conjugate` on a circulant
+document load nothing more; `forms` and `charpoly` on a
+rational_circulant load `lattice`, and the other commands given a
+rational_circulant load it for its float view.  A mu_circulant or
+skew_circulant document loads `twisted` (and through it `hopf`), as do
+`mu-eig`, `skew` and `cocycle-verify`.  The `hopf-*` commands and
+`factorize` load `hopf`; `brandt-check`, `spectrum-reconstruct` and
+`lattice-solve` load `lattice`.
+`verify-all` imports `verify` (and through it `oracle` and every layer),
+and `bench` imports `bench` (and through it every layer).  A process
+does not compile or execute a module that its subcommand does not load.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import hopf, lattice, spectral, twisted
+from . import spectral
 from .fixtures import DEFAULT_SEED
 from .forms import char_poly_of_forms, forms_of_spectrum
 from .forms import conjugate as conjugate_of
@@ -81,6 +91,8 @@ def _single_document(args) -> MatrixDocument:
 
 def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
     if doc.kind in ("mu_circulant", "skew_circulant"):
+        from . import twisted
+
         return spectral.eigenvalues(twisted.psi(doc.to_mu_circulant()))
     return spectral.eigenvalues(doc.to_circulant())
 
@@ -92,6 +104,8 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
+        from . import lattice
+
         encoded = list(map(format_rational, lattice.forms_exact(lattice.bounded_row(doc.first_row))))
     else:
         encoded = format_complex_row(forms_of_spectrum(_spectrum_of(doc)).q)
@@ -101,6 +115,8 @@ def _cmd_forms(args) -> tuple[dict | list | str, int]:
 def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
+        from . import lattice
+
         encoded = list(map(format_rational, lattice.exact_char_poly(lattice.bounded_row(doc.first_row))))
     else:
         encoded = format_complex_row(char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc))))
@@ -118,16 +134,22 @@ def _cmd_conjugate(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_hopf_counit(args) -> tuple[dict | list | str, int]:
+    from . import hopf
+
     c = _single_document(args).to_circulant()
     return {"kind": "scalar", "value": format_complex(hopf.counit(c))}, 0
 
 
 def _cmd_hopf_delta(args) -> tuple[dict | list | str, int]:
+    from . import hopf
+
     c = _single_document(args).to_circulant()
     return dump_block_circulant(hopf.comultiplication(c)), 0
 
 
 def _cmd_hopf_antipode(args) -> tuple[dict | list | str, int]:
+    from . import hopf
+
     c = _single_document(args).to_circulant()
     return circulant_to_obj(hopf.antipode(c)), 0
 
@@ -149,12 +171,16 @@ def _report_result(reports) -> tuple[dict | list | str, int]:
 
 
 def _cmd_hopf_verify(args) -> tuple[dict | list | str, int]:
+    from . import hopf
+
     c = _single_document(args).to_circulant()
     checks = (hopf.verify_counit_axiom, hopf.verify_antipode_axiom, hopf.integral_check)
     return _report_result([check(c, **_given_tol(args)) for check in checks])
 
 
 def _cmd_mu_eig(args) -> tuple[dict | list | str, int]:
+    from . import twisted
+
     doc = _single_document(args)
     eig = twisted.mu_eigen(doc.to_mu_circulant())
     payload = {
@@ -167,6 +193,8 @@ def _cmd_mu_eig(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_cocycle_verify(args) -> tuple[dict | list | str, int]:
+    from . import twisted
+
     cocycle = cocycle_from_obj(load_json(_read_text(args.input)))
     return _report_result([twisted.verify_cocycle(cocycle, **_given_tol(args))])
 
@@ -180,6 +208,8 @@ def _cmd_skew(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_brandt_check(args) -> tuple[dict | list | str, int]:
+    from . import lattice
+
     docs = _input_documents(args)
     elements = [d.to_rational_circulant() for d in docs]
     verdict = lattice.brandt_check(elements, mode=args.mode)
@@ -196,6 +226,8 @@ def _cmd_brandt_check(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_spectrum_reconstruct(args) -> tuple[dict | list | str, int]:
+    from . import lattice
+
     obj = load_json(_read_text(args.input))
     values = spectrum_from_obj(obj)
     if not all(isinstance(v, Fraction) for v in values):
@@ -210,6 +242,8 @@ def _cmd_spectrum_reconstruct(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_lattice_solve(args) -> tuple[dict | list | str, int]:
+    from . import lattice
+
     docs = _input_documents(args)
     if len(docs) != 2:
         raise DocumentError(
@@ -226,6 +260,8 @@ def _cmd_lattice_solve(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_factorize(args) -> tuple[dict | list | str, int]:
+    from . import hopf
+
     doc = _single_document(args)
     grid = hopf.factorize_dense(doc.to_complex_grid())
     payload = {

@@ -29,14 +29,17 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain, starmap
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Circulant, _entries, _Frozen, _result, _view
 from .errors import DimensionMismatchError, DocumentError, InvalidScalarError
-from .hopf import BlockCirculant
-from .lattice import RationalCirculant, _rational_row
-from .twisted import MuCirculant, MuWeights, TwoCocycle, _mu_result, _skew_weights, cocycle_from_mu
+
+if TYPE_CHECKING:  # `hopf`, `lattice` and `twisted` load in the converters that use them
+    from .hopf import BlockCirculant
+    from .lattice import RationalCirculant
+    from .twisted import MuCirculant, TwoCocycle
 
 KINDS = ("circulant", "mu_circulant", "skew_circulant", "dense", "rational_circulant")
 
@@ -263,6 +266,8 @@ class MatrixDocument(_Frozen):
         if self.kind == "circulant":
             return _result(Circulant, self._first_row)
         if self.kind == "rational_circulant":
+            from .lattice import _rational_row
+
             # The floats need no cleared row: one lcm of many distinct large
             # denominators would cost more than the whole float call.
             return _result(Circulant, _entries(_rational_row(self.first_row)))
@@ -272,6 +277,8 @@ class MatrixDocument(_Frozen):
         """The twisted value of a mu_circulant or skew_circulant document.
         Like `to_circulant`, it shares the stored row; the weights are
         copied once, behind the leading 1."""
+        from .twisted import MuWeights, _mu_result, _skew_weights
+
         row = self._first_row
         if self.kind == "mu_circulant":
             return _mu_result(row, _result(MuWeights, np.concatenate(((1.0,), self._mu))))
@@ -285,6 +292,8 @@ class MatrixDocument(_Frozen):
         return self.first_row
 
     def to_rational_circulant(self) -> RationalCirculant:
+        from .lattice import RationalCirculant
+
         return RationalCirculant(self.to_exact_row())
 
     def to_complex_grid(self) -> np.ndarray:
@@ -332,6 +341,8 @@ def cocycle_from_obj(obj) -> TwoCocycle:
     """The cocycle of a ``cocycle-verify`` input: the n x n table of ``[re,
     im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
     coboundary of the weights of a mu_circulant or skew_circulant document."""
+    from .twisted import TwoCocycle, cocycle_from_mu
+
     kinds = ("cocycle", "mu_circulant", "skew_circulant")
     kind, n, fields = _read(obj, kinds, "cocycle-verify expects a cocycle table or a mu/skew document")
     if kind == "cocycle":

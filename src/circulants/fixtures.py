@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .core import Circulant, _result
-from .twisted import MuWeights
+
+if TYPE_CHECKING:  # `twisted` loads in `random_weights`, which alone uses it
+    from .twisted import MuWeights
 
 DEFAULT_SEED = 0x5EED
 
@@ -23,5 +27,7 @@ def random_weights(rng: np.random.Generator, n: int) -> MuWeights:
     [1/2, 2) are drawn first, then the n - 1 phases uniform in
     [0, 2 pi).  At n = 1 both draws are empty and leave the generator
     where it was."""
+    from .twisted import MuWeights
+
     tail = rng.uniform(0.5, 2.0, n - 1) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n - 1))
     return MuWeights(np.concatenate(((1.0,), tail)))

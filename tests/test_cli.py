@@ -1071,7 +1071,6 @@ def test_many_distinct_large_denominators_are_not_cleared_for_floats(capsys, mon
 
     rng = np.random.default_rng(7)
     row = [f"1/{10**4299 + int(rng.integers(1, 10**18))}" for _ in range(128)]
-    monkeypatch.setattr(documents, "RationalCirculant", never)
     monkeypatch.setattr(lattice, "RationalCirculant", never)
     code, out, err = run_cli(["eig"], rational_doc(row), capsys, monkeypatch)
     assert (code, err) == (0, "") and len(json.loads(out)["values"]) == 128
@@ -1177,10 +1176,13 @@ def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command,
 
 
 def test_self_check_modules_load_only_for_verify_all_and_bench():
-    # `verify` (which imports `oracle`) and `bench` are imported by their
-    # handlers on first use: importing the CLI and running any other
-    # subcommand leaves them unloaded.  A fresh interpreter, since this
-    # one has loaded them already.
+    # Each subcommand imports the layers it runs on first use: `hopf`,
+    # `lattice` and `twisted` in the handlers and converters that call
+    # them, `verify` (which imports `oracle`) and `bench` in theirs.
+    # Importing the CLI loads none of them, and a float circulant through
+    # eig, forms, charpoly or inverse needs none.  Fresh interpreters,
+    # since this one has loaded them all; each line lists what is loaded
+    # after its command.
     import os
     import subprocess
     import sys
@@ -1189,26 +1191,43 @@ def test_self_check_modules_load_only_for_verify_all_and_bench():
     import circulants
 
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import circulants.cli as cli\n"
-        "names = ('circulants.verify', 'circulants.oracle', 'circulants.bench')\n"
-        "loaded = lambda: [m for m in names if m in sys.modules]\n"
+        "names = ('hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench')\n"
+        "loaded = lambda: [m for m in names if 'circulants.' + m in sys.modules]\n"
         "print(loaded())\n"
-        "sys.stdin = io.StringIO(sys.argv[1])\n"
-        "for argv in (['eig'], ['verify-all'], ['bench', '--sizes', '4', '--reps', '3']):\n"
+        "for argv, text in json.loads(sys.argv[1]):\n"
+        "    sys.stdin = io.StringIO(text)\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(argv)\n"
         "    print(argv[0], code, loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(circulants.__file__).resolve().parents[1]))
+
+    def run(*steps):
+        argv = [sys.executable, "-c", script, json.dumps(steps)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
     doc = json.dumps(circulant_doc(1, 2, 3))
-    run = subprocess.run([sys.executable, "-c", script, doc], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == [
+    skew = json.dumps({**circulant_doc(1, 2, 3), "kind": "skew_circulant"})
+    assert run(
+        (["eig"], doc), (["forms"], doc), (["charpoly"], doc), (["inverse"], doc),
+        (["charpoly"], rational_doc(["1", "1/2", "3"])),
+        (["skew"], skew),
+        (["verify-all"], ""),
+        (["bench", "--sizes", "4", "--reps", "3"], ""),
+    ) == [
         "[]",
         "eig 0 []",
-        "verify-all 0 ['circulants.verify', 'circulants.oracle']",
-        "bench 0 ['circulants.verify', 'circulants.oracle', 'circulants.bench']",
+        "forms 0 []",
+        "charpoly 0 []",
+        "inverse 0 []",
+        "charpoly 0 ['lattice']",
+        "skew 0 ['hopf', 'lattice', 'twisted']",
+        "verify-all 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle']",
+        "bench 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench']",
     ]
+    assert run((["hopf-verify"], doc)) == ["[]", "hopf-verify 0 ['hopf']"]
 
 
 def test_distinct_large_denominators_are_refused_before_their_lcm(capsys, monkeypatch):
