@@ -40,7 +40,7 @@ from .documents import (
 )
 from .errors import CirculantError, InvalidScalarError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
-from .forms import forms
+from .forms import forms, inverse
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict, bounded_row, brandt_check, exact_char_poly
@@ -149,6 +149,23 @@ def _forms(x: Circulant, *_):
     if not np.all(np.abs(q - np.array(exact, dtype=float)) * unit <= 1e-12 * scale):
         raise BenchDisagreementError(f"n={n}: forms of 2I + P are not those of (X - 2)^n - 1")
     return lambda: forms(c), float(np.abs(q * unit).sum())
+
+
+def _inverse(x: Circulant, *_):
+    """The inverse of circ(2, 1, 0, ..., 0) = 2I + P of x's order n, whose
+    spectrum 2 + omega^k has condition number at most 3, and the
+    checksum, the deviation max_k |(c c^-1 - I)_k| (sum_k |c^-1_k| is 1
+    at every n).  Checked: that deviation is at most 1e-9, the product
+    taken by `mul_naive`."""
+    n = x.n
+    c = Circulant((2, 1) + (0,) * (n - 2))
+    inv = inverse(c)
+    residual = mul_naive(c, inv).array.copy()
+    residual[0] -= 1.0
+    deviation = float(np.max(np.abs(residual)))
+    if not deviation <= 1e-9:
+        raise BenchDisagreementError(f"n={n}: 2I + P times its inverse is {deviation:.3e} off I")
+    return lambda: inverse(c), deviation
 
 
 def _add(x: Circulant, y: Circulant, *_):
@@ -331,6 +348,7 @@ ROWS = (
     ("mu-mul", _mu_mul),
     ("mu-eig", _mu_eig),
     ("forms", _forms),
+    ("inverse", _inverse),
 )
 
 

@@ -12,11 +12,14 @@ The transform is numpy.fft (pocketfft), O(n log n) at every order:
 mixed-radix passes for composite n and Bluestein's chirp-z for large
 prime factors.  With norm="forward" the unscaled inverse transform
 evaluates the representer at the omega powers, so lambda = ifft(c) and
-c = fft(lambda) carry no extra scaling pass.  `fast_mul` at an order
-with one large prime factor (see `_product_length`) skips the length-n
-transform: it takes the linear convolution of the two rows at a
-zero-padded fast length m >= 2n - 1 and folds it mod n.  The O(n^2)
-direct DFT of `oracle` is its independent reference.
+c = fft(lambda) carry no extra scaling pass.  Each formula is written
+once, as an array function: `_to_spectrum` and `_to_row`, shared by
+`eigenvalues`, `from_spectrum` and the `forms` layer, whose callers run
+them under `_quiet`.  `fast_mul` at an order with one large prime
+factor (see `_product_length`) skips the length-n transform: it takes
+the linear convolution of the two rows at a zero-padded fast length
+m >= 2n - 1 and folds it mod n.  The O(n^2) direct DFT of `oracle` is
+its independent reference.
 
 Like every value, a Spectrum stores only its read-only ndarray `array`;
 the tuple `values` of Python complex numbers is a view of it, built on
@@ -40,8 +43,6 @@ import numpy as np
 
 from .core import Circulant, _check_order, _check_orders, _fold, _quiet, _result, _RowValue
 
-_fft = _quiet(np.fft.fft)
-_ifft = _quiet(np.fft.ifft)
 
 #: The primes up to 83, multiplied.  n divides its 64th power exactly when
 #: no prime factor of n exceeds 83 (for every n below 2^64), so orders
@@ -161,9 +162,22 @@ class Spectrum(_RowValue):
         return self.array.copy()
 
 
+def _to_spectrum(c: np.ndarray) -> np.ndarray:
+    """lambda_j = p_C(omega^(j-1)) of the row c, a fresh array: the
+    unscaled inverse transform.  Run under `_quiet` by its callers."""
+    return np.fft.ifft(c, norm="forward")
+
+
+def _to_row(lam: np.ndarray) -> np.ndarray:
+    """The row c with spectrum lam, a fresh array: the forward transform
+    scaled by 1/n.  Run under `_quiet` by its callers."""
+    return np.fft.fft(lam, norm="forward")
+
+
+@_quiet
 def eigenvalues(c: Circulant) -> Spectrum:
     """All n eigenvalues lambda_j = p_C(omega^(j-1)), in slot order."""
-    return _result(Spectrum, _ifft(c.array, norm="forward"))
+    return _result(Spectrum, _to_spectrum(c.array))
 
 
 def eigenvector(ctx: FourierContext, j: int) -> np.ndarray:
@@ -189,13 +203,14 @@ def to_diagonal(c: Circulant) -> np.ndarray:
     return np.diag(eigenvalues(c).array)
 
 
+@_quiet
 def from_spectrum(spectrum) -> Circulant:
     """Inverse transform: c_i = (1/n) * sum_j conj(omega^((i-1)(j-1))) lambda_j.
 
     Takes a Spectrum or any row of values that Spectrum accepts."""
     if not isinstance(spectrum, Spectrum):
         spectrum = Spectrum(spectrum)
-    return _result(Circulant, _fft(spectrum.array, norm="forward"))
+    return _result(Circulant, _to_row(spectrum.array))
 
 
 def fast_mul(x: Circulant, y: Circulant) -> Circulant:

@@ -331,13 +331,14 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 45
+    assert len(lines) == 48
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
     assert (4, "parse") in methods and (8, "encode") in methods and (2, "brandt") in methods
     assert (2, "mu-mul") in methods and (8, "mu-eig") in methods and (4, "forms") in methods
+    assert (2, "inverse") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -385,11 +386,11 @@ ok spectral.spectrum-roundtrip max_dev=6.280e-16
 ok spectral.transform-linearity max_dev=4.680e-15
 ok spectral.eigen-residuals max_dev=4.851e-16
 ok spectral.fast-product-matches-naive max_dev=5.607e-17
-ok forms.element-satisfies-char-poly max_dev=1.987e-17
-ok forms.trace-of-conjugate-is-q(n-1) max_dev=7.176e-16
-ok forms.q2-sum-identity max_dev=1.348e-14
+ok forms.element-satisfies-char-poly max_dev=2.032e-17
+ok forms.trace-of-conjugate-is-q(n-1) max_dev=5.800e-16
+ok forms.q2-sum-identity max_dev=1.188e-14
 ok forms.closed-forms-n3-n4 max_dev=2.665e-15
-ok forms.char-poly-matches-trace-recurrence max_dev=1.972e-17
+ok forms.char-poly-matches-trace-recurrence max_dev=2.462e-17
 ok hopf.axiom-residuals max_dev=1.337e-16
 ok hopf.coproduct-is-algebra-map max_dev=9.155e-16
 ok hopf.product-matches-convolution max_dev=1.443e-15
@@ -815,6 +816,24 @@ def test_bench_forms_row_checks_before_timing(monkeypatch):
         bench.run_bench([12], reps=3)
 
 
+def test_bench_inverse_row_checks_before_timing(monkeypatch):
+    from circulants import bench, circ, inverse
+
+    rows = [r for r in bench.run_bench([2, 12], reps=3) if r.method == "inverse"]
+    assert [r.n for r in rows] == [2, 12]
+    # The checksum is the deviation of c c^-1 from I, checked before timing.
+    assert all(0.0 <= r.checksum <= 1e-9 and r.median_ns > 0 for r in rows)
+    assert bench._inverse(circ(*[0] * 4096)) is not None
+
+    def first_off(c):
+        inv = inverse(c)
+        return inv + circ(*([1e-8] + [0] * (c.n - 1)))
+
+    monkeypatch.setattr(bench, "inverse", first_off)
+    with pytest.raises(bench.BenchDisagreementError, match="2I \\+ P times its inverse"):
+        bench.run_bench([12], reps=3)
+
+
 @pytest.mark.parametrize("index", range(len(bench.ROWS)), ids=[name for name, _ in bench.ROWS])
 def test_every_bench_row_is_checked_before_any_row_is_timed(monkeypatch, index):
     name = bench.ROWS[index][0]
@@ -860,7 +879,7 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     # raises BenchDisagreementError before timing if any row disagrees.
     rows = bench.run_bench([97], reps=3)
     rows_after = ["cli-eig", "integer-spectrum", "add", "block-mul", "hopf-verify"]
-    rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig", "forms"]
+    rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig", "forms", "inverse"]
     assert [r.method for r in rows] == ["naive", "spectral", "dense", *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from circulants import (
     symmetric_tables,
 )
 from circulants.oracle import closed_forms_n3, closed_forms_n4, faddeev_leverrier
+from circulants.forms import InvertibilityVerdict, forms_of_spectrum
 from circulants.spectral import Spectrum
 from circulants.verify import random_circulant
 
@@ -469,3 +471,113 @@ def test_scaled_reciprocal_is_the_plain_one_where_both_are_exact(row):
 
 def test_forms_vector_order():
     assert forms(circ(1, 2, 3)).n == 3
+
+
+def exact_expansion(lam):
+    """prod_j (X + lambda_j) in descending powers, in Fractions from the
+    float parts, and e_i(|lambda|) from the float moduli, as pairs
+    (real, imag) and Fractions."""
+    s = [(Fraction(1), Fraction(0))]
+    e = [Fraction(1)]
+    for z in lam:
+        zr, zi, m = Fraction(z.real), Fraction(z.imag), Fraction(abs(z))
+        s = [s[0]] + [
+            (a[0] + zr * b[0] - zi * b[1], a[1] + zr * b[1] + zi * b[0])
+            for a, b in zip(s[1:] + [(Fraction(0), Fraction(0))], s)
+        ]
+        e = [e[0]] + [a + m * b for a, b in zip(e[1:] + [Fraction(0)], e)]
+    return s, e
+
+
+@pytest.mark.parametrize("n", (1, 2, 15, 16, 17, 31, 32, 33, 64))
+def test_block_expansion_within_its_error_bound_of_the_exact_product(n):
+    # The classic bound of the expansion, n eps e_i(|lambda|) (Higham,
+    # Accuracy and Stability of Numerical Algorithms), for every form, on
+    # moduli in [1, 8] at orders on both sides of the block boundaries.
+    rng = np.random.default_rng(SEED + n)
+    for _ in range(3):
+        lam = rng.uniform(1.0, 8.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        got = forms_of_spectrum(Spectrum(tuple(lam.tolist()))).q
+        exact, e = exact_expansion(lam.tolist())
+        for i in range(1, n + 1):
+            re, im = exact[i]
+            err = math.hypot(float(Fraction(got[i - 1].real) - re), float(Fraction(got[i - 1].imag) - im))
+            assert err <= n * sys.float_info.epsilon * float(e[i])
+
+
+@pytest.mark.parametrize("n", (13, 17, 37))
+def test_real_row_across_a_block_boundary_gives_forms_with_imaginary_parts_plus_zero(n):
+    # Two, two and four blocks.  At these prime orders numpy's transform of
+    # a real row is closed under conjugation to the last bit, which the
+    # rule needs; at composite orders such as 33 it is not.
+    row = np.random.default_rng(SEED + n).uniform(-1.0, 1.0, n)
+    x = Circulant(row)
+    lam = eigenvalues(x).array
+    assert np.array_equal(np.sort(lam), np.sort(lam.conj()))
+    for values in (forms(x).q, char_poly(x)):
+        assert all(z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0 for z in values)
+
+
+def test_a_form_past_the_float_range_inside_the_expansion_raises(monkeypatch):
+    # e_2 is about 1e400 while q_n = 1: the log-norm check lets it through
+    # and the expansion, over two blocks, overflows.
+    module = sys.modules[forms.__module__]
+    n = module._BLOCK + 8
+    lam = (1e200, 1e200, 1e-200, 1e-200) + (1.0,) * (n - 4)
+    expand, reached = module._expand, []
+
+    def expansion(values):
+        reached.append(values.size)
+        return expand(values)
+
+    monkeypatch.setattr(module, "_expand", expansion)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidScalarError, match="float range"):
+            forms_of_spectrum(Spectrum(lam))
+    assert reached == [n]
+
+
+# The refusals of the spectral calls, with their exact types and messages:
+# (row, call, the result or (type, message)).
+REFUSALS = (
+    # The spectrum itself leaves the float range.
+    ((1e308,) * 4, inverse, (InvalidScalarError, "non-finite entry (inf+0j) at index 0")),
+    ((1e308,) * 4, conjugate, (InvalidScalarError, "non-finite entry (inf+0j) at index 0")),
+    ((1e308,) * 4, is_invertible, (InvalidScalarError, "non-finite entry (inf+0j) at index 0")),
+    # 1 / 1e-320 leaves the float range; the conjugate and the verdict do not.
+    ((1e-320, 0), inverse, (InvalidScalarError, "non-finite entry (inf+0j) at index 0")),
+    ((1e-320, 0), conjugate, circ(1e-320, 0)),
+    ((1e-320, 0), is_invertible, None),
+    # 1 / 5.88e-309 is finite, the transform of the reciprocals is not.
+    ((5.88e-309, 0), inverse, (InvalidScalarError, "non-finite entry (inf+0j) at index 0")),
+    # The adjugate spectrum prod_{k != j} lambda_k is about 427 * 299^126.
+    ((300,) + (1,) * 127, conjugate, (InvalidScalarError, "non-finite entry (nan+nanj) at index 0")),
+    # A singular row.
+    (
+        (1, 1, 0, 0),
+        inverse,
+        (
+            SingularMatrixError,
+            "numerically singular circulant: |lambda_j|=0.000e+00 <= 2.000e-10 at root-of-unity slot j=3",
+        ),
+    ),
+    ((1, 1, 0, 0), conjugate, circ(1, -1, 1, -1)),
+    ((1, 1, 0, 0), is_invertible, InvertibilityVerdict(False, 3, 0j, 2e-10)),
+)
+
+
+@pytest.mark.parametrize("row, call, want", REFUSALS)
+def test_refusals_keep_their_type_and_message(row, call, want):
+    x = circ(*row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, tuple):
+            with pytest.raises(want[0]) as err:
+                call(x)
+            assert type(err.value) is want[0] and str(err.value) == want[1]
+        elif want is None:
+            verdict = call(x)
+            assert verdict.invertible and verdict.witness is None
+        else:
+            assert call(x) == want
