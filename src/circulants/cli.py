@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from . import spectral
 from .fixtures import DEFAULT_SEED
-from .forms import char_poly_of_forms, forms_of_spectrum
+from .forms import char_poly, forms
 from .forms import conjugate as conjugate_of
 from .forms import inverse as inverse_of
 from .documents import (
@@ -89,12 +89,18 @@ def _single_document(args) -> MatrixDocument:
     return docs[0]
 
 
-def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
+def _untwisted(doc: MatrixDocument):
+    """The circulant whose spectrum and forms are the document's: psi of a
+    mu_circulant or skew_circulant, else the document's circulant."""
     if doc.kind in ("mu_circulant", "skew_circulant"):
         from . import twisted
 
-        return spectral.eigenvalues(twisted.psi(doc.to_mu_circulant()))
-    return spectral.eigenvalues(doc.to_circulant())
+        return twisted.psi(doc.to_mu_circulant())
+    return doc.to_circulant()
+
+
+def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
+    return spectral.eigenvalues(_untwisted(doc))
 
 
 def _cmd_eig(args) -> tuple[dict | list | str, int]:
@@ -102,24 +108,28 @@ def _cmd_eig(args) -> tuple[dict | list | str, int]:
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
+    """Exact forms of a rational_circulant; otherwise `forms` of the
+    untwisted circulant, real for a real row."""
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
         from . import lattice
 
         encoded = list(map(format_rational, lattice.forms_exact(lattice.bounded_row(doc.first_row))))
     else:
-        encoded = format_complex_row(forms_of_spectrum(_spectrum_of(doc)).q)
+        encoded = format_complex_row(forms(_untwisted(doc)).q)
     return {"kind": "forms", "n": doc.n, "q": encoded}, 0
 
 
 def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
+    """Exact polynomial of a rational_circulant; otherwise `char_poly` of
+    the untwisted circulant, real for a real row."""
     doc = _single_document(args)
     if doc.kind == "rational_circulant":
         from . import lattice
 
         encoded = list(map(format_rational, lattice.exact_char_poly(lattice.bounded_row(doc.first_row))))
     else:
-        encoded = format_complex_row(char_poly_of_forms(forms_of_spectrum(_spectrum_of(doc))))
+        encoded = format_complex_row(char_poly(_untwisted(doc)))
     return {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}, 0
 
 

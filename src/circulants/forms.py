@@ -14,7 +14,14 @@ e_i(|lambda|) (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed.), and on seeded spectra with moduli in [1, 8] at n = 1..64 it
 reads at most 0.33 of that against the exact rational product.  It
 takes 0.56 to 0.76 of the time of one numpy slice update per root from
-n = 4 to 4096.  The conjugate
+n = 4 to 4096.  The forms of a real row are real, with imaginary parts
++0.0, at every order: `forms`, `char_poly` and the calls built on them
+read realness off the row, an O(n) test, since numpy's transform of a
+real row is closed under conjugation to the last bit only at some
+orders (the primes tried, none of 24, 25, 33, 36, 48 or 64).  Given
+only a spectrum, `forms_of_spectrum` and `symmetric_tables` take it as
+real when it is closed under conjugation as a sorted multiset, as
+numpy.poly does.  The conjugate
 
     conj(x) = (-1)^(n+1) x^(n-1) + (-1)^n q_1(x) x^(n-2) + ... + q_{n-1}(x)
 
@@ -26,7 +33,9 @@ on arrays: the transforms are `spectral._to_spectrum` and
 `spectral._to_row`, and `core._check_finite` refuses a spectrum, a
 reciprocal or adjugate spectrum and a result at the points where
 `eigenvalues`, `from_spectrum` and `core._result` refuse them, with the
-same errors.
+same errors.  `is_invertible` and `inverse` read the spectrum in one
+modulus pass, whose largest modulus is finite whenever the spectrum is,
+so they refuse it only when that modulus is not finite.
 """
 
 from __future__ import annotations
@@ -134,11 +143,11 @@ def _expand(lam: np.ndarray) -> np.ndarray:
     whole product does not (2I + P at n = 645..649, whose largest form is
     0.83 of the float maximum, overflowed in blocks of 12 consecutive
     slots).  Negating lambda is exact, so s_i has the bits of (-1)^i
-    times the coefficient of prod_j (X - lambda_j) by the same steps.  As
-    in numpy.poly, a lambda closed under conjugation (as sorted multisets)
-    gives real s_i, here with imaginary parts +0.0.  Run under `_quiet`
-    by its callers: a value beyond the float range comes out inf or nan
-    without a numpy warning."""
+    times the coefficient of prod_j (X - lambda_j) by the same steps.
+    The imaginary parts are as the arithmetic leaves them; `_elementary`
+    zeroes them for a real element.  Run under `_quiet` by its callers:
+    a value beyond the float range comes out inf or nan without a numpy
+    warning."""
     roots = lam.tolist()
     m = -(-len(roots) // _BLOCK)
     blocks = []
@@ -154,15 +163,26 @@ def _expand(lam: np.ndarray) -> np.ndarray:
     while len(blocks) > 1:
         paired = [np.convolve(a, b) for a, b in zip(blocks[::2], blocks[1::2])]
         blocks = paired + blocks[2 * len(paired) :]
-    s = blocks[0]
-    if (np.sort(lam) == np.sort(lam.conj())).all():
-        s.imag = 0.0
-    return s
+    return blocks[0]
 
 
-def _elementary(lam: np.ndarray) -> np.ndarray:
+def _is_real_row(c: Circulant) -> bool:
+    """Whether every imaginary part of c's row is 0 (-0.0 counts): then
+    its forms are real."""
+    return not np.count_nonzero(c.array.imag)
+
+
+def _is_conjugate_closed(lam: np.ndarray) -> bool:
+    """Whether lam equals its conjugate as a sorted multiset, bit for bit:
+    numpy.poly's rule for real coefficients, for callers that see only a
+    spectrum."""
+    return bool((np.sort(lam) == np.sort(lam.conj())).all())
+
+
+def _elementary(lam: np.ndarray, real: bool) -> np.ndarray:
     """s_0..s_n = (1, q_1, ..., q_n) of lam by `_expand`, a fresh complex
-    array.  Raises InvalidScalarError when one leaves the float range: in
+    array, with imaginary parts +0.0 when ``real`` says the element is
+    real.  Raises InvalidScalarError when one leaves the float range: in
     O(n), before the expansion, when q_n alone does.  Run under `_quiet`
     by its callers."""
     # sum_j log|lambda_j| in C-level builtins: at small n this costs a
@@ -179,20 +199,24 @@ def _elementary(lam: np.ndarray) -> np.ndarray:
     if log_norm > _LOG_NORM_LIMIT:
         raise InvalidScalarError("a characteristic form leaves the float range")
     s = _expand(lam)
-    if not np.isfinite(s).all():
+    if real:
+        s.imag = 0.0
+    if np.count_nonzero(np.isfinite(s)) != s.size:
         raise InvalidScalarError("a characteristic form leaves the float range")
     return s
 
 
 @_quiet
 def symmetric_tables(spectrum: Spectrum) -> SymmetricTables:
-    """Power sums directly; elementary values by `_elementary`.  Raises
-    InvalidScalarError when a power sum or a form leaves the float range."""
+    """Power sums directly; elementary values by `_elementary`, real when
+    the spectrum is closed under conjugation.  Raises InvalidScalarError
+    when a power sum or a form leaves the float range."""
     lam = spectrum.array
     p = [complex(np.sum(lam**k)) for k in range(1, lam.size + 1)]
     if not np.isfinite(p).all():
         raise InvalidScalarError("a power sum leaves the float range")
-    return SymmetricTables(power_sums=tuple(p), elementary=tuple(_elementary(lam).tolist()))
+    s = _elementary(lam, _is_conjugate_closed(lam))
+    return SymmetricTables(power_sums=tuple(p), elementary=tuple(s.tolist()))
 
 
 def _spectrum(c: Circulant) -> np.ndarray:
@@ -214,16 +238,19 @@ def _circulant(lam: np.ndarray) -> Circulant:
 
 @_quiet
 def forms(c: Circulant) -> FormsVector:
-    """q_i(x) = s_i(lambda_1, ..., lambda_n); InvalidScalarError when a
-    form leaves the float range."""
-    return FormsVector(q=tuple(_elementary(_spectrum(c))[1:].tolist()))
+    """q_i(x) = s_i(lambda_1, ..., lambda_n), with imaginary parts +0.0
+    for a real row; InvalidScalarError when a form leaves the float
+    range."""
+    return FormsVector(q=tuple(_elementary(_spectrum(c), _is_real_row(c))[1:].tolist()))
 
 
 @_quiet
 def forms_of_spectrum(spectrum: Spectrum) -> FormsVector:
-    """Forms of any element given its spectrum (shared with the twisted
-    case); InvalidScalarError when a form leaves the float range."""
-    return FormsVector(q=tuple(_elementary(spectrum.array)[1:].tolist()))
+    """Forms of any element given its spectrum, real when the spectrum is
+    closed under conjugation; InvalidScalarError when a form leaves the
+    float range."""
+    lam = spectrum.array
+    return FormsVector(q=tuple(_elementary(lam, _is_conjugate_closed(lam))[1:].tolist()))
 
 
 def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
@@ -234,8 +261,9 @@ def char_poly_of_forms(f: FormsVector) -> tuple[complex, ...]:
 
 @_quiet
 def char_poly(c: Circulant) -> tuple[complex, ...]:
-    """Monic characteristic polynomial of c, descending powers."""
-    return _alternate(_elementary(_spectrum(c)))
+    """Monic characteristic polynomial of c, descending powers, with
+    imaginary parts +0.0 for a real row."""
+    return _alternate(_elementary(_spectrum(c), _is_real_row(c)))
 
 
 @_quiet
@@ -249,23 +277,28 @@ def conjugate(c: Circulant) -> Circulant:
     mu_j leaves the float range.
     """
     lam = _spectrum(c)
-    prefix = np.cumprod(np.concatenate(((1.0,), lam[:-1])))
-    suffix = np.cumprod(np.concatenate(((1.0,), lam[:0:-1])))[::-1]
-    return _circulant(prefix * suffix)
+    # Row 0 runs 1, lambda_1, ..., lambda_(n-1) and row 1 the same in
+    # reverse; one cumprod takes both running products.
+    factors = np.ones((2, lam.size), dtype=complex)
+    factors[0, 1:], factors[1, 1:] = lam[:-1], lam[:0:-1]
+    prefix, suffix = np.cumprod(factors, axis=1)
+    return _circulant(prefix * suffix[::-1])
 
 
-def _verdict(
-    c: Circulant, threshold: float | None
-) -> tuple[InvertibilityVerdict, np.ndarray, float, float]:
-    """The verdict on c together with the spectrum it was read from and
-    the least and greatest modulus in it.  Run under `_quiet` by its
-    callers: q_n = prod_j lambda_j may leave the float range."""
+def _scan(c: Circulant, threshold: float | None) -> tuple[np.ndarray, int, float, float, float]:
+    """The spectrum of c, the slot of its least modulus, that modulus,
+    the greatest and the threshold.  One modulus pass: its maximum is
+    finite whenever the spectrum is, and only when it is not is the
+    spectrum refused as `eigenvalues` refuses it.  Run under `_quiet` by
+    its callers."""
     if threshold is not None:
         _check_tol(threshold, "threshold")
-    lam = _spectrum(c)
+    lam = _to_spectrum(c.array)
     mag = np.abs(lam)
     slot = int(mag.argmin())
     lo, hi = float(mag[slot]), float(mag.max())
+    if not math.isfinite(hi):
+        _check_finite(lam)
     tol = SINGULAR_RTOL * hi if threshold is None else threshold
     if tol == math.inf and threshold is None:
         # A modulus past the float maximum, with finite parts: take the
@@ -274,10 +307,7 @@ def _verdict(
         _, e = np.frexp(np.abs(lam.view(float)).max())
         scaled = np.ldexp(lam.view(float), -e).view(complex)
         tol = math.ldexp(SINGULAR_RTOL * float(np.abs(scaled).max()), int(e))
-    qn = complex(lam.prod())
-    invertible = lo > tol
-    verdict = InvertibilityVerdict(invertible, None if invertible else slot + 1, qn, tol)
-    return verdict, lam, lo, hi
+    return lam, slot, lo, hi, tol
 
 
 @_quiet
@@ -291,7 +321,9 @@ def is_invertible(c: Circulant, threshold: float | None = None) -> Invertibility
     p_C(omega^(j-1)) is (numerically) zero: the root-of-unity
     obstruction.  norm_form is q_n = prod_j lambda_j.
     """
-    return _verdict(c, threshold)[0]
+    lam, slot, lo, _, tol = _scan(c, threshold)
+    invertible = lo > tol
+    return InvertibilityVerdict(invertible, None if invertible else slot + 1, complex(lam.prod()), tol)
 
 
 def _reciprocal(lam: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -320,11 +352,11 @@ def inverse(c: Circulant, threshold: float | None = None) -> Circulant:
     witness when is_invertible(c, threshold) finds c singular, and
     InvalidScalarError when an entry of the inverse leaves the float
     range."""
-    verdict, lam, lo, hi = _verdict(c, threshold)
-    if not verdict.invertible:
+    lam, slot, lo, hi, tol = _scan(c, threshold)
+    if not lo > tol:
         raise SingularMatrixError(
-            f"numerically singular circulant: |lambda_j|={lo:.3e} <= {verdict.threshold:.3e}"
-            f" at root-of-unity slot j={verdict.witness}",
-            witness=verdict.witness,
+            f"numerically singular circulant: |lambda_j|={lo:.3e} <= {tol:.3e}"
+            f" at root-of-unity slot j={slot + 1}",
+            witness=slot + 1,
         )
     return _circulant(_reciprocal(lam, lo, hi))

@@ -58,7 +58,7 @@ from .errors import (
     InvalidScalarError,
     InvalidWeightsError,
 )
-from .forms import FormsVector, forms_of_spectrum
+from .forms import FormsVector, forms
 from .hopf import HopfReport
 from .spectral import Spectrum, eigenvalues, eigenvector_matrix
 
@@ -319,6 +319,7 @@ def _skew_weights(n: int) -> MuWeights:
 
 
 def mu_forms(m: MuCirculant) -> FormsVector:
-    """Forms q_i = s_i(lambda_1, ..., lambda_n) of a twisted element;
-    q_1 = n c_1 is still the trace and q_n the determinant."""
-    return forms_of_spectrum(eigenvalues(psi(m)))
+    """Forms q_i = s_i(lambda_1, ..., lambda_n) of a twisted element, the
+    forms of psi(m), so real (imaginary parts +0.0) when psi(m) is a
+    real row; q_1 = n c_1 is still the trace and q_n the determinant."""
+    return forms(psi(m))

@@ -119,6 +119,19 @@ def test_forms_and_charpoly_of_a_real_row_have_no_negative_zero(tmp_path, capsys
     assert json.loads(out)[field] == [[re, "0.0"] for re in want]
 
 
+@pytest.mark.parametrize("command, field", (("forms", "q"), ("charpoly", "monic_coefficients")))
+def test_forms_and_charpoly_of_a_real_row_are_real_at_a_composite_order(tmp_path, capsys, command, field):
+    # At n = 24 numpy's transform of a real row is not closed under
+    # conjugation to the last bit; the row itself says the forms are real.
+    row = np.random.default_rng(24).uniform(-1.0, 1.0, 24)
+    path = write(tmp_path, "c.json", circulant_doc(*row))
+    code, out, _ = run_cli([command, "--input", path], capsys=capsys)
+    assert code == 0
+    pairs = json.loads(out)[field]
+    assert len(pairs) == 24 + (command == "charpoly")
+    assert {im for _, im in pairs} == {"0.0"}
+
+
 def test_hopf_subcommands(tmp_path, capsys):
     path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
     code, out, _ = run_cli(["hopf-counit", "--input", path], capsys=capsys)
@@ -331,14 +344,14 @@ def test_bench_cli_and_preconditions(capsys):
     code, out, _ = run_cli(["bench", "--sizes", "2,4,8", "--reps", "3"], capsys=capsys)
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(lines) == 48
+    assert len(lines) == 54
     methods = {(rec["n"], rec["method"]) for rec in lines}
     assert (2, "dense") in methods and (4, "naive") in methods and (8, "spectral") in methods
     assert (2, "cli-eig") in methods and (8, "integer-spectrum") in methods and (4, "add") in methods
     assert (8, "block-mul") in methods and (2, "hopf-verify") in methods
     assert (4, "parse") in methods and (8, "encode") in methods and (2, "brandt") in methods
     assert (2, "mu-mul") in methods and (8, "mu-eig") in methods and (4, "forms") in methods
-    assert (2, "inverse") in methods
+    assert (2, "inverse") in methods and (4, "verdict") in methods and (8, "verify-cocycle") in methods
     naive4 = next(r for r in lines if r["n"] == 4 and r["method"] == "naive")
     spectral4 = next(r for r in lines if r["n"] == 4 and r["method"] == "spectral")
     assert naive4["checksum"] == pytest.approx(spectral4["checksum"], rel=1e-9)
@@ -834,6 +847,41 @@ def test_bench_inverse_row_checks_before_timing(monkeypatch):
         bench.run_bench([12], reps=3)
 
 
+def test_bench_verdict_row_checks_before_timing(monkeypatch):
+    from circulants import bench, circ
+    from circulants.forms import InvertibilityVerdict
+
+    rows = [r for r in bench.run_bench([2, 12], reps=3) if r.method == "verdict"]
+    assert [r.n for r in rows] == [2, 12]
+    # The checksum is the threshold 1e-10 max |lambda_j| = 2e-10 at even n.
+    assert all(r.checksum == 2e-10 and r.median_ns > 0 for r in rows)
+    assert bench._verdict(circ(*[0] * 4096)) is not None
+
+    def invertible(c):
+        return InvertibilityVerdict(True, None, 0j, 0.0)
+
+    monkeypatch.setattr(bench, "is_invertible", invertible)
+    with pytest.raises(bench.BenchDisagreementError, match="I - P gets the verdict"):
+        bench.run_bench([12], reps=3)
+
+
+@pytest.mark.parametrize("holds", ((False, False), (True, True)))
+def test_bench_verify_cocycle_row_checks_before_timing(monkeypatch, holds):
+    from circulants import bench, circ
+    from circulants.hopf import HopfReport
+
+    rows = [r for r in bench.run_bench([2, 12], reps=3) if r.method == "verify-cocycle"]
+    assert [r.n for r in rows] == [2, 12]
+    assert all(0.0 <= r.checksum <= 1e-10 and r.median_ns > 0 for r in rows)
+    assert bench._verify_cocycle(circ(*[0] * 128), None, 1) is not None
+    assert bench._verify_cocycle(circ(*[0] * 129), None, 1) is None
+
+    answers = iter(holds)
+    monkeypatch.setattr(bench, "verify_cocycle", lambda f: HopfReport("cocycle", next(answers), 0.0))
+    with pytest.raises(bench.BenchDisagreementError, match="verify_cocycle holds"):
+        bench.run_bench([12], reps=3)
+
+
 @pytest.mark.parametrize("index", range(len(bench.ROWS)), ids=[name for name, _ in bench.ROWS])
 def test_every_bench_row_is_checked_before_any_row_is_timed(monkeypatch, index):
     name = bench.ROWS[index][0]
@@ -880,6 +928,7 @@ def test_bench_cross_checks_pass_at_a_padded_order():
     rows = bench.run_bench([97], reps=3)
     rows_after = ["cli-eig", "integer-spectrum", "add", "block-mul", "hopf-verify"]
     rows_after += ["parse", "encode", "brandt", "exact-char-poly", "mu-mul", "mu-eig", "forms", "inverse"]
+    rows_after += ["verdict", "verify-cocycle"]
     assert [r.method for r in rows] == ["naive", "spectral", "dense", *rows_after]
     assert all(r.n == 97 and r.median_ns > 0 for r in rows)
 

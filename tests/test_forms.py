@@ -581,3 +581,44 @@ def test_refusals_keep_their_type_and_message(row, call, want):
             assert verdict.invertible and verdict.witness is None
         else:
             assert call(x) == want
+
+
+def plus_zero(z: complex) -> bool:
+    return z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0
+
+
+@pytest.mark.parametrize("n", (24, 25, 33, 36, 48, 64))
+def test_real_row_at_a_composite_order_gives_real_forms(n):
+    # numpy's transform of these real rows is not closed under conjugation
+    # to the last bit, so realness is read off the row.  The real parts
+    # keep the expansion's bound n eps e_i(|lambda|) against the exact
+    # product of the computed spectrum.
+    from circulants.twisted import mu_circ, mu_forms
+
+    row = np.random.default_rng(SEED + n).uniform(-1.0, 1.0, n)
+    x = Circulant(row)
+    lam = eigenvalues(x).array
+    assert not np.array_equal(np.sort(lam), np.sort(lam.conj()))
+    q = forms(x).q
+    trivial = mu_circ(tuple(row), (1.0,) * (n - 1))
+    assert mu_forms(trivial).q == q
+    poly = char_poly(x)
+    assert all(map(plus_zero, q + poly))
+    assert poly == (1.0,) + tuple(0.0 - z if i % 2 == 0 else z for i, z in enumerate(q))
+    exact, e = exact_expansion(lam.tolist())
+    for i in range(1, n + 1):
+        err = abs(float(Fraction(q[i - 1].real) - exact[i][0]))
+        assert err <= n * sys.float_info.epsilon * float(e[i])
+
+
+def test_a_complex_row_with_a_spectrum_closed_only_as_a_multiset_keeps_its_imaginary_parts():
+    # The spectrum (a, b, conj(a), conj(b)) is closed under conjugation as a
+    # multiset, but the row is complex, so `forms` leaves the expansion's
+    # imaginary parts as they come; only `forms_of_spectrum`, which sees
+    # no row, still takes the spectrum as real.
+    x = circ(0.2, 0.1 + 0.35j, -0.09999999999999999, -0.1 + 0.35j)
+    lam = eigenvalues(x).array
+    assert np.array_equal(np.sort(lam), np.sort(lam.conj()))
+    assert all(map(plus_zero, forms_of_spectrum(eigenvalues(x)).q))
+    assert not all(z.imag == 0.0 for z in forms(x).q)
+    assert not all(z.imag == 0.0 for z in char_poly(x))
