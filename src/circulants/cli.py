@@ -99,12 +99,8 @@ def _untwisted(doc: MatrixDocument):
     return doc.to_circulant()
 
 
-def _spectrum_of(doc: MatrixDocument) -> spectral.Spectrum:
-    return spectral.eigenvalues(_untwisted(doc))
-
-
 def _cmd_eig(args) -> tuple[dict | list | str, int]:
-    return spectrum_to_obj(_spectrum_of(_single_document(args)).array), 0
+    return spectrum_to_obj(spectral.eigenvalues(_untwisted(_single_document(args))).array), 0
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:

@@ -277,12 +277,9 @@ def conjugate(c: Circulant) -> Circulant:
     mu_j leaves the float range.
     """
     lam = _spectrum(c)
-    # Row 0 runs 1, lambda_1, ..., lambda_(n-1) and row 1 the same in
-    # reverse; one cumprod takes both running products.
-    factors = np.ones((2, lam.size), dtype=complex)
-    factors[0, 1:], factors[1, 1:] = lam[:-1], lam[:0:-1]
-    prefix, suffix = np.cumprod(factors, axis=1)
-    return _circulant(prefix * suffix[::-1])
+    prefix = np.cumprod(np.concatenate(((1.0,), lam[:-1])))
+    suffix = np.cumprod(np.concatenate(((1.0,), lam[:0:-1])))[::-1]
+    return _circulant(prefix * suffix)
 
 
 def _scan(c: Circulant, threshold: float | None) -> tuple[np.ndarray, int, float, float, float]:

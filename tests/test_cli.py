@@ -621,16 +621,16 @@ def test_malformed_documents_past_the_decoder_exit_2(tmp_path, capsys, command, 
 
 
 def test_bench_cli_eig_row_checks_before_timing(monkeypatch):
-    from circulants import bench, eigenvalues
+    from circulants import bench
 
     rows = [r for r in bench.run_bench([8, 12], reps=3) if r.method == "cli-eig"]
     assert [r.n for r in rows] == [8, 12]
     assert all(r.median_ns > 0 and r.checksum > 0 for r in rows)
 
     def doubled(doc):
-        return eigenvalues(doc.to_circulant().scale(2))
+        return doc.to_circulant().scale(2)
 
-    monkeypatch.setattr("circulants.cli._spectrum_of", doubled)
+    monkeypatch.setattr("circulants.cli._untwisted", doubled)
     with pytest.raises(bench.BenchDisagreementError, match="cli eig"):
         bench.run_bench([8], reps=3)
 
