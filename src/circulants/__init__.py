@@ -7,17 +7,12 @@ structure (counit, block-circulant coproduct, transpose antipode),
 coboundary-twisted mu- and skew circulants, and exact rational Brandt
 and lattice analysis.
 
-The group algebra itself (`core`, `errors`, `spectral`, `forms`) loads
-with the package.  The layers built on it, `hopf`, `lattice` and
-`twisted`, load on first use: the first read of one of their names
+The group algebra itself (`core`, `errors`, `spectral`) loads with the
+package.  The layers built on it, `hopf`, `lattice` and `twisted`, load
+on first use: the first read of one of their names
 (``circulants.brandt_check``, ``from circulants import MuCirculant``,
 ``circulants.hopf``) imports the module behind it, so a process that
 never reads one does not compile or execute them.
-
-``circulants.forms`` is the function `forms.forms`, not the submodule
-of that name: the package binds the function over the submodule when
-it loads, and ``import circulants.forms`` leaves that binding as it is.
-The module is ``sys.modules["circulants.forms"]``.
 """
 
 from .core import Circulant, circ, fundamental, identity, linear_combine, mul_naive
@@ -36,26 +31,24 @@ from .errors import (
     RootAssignmentError,
     SingularMatrixError,
 )
-from .forms import (
+from .spectral import (
     FormsVector,
+    FourierContext,
     InvertibilityVerdict,
+    Spectrum,
     SymmetricTables,
     char_poly,
     conjugate,
-    forms,
-    inverse,
-    is_invertible,
-    symmetric_tables,
-)
-from .spectral import (
-    FourierContext,
-    Spectrum,
     eigenvalues,
     eigenvector,
     eigenvector_matrix,
     fast_mul,
+    forms,
     fourier_context,
     from_spectrum,
+    inverse,
+    is_invertible,
+    symmetric_tables,
     to_diagonal,
 )
 

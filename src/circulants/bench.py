@@ -40,12 +40,11 @@ from .documents import (
 )
 from .errors import CirculantError, InvalidScalarError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
-from .forms import forms, inverse, is_invertible
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict, bounded_row, brandt_check, exact_char_poly
 from .lattice import integer_spectrum, rational_circ
-from .spectral import eigenvalues, fast_mul
+from .spectral import eigenvalues, fast_mul, forms, inverse, is_invertible
 from .twisted import MuCirculant, TwoCocycle, cocycle_from_mu, mu_eigen, mu_mul, mu_to_dense, verify_cocycle
 
 

@@ -16,15 +16,15 @@ RuntimeWarning that a library call leaks is not hidden here.
 
 Each subcommand loads the layers it runs, on first use, inside its
 handler or the document converter it calls; importing this module loads
-`core`, `errors`, `spectral`, `forms`, `fixtures` and `documents` only.
+`core`, `errors`, `spectral`, `fixtures` and `documents` only.
 `eig`, `forms`, `charpoly`, `inverse` and `conjugate` on a circulant
 document load nothing more; `forms` and `charpoly` on a
 rational_circulant load `lattice`, and the other commands given a
 rational_circulant load it for its float view.  A mu_circulant or
-skew_circulant document loads `twisted` (and through it `hopf`), as do
-`mu-eig`, `skew` and `cocycle-verify`.  The `hopf-*` commands and
-`factorize` load `hopf`; `brandt-check`, `spectrum-reconstruct` and
-`lattice-solve` load `lattice`.
+skew_circulant document loads `twisted`, as do `mu-eig` and `skew`;
+`cocycle-verify` loads `twisted` and, for its report, `hopf`.  The
+`hopf-*` commands and `factorize` load `hopf`; `brandt-check`,
+`spectrum-reconstruct` and `lattice-solve` load `lattice`.
 `verify-all` imports `verify` (and through it `oracle` and every layer),
 and `bench` imports `bench` (and through it every layer).  A process
 does not compile or execute a module that its subcommand does not load.
@@ -39,11 +39,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import spectral
 from .fixtures import DEFAULT_SEED
-from .forms import char_poly, forms
-from .forms import conjugate as conjugate_of
-from .forms import inverse as inverse_of
+from .spectral import char_poly, conjugate as conjugate_of, eigenvalues, forms, inverse as inverse_of
 from .documents import (
     DocumentError,
     MatrixDocument,
@@ -100,7 +97,7 @@ def _untwisted(doc: MatrixDocument):
 
 
 def _cmd_eig(args) -> tuple[dict | list | str, int]:
-    return spectrum_to_obj(spectral.eigenvalues(_untwisted(_single_document(args))).array), 0
+    return spectrum_to_obj(eigenvalues(_untwisted(_single_document(args))).array), 0
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:

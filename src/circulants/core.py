@@ -52,9 +52,10 @@ from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarErro
 #: Runs numpy work with its overflow and invalid-value warnings off: an
 #: entry beyond the float range comes out inf or nan, which `_result`
 #: refuses with InvalidScalarError.  Applied as a decorator, which numpy
-#: makes safe across threads; it costs about 1.3 us per call, so it wraps
-#: the arithmetic alone, not the checks around it.  Build each wrapped
-#: function once, at module level: wrapping inside a call costs more.
+#: makes safe across threads; it costs about 1.3 us each time it is
+#: entered, so each public call enters it once, around its checks and its
+#: arithmetic alike.  Build each wrapped function once, at module level:
+#: wrapping inside a call costs more.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 _add = _quiet(np.add)
 _subtract = _quiet(np.subtract)
@@ -393,21 +394,16 @@ def fundamental(n: int) -> Circulant:
     return _unit(n, 1)
 
 
+@_quiet
 def linear_combine(a, x: Circulant, b, y: Circulant) -> Circulant:
     """Coefficientwise a*x + b*y; raises InvalidScalarError when a or b is
     not a finite number or an entry leaves the float range."""
     _check_orders(x, y)
     a, b = _entries((a, b))
-    return _result(Circulant, _combine(a, x.array, b, y.array))
+    return _result(Circulant, a * x.array + b * y.array)
 
 
 @_quiet
-def _combine(a, x: np.ndarray, b, y: np.ndarray) -> np.ndarray:
-    """a * x + b * y; an entry beyond the float range comes out inf or nan
-    without a numpy warning."""
-    return a * x + b * y
-
-
 def mul_naive(x: Circulant, y: Circulant) -> Circulant:
     """Direct O(n^2) product: cyclic convolution of first rows.
 
@@ -419,14 +415,7 @@ def mul_naive(x: Circulant, y: Circulant) -> Circulant:
     warning.
     """
     _check_orders(x, y)
-    return _result(Circulant, _direct(x.array, y.array))
-
-
-@_quiet
-def _direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The cyclic convolution of the rows a and b: their direct linear
-    convolution, folded mod n."""
-    return _fold(np.convolve(a, b), a.size)
+    return _result(Circulant, _fold(np.convolve(x.array, y.array), x.n))
 
 
 def _fold(r: np.ndarray, n: int) -> np.ndarray:

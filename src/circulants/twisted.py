@@ -34,6 +34,7 @@ each is stated, and `core`'s one public constructor runs them too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -58,9 +59,10 @@ from .errors import (
     InvalidScalarError,
     InvalidWeightsError,
 )
-from .forms import FormsVector, forms
-from .hopf import HopfReport
-from .spectral import Spectrum, eigenvalues, eigenvector_matrix
+from .spectral import FormsVector, Spectrum, eigenvalues, eigenvector_matrix, forms
+
+if TYPE_CHECKING:  # `hopf` loads in `verify_cocycle`, which alone uses it
+    from .hopf import HopfReport
 
 _WEIGHT_MATCH_TOL = 1e-12
 #: verify_cocycle takes tables whose entries have max(|re|, |im|) in this
@@ -218,6 +220,8 @@ def verify_cocycle(f: TwoCocycle, tol: float = 1e-10) -> HopfReport:
     Raises InvalidScalarError on a negative or NaN tol, and on a table with
     an entry outside 2^-500 .. 2^500 in magnitude, whose products could
     overflow or underflow and so give no verdict."""
+    from .hopf import HopfReport
+
     _check_tol(tol)
     t = f.array
     n = f.n

@@ -18,8 +18,7 @@ from . import hopf, lattice, oracle, spectral, twisted
 from .core import Circulant, _result, fundamental, identity, mul_naive
 from .errors import DependentBasisError
 from .fixtures import DEFAULT_SEED, random_circulant, random_weights
-from .forms import char_poly_of_forms, conjugate
-from .forms import forms as forms_of
+from .spectral import char_poly_of_forms, conjugate, forms as forms_of
 
 
 def random_real_circulant(rng: np.random.Generator, n: int) -> Circulant:

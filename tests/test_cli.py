@@ -811,7 +811,7 @@ def test_bench_twisted_rows_check_before_timing(monkeypatch):
 
 def test_bench_forms_row_checks_before_timing(monkeypatch):
     from circulants import bench, circ, forms
-    from circulants.forms import FormsVector
+    from circulants.spectral import FormsVector
 
     rows = [r for r in bench.run_bench([4, 12], reps=3) if r.method == "forms"]
     assert [r.n for r in rows] == [4, 12]
@@ -849,7 +849,7 @@ def test_bench_inverse_row_checks_before_timing(monkeypatch):
 
 def test_bench_verdict_row_checks_before_timing(monkeypatch):
     from circulants import bench, circ
-    from circulants.forms import InvertibilityVerdict
+    from circulants.spectral import InvertibilityVerdict
 
     rows = [r for r in bench.run_bench([2, 12], reps=3) if r.method == "verdict"]
     assert [r.n for r in rows] == [2, 12]
@@ -1291,7 +1291,7 @@ def test_self_check_modules_load_only_for_verify_all_and_bench():
         "charpoly 0 []",
         "inverse 0 []",
         "charpoly 0 ['lattice']",
-        "skew 0 ['hopf', 'lattice', 'twisted']",
+        "skew 0 ['lattice', 'twisted']",
         "verify-all 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle']",
         "bench 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench']",
     ]

@@ -23,9 +23,9 @@ from circulants import (
     mul_naive,
     symmetric_tables,
 )
+from circulants import spectral
 from circulants.oracle import closed_forms_n3, closed_forms_n4, faddeev_leverrier
-from circulants.forms import InvertibilityVerdict, forms_of_spectrum
-from circulants.spectral import Spectrum
+from circulants.spectral import InvertibilityVerdict, Spectrum, forms_of_spectrum
 from circulants.verify import random_circulant
 
 SEED = 0x5EED
@@ -373,7 +373,7 @@ def test_forms_beyond_float_range_raise_before_the_expansion(monkeypatch):
     def expansion(_):
         raise AssertionError("the expansion reached")
 
-    monkeypatch.setattr(sys.modules[forms.__module__], "_expand", expansion)
+    monkeypatch.setattr(spectral, "_expand", expansion)
     x = random_circulant(np.random.default_rng(1), 4096)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -521,16 +521,15 @@ def test_real_row_across_a_block_boundary_gives_forms_with_imaginary_parts_plus_
 def test_a_form_past_the_float_range_inside_the_expansion_raises(monkeypatch):
     # e_2 is about 1e400 while q_n = 1: the log-norm check lets it through
     # and the expansion, over two blocks, overflows.
-    module = sys.modules[forms.__module__]
-    n = module._BLOCK + 8
+    n = spectral._BLOCK + 8
     lam = (1e200, 1e200, 1e-200, 1e-200) + (1.0,) * (n - 4)
-    expand, reached = module._expand, []
+    expand, reached = spectral._expand, []
 
     def expansion(values):
         reached.append(values.size)
         return expand(values)
 
-    monkeypatch.setattr(module, "_expand", expansion)
+    monkeypatch.setattr(spectral, "_expand", expansion)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidScalarError, match="float range"):

@@ -95,11 +95,7 @@ def test_spectral_and_forms_read_no_row_tuple():
     # Spectrum's repr still does, through the private `_tuple`).
     sample = "a = c.coeffs\nb = s.values[0]\nd = w.mu\nc.array\nx.coeffs = 1\n"
     assert tuple_reads(sample) == [1, 2, 3]
-    found = {
-        name: tuple_reads((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for name in ("spectral", "forms")
-    }
-    assert found == {"spectral": [], "forms": []}
+    assert tuple_reads((PACKAGE / "spectral.py").read_text(encoding="utf-8")) == []
 
 
 def function_sources(module: str) -> dict[str, str]:
@@ -295,7 +291,7 @@ def test_computed_values_never_read_the_cached_tuples():
     assert tuple_reads_outside(sample) == [(2, "psi"), (7, "f"), (7, "f")]
     found = {
         name: tuple_reads_outside((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for name in ("core", "spectral", "forms", "hopf", "twisted")
+        for name in ("core", "spectral", "hopf", "twisted")
     }
     assert found == {name: [] for name in found}
 

@@ -62,26 +62,26 @@ def test_public_names_are_those_of_before_and_come_from_their_modules():
         "    return getattr(sys.modules[value.__module__], name) is value and value.__module__\n"
         "print(sorted({home(name, value) for name, value in namespace.items() if name != '__builtins__'}))\n"
     )
-    modules = [f"circulants.{m}" for m in ("core", "errors", "forms", "hopf", "lattice", "spectral", "twisted")]
+    modules = [f"circulants.{m}" for m in ("core", "errors", "hopf", "lattice", "spectral", "twisted")]
     assert fresh(script) == ["[]", "True", str(modules)]
 
 
-def test_the_name_forms_is_the_function_after_the_submodule_is_imported():
-    # The function `forms` shares its submodule's name; the package binds
-    # the function, and importing the submodule or the CLI, or loading the
-    # layers that import `forms`, leaves it bound.
+def test_the_name_forms_is_the_function_and_not_a_submodule():
+    # `forms` is a function of `spectral`, and no submodule shares its
+    # name: importing the CLI or loading the layers leaves the function
+    # bound, and importing `circulants.forms` as a module fails.
     script = (
-        "import sys\n"
-        "import circulants.forms\n"
         "import circulants\n"
-        "function = sys.modules['circulants.forms'].forms\n"
-        "print(circulants.forms is function)\n"
         "import circulants.cli\n"
-        "print(circulants.forms is function)\n"
-        "circulants.twisted, circulants.lattice\n"
-        "print(circulants.forms is function)\n"
+        "print(circulants.forms is circulants.spectral.forms)\n"
+        "circulants.hopf, circulants.lattice, circulants.twisted\n"
+        "print(circulants.forms is circulants.spectral.forms)\n"
+        "try:\n"
+        "    import circulants.forms\n"
+        "except ModuleNotFoundError:\n"
+        "    print('ModuleNotFoundError')\n"
     )
-    assert fresh(script) == ["True"] * 3
+    assert fresh(script) == ["True", "True", "ModuleNotFoundError"]
 
 
 def test_a_pickled_rational_circulant_loads_after_only_the_package_import():

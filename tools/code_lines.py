@@ -7,7 +7,8 @@ each of them.  Module, class and function docstrings are left out.
 Usage: python tools/code_lines.py [PATH ...]
 
 Each PATH is a .py file or a directory searched for .py files; the
-default is src.  Prints the total count and the paths counted.
+default is src.  A file reached through several PATHs counts once.
+Prints the total count and the paths counted.
 """
 
 import ast
@@ -55,7 +56,7 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     paths = [Path(p) for p in argv] or [Path("src")]
-    files = [f for p in paths for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p])]
+    files = {f.resolve() for p in paths for f in (p.rglob("*.py") if p.is_dir() else [p])}
     total = sum(code_lines(f.read_text(encoding="utf-8")) for f in files)
     print(total, " ".join(map(str, paths)))
     return 0
