@@ -7,15 +7,16 @@ structure (counit, block-circulant coproduct, transpose antipode),
 coboundary-twisted mu- and skew circulants, and exact rational Brandt
 and lattice analysis.
 
-The group algebra itself (`core`, `errors`, `spectral`) loads with the
-package.  The layers built on it, `hopf`, `lattice` and `twisted`, load
-on first use: the first read of one of their names
-(``circulants.brandt_check``, ``from circulants import MuCirculant``,
-``circulants.hopf``) imports the module behind it, so a process that
-never reads one does not compile or execute them.
+Importing the package loads `errors` only, and no numpy.  Every layer,
+`core` and `spectral` included, loads on first use: the first read of
+one of its names (``circulants.Circulant``, ``circulants.brandt_check``,
+``from circulants import MuCirculant``, ``circulants.hopf``) imports the
+module behind it, so a process that never reads one does not compile or
+execute it.  The exact layer `lattice` rests on the numpy-free `base`,
+and loads numpy, `core` and `spectral` only for its float views, so a
+process that computes only exactly never imports numpy.
 """
 
-from .core import Circulant, circ, fundamental, identity, linear_combine, mul_naive
 from .errors import (
     CirculantError,
     DependentBasisError,
@@ -31,30 +32,38 @@ from .errors import (
     RootAssignmentError,
     SingularMatrixError,
 )
-from .spectral import (
-    FormsVector,
-    FourierContext,
-    InvertibilityVerdict,
-    Spectrum,
-    SymmetricTables,
-    char_poly,
-    conjugate,
-    eigenvalues,
-    eigenvector,
-    eigenvector_matrix,
-    fast_mul,
-    forms,
-    fourier_context,
-    from_spectrum,
-    inverse,
-    is_invertible,
-    symmetric_tables,
-    to_diagonal,
-)
 
 #: The submodule behind each name that loads on first use; a submodule's
 #: own name maps to itself.
 _LAZY = {
+    **dict.fromkeys(
+        ("core", "Circulant", "circ", "fundamental", "identity", "linear_combine", "mul_naive"),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "spectral",
+            "FormsVector",
+            "FourierContext",
+            "InvertibilityVerdict",
+            "Spectrum",
+            "SymmetricTables",
+            "char_poly",
+            "conjugate",
+            "eigenvalues",
+            "eigenvector",
+            "eigenvector_matrix",
+            "fast_mul",
+            "forms",
+            "fourier_context",
+            "from_spectrum",
+            "inverse",
+            "is_invertible",
+            "symmetric_tables",
+            "to_diagonal",
+        ),
+        "spectral",
+    ),
     **dict.fromkeys(
         (
             "hopf",
@@ -124,9 +133,9 @@ __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LA
 
 
 def __getattr__(name: str):
-    """A name of `hopf`, `lattice` or `twisted`, or the submodule itself,
-    imported on its first read and kept in the package's globals, so that
-    later reads do not come here."""
+    """A name of a layer (`core`, `spectral`, `hopf`, `lattice` or
+    `twisted`), or the submodule itself, imported on its first read and
+    kept in the package's globals, so that later reads do not come here."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module

@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyfromroots
 
 from . import cli
+from .base import DEFAULT_SEED
 from .core import Circulant, _shift, mul_naive
 from .documents import (
     DocumentError,
@@ -39,7 +40,7 @@ from .documents import (
     spectrum_to_obj,
 )
 from .errors import CirculantError, InvalidScalarError
-from .fixtures import DEFAULT_SEED, random_circulant, random_weights
+from .fixtures import random_circulant, random_weights
 from .hopf import block_mul, comultiplication, integral_check
 from .hopf import verify_antipode_axiom, verify_counit_axiom
 from .lattice import BrandtCounterexample, BrandtVerdict, bounded_row, brandt_check, exact_char_poly

@@ -16,18 +16,21 @@ RuntimeWarning that a library call leaks is not hidden here.
 
 Each subcommand loads the layers it runs, on first use, inside its
 handler or the document converter it calls; importing this module loads
-`core`, `errors`, `spectral`, `fixtures` and `documents` only.
-`eig`, `forms`, `charpoly`, `inverse` and `conjugate` on a circulant
-document load nothing more; `forms` and `charpoly` on a
-rational_circulant load `lattice`, and the other commands given a
-rational_circulant load it for its float view.  A mu_circulant or
-skew_circulant document loads `twisted`, as do `mu-eig` and `skew`;
-`cocycle-verify` loads `twisted` and, for its report, `hopf`.  The
-`hopf-*` commands and `factorize` load `hopf`; `brandt-check`,
-`spectrum-reconstruct` and `lattice-solve` load `lattice`.
-`verify-all` imports `verify` (and through it `oracle` and every layer),
-and `bench` imports `bench` (and through it every layer).  A process
-does not compile or execute a module that its subcommand does not load.
+`errors`, `base` and `documents` only, and no numpy.  `eig`, `forms`,
+`charpoly`, `inverse` and `conjugate` on a circulant document load
+numpy, `core` and `spectral`, and nothing more.  `forms` and `charpoly`
+on a rational_circulant, `brandt-check` and `lattice-solve` load
+`lattice` alone, and never numpy, `core` or `spectral`: the exact
+commands compute in Python integers.  The float commands given a
+rational_circulant load `lattice` for its float view, and
+`spectrum-reconstruct` loads `lattice` and, for its float output,
+numpy, `core` and `spectral`.  A mu_circulant or skew_circulant document
+loads `twisted`, as do `mu-eig` and `skew`; `cocycle-verify` loads
+`twisted` and, for its report, `hopf`.  The `hopf-*` commands and
+`factorize` load `hopf`.  `verify-all` imports `verify` (and through it
+`oracle` and every layer), and `bench` imports `bench` (and through it
+every layer).  A process does not compile or execute a module that its
+subcommand does not load.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fixtures import DEFAULT_SEED
-from .spectral import char_poly, conjugate as conjugate_of, eigenvalues, forms, inverse as inverse_of
+from .base import DEFAULT_SEED
 from .documents import (
     DocumentError,
     MatrixDocument,
@@ -97,7 +99,9 @@ def _untwisted(doc: MatrixDocument):
 
 
 def _cmd_eig(args) -> tuple[dict | list | str, int]:
-    return spectrum_to_obj(eigenvalues(_untwisted(_single_document(args))).array), 0
+    from . import spectral
+
+    return spectrum_to_obj(spectral.eigenvalues(_untwisted(_single_document(args))).array), 0
 
 
 def _cmd_forms(args) -> tuple[dict | list | str, int]:
@@ -109,7 +113,9 @@ def _cmd_forms(args) -> tuple[dict | list | str, int]:
 
         encoded = list(map(format_rational, lattice.forms_exact(lattice.bounded_row(doc.first_row))))
     else:
-        encoded = format_complex_row(forms(_untwisted(doc)).q)
+        from . import spectral
+
+        encoded = format_complex_row(spectral.forms(_untwisted(doc)).q)
     return {"kind": "forms", "n": doc.n, "q": encoded}, 0
 
 
@@ -122,18 +128,24 @@ def _cmd_charpoly(args) -> tuple[dict | list | str, int]:
 
         encoded = list(map(format_rational, lattice.exact_char_poly(lattice.bounded_row(doc.first_row))))
     else:
-        encoded = format_complex_row(char_poly(_untwisted(doc)))
+        from . import spectral
+
+        encoded = format_complex_row(spectral.char_poly(_untwisted(doc)))
     return {"kind": "charpoly", "n": doc.n, "monic_coefficients": encoded}, 0
 
 
 def _cmd_inverse(args) -> tuple[dict | list | str, int]:
+    from . import spectral
+
     c = _single_document(args).to_circulant()
-    return circulant_to_obj(inverse_of(c, threshold=args.tol)), 0
+    return circulant_to_obj(spectral.inverse(c, threshold=args.tol)), 0
 
 
 def _cmd_conjugate(args) -> tuple[dict | list | str, int]:
+    from . import spectral
+
     c = _single_document(args).to_circulant()
-    return circulant_to_obj(conjugate_of(c)), 0
+    return circulant_to_obj(spectral.conjugate(c)), 0
 
 
 def _cmd_hopf_counit(args) -> tuple[dict | list | str, int]:

@@ -28,7 +28,7 @@ Values are built in one of two ways, both in this module:
 
 Both run the class invariant, stated once on the class as `_check(arr)`
 (on `twisted.MuWeights` and `twisted.TwoCocycle`; None elsewhere), which
-no other module calls.  `_Frozen` freezes every immutable slotted class.
+no other module calls.  `base._Frozen` freezes every immutable slotted class.
 
 Arithmetic on values is numpy's, run under `_quiet`, the package's only
 `np.errstate`, so a result beyond the float range comes out inf or nan
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
+from .base import _check_orders, _Frozen
+from .errors import InvalidOrderError, InvalidScalarError
 
 #: Runs numpy work with its overflow and invalid-value warnings off: an
 #: entry beyond the float range comes out inf or nan, which `_result`
@@ -141,9 +141,11 @@ def _moduli(z: np.ndarray) -> np.ndarray:
 
 
 def _check_tol(tol: float, name: str = "tolerance"):
-    """Raise InvalidScalarError unless tol is a non-negative number; a
-    negative or NaN tolerance would fail every check."""
-    if not tol >= 0:
+    """Raise InvalidScalarError unless tol is a non-negative real number
+    (a `numbers.Real`: int, float, Fraction or a numpy real scalar).  A
+    negative or NaN tolerance would fail every check, and a string, list,
+    None or complex number has no order to compare with."""
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
         raise InvalidScalarError(f"{name} must be a non-negative number, got {tol!r}")
 
 
@@ -155,33 +157,6 @@ def _check_tol(tol: float, name: str = "tolerance"):
 #: 128 / 160, 0.91 to 0.98 at 192 to 208 (0.74 at 212), 0.98 to 1.05 at
 #: 216 and 220, 1.07 at 224 and 1.29 at 256.
 SPECTRAL_MUL_MIN_ORDER = 216
-
-
-class _Frozen:
-    """Base of the immutable slotted classes: assigning or deleting an
-    attribute raises FrozenInstanceError, as on a frozen dataclass.
-    Every constructor fills the slots through their descriptors' `__set__`.
-
-    The one equality rule of these values: a value equals a value of its
-    own class whose `_key()`, the stored form as a hashable tuple, is
-    equal, and hashes like its key.  A subclass defines `_key`; one that
-    compares its stored arrays directly (`_RowValue`) keeps the hash."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def _view(arr: np.ndarray) -> tuple:
@@ -344,13 +319,6 @@ def _shift(n: int) -> np.ndarray:
 
 def _fmt(z: complex) -> str:
     return repr(z.real) if z.imag == 0 else repr(z)
-
-
-def _check_orders(x, y):
-    """Raise DimensionMismatchError unless x and y, circulants of any
-    kind, have the same order n."""
-    if x.n != y.n:
-        raise DimensionMismatchError(f"orders differ: {x.n} vs {y.n}")
 
 
 def circ(*coeffs) -> Circulant:

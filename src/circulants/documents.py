@@ -21,6 +21,11 @@ against it and decodes each field.
 Each field of a decoded document has one stored form, a read-only
 complex array or a tuple of Fractions; every complex row or grid meets
 the entry rule of `core` on its way to a value.
+
+This module imports numpy and `core` only where it reads or writes a
+complex field, inside the functions that do: reading, checking and
+writing rational and exact dense documents loads neither, so the exact
+commands run without numpy.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ from fractions import Fraction
 from itertools import chain, starmap
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import Circulant, _entries, _Frozen, _result, _view
+from .base import _Frozen
 from .errors import DimensionMismatchError, DocumentError, InvalidScalarError
 
-if TYPE_CHECKING:  # `hopf`, `lattice` and `twisted` load in the converters that use them
+if TYPE_CHECKING:  # numpy and the layers load in the functions that use them
+    import numpy as np
+
+    from .core import Circulant
     from .hopf import BlockCirculant
     from .lattice import RationalCirculant
     from .twisted import MuCirculant, TwoCocycle
@@ -48,6 +54,8 @@ def format_complex_row(values) -> list[list[str]]:
     numpy reads as complex), each part the shortest round-trip repr of a
     float.  One array conversion, then C-level loops: no Python frame
     runs per entry."""
+    import numpy as np
+
     z = np.asarray(values, dtype=complex)
     return list(map(list, zip(map(repr, z.real.tolist()), map(repr, z.imag.tolist()))))
 
@@ -132,6 +140,8 @@ def _pairs_array(items: list) -> np.ndarray | None:
     flat = list(chain.from_iterable(items))
     if set(map(type, flat)) != {str}:
         return None
+    import numpy as np
+
     try:
         parts = np.array(list(map(float, flat)))
     except ValueError:
@@ -202,6 +212,8 @@ def _stored_complex(value, shape: tuple) -> np.ndarray:
     """A complex field of this shape as a document stores it, a read-only
     array of its own.  Raises DimensionMismatchError on another shape, and
     InvalidScalarError on an exact entry past the float range."""
+    import numpy as np
+
     try:
         z = np.array(value, dtype=complex)
     except OverflowError:
@@ -242,7 +254,11 @@ class MatrixDocument(_Frozen):
 
     def _field(self, name: str):
         value = getattr(self, "_" + name)
-        return _view(value) if isinstance(value, np.ndarray) else value
+        if value is None or isinstance(value, tuple):
+            return value
+        from . import core
+
+        return core._view(value)
 
     first_row = property(lambda self: self._field("first_row"))
     mu = property(lambda self: self._field("mu"))
@@ -263,25 +279,30 @@ class MatrixDocument(_Frozen):
 
     # -- converters to library objects --------------------------------------
     def to_circulant(self) -> Circulant:
+        from . import core
+
         if self.kind == "circulant":
-            return _result(Circulant, self._first_row)
+            return core._result(core.Circulant, self._first_row)
         if self.kind == "rational_circulant":
             from .lattice import _rational_row
 
             # The floats need no cleared row: one lcm of many distinct large
             # denominators would cost more than the whole float call.
-            return _result(Circulant, _entries(_rational_row(self.first_row)))
+            return core._result(core.Circulant, core._entries(_rational_row(self.first_row)))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a circulant")
 
     def to_mu_circulant(self) -> MuCirculant:
         """The twisted value of a mu_circulant or skew_circulant document.
         Like `to_circulant`, it shares the stored row; the weights are
         copied once, behind the leading 1."""
+        import numpy as np
+
+        from . import core
         from .twisted import MuWeights, _mu_result, _skew_weights
 
         row = self._first_row
         if self.kind == "mu_circulant":
-            return _mu_result(row, _result(MuWeights, np.concatenate(((1.0,), self._mu))))
+            return _mu_result(row, core._result(MuWeights, np.concatenate(((1.0,), self._mu))))
         if self.kind == "skew_circulant":
             return _mu_result(row, _skew_weights(row.size))
         raise DocumentError("kind", f"cannot view a {self.kind} document as a mu-circulant")
@@ -301,7 +322,9 @@ class MatrixDocument(_Frozen):
         entry rule: InvalidScalarError on a non-finite or too large entry."""
         if self.kind != "dense":
             raise DocumentError("kind", f"expected dense, got {self.kind}")
-        return _entries(self._entries, 2).copy()
+        from . import core
+
+        return core._entries(self._entries, 2).copy()
 
     def to_exact_grid(self) -> tuple[tuple[Fraction, ...], ...]:
         if self.kind != "dense":
@@ -341,12 +364,15 @@ def cocycle_from_obj(obj) -> TwoCocycle:
     """The cocycle of a ``cocycle-verify`` input: the n x n table of ``[re,
     im]`` pairs of ``{"kind": "cocycle", "n": n, "table": rows}``, or the
     coboundary of the weights of a mu_circulant or skew_circulant document."""
+    import numpy as np
+
+    from . import core
     from .twisted import TwoCocycle, cocycle_from_mu
 
     kinds = ("cocycle", "mu_circulant", "skew_circulant")
     kind, n, fields = _read(obj, kinds, "cocycle-verify expects a cocycle table or a mu/skew document")
     if kind == "cocycle":
-        return _result(TwoCocycle, np.asarray(fields["table"], dtype=complex))
+        return core._result(TwoCocycle, np.asarray(fields["table"], dtype=complex))
     return cocycle_from_mu(MatrixDocument(kind, n, **fields).to_mu_circulant().weights)
 
 
@@ -466,4 +492,4 @@ def spectrum_to_obj(values) -> dict:
 def spectrum_from_obj(obj) -> tuple:
     _, _, fields = _read(obj, ("spectrum",), "expected a spectrum document")
     values = fields["values"]
-    return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+    return tuple(values if isinstance(values, list) else values.tolist())

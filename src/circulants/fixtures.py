@@ -1,4 +1,5 @@
-"""Seeded random inputs shared by `verify-all` and `circulants bench`."""
+"""Seeded random inputs shared by `verify-all` and `circulants bench`,
+whose default seed is `base.DEFAULT_SEED`."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ from .core import Circulant, _result
 
 if TYPE_CHECKING:  # `twisted` loads in `random_weights`, which alone uses it
     from .twisted import MuWeights
-
-DEFAULT_SEED = 0x5EED
 
 
 def random_circulant(rng: np.random.Generator, n: int) -> Circulant:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Circulant, _check_finite, _check_tol, _entries, _Frozen, _moduli, _quiet, _result, _shift
+from .base import _Frozen
+from .core import Circulant, _check_finite, _check_tol, _entries, _moduli, _quiet, _result, _shift
 from .errors import DimensionMismatchError, InvalidOrderError, InvalidScalarError
 from .spectral import eigenvalues
 

@@ -41,9 +41,12 @@ both decided on these remainders, factor by factor:
 The remainders cost O(n^2) integer operations per row at most, and no
 product of large integers.
 
-Floating point appears in one place only, forced by the irrationality
-of omega: rebuilding coefficients from a prescribed integer/rational
-spectrum.
+Floating point appears in two places only: the float view `to_float`,
+and rebuilding coefficients from a prescribed integer/rational spectrum,
+forced by the irrationality of omega.  They alone import numpy, `core`
+and `spectral`, when they run.  The integer kernel (the packed products,
+`_traces`, `_elementary` and `_components`) lives in the numpy-free
+`base`, so exact work loads neither numpy nor the float layer.
 
 A lattice here is Z v_1 + ... + Z v_n for independent circulants
 v_i = c_i1 I + c_i2 P + ... + c_in P^(n-1); when the coefficient matrix
@@ -56,10 +59,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import Circulant, _Frozen, _check_orders, _result, _shift
+from .base import _Frozen, _check_orders, _components, _cyclic, _elementary
 from .errors import (
     DependentBasisError,
     DimensionMismatchError,
@@ -70,7 +72,9 @@ from .errors import (
     NotIntegralBasisError,
     RootAssignmentError,
 )
-from .spectral import from_spectrum
+
+if TYPE_CHECKING:  # `core` loads in the float views, which alone use it
+    from .core import Circulant
 
 
 def _as_rational(value) -> Fraction:
@@ -130,10 +134,14 @@ class RationalCirculant(_Frozen):
         return tuple(Fraction(v, self.scale) for v in self.cleared)
 
     def to_exact_dense(self) -> tuple[tuple[Fraction, ...], ...]:
-        row = self.coeffs
-        return tuple(tuple(row[k] for k in line) for line in _shift(self.n).tolist())
+        """The n x n grid whose row i is the first row rotated i places
+        to the right: entry (i, j) is c_{j-i+1 mod n}."""
+        row, n = self.coeffs, self.n
+        return tuple(row[n - i:] + row[:n - i] for i in range(n))
 
     def to_float(self) -> Circulant:
+        from .core import Circulant
+
         # int / int rounds once, as float(Fraction) does, and needs no entry
         # in lowest terms.
         try:
@@ -183,135 +191,10 @@ def rational_circ(*coeffs) -> RationalCirculant:
     return RationalCirculant(coeffs[0] if one_row else coeffs)
 
 
-# Packed rows (Kronecker substitution).  An integer row v of length n
-# with |v_s| < 2^(w-1) is held as the one Python int sum v_s 2^(w s),
-# w = 8 * width bits per slot: a product of two such ints is the linear
-# convolution of the rows, slot by slot, as long as every slot of it
-# stays below 2^(w-1) in absolute value.
-
-
-def _width(bound: int) -> int:
-    """Bytes per slot for entries of absolute value at most bound: its bits
-    plus a sign bit, rounded up to whole bytes."""
-    return bound.bit_length() // 8 + 1
-
-
-def _bias(n: int, width: int) -> int:
-    """2^(w-1) in every one of n slots of width bytes: adding it makes
-    every slot of a packed row nonnegative, with no carry between slots."""
-    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * n, "little")
-
-
-def _pack(row: list[int], width: int) -> int:
-    """The row packed into slots of width bytes, in O(n w) bit work: each
-    entry is written biased into its slot, then the bias is taken off."""
-    half = 1 << 8 * width - 1
-    data = b"".join((v + half).to_bytes(width, "little") for v in row)
-    return int.from_bytes(data, "little") - _bias(len(row), width)
-
-
-def _unpack(packed: int, n: int, width: int) -> list[int]:
-    """The n entries of a packed row, in O(n w) bit work: one to_bytes of
-    the biased int and one from_bytes per slot."""
-    half = 1 << 8 * width - 1
-    data = (packed + _bias(n, width)).to_bytes(n * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, n * width, width)]
-
-
-def _fold(product: int, n: int, width: int) -> int:
-    """A packed linear product folded mod x^n - 1: the low n slots, taken
-    as a balanced remainder, plus the high slots shifted down.  Exact when
-    every slot of the product and of the folded row fits its slot."""
-    shift = 8 * width * n
-    low = product & ((1 << shift) - 1)
-    if low >> shift - 1:
-        low -= 1 << shift
-    return low + ((product - low) >> shift)
-
-
-def _cyclic(x: list[int], y: list[int]) -> list[int]:
-    """Cyclic convolution of two integer rows of one length n: one big
-    integer product of the packed rows, folded mod x^n - 1.  The slots
-    are wide enough for the entries of x and y and for ||x||_1 max|y|,
-    which bounds every slot of the linear product as well as of the
-    result."""
-    n = len(x)
-    norm, top = sum(map(abs, x)), max(map(abs, y))
-    width = _width(max(norm * top, norm, top))
-    return _unpack(_fold(_pack(x, width) * _pack(y, width), n, width), n, width)
-
-
-def _traces(d: list[int]):
-    """Yield the traces p_k = tr(D^k) = n (d^{*k})_0, k = 1..n, of the
-    integer circulant D = circ(d), computed only as they are asked for.
-
-    Baby steps and giant steps (Paterson and Stockmeyer): with
-    m = isqrt(3n) and a = ||d||_1, every entry of d^{*k} is at most a^k.
-    The baby powers B_i = d^{*i}, i <= m, are each one big integer
-    product B_{i-1} * d of n-slot numbers and a fold, packed at the width
-    of a^top, where top starts at min(8, m) and doubles, up to m, when i
-    passes it.  Each power is kept as its unpacked row, and p_i is read
-    from its slot 0 (p_1 = n d_0, before anything is packed).  Past m,
-    p_{jm+i} = n sum_s G_j[s] B_i[-s mod n] with the giant powers
-    G_j = d^{*jm}, each one `_cyclic` product G_{j-1} * G_1, its slots
-    sized by the norms of the two factors, at most a^{jm}.  In all, about
-    2.3 sqrt(n) big integer products and n dot products of length n; a
-    caller that stops after p_k, k <= m, pays for k products at the
-    width of at most a^max(8, 2k), not a^m."""
-    n = len(d)
-    yield n * d[0]
-    # A giant step packs two rows, multiplies at a growing width and
-    # unpacks; a baby step folds at one width and unpacks, so giants cost
-    # more.  In interleaved timings at n = 6..256, isqrt(3n) beat isqrt(n)
-    # at every order tried, by 4 to 32 %; isqrt(4n) lost at 64 and 97.
-    m = math.isqrt(3 * n)
-    a = sum(map(abs, d))
-    rows, top = [d], 0  # rows[i - 1] = B_i
-    for i in range(2, m + 1):
-        if i > top:
-            top = min(max(8, 2 * top), m)
-            width = _width(a**top)
-            packed_d, power = _pack(d, width), _pack(rows[-1], width)
-        power = _fold(power * packed_d, n, width)
-        rows.append(_unpack(power, n, width))
-        yield n * rows[-1][0]
-    if m == n:
-        return
-    # reversed_rows[i][s] = B_i[-s mod n], B_0 being the identity row.
-    reversed_rows = [[1] + [0] * (n - 1)] + [row[:1] + row[:0:-1] for row in rows[:-1]]
-    first = giant = rows[-1]  # G_1 = B_m
-    for k in range(m + 1, n + 1):
-        i = k % m  # k = jm + i, and G_j is the last giant power taken
-        if i == 0:
-            giant = _cyclic(giant, first)
-        yield n * sum(map(operator.mul, giant, reversed_rows[i]))
-
-
-def _elementary(d: list[int]):
-    """Yield e_1, ..., e_n, the elementary symmetric values of the
-    eigenvalues of the integer circulant D = circ(d), one per step.
-
-    Step k takes the trace p_k = tr(D^k) from `_traces` and then Newton's
-    identity k*e_k = sum_{i=1..k} (-1)^(i-1) p_i e_{k-i} in integers: D
-    is an integer matrix, so its characteristic polynomial is integral
-    and the division by k is exact.  e_k needs only p_1..p_k, so a caller
-    that stops after e_k pays for k traces, not n.  The same code runs at
-    every order: about 2.3 sqrt(n) products of packed n-slot integers,
-    whose widest slots hold about n log2(a) bits, a = ||d||_1,
-    plus O(n^2) integer operations for the dot products and Newton's
-    identities."""
-    signed = []  # (-1)^(i-1) p_i for i = 1..k
-    e = [1]
-    for k, p in enumerate(_traces(d), start=1):
-        signed.append(p if k % 2 else -p)
-        e.append(sum(map(operator.mul, signed, reversed(e))) // k)
-        yield e[k]
-
-
 def _forms(c: RationalCirculant):
     """Yield q_1, ..., q_n of c, each one computed only when it is asked
     for: with d = L*c integral and e_i the elementary symmetric values of
-    the eigenvalues of circ(d) (see `_elementary`), q_i = e_i / L^i."""
+    the eigenvalues of circ(d) (see `base._elementary`), q_i = e_i / L^i."""
     for i, e in enumerate(_elementary(c.cleared), start=1):
         yield Fraction(e, c.scale**i)
 
@@ -324,7 +207,7 @@ def _cost(n: int, norm: int, scale: int) -> float:
     """`_EXACT_COST_MODEL` at order n, with a and b read off ||L c||_1 and
     L.  The first term is the packed products, about 2.3 sqrt(n) of
     integers of up to n^2 a bits, which CPython multiplies by Karatsuba
-    (see `_traces`); they see only L*c.  The second is the forms
+    (see `base._traces`); they see only L*c.  The second is the forms
     q_i = e_i / L^i, whose numerator and denominator grow by up to b bits
     a step: their reduction to lowest terms and their decimal text are
     quadratic in their length, and the n lengths of up to n b bits sum to
@@ -486,7 +369,7 @@ def exact_char_poly(c: RationalCirculant) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial with exact coefficients, descending
     powers: the coefficient of X^(n-i) is (-1)^i q_i (see `_forms`).
     About 2.3 sqrt(n) products of packed integers and O(n^2) integer
-    operations (see `_traces`)."""
+    operations (see `base._traces`)."""
     return (Fraction(1), *(-q if i % 2 else q for i, q in enumerate(_forms(c), start=1)))
 
 
@@ -510,68 +393,6 @@ class IntegerSpectrum:
         return all(v.denominator == 1 for v in self.values)
 
 
-def _mobius(m: int) -> int:
-    """The Moebius function: (-1)^k when m is a product of k distinct
-    primes, else 0."""
-    sign, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if m > 1 else sign
-
-
-def _cyclotomic(d: int) -> list[int]:
-    """Phi_d as an ascending integer coefficient list: the product of
-    (x^e - 1)^mu(d/e) over the divisors e of d.  The binomials with
-    mu = +1 are multiplied in first, so every division by one with
-    mu = -1 is exact; each step is O(degree)."""
-    exponents = [(e, _mobius(d // e)) for e in range(1, d + 1) if d % e == 0]
-    phi = [1]
-    for e, mu in exponents:
-        if mu == 1:  # phi * (x^e - 1)
-            shifted = [-a for a in phi] + [0] * e
-            shifted[e:] = [a + b for a, b in zip(shifted[e:], phi)]
-            phi = shifted
-    for e, mu in exponents:
-        if mu == -1:  # phi / (x^e - 1): phi_k = q_{k-e} - q_k
-            q = [0] * (len(phi) - e)
-            for k in range(len(q)):
-                q[k] = (q[k - e] if k >= e else 0) - phi[k]
-            phi = q
-    return phi
-
-
-def _mod_monic(f: list[int], g: list[int]) -> list[int]:
-    """Remainder of f by the monic integer polynomial g, both as ascending
-    coefficient lists; only g's nonzero terms are visited."""
-    m = len(g) - 1
-    rem = list(f)
-    terms = [(i, a) for i, a in enumerate(g[:m]) if a]
-    for top in range(len(f) - 1, m - 1, -1):
-        q = rem[top]
-        if q:
-            base = top - m
-            for i, a in terms:
-                rem[base + i] -= q * a
-    return rem[:m]
-
-
-def _components(row: list[int]):
-    """Yield (d, r_d) for each divisor d of n = len(row), in increasing
-    order: the integer row folded mod x^d - 1 and reduced mod Phi_d, an
-    ascending list of phi(d) integer coefficients.  p(zeta) = r_d(zeta)
-    at every primitive d-th root of unity zeta, p being the row
-    polynomial."""
-    n = len(row)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            yield d, _mod_monic([sum(row[k::d]) for k in range(d)], _cyclotomic(d))
-
-
 def _check_mode(mode: str):
     """Raise InvalidModeError unless mode is 'integral' or 'rational'."""
     if mode not in ("integral", "rational"):
@@ -586,9 +407,9 @@ def integer_spectrum(c: RationalCirculant, mode: str = "integral") -> IntegerSpe
     the value when it is rational.  For each divisor d the cleared row
     L*c is folded mod x^d - 1 and reduced mod the integer cyclotomic
     polynomial Phi_d (the product of binomials (x^e - 1)^mu(d/e), see
-    `_cyclotomic`).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
+    `base._cyclotomic`).  Since 1, zeta, ..., zeta^(phi(d)-1) is a basis
     of Q(zeta_d), those eigenvalues are rational exactly when the
-    remainder is a constant r_d (see `_components`), and then each equals
+    remainder is a constant r_d (see `base._components`), and then each equals
     r_d / L.  Returns None when some remainder is not constant, or when
     mode='integral' and some r_d / L is fractional, and raises
     InvalidModeError on any other mode.  Integer operations only, no
@@ -634,7 +455,7 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     The integral predicate is decided in the Wedderburn components, not
     by characteristic polynomials.  With L*c integral, the forms of c
     are all integers exactly when L divides every coefficient of every
-    remainder r_d of L*c (see `_components`): the forms are the
+    remainder r_d of L*c (see `base._components`): the forms are the
     coefficients of the monic characteristic polynomial, which lies in
     Z[X] exactly when every eigenvalue r_d(zeta_d) / L is an algebraic
     integer, and 1, zeta_d, ..., zeta_d^(phi(d)-1) is an integral basis
@@ -649,7 +470,7 @@ def brandt_check(elements, mode: str = "integral") -> BrandtVerdict:
     O(n^2) integer operations at most, plus, on failure, the traces up
     to the witness q_i (for i <= isqrt(3n), i products of packed n-slot
     integers whose slots hold at most a^max(8, 2i), a = ||L c||_1; see
-    `_traces`); nothing per pair.
+    `base._traces`); nothing per pair.
     """
     _check_mode(mode)
     elements = list(elements)
@@ -691,6 +512,11 @@ def reconstruct_from_spectrum(values) -> SpectrumReconstruction:
     1e-10 * (1 + max_j |lambda_j|).  Raises InvalidScalarError when a
     value lies beyond the float range.
     """
+    import numpy as np
+
+    from .core import Circulant, _result
+    from .spectral import from_spectrum
+
     if isinstance(values, IntegerSpectrum):
         values = values.values
     lams = tuple(_as_rational(v) for v in values)

@@ -80,7 +80,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Circulant, _check_finite, _check_order, _check_orders, _check_tol, _fold, _quiet, _result, _RowValue
+from .base import _check_orders
+from .core import Circulant, _check_finite, _check_order, _check_tol, _fold, _quiet, _result, _RowValue
 from .errors import InvalidScalarError, SingularMatrixError
 
 

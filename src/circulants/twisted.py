@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .base import _Frozen
 from .core import (
     Circulant,
     _check_finite,
@@ -50,6 +51,7 @@ from .core import (
     _RowValue,
     _shift,
     _subtract,
+    _view,
 )
 from .errors import (
     DimensionMismatchError,
@@ -286,13 +288,30 @@ def mu_mul(x: MuCirculant, y: MuCirculant) -> MuCirculant:
     return psi_inv(psi(x) * psi(y), x.weights)
 
 
-@dataclass(frozen=True)
-class MuEigenDecomposition:
+@dataclass(frozen=True, eq=False)
+class MuEigenDecomposition(_Frozen):
     """Spectrum in slot order plus the matrix whose j-th column is the
-    eigenvector (1, mu_2 omega^(j-1), mu_3 omega^(2(j-1)), ...)."""
+    eigenvector (1, mu_2 omega^(j-1), mu_3 omega^(2(j-1)), ...), a
+    read-only array.  Two decompositions are equal when their spectra
+    and their vectors are equal entry by entry (-0.0 equals 0.0), and
+    hash like that key."""
 
     spectrum: Spectrum
     vectors: np.ndarray
+
+    def _key(self) -> tuple:
+        return self.spectrum, _view(self.vectors)
+
+    def __reduce__(self):
+        return _eigen, (self.spectrum, self.vectors)
+
+
+def _eigen(spectrum: Spectrum, vectors: np.ndarray) -> MuEigenDecomposition:
+    """The decomposition of this spectrum and these vectors, which it makes
+    read-only: the one door of `mu_eigen` and of unpickling, whose
+    unpickled array is writable."""
+    vectors.setflags(False)
+    return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
 
 
 def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
@@ -303,7 +322,7 @@ def mu_eigen(m: MuCirculant) -> MuEigenDecomposition:
     spectrum = eigenvalues(psi(m))
     vectors = _multiply(m.weights.array[:, None], eigenvector_matrix(m.n))
     _check_finite(vectors)
-    return MuEigenDecomposition(spectrum=spectrum, vectors=vectors)
+    return _eigen(spectrum, vectors)
 
 
 def skew_circ(coeffs) -> MuCirculant:

@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import hopf, lattice, oracle, spectral, twisted
+from .base import DEFAULT_SEED
 from .core import Circulant, _result, fundamental, identity, mul_naive
 from .errors import DependentBasisError
-from .fixtures import DEFAULT_SEED, random_circulant, random_weights
+from .fixtures import random_circulant, random_weights
 from .spectral import char_poly_of_forms, conjugate, forms as forms_of
 
 

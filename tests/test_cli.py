@@ -473,7 +473,7 @@ def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     def defect(c, threshold=None):
         raise RuntimeError("a\nb")
 
-    monkeypatch.setattr("circulants.cli.inverse_of", defect)
+    monkeypatch.setattr("circulants.spectral.inverse", defect)
     path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
     code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
     assert code == 3
@@ -958,7 +958,7 @@ def test_main_exits_with_the_status_the_error_type_declares(tmp_path, capsys, mo
     def failing(c, threshold=None):
         raise error_type("field", "boom") if error_type is documents.DocumentError else error_type("boom")
 
-    monkeypatch.setattr("circulants.cli.inverse_of", failing)
+    monkeypatch.setattr("circulants.spectral.inverse", failing)
     path = write(tmp_path, "c.json", circulant_doc(1, 2, 3))
     code, out, err = run_cli(["inverse", "--input", path], capsys=capsys)
     assert code == error_type.exit_code and out == ""
@@ -1244,13 +1244,15 @@ def test_refused_documents_exit_2_with_one_short_line(tmp_path, capsys, command,
 
 
 def test_self_check_modules_load_only_for_verify_all_and_bench():
-    # Each subcommand imports the layers it runs on first use: `hopf`,
-    # `lattice` and `twisted` in the handlers and converters that call
-    # them, `verify` (which imports `oracle`) and `bench` in theirs.
-    # Importing the CLI loads none of them, and a float circulant through
-    # eig, forms, charpoly or inverse needs none.  Fresh interpreters,
-    # since this one has loaded them all; each line lists what is loaded
-    # after its command.
+    # Each subcommand imports the layers it runs on first use: `core`,
+    # `spectral`, `hopf`, `lattice` and `twisted` in the handlers and
+    # converters that call them, `verify` (which imports `oracle`) and
+    # `bench` in theirs.  Importing the CLI loads none of them, nor numpy;
+    # a float circulant through eig, forms, charpoly or inverse loads
+    # numpy, `core` and `spectral` only, and the exact commands on
+    # rational documents `lattice` only.  Fresh interpreters, since this
+    # one has loaded them all; each line lists what is loaded after its
+    # command.
     import os
     import subprocess
     import sys
@@ -1261,8 +1263,8 @@ def test_self_check_modules_load_only_for_verify_all_and_bench():
     script = (
         "import contextlib, io, json, sys\n"
         "import circulants.cli as cli\n"
-        "names = ('hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench')\n"
-        "loaded = lambda: [m for m in names if 'circulants.' + m in sys.modules]\n"
+        "names = ('numpy', 'core', 'spectral', 'hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench')\n"
+        "loaded = lambda: [m for m in names if (m if m == 'numpy' else 'circulants.' + m) in sys.modules]\n"
         "print(loaded())\n"
         "for argv, text in json.loads(sys.argv[1]):\n"
         "    sys.stdin = io.StringIO(text)\n"
@@ -1278,6 +1280,7 @@ def test_self_check_modules_load_only_for_verify_all_and_bench():
 
     doc = json.dumps(circulant_doc(1, 2, 3))
     skew = json.dumps({**circulant_doc(1, 2, 3), "kind": "skew_circulant"})
+    floats = ["numpy", "core", "spectral"]
     assert run(
         (["eig"], doc), (["forms"], doc), (["charpoly"], doc), (["inverse"], doc),
         (["charpoly"], rational_doc(["1", "1/2", "3"])),
@@ -1286,16 +1289,36 @@ def test_self_check_modules_load_only_for_verify_all_and_bench():
         (["bench", "--sizes", "4", "--reps", "3"], ""),
     ) == [
         "[]",
-        "eig 0 []",
-        "forms 0 []",
-        "charpoly 0 []",
-        "inverse 0 []",
-        "charpoly 0 ['lattice']",
-        "skew 0 ['lattice', 'twisted']",
-        "verify-all 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle']",
-        "bench 0 ['hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench']",
+        f"eig 0 {floats}",
+        f"forms 0 {floats}",
+        f"charpoly 0 {floats}",
+        f"inverse 0 {floats}",
+        f"charpoly 0 {floats + ['lattice']}",
+        f"skew 0 {floats + ['lattice', 'twisted']}",
+        f"verify-all 0 {floats + ['hopf', 'lattice', 'twisted', 'verify', 'oracle']}",
+        f"bench 0 {floats + ['hopf', 'lattice', 'twisted', 'verify', 'oracle', 'bench']}",
     ]
-    assert run((["hopf-verify"], doc)) == ["[]", "hopf-verify 0 ['hopf']"]
+    assert run((["hopf-verify"], doc)) == ["[]", f"hopf-verify 0 {floats + ['hopf']}"]
+    # The exact commands on rational documents: the Brandt predicate
+    # failing (exit 1) as well as holding, a member and a non-member.
+    halves = "[" + ", ".join(rational_doc(row) for row in (["2", "1", "1"], ["1/2", "0", "0"])) + "]"
+    basis = json.dumps({"kind": "dense", "n": 2, "entries": [["1", "1"], ["0", "1"]]})
+    assert run(
+        (["charpoly"], rational_doc(["1", "1/2", "3"])),
+        (["forms"], rational_doc(["-2", "5/3", "0", "7"])),
+        (["brandt-check"], "[" + rational_doc(["2", "1", "1"]) + "]"),
+        (["brandt-check"], halves),
+        (["lattice-solve"], f"[{basis}, {rational_doc(['3', '-4'])}]"),
+        (["lattice-solve"], f"[{basis}, {rational_doc(['1/2', '1'])}]"),
+    ) == [
+        "[]",
+        "charpoly 0 ['lattice']",
+        "forms 0 ['lattice']",
+        "brandt-check 0 ['lattice']",
+        "brandt-check 1 ['lattice']",
+        "lattice-solve 0 ['lattice']",
+        "lattice-solve 1 ['lattice']",
+    ]
 
 
 def test_distinct_large_denominators_are_refused_before_their_lcm(capsys, monkeypatch):

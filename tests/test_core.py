@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,56 @@ def test_foreign_operands_are_not_implemented(value, method):
     else:
         with pytest.raises(TypeError):
             _FOREIGN[method](value, other)
+
+
+def _tolerance_callers():
+    """The six public calls that take a tolerance, each as (name, call(tol))."""
+    from circulants import (
+        MuWeights,
+        cocycle_from_mu,
+        integral_check,
+        inverse,
+        is_invertible,
+        verify_antipode_axiom,
+        verify_cocycle,
+        verify_counit_axiom,
+    )
+
+    c = circ(2, 1, 1)
+    cocycle = cocycle_from_mu(MuWeights.from_tail((2.0, 0.5j)))
+    return {
+        "is_invertible": lambda tol: is_invertible(c, threshold=tol),
+        "inverse": lambda tol: inverse(c, threshold=tol),
+        "verify_counit_axiom": lambda tol: verify_counit_axiom(c, tol=tol),
+        "verify_antipode_axiom": lambda tol: verify_antipode_axiom(c, tol=tol),
+        "integral_check": lambda tol: integral_check(c, tol=tol),
+        "verify_cocycle": lambda tol: verify_cocycle(cocycle, tol=tol),
+    }
+
+
+#: Tolerances that are not real numbers.  None is refused only where it
+#: is not the default (`is_invertible` and `inverse` take None as "use
+#: the default threshold").
+NOT_REAL = ("a", [1], None, 1j, np.complex128(0.5))
+
+
+@pytest.mark.parametrize(
+    "caller, bad",
+    [
+        (caller, bad)
+        for caller in sorted(_tolerance_callers())
+        for bad in NOT_REAL
+        if not (bad is None and caller in ("inverse", "is_invertible"))
+    ],
+    ids=repr,
+)
+def test_a_tolerance_that_is_not_a_real_number_is_refused_typed(caller, bad):
+    # A string, list or None has no order, and `>=` raised an untyped
+    # TypeError; numpy's complex scalar compares without one and was
+    # taken.  Every caller refuses them all with InvalidScalarError, and
+    # still takes a real tolerance of any real type.
+    call = _tolerance_callers()[caller]
+    with pytest.raises(InvalidScalarError, match="non-negative"):
+        call(bad)
+    for good in (1e-9, Fraction(1, 10**9), np.float32(1e-6)):
+        call(good)

@@ -1,9 +1,9 @@
 """The oracles stay independent of what they check: only `verify`, which
 runs them against production code, imports `oracle`, and `oracle`
 computes with nothing from the package.  Shared rules stay in one place:
-values are not rebuilt from their tuples, and only `core` takes moduli
-with np.hypot, sets numpy's error state, raises FrozenInstanceError and
-runs the class invariants."""
+values are not rebuilt from their tuples, only `core` takes moduli with
+np.hypot, sets numpy's error state and runs the class invariants, and
+only the numpy-free `base` raises FrozenInstanceError."""
 
 import ast
 from pathlib import Path
@@ -239,16 +239,30 @@ def frozen_raises(source: str) -> list[int]:
     ]
 
 
-def test_only_core_raises_frozen_instance_error():
-    # One frozen base, `core._Frozen`, for every immutable slotted class.
+def test_only_base_raises_frozen_instance_error():
+    # One frozen base, `base._Frozen`, for every immutable slotted class.
     sample = (
         "raise FrozenInstanceError('x')\nraise dataclasses.FrozenInstanceError\n"
         "raise ValueError(FrozenInstanceError)\n"
     )
     assert frozen_raises(sample) == [1, 2]
-    found = calls_outside_core(frozen_raises)
+    found = {
+        name: frozen_raises((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for name in sorted(MODULES - {"base"})
+    }
     assert found == {name: [] for name in found}
-    assert len(frozen_raises((PACKAGE / "core.py").read_text(encoding="utf-8"))) == 2
+    assert len(frozen_raises((PACKAGE / "base.py").read_text(encoding="utf-8"))) == 2
+
+
+def test_the_base_imports_no_numpy_and_no_float_layer():
+    # `base` is what the exact layer and the document reader share with
+    # the float layer: it takes only the exception types from the
+    # package, and imports numpy nowhere, not even inside a function.
+    assert package_imports("base") == {"errors"}
+    tree = ast.parse((PACKAGE / "base.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 #: The functions that may read the tuple views: the text and hash of a value.
@@ -373,7 +387,7 @@ def equality_definers(source: str) -> list[str]:
 
 
 def test_one_equality_rule_for_the_frozen_values():
-    # `core._Frozen` compares and hashes every frozen value by its `_key()`;
+    # `base._Frozen` compares and hashes every frozen value by its `_key()`;
     # the others define only `_key`.  `_RowValue` compares its arrays
     # without building the tuples and keeps the key's hash; `MuCirculant`
     # also compares its weights.
@@ -389,4 +403,4 @@ def test_one_equality_rule_for_the_frozen_values():
         for name in MODULES
         for cls in equality_definers((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     }
-    assert found == {("core", "_Frozen"), ("core", "_RowValue"), ("twisted", "MuCirculant")}
+    assert found == {("base", "_Frozen"), ("core", "_RowValue"), ("twisted", "MuCirculant")}

@@ -238,19 +238,19 @@ def test_symmetric_spectra_reconstruct_real_at_every_magnitude(exponent):
 
 @pytest.mark.parametrize("exponent", (3, 18, 300))
 def test_reconstruction_refuses_an_imaginary_residue_beyond_its_bound(monkeypatch, exponent):
-    from circulants import Circulant, lattice
+    from circulants import Circulant, spectral
     from circulants.errors import RootAssignmentError
 
     lams = symmetric_integer_spectrum(np.random.default_rng(SEED), 16, exponent)
     bound = 1e-10 * (1.0 + max(abs(v) for v in lams))
-    exact = lattice.from_spectrum
+    exact = spectral.from_spectrum
 
     def residue(spectrum):
         row = exact(spectrum).array.copy()
         row[3] += 2j * bound
         return Circulant(row)
 
-    monkeypatch.setattr(lattice, "from_spectrum", residue)
+    monkeypatch.setattr(spectral, "from_spectrum", residue)
     with pytest.raises(RootAssignmentError, match="imaginary residue"):
         reconstruct_from_spectrum(lams)
 
@@ -704,19 +704,20 @@ def test_brandt_witness_packs_its_powers_no_wider_than_it_reads(monkeypatch):
     # a^top, top doubling from 8, not at a^isqrt(3n) = a^55.
     from itertools import islice
 
+    import circulants.base as base
     import circulants.lattice as lattice
 
     n = 1024
     rng = np.random.default_rng([SEED, n])
     r = [int(v) for v in rng.integers(-3, 4, n)]
     element = rational_circ([r[0] + F(1, 2)] + r[1:])
-    bounds, width = [], lattice._width
+    bounds, width = [], base._width
 
     def spied(bound):
         bounds.append(bound)
         return width(bound)
 
-    monkeypatch.setattr(lattice, "_width", spied)
+    monkeypatch.setattr(base, "_width", spied)
     ce = brandt_check([element]).counterexample
     i, a = ce.form_index, sum(map(abs, element.cleared))
     assert bounds and max(bounds) <= a ** max(8, 2 * i) and 2 * i < math.isqrt(3 * n)
@@ -830,7 +831,7 @@ def cyclotomic_by_division(limit):
 
 
 def test_cyclotomic_polynomials_from_binomials_match_division():
-    from circulants.lattice import _cyclotomic
+    from circulants.base import _cyclotomic
 
     reference = cyclotomic_by_division(400)
     assert all(_cyclotomic(d) == phi for d, phi in reference.items())

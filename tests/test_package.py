@@ -1,8 +1,8 @@
 """The package's public names, whichever layers have loaded.
 
-`hopf`, `lattice` and `twisted` load on the first read of one of their
-names, so these tests run fresh interpreters: in this one every layer
-has loaded already.
+Every layer, `core` and `spectral` included, loads on the first read of
+one of its names, so these tests run fresh interpreters: in this one
+every layer has loaded already.
 """
 
 import os
@@ -64,6 +64,32 @@ def test_public_names_are_those_of_before_and_come_from_their_modules():
     )
     modules = [f"circulants.{m}" for m in ("core", "errors", "hopf", "lattice", "spectral", "twisted")]
     assert fresh(script) == ["[]", "True", str(modules)]
+
+
+def test_the_package_import_loads_no_numpy_and_each_name_resolves_from_it():
+    # `import circulants` loads `errors` alone.  Then each of the 86 names,
+    # read first after a fresh import of the package (its modules dropped
+    # from sys.modules; numpy, once loaded, stays), loads its module and
+    # is that module's own object.
+    script = (
+        "import sys, types\n"
+        "import circulants\n"
+        "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('circulants')))\n"
+        "wrong = []\n"
+        "for name in sys.argv[1:]:\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'circulants']:\n"
+        "        del sys.modules[m]\n"
+        "    import circulants\n"
+        "    value = getattr(circulants, name)\n"
+        "    if isinstance(value, types.ModuleType):\n"
+        "        ok = value is sys.modules['circulants.' + name]\n"
+        "    else:\n"
+        "        ok = getattr(sys.modules[value.__module__], name) is value\n"
+        "    if not ok:\n"
+        "        wrong.append(name)\n"
+        "print(wrong)\n"
+    )
+    assert fresh(script, *PUBLIC_NAMES) == ["False ['circulants', 'circulants.errors']", "[]"]
 
 
 def test_the_name_forms_is_the_function_and_not_a_submodule():

@@ -346,6 +346,37 @@ def test_mu_eigen_refuses_vectors_beyond_the_float_range():
         mu_eigen(m)
 
 
+def test_mu_eigen_decompositions_compare_and_hash_entry_by_entry():
+    # A frozen value holding an ndarray: `==` raised ValueError (the
+    # truth value of an array) and `hash` TypeError (an unhashable
+    # array).  Equal spectra and vectors entry by entry mean equal
+    # decompositions, whatever the arrays' identity.
+    m = mu_circ((1.0, 2.0, -0.5), (1.5, 0.25j))
+    first, second = mu_eigen(m), mu_eigen(m)
+    assert first.vectors is not second.vectors
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    # The same psi(m) = (1, 3, -0.125j), so the same spectrum, under
+    # other weights: other vectors.
+    other = mu_eigen(mu_circ((1.0, 1.0, -0.25), (3.0, 0.5j)))
+    assert other.spectrum == first.spectrum and other != first
+    shifted = mu_eigen(mu_circ((1.0, 2.0, 0.5), (1.5, 0.25j)))
+    assert shifted != first
+    assert first != (first.spectrum, first.vectors)
+
+
+def test_mu_eigen_vectors_are_read_only():
+    eig = mu_eigen(mu_circ((1.0, 2.0, -0.5), (1.5, 0.25j)))
+    before = eig.vectors[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        eig.vectors[0, 0] = 99
+    assert eig.vectors[0, 0] == before
+    with pytest.raises(FrozenInstanceError):
+        eig.vectors = np.zeros((3, 3))
+    for twin in (pickle.loads(pickle.dumps(eig)), copy.deepcopy(eig)):
+        assert twin == eig and not twin.vectors.flags.writeable
+
+
 def test_mu_eigen_residuals_random():
     rng = np.random.default_rng(SEED)
     for n in (1, 2, 3, 5, 8, 16):
